@@ -19,6 +19,7 @@ against that mesh with explicit UNKNOWN verdicts near its edges.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,6 +51,7 @@ from .models import (
     extremal_value,
     input_box,
     state_rhs,
+    switch_components,
     switch_value,
 )
 
@@ -167,7 +169,7 @@ def _make_input(variant: Variant, values: dict[Channel, float]) -> InputVec:
 
 
 def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
-    """Coupled backward (state, adjoint, arc-length) right-hand side.
+    """Coupled backward (state, adjoint, arc-length) right-hand side on float tuples.
 
     Hand-inlined per variant: this is the innermost hot loop and the generic
     matrix build costs several times the arithmetic.
@@ -175,13 +177,10 @@ def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
     v = scenario.variant
     im = scenario.i_max
     if v is Variant.SIR_PERFECT or v is Variant.SIR_IMPERFECT:
-        if v is Variant.SIR_PERFECT:
-            g = scenario.gamma
-        else:
-            g = u.gamma
+        g = scenario.gamma if v is Variant.SIR_PERFECT else u.gamma
 
         def rhs(t, y):
-            S, I, l1, l2 = y[0], y[1], y[2], y[3]
+            S, I, l1, l2, _ = y
             if v is Variant.SIR_IMPERFECT:
                 r = min(1.0, max(0.0, I / im))
                 b = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
@@ -194,21 +193,18 @@ def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
                 a = b
             flux = b * S * I
             f0, f1 = -flux, flux - g * I
-            return np.array(
-                [
-                    -f0,
-                    -f1,
-                    -(b * I * l1 - b * I * l2),
-                    -(a * S * l1 + (-a * S + g) * l2),
-                    np.sqrt(f0 * f0 + f1 * f1),
-                ]
+            return (
+                -f0,
+                -f1,
+                -(b * I * l1 - b * I * l2),
+                -(a * S * l1 + (-a * S + g) * l2),
+                math.sqrt(f0 * f0 + f1 * f1),
             )
 
         return rhs
 
     def rhs(t, y):
-        S, E, I = y[0], y[1], y[2]
-        l1, l2, l3 = y[3], y[4], y[5]
+        S, E, I, l1, l2, l3, _ = y
         if v is Variant.SEIR_PERFECT:
             b, g, e = u.beta, u.gamma, scenario.eta
             a, dd = b, g
@@ -222,74 +218,42 @@ def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
         flux = b * S * I
         lat = e * E
         f0, f1, f2 = -flux, flux - lat, lat - g * I
-        return np.array(
-            [
-                -f0,
-                -f1,
-                -f2,
-                -(b * I * l1 - b * I * l2),
-                -(e * l2 - e * l3),
-                -(a * S * l1 - a * S * l2 + dd * l3),
-                np.sqrt(f0 * f0 + f1 * f1 + f2 * f2),
-            ]
+        return (
+            -f0,
+            -f1,
+            -f2,
+            -(b * I * l1 - b * I * l2),
+            -(e * l2 - e * l3),
+            -(a * S * l1 - a * S * l2 + dd * l3),
+            math.sqrt(f0 * f0 + f1 * f1 + f2 * f2),
         )
 
     return rhs
 
 
 def _segment_events(scenario: Scenario, set_kind: SetKind, tol: Tolerances):
-    d = scenario.dim
+    """Switch and face events on the (state, adjoint, arc length) tuple."""
+    d, geom = scenario.dim, tol.geom_tol
     events = []
     for ch in active_channels(scenario.variant):
-        events.append(
-            EventSpec(
-                EventKind.SIGN_CHANGE,
-                f"sigma_{ch.value}",
-                fn=lambda t, y, ch=ch: switch_value(
-                    scenario.variant, set_kind, ch, y[d : 2 * d]
-                ),
-            )
-        )
-    events.append(
-        EventSpec(
-            EventKind.DOMAIN_EXIT,
-            "sum_face",
-            fn=lambda t, y: float(np.sum(y[:d]) - 1.0),
-            trigger_level=tol.geom_tol,
-        )
-    )
-    events.append(
-        EventSpec(
-            EventKind.DOMAIN_EXIT,
-            "s_floor",
-            fn=lambda t, y: float(-y[0]),
-            trigger_level=tol.geom_tol,
-        )
-    )
+        plus, minus = switch_components(scenario.variant, set_kind, ch)
+        if minus is None:
+            fn = lambda t, y, p=d + plus: y[p]
+        else:
+            fn = lambda t, y, p=d + plus, m=d + minus: y[p] - y[m]
+        events.append(EventSpec(EventKind.SIGN_CHANGE, f"sigma_{ch.value}", fn=fn))
+    # left-to-right sums, the order np.sum uses on so few components
+    if d == 2:
+        sum_face = lambda t, y: y[0] + y[1] - 1.0
+    else:
+        sum_face = lambda t, y: y[0] + y[1] + y[2] - 1.0
+    faces = [("sum_face", sum_face), ("s_floor", lambda t, y: -y[0])]
     if d == 3:
-        events.append(
-            EventSpec(
-                EventKind.DOMAIN_EXIT,
-                "e_floor",
-                fn=lambda t, y: float(-y[1]),
-                trigger_level=tol.geom_tol,
-            )
-        )
-    events.append(
-        EventSpec(
-            EventKind.DOMAIN_EXIT,
-            "cap_face",
-            fn=lambda t, y: float(y[d - 1] - scenario.i_max),
-            trigger_level=tol.geom_tol,
-        )
-    )
-    events.append(
-        EventSpec(
-            EventKind.I_FLOOR,
-            "i_floor",
-            fn=lambda t, y: float(tol.i_floor - y[d - 1]),
-        )
-    )
+        faces.append(("e_floor", lambda t, y: -y[1]))
+    faces.append(("cap_face", lambda t, y: y[d - 1] - scenario.i_max))
+    for label, fn in faces:
+        events.append(EventSpec(EventKind.DOMAIN_EXIT, label, fn, trigger_level=geom))
+    events.append(EventSpec(EventKind.I_FLOOR, "i_floor", lambda t, y: tol.i_floor - y[d - 1]))
     return events
 
 
@@ -319,16 +283,9 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
     x0 = np.asarray(tangent_point, dtype=float)
     if x0.shape != (d,):
         raise ValueError(f"tangent point must have {d} components")
-    lam0 = np.zeros(d)
-    lam0[-1] = 1.0
-    y = np.concatenate([x0, lam0, [0.0]])
-
-    def renorm(state_vec):
-        out = state_vec.copy()
-        lam = out[d : 2 * d]
-        out[d : 2 * d] = lam / np.linalg.norm(lam)
-        return out
-
+    # state, adjoint (0, ..., 0, 1) and arc length as one float tuple
+    y = tuple(x0.tolist()) + (0.0,) * (d - 1) + (1.0, 0.0)
+    renorm = _adjoint_renorm(d)
     events = _segment_events(scenario, set_kind, tol)
     samples: list[CurveSample] = []
     switches: list[tuple[float, Channel]] = []
@@ -389,6 +346,25 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
     )
     _check_containment(scenario, curve, tol)
     return curve
+
+
+def _adjoint_renorm(d: int):
+    """Post-step map scaling the adjoint part of the state tuple to unit norm.
+
+    The norm is ``sqrt(lam . lam)`` with the dot product taken by BLAS on a
+    reused buffer, exactly as ``np.linalg.norm`` computes it: a plain-float
+    ``sqrt(a*a + b*b)`` can differ in the last bit where the BLAS dot fuses
+    multiply and add.
+    """
+    buf = np.empty(d)
+
+    def renorm(y):
+        lam = y[d : 2 * d]
+        buf[:] = lam
+        n = math.sqrt(buf.dot(buf))
+        return y[:d] + tuple([v / n for v in lam]) + y[2 * d :]
+
+    return renorm
 
 
 def _check_containment(scenario: Scenario, curve: BarrierCurve, tol: Tolerances):

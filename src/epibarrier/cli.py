@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -77,7 +76,7 @@ def _write_json(path: str, doc) -> None:
     _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(command: str, raw_config: dict, tol: Tolerances, seed, t0: float) -> dict:
+def _manifest(command: str, raw_config: dict, tol: Tolerances, seed) -> dict:
     digest = hashlib.sha256(
         json.dumps(raw_config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -87,7 +86,6 @@ def _manifest(command: str, raw_config: dict, tol: Tolerances, seed, t0: float) 
         "tolerances": dataclasses.asdict(tol),
         "seed": seed,
         "version": __version__,
-        "runtime_s": time.monotonic() - t0,
     }
 
 
@@ -208,12 +206,11 @@ def load_set(path: str) -> ComputedSet:
 
 def cmd_classify(args) -> int:
     raw, scenario, tol = _load_config(args)
-    t0 = time.monotonic()
     result = classify(scenario)
     doc = {
         "tag": result.tag.value,
         "witnesses": result.witnesses,
-        "manifest": _manifest("classify", raw, tol, None, t0),
+        "manifest": _manifest("classify", raw, tol, None),
     }
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -234,7 +231,6 @@ def _curve_rows(scenario, curve):
 def cmd_barrier(args) -> int:
     raw, scenario, tol = _load_config(args)
     kind = _parse_set_kind(scenario, args.set)
-    t0 = time.monotonic()
     cset = assemble_set(scenario, kind, n_curves=args.curves, tolerances=tol)
     os.makedirs(args.out, exist_ok=True)
     curve_files = []
@@ -257,7 +253,7 @@ def cmd_barrier(args) -> int:
                 },
             )
         curve_files.append(fname)
-    manifest = _manifest("barrier", raw, tol, None, t0)
+    manifest = _manifest("barrier", raw, tol, None)
     doc = _set_document(cset, raw, curve_files, manifest)
     _write_json(os.path.join(args.out, "set.json"), doc)
     print(json.dumps({"trivial": cset.trivial, "n_curves": len(cset.curves)}))
@@ -292,7 +288,6 @@ def _build_policy(args, scenario, tol):
 def cmd_simulate(args) -> int:
     raw, scenario, tol = _load_config(args)
     x0 = _parse_x0(scenario, args.x0)
-    t0 = time.monotonic()
     policy = _build_policy(args, scenario, tol)
     traj = simulate(scenario, policy, x0, args.t_end, tol)
     os.makedirs(args.out, exist_ok=True)
@@ -308,7 +303,7 @@ def cmd_simulate(args) -> int:
         "breached": traj.breached,
         "max_I": traj.max_I,
         "first_breach_time": traj.first_breach_time,
-        "manifest": _manifest("simulate", raw, tol, None, t0),
+        "manifest": _manifest("simulate", raw, tol, None),
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
     print(json.dumps({"breached": traj.breached, "max_I": traj.max_I}))
@@ -322,7 +317,6 @@ def cmd_montecarlo(args) -> int:
             "montecarlo needs an imperfect variant (uncertain disturbance)"
         )
     x0 = _parse_x0(scenario, args.x0)
-    t0 = time.monotonic()
     trajs = monte_carlo(
         scenario, x0, args.n, args.seed, t_end=args.t_end, tolerances=tol, h=1e-2
     )
@@ -340,7 +334,7 @@ def cmd_montecarlo(args) -> int:
         "n_trials": len(trajs),
         "n_breached": int(sum(bool(t.breached) for t in trajs)),
         "max_I": max((t.max_I for t in trajs), default=None),
-        "manifest": _manifest("montecarlo", raw, tol, args.seed, t0),
+        "manifest": _manifest("montecarlo", raw, tol, args.seed),
     }
     _write_json(os.path.join(args.out, "aggregate.json"), aggregate)
     print(json.dumps({"n_breached": aggregate["n_breached"]}))
@@ -356,7 +350,6 @@ def cmd_oracle(args) -> int:
                 "the grid oracle is two-dimensional; use --points for SEIR"
             )
         return _oracle_points(args, raw, scenario, tol, kind)
-    t0 = time.monotonic()
     cset = assemble_set(scenario, kind, tolerances=tol)
     adm = mrpi = None
     if kind is SetKind.ADMISSIBLE:
@@ -396,7 +389,7 @@ def cmd_oracle(args) -> int:
         "n_points": len(pts),
         "n_compared": n_compared,
         "agreement_rate": rate,
-        "manifest": _manifest("oracle", raw, tol, args.seed, t0),
+        "manifest": _manifest("oracle", raw, tol, args.seed),
     }
     _write_json(os.path.join(args.out, "oracle_summary.json"), summary)
     print(json.dumps({"agreement_rate": rate}))
@@ -412,7 +405,6 @@ def _oracle_points(args, raw, scenario, tol, kind) -> int:
         ]
     except ValueError:
         raise InputError(f"bad --points {args.points!r}")
-    t0 = time.monotonic()
     cset = assemble_set(scenario, kind, tolerances=tol)
     rows = []
     n_compared = n_agree = 0
@@ -441,7 +433,7 @@ def _oracle_points(args, raw, scenario, tol, kind) -> int:
             "n_points": len(pts),
             "n_compared": n_compared,
             "agreement_rate": rate,
-            "manifest": _manifest("oracle", raw, tol, args.seed, t0),
+            "manifest": _manifest("oracle", raw, tol, args.seed),
         },
     )
     print(json.dumps({"agreement_rate": rate}))

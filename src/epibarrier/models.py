@@ -26,10 +26,12 @@ __all__ = [
     "gamma_feedback",
     "alpha_of_i",
     "delta_of_i",
+    "state_field",
     "state_rhs",
     "adjoint_matrix",
     "adjoint_rhs",
     "active_channels",
+    "switch_components",
     "switch_value",
     "extremal_value",
     "lie_derivative_g",
@@ -70,17 +72,17 @@ class InputVec:
         return value
 
 
-def sir_rhs(state, beta: float, gamma: float) -> np.ndarray:
+def sir_rhs(state, beta: float, gamma: float) -> tuple[float, float]:
     S, I = state
     flux = beta * S * I
-    return np.array([-flux, flux - gamma * I])
+    return -flux, flux - gamma * I
 
 
-def seir_rhs(state, beta: float, gamma: float, eta: float) -> np.ndarray:
+def seir_rhs(state, beta: float, gamma: float, eta: float) -> tuple[float, float, float]:
     S, E, I = state
     flux = beta * S * I
     lat = eta * E
-    return np.array([-flux, flux - lat, lat - gamma * I])
+    return -flux, flux - lat, lat - gamma * I
 
 
 def beta_feedback(i: float, scenario: Scenario, geom_tol: float = 1e-9) -> float:
@@ -128,6 +130,11 @@ def delta_of_i(i: float, scenario: Scenario) -> float:
 
 def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
     """Time derivative of the reduced state under input/disturbance ``u``."""
+    return np.array(state_field(scenario, state, u))
+
+
+def state_field(scenario: Scenario, state, u: InputVec) -> tuple:
+    """:func:`state_rhs` as a float tuple, the state form the integrator carries."""
     v = scenario.variant
     if v is Variant.SIR_PERFECT:
         return sir_rhs(state, u.beta, scenario.gamma)
@@ -208,18 +215,26 @@ def _check_channel(variant: Variant, set_kind: SetKind, channel: Channel) -> Non
         raise BadChannelError(f"channel {channel.value} not free for {variant.value}")
 
 
+def switch_components(
+    variant: Variant, set_kind: SetKind, channel: Channel
+) -> tuple[int, int | None]:
+    """Adjoint indices (plus, minus) of the functional lam[plus] - lam[minus].
+
+    ``minus`` is None where the functional is lam[plus] alone.
+    """
+    _check_channel(variant, set_kind, channel)
+    if channel is Channel.BETA:
+        return 1, 0
+    if channel is Channel.GAMMA:
+        return (1 if variant is Variant.SIR_IMPERFECT else 2), None
+    return 2, 1  # ETA (imperfect SEIR)
+
+
 def switch_value(variant: Variant, set_kind: SetKind, channel: Channel, adjoint) -> float:
     """Signed switching functional whose sign selects the extremal input."""
-    _check_channel(variant, set_kind, channel)
+    plus, minus = switch_components(variant, set_kind, channel)
     lam = np.asarray(adjoint, dtype=float)
-    if channel is Channel.BETA:
-        return float(lam[1] - lam[0])
-    if channel is Channel.GAMMA:
-        if variant is Variant.SIR_IMPERFECT:
-            return float(lam[1])
-        return float(lam[2])
-    # ETA (imperfect SEIR)
-    return float(lam[2] - lam[1])
+    return float(lam[plus] if minus is None else lam[plus] - lam[minus])
 
 
 def extremal_value(
@@ -246,7 +261,7 @@ def extremal_value(
 
 def lie_derivative_g(scenario: Scenario, state, u: InputVec) -> float:
     """Lie derivative of g = I - I_max along the flow, i.e. dI/dt."""
-    return float(state_rhs(scenario, state, u)[-1])
+    return float(state_field(scenario, state, u)[-1])
 
 
 def input_box(scenario: Scenario) -> dict[Channel, tuple[float, float]]:

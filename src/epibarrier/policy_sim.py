@@ -15,7 +15,7 @@ import numpy as np
 from .barrier import ComputedSet, Membership, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
 from .integrate import rk4_step
-from .models import Channel, InputVec, active_channels, input_box, state_rhs
+from .models import Channel, InputVec, active_channels, input_box, state_field
 
 __all__ = [
     "ConstantPolicy",
@@ -128,13 +128,10 @@ class ExtremalBangPolicy:
     ):
         rng = np.random.default_rng(seed)
         self.scenario = scenario
-        self.schedules: dict[Channel, tuple[np.ndarray, np.ndarray]] = {}
-        for ch, (lo, hi) in input_box(scenario).items():
-            times = np.concatenate(
-                [[0.0], np.sort(rng.uniform(0.0, t_end, n_segments - 1))]
-            )
-            values = rng.choice([lo, hi], size=n_segments)
-            self.schedules[ch] = (times, values)
+        self.schedules: dict[Channel, tuple[np.ndarray, np.ndarray]] = {
+            ch: _bang_schedule(rng, lo, hi, t_end, n_segments)
+            for ch, (lo, hi) in input_box(scenario).items()
+        }
 
     def u(self, t: float, state) -> InputVec:
         vals = {}
@@ -179,21 +176,24 @@ def simulate(
 ) -> Trajectory:
     """Forward RK4 with the policy re-evaluated every step.
 
-    The first crossing of I = I_max is located by bisecting the sub-step,
-    giving first_breach_time to event_time_tol; integration then continues to
-    t_end unless stop_on_breach is set.
+    The state is integrated as a float tuple, and policies receive it as one;
+    recorded samples are numpy arrays.  The first crossing of I = I_max is
+    located by bisecting the sub-step, giving first_breach_time to
+    event_time_tol; integration then continues to t_end unless
+    stop_on_breach is set.
     """
     tol = tolerances or Tolerances()
     step = h if h is not None else tol.step_h
     if t_end > 10000.0:
         raise ValueError("t_end above 10000 days is unsupported")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (scenario.dim,):
         raise ValueError(f"x0 must have {scenario.dim} components")
+    x = tuple(x.tolist())
     im = scenario.i_max
     t = 0.0
     u = policy.u(t, x)
-    samples = [(t, x.copy(), u)]
+    samples = [(t, np.array(x), u)]
     max_i = float(x[-1])
     breached = x[-1] > im + tol.geom_tol
     first_breach = 0.0 if breached else None
@@ -202,7 +202,7 @@ def simulate(
     for k in range(n_steps):
         hk = min(step, t_end - t)
         u = policy.u(t, x)
-        rhs = lambda tt, yy: state_rhs(scenario, yy, u)
+        rhs = lambda tt, yy: state_field(scenario, yy, u)
         x_new = rk4_step(rhs, t, x, hk)
         if first_breach is None and x_new[-1] > im and x[-1] <= im:
             first_breach = t + _breach_fraction(rhs, t, x, hk, im, tol) * hk
@@ -211,7 +211,7 @@ def simulate(
         if max_i > im + tol.geom_tol:
             breached = True
         if (k + 1) % record_every == 0 or k == n_steps - 1:
-            samples.append((t, x.copy(), u))
+            samples.append((t, np.array(x), u))
         if breached and stop_on_breach:
             break
     return Trajectory(samples, bool(breached), float(max_i), first_breach)

@@ -91,6 +91,15 @@ def test_barrier_artifacts_and_round_trip(tmp_path, capsys, mrpi_sir):
     assert checked == 100
 
 
+def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    argv = ["barrier", "--config", cfg, "--set", "mrpi", "--out"]
+    assert main(argv + [str(out_a)]) == 0
+    assert main(argv + [str(out_b)]) == 0
+    capsys.readouterr()
+    assert (out_a / "set.json").read_bytes() == (out_b / "set.json").read_bytes()
+
 def test_simulate_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
     out = tmp_path / "sim"
