@@ -28,7 +28,6 @@ import numpy as np
 from .analysis import (
     UsablePart,
     backward_filter,
-    classify,
     is_trivial,
     tangent_set,
     usable_part,
@@ -38,7 +37,6 @@ from .integrate import (
     SIGMA_TOL,
     EventKind,
     EventSpec,
-    IntegrationResult,
     SingularArcError,
     integrate_until,
 )
@@ -46,10 +44,10 @@ from .models import (
     Channel,
     InputVec,
     active_channels,
-    adjoint_matrix,
     adjoint_rhs,
     extremal_value,
     input_box,
+    rates,
     state_rhs,
     switch_components,
     switch_value,
@@ -171,33 +169,25 @@ def _make_input(variant: Variant, values: dict[Channel, float]) -> InputVec:
 def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
     """Coupled backward (state, adjoint, arc-length) right-hand side on float tuples.
 
-    Hand-inlined per variant: this is the innermost hot loop and the generic
-    matrix build costs several times the arithmetic.
+    ``-f`` and ``-A lambda`` are written out from the templates of
+    ``models.state_field`` and ``models.adjoint_matrix``: this is the
+    innermost hot loop and the generic matrix build costs several times the
+    arithmetic.  The perfect variants' rates do not depend on the state, so
+    they are taken once per segment.
     """
-    v = scenario.variant
-    im = scenario.i_max
-    if v is Variant.SIR_PERFECT or v is Variant.SIR_IMPERFECT:
-        g = scenario.gamma if v is Variant.SIR_PERFECT else u.gamma
+    fixed = rates(scenario, 0.0, u) if scenario.variant.is_perfect else None
+    if d == 2:
 
         def rhs(t, y):
             S, I, l1, l2, _ = y
-            if v is Variant.SIR_IMPERFECT:
-                r = min(1.0, max(0.0, I / im))
-                b = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
-                a = (
-                    2.0 * (scenario.beta_min - scenario.beta_max) / im * I
-                    + scenario.beta_max
-                )
-            else:
-                b = u.beta
-                a = b
+            b, a, g, dd, _ = fixed or rates(scenario, I, u)
             flux = b * S * I
             f0, f1 = -flux, flux - g * I
             return (
                 -f0,
                 -f1,
                 -(b * I * l1 - b * I * l2),
-                -(a * S * l1 + (-a * S + g) * l2),
+                -(a * S * l1 + (-a * S + dd) * l2),
                 math.sqrt(f0 * f0 + f1 * f1),
             )
 
@@ -205,16 +195,7 @@ def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
 
     def rhs(t, y):
         S, E, I, l1, l2, l3, _ = y
-        if v is Variant.SEIR_PERFECT:
-            b, g, e = u.beta, u.gamma, scenario.eta
-            a, dd = b, g
-        else:
-            r = min(1.0, max(0.0, I / im))
-            b = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
-            g = scenario.gamma_min * (1.0 - r) + scenario.gamma_max * r
-            a = 2.0 * (scenario.beta_min - scenario.beta_max) / im * I + scenario.beta_max
-            dd = 2.0 * (scenario.gamma_max - scenario.gamma_min) / im * I + scenario.gamma_min
-            e = u.eta
+        b, a, g, dd, e = fixed or rates(scenario, I, u)
         flux = b * S * I
         lat = e * E
         f0, f1, f2 = -flux, flux - lat, lat - g * I
@@ -602,13 +583,6 @@ def _in_simplex(scenario: Scenario, x: np.ndarray, tol: float) -> bool:
         and np.sum(x) <= 1.0 + tol
         and x[-1] <= scenario.i_max + tol
     )
-
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
 
 
 def _polyline_distance(p: np.ndarray, poly: np.ndarray, closed: bool) -> float:

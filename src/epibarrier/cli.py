@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .analysis import EmptyTangentError, classify, tangent_set, backward_filter, usable_part
+from .analysis import EmptyTangentError, classify, usable_part
 from .barrier import ComputedSet, Verdict, assemble_set, membership
 from .core import Scenario, ScenarioError, SetKind, Tolerances, validate_scenario
 from .models import BadChannelError, Channel, InputVec, active_channels
@@ -143,6 +143,10 @@ def _input_columns(scenario: Scenario) -> list[Channel]:
     return list(active_channels(scenario.variant))
 
 
+def _state_columns(scenario: Scenario) -> list[str]:
+    return ["S", "I"] if scenario.variant.is_sir else ["S", "E", "I"]
+
+
 # ---------------------------------------------------------------------------
 # set.json export / import
 # ---------------------------------------------------------------------------
@@ -234,10 +238,9 @@ def cmd_barrier(args) -> int:
     cset = assemble_set(scenario, kind, n_curves=args.curves, tolerances=tol)
     os.makedirs(args.out, exist_ok=True)
     curve_files = []
-    state_cols = ["S", "I"] if scenario.variant.is_sir else ["S", "E", "I"]
     lam_cols = [f"lambda{k + 1}" for k in range(scenario.dim)]
     in_cols = [ch.value for ch in _input_columns(scenario)]
-    header = ["t"] + state_cols + lam_cols + in_cols + ["switch_flag"]
+    header = ["t"] + _state_columns(scenario) + lam_cols + in_cols + ["switch_flag"]
     for idx, curve in enumerate(cset.curves):
         fname = f"curve_{idx:03d}.csv"
         if args.format == "csv":
@@ -285,20 +288,23 @@ def _build_policy(args, scenario, tol):
     raise InputError(f"unknown policy {name!r}")
 
 
+def _write_trajectory(path: str, scenario: Scenario, traj) -> None:
+    chans = _input_columns(scenario)
+    header = ["t"] + _state_columns(scenario) + ["R"] + [ch.value for ch in chans]
+    rows = (
+        [t] + [float(v) for v in x] + [1.0 - float(np.sum(x))] + [u.get(ch) for ch in chans]
+        for t, x, u in traj.samples
+    )
+    _write_csv(path, header, rows)
+
+
 def cmd_simulate(args) -> int:
     raw, scenario, tol = _load_config(args)
     x0 = _parse_x0(scenario, args.x0)
     policy = _build_policy(args, scenario, tol)
     traj = simulate(scenario, policy, x0, args.t_end, tol)
     os.makedirs(args.out, exist_ok=True)
-    state_cols = ["S", "I"] if scenario.variant.is_sir else ["S", "E", "I"]
-    chans = _input_columns(scenario)
-    header = ["t"] + state_cols + ["R"] + [ch.value for ch in chans]
-    rows = (
-        [t] + [float(v) for v in x] + [1.0 - float(np.sum(x))] + [u.get(ch) for ch in chans]
-        for t, x, u in traj.samples
-    )
-    _write_csv(os.path.join(args.out, "trajectory.csv"), header, rows)
+    _write_trajectory(os.path.join(args.out, "trajectory.csv"), scenario, traj)
     summary = {
         "breached": traj.breached,
         "max_I": traj.max_I,
@@ -321,15 +327,8 @@ def cmd_montecarlo(args) -> int:
         scenario, x0, args.n, args.seed, t_end=args.t_end, tolerances=tol, h=1e-2
     )
     os.makedirs(args.out, exist_ok=True)
-    state_cols = ["S", "I"] if scenario.variant.is_sir else ["S", "E", "I"]
-    chans = _input_columns(scenario)
-    header = ["t"] + state_cols + ["R"] + [ch.value for ch in chans]
     for idx, traj in enumerate(trajs):
-        rows = (
-            [t] + [float(v) for v in x] + [1.0 - float(np.sum(x))] + [u.get(ch) for ch in chans]
-            for t, x, u in traj.samples
-        )
-        _write_csv(os.path.join(args.out, f"trial_{idx:03d}.csv"), header, rows)
+        _write_trajectory(os.path.join(args.out, f"trial_{idx:03d}.csv"), scenario, traj)
     aggregate = {
         "n_trials": len(trajs),
         "n_breached": int(sum(bool(t.breached) for t in trajs)),
@@ -367,33 +366,11 @@ def cmd_oracle(args) -> int:
         mrpi_set=mrpi,
         tolerances=tol,
     )
-    rows = []
-    n_compared = n_agree = 0
+    results = []
     for p, o_in in zip(pts, oracle_inside):
         verd = membership(cset, p).verdict
-        if verd in (Verdict.INSIDE, Verdict.OUTSIDE):
-            agrees = (verd is Verdict.INSIDE) == bool(o_in)
-            n_compared += 1
-            n_agree += agrees
-        else:
-            agrees = True
-        rows.append([float(p[0]), float(p[1]), verd.value, int(agrees)])
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "oracle_grid.csv"),
-        ["S", "I", "verdict", "oracle_agrees"],
-        rows,
-    )
-    rate = 1.0 if n_compared == 0 else n_agree / n_compared
-    summary = {
-        "n_points": len(pts),
-        "n_compared": n_compared,
-        "agreement_rate": rate,
-        "manifest": _manifest("oracle", raw, tol, args.seed),
-    }
-    _write_json(os.path.join(args.out, "oracle_summary.json"), summary)
-    print(json.dumps({"agreement_rate": rate}))
-    return EXIT_OK
+        results.append((p, verd, (verd is Verdict.INSIDE) == bool(o_in)))
+    return _write_oracle(args, raw, scenario, tol, "oracle_grid.csv", results)
 
 
 def _oracle_points(args, raw, scenario, tol, kind) -> int:
@@ -406,36 +383,46 @@ def _oracle_points(args, raw, scenario, tol, kind) -> int:
     except ValueError:
         raise InputError(f"bad --points {args.points!r}")
     cset = assemble_set(scenario, kind, tolerances=tol)
-    rows = []
-    n_compared = n_agree = 0
+    results = []
     for p in pts:
         if p.shape != (scenario.dim,):
             raise InputError(f"point {p.tolist()} has wrong dimension")
         rep = membership_oracle(
             scenario, kind, p, seed=args.seed, computed_set=cset, tolerances=tol
         )
-        if rep.claimed in (Verdict.INSIDE, Verdict.OUTSIDE):
+        results.append((p, rep.claimed, rep.agree))
+    return _write_oracle(args, raw, scenario, tol, "oracle_points.csv", results)
+
+
+def _write_oracle(args, raw, scenario, tol, csv_name, results) -> int:
+    """Write the per-point CSV and oracle_summary.json from (point, verdict, agrees).
+
+    BOUNDARY and UNKNOWN verdicts claim nothing: they are written as agreeing
+    and left out of the agreement rate.
+    """
+    n_compared = n_agree = 0
+    rows = []
+    for p, verd, agrees in results:
+        if verd in (Verdict.INSIDE, Verdict.OUTSIDE):
             n_compared += 1
-            n_agree += rep.agree
-        rows.append(
-            [float(v) for v in p] + [rep.claimed.value, int(rep.agree)]
-        )
+            n_agree += agrees
+        else:
+            agrees = True
+        rows.append([float(v) for v in p] + [verd.value, int(agrees)])
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
-        os.path.join(args.out, "oracle_points.csv"),
-        ["S", "E", "I", "verdict", "oracle_agrees"],
+        os.path.join(args.out, csv_name),
+        _state_columns(scenario) + ["verdict", "oracle_agrees"],
         rows,
     )
     rate = 1.0 if n_compared == 0 else n_agree / n_compared
-    _write_json(
-        os.path.join(args.out, "oracle_summary.json"),
-        {
-            "n_points": len(pts),
-            "n_compared": n_compared,
-            "agreement_rate": rate,
-            "manifest": _manifest("oracle", raw, tol, args.seed),
-        },
-    )
+    summary = {
+        "n_points": len(results),
+        "n_compared": n_compared,
+        "agreement_rate": rate,
+        "manifest": _manifest("oracle", raw, tol, args.seed),
+    }
+    _write_json(os.path.join(args.out, "oracle_summary.json"), summary)
     print(json.dumps({"agreement_rate": rate}))
     return EXIT_OK
 

@@ -118,25 +118,22 @@ def _triggered(ev: EventSpec, f_prev: float, f_new: float) -> bool:
 
 
 def _refine_fraction(rhs, ev, t0, y0, h, f_prev, event_time_tol):
-    """Bisect the sub-step fraction at which the event function crosses zero.
+    """Bisect the sub-step fraction at which ``ev`` first triggers.
 
-    For SIGN_CHANGE the bracket is a genuine sign flip; for threshold events
-    the function is (value - trigger) which changed sign across the step.
+    Each midpoint is decided by :func:`_triggered` against the step-start
+    value ``f_prev``, so a threshold event whose function starts exactly at
+    its trigger level is placed at the start of the step.
     """
-    target = ev.trigger_level if ev.kind is not EventKind.SIGN_CHANGE else 0.0
-    lo, f_lo = 0.0, f_prev - target
-    hi, y_hi = 1.0, None
+    lo, hi, y_hi = 0.0, 1.0, None
     while (hi - lo) * abs(h) > event_time_tol:
         mid = 0.5 * (lo + hi)
         y_mid = rk4_step(rhs, t0, y0, mid * h)
-        f_mid = ev.fn(t0 + mid * h, y_mid) - target
-        if f_lo * f_mid <= 0.0 and f_lo != 0.0:
+        if _triggered(ev, f_prev, ev.fn(t0 + mid * h, y_mid)):
             hi, y_hi = mid, y_mid
         else:
-            lo, f_lo = mid, f_mid
-    frac = hi
-    y_ev = y_hi if y_hi is not None else rk4_step(rhs, t0, y0, frac * h)
-    return frac, y_ev
+            lo = mid
+    y_ev = y_hi if y_hi is not None else rk4_step(rhs, t0, y0, hi * h)
+    return hi, y_ev
 
 
 def integrate_until(

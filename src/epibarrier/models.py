@@ -4,7 +4,9 @@ All four model variants share the single state constraint I <= I_max, so the
 Lie derivative of the constraint along the flow is simply the I-component of
 the vector field.  Imperfect variants run closed loop: the contact rate (and,
 for SEIR, the removal rate) is an affine feedback on I, and the only free
-input is the disturbance channel.
+input is the disturbance channel.  Every variant's rates, the feedback law
+and its slopes come from one function, :func:`rates`; the vector field, the
+adjoint matrix and the feedback functions are built on it.
 """
 from __future__ import annotations
 
@@ -85,18 +87,57 @@ def seir_rhs(state, beta: float, gamma: float, eta: float) -> tuple[float, float
     return -flux, flux - lat, lat - gamma * I
 
 
+# Enum member lookups such as ``Variant.SIR_PERFECT`` cost about 0.2 us each
+# in CPython 3.11, more than the rate arithmetic, so the per-evaluation rate
+# law compares against module-level aliases.
+_SIR_PERFECT = Variant.SIR_PERFECT
+_SEIR_PERFECT = Variant.SEIR_PERFECT
+_SIR_IMPERFECT = Variant.SIR_IMPERFECT
+
+
+def rates(scenario: Scenario, i: float, u: InputVec | None) -> tuple:
+    """Rates ``(beta, alpha, gamma, delta, eta)`` at infective level ``i``.
+
+    ``alpha = d(beta*I)/dI`` and ``delta = d(gamma*I)/dI`` are the slopes the
+    adjoint needs; a rate that is an input or a constant is its own slope.
+    The variant's free channels take their values from ``u``.  Closed-loop
+    rates follow the pre-designed affine feedback on I: beta from beta_max at
+    I=0 down to beta_min at I=I_max, gamma from gamma_min up to gamma_max.
+    The rates are clamped at their endpoint values outside [0, I_max], where
+    breaching trajectories keep integrating; the slopes are those of the
+    unclamped law.  ``u=None`` closes the loop on every rate that has an
+    interval, which is how :class:`AffineFeedbackPolicy` drives the perfect
+    variants' controls.
+    """
+    v = scenario.variant
+    if u is not None and (v is _SIR_PERFECT or v is _SEIR_PERFECT):
+        beta = u.beta
+        if v is _SIR_PERFECT:
+            return beta, beta, scenario.gamma, scenario.gamma, None
+        return beta, beta, u.gamma, u.gamma, scenario.eta
+    im = scenario.i_max
+    r = min(1.0, max(0.0, i / im))
+    beta = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
+    alpha = 2.0 * (scenario.beta_min - scenario.beta_max) / im * i + scenario.beta_max
+    if v is _SIR_PERFECT:
+        return beta, alpha, scenario.gamma, scenario.gamma, None
+    if v is _SIR_IMPERFECT and u is not None:
+        return beta, alpha, u.gamma, u.gamma, None
+    gamma = scenario.gamma_min * (1.0 - r) + scenario.gamma_max * r
+    delta = 2.0 * (scenario.gamma_max - scenario.gamma_min) / im * i + scenario.gamma_min
+    return beta, alpha, gamma, delta, scenario.eta if u is None else u.eta
+
+
 def beta_feedback(i: float, scenario: Scenario, geom_tol: float = 1e-9) -> float:
     """Pre-designed contact-rate feedback: beta_max at I=0 down to beta_min at I=I_max."""
     _check_feedback_domain(i, scenario, geom_tol)
-    r = min(1.0, max(0.0, i / scenario.i_max))
-    return scenario.beta_min * r + scenario.beta_max * (1.0 - r)
+    return rates(scenario, i, None)[0]
 
 
 def gamma_feedback(i: float, scenario: Scenario, geom_tol: float = 1e-9) -> float:
     """Pre-designed removal-rate feedback: gamma_min at I=0 up to gamma_max at I=I_max."""
     _check_feedback_domain(i, scenario, geom_tol)
-    r = min(1.0, max(0.0, i / scenario.i_max))
-    return scenario.gamma_min * (1.0 - r) + scenario.gamma_max * r
+    return rates(scenario, i, None)[2]
 
 
 def _check_feedback_domain(i: float, scenario: Scenario, geom_tol: float) -> None:
@@ -106,26 +147,14 @@ def _check_feedback_domain(i: float, scenario: Scenario, geom_tol: float) -> Non
         raise DomainError(f"I={i} outside [0, i_max={scenario.i_max}]")
 
 
-# Clamped evaluations for the dynamics: breaching trajectories keep integrating
-# past the cap, where the feedback saturates at its endpoint value.
-def _bhat(i: float, scenario: Scenario) -> float:
-    r = min(1.0, max(0.0, i / scenario.i_max))
-    return scenario.beta_min * r + scenario.beta_max * (1.0 - r)
-
-
-def _ghat(i: float, scenario: Scenario) -> float:
-    r = min(1.0, max(0.0, i / scenario.i_max))
-    return scenario.gamma_min * (1.0 - r) + scenario.gamma_max * r
-
-
 def alpha_of_i(i: float, scenario: Scenario) -> float:
     """d(beta_feedback(I) * I)/dI, the feedback-corrected contact-rate slope."""
-    return 2.0 * (scenario.beta_min - scenario.beta_max) / scenario.i_max * i + scenario.beta_max
+    return rates(scenario, i, None)[1]
 
 
 def delta_of_i(i: float, scenario: Scenario) -> float:
     """d(gamma_feedback(I) * I)/dI for the imperfect SEIR adjoint."""
-    return 2.0 * (scenario.gamma_max - scenario.gamma_min) / scenario.i_max * i + scenario.gamma_min
+    return rates(scenario, i, None)[3]
 
 
 def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
@@ -135,16 +164,10 @@ def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
 
 def state_field(scenario: Scenario, state, u: InputVec) -> tuple:
     """:func:`state_rhs` as a float tuple, the state form the integrator carries."""
-    v = scenario.variant
-    if v is Variant.SIR_PERFECT:
-        return sir_rhs(state, u.beta, scenario.gamma)
-    if v is Variant.SEIR_PERFECT:
-        return seir_rhs(state, u.beta, u.gamma, scenario.eta)
-    if v is Variant.SIR_IMPERFECT:
-        return sir_rhs(state, _bhat(state[1], scenario), u.gamma)
-    # SEIR_IMPERFECT
-    i = state[2]
-    return seir_rhs(state, _bhat(i, scenario), _ghat(i, scenario), u.eta)
+    beta, _, gamma, _, eta = rates(scenario, state[-1], u)
+    if len(state) == 2:
+        return sir_rhs(state, beta, gamma)
+    return seir_rhs(state, beta, gamma, eta)
 
 
 def adjoint_matrix(scenario: Scenario, state, u: InputVec) -> np.ndarray:
@@ -153,36 +176,15 @@ def adjoint_matrix(scenario: Scenario, state, u: InputVec) -> np.ndarray:
     Equals minus the transposed Jacobian of the (closed-loop, for imperfect
     variants) vector field.
     """
-    v = scenario.variant
-    if v is Variant.SIR_PERFECT:
+    if len(state) == 2:
         S, I = state
-        b, g = u.beta, scenario.gamma
-        return np.array([[b * I, -b * I], [b * S, -b * S + g]])
-    if v is Variant.SEIR_PERFECT:
-        S, E, I = state
-        b, g, e = u.beta, u.gamma, scenario.eta
-        return np.array(
-            [
-                [b * I, -b * I, 0.0],
-                [0.0, e, -e],
-                [b * S, -b * S, g],
-            ]
-        )
-    if v is Variant.SIR_IMPERFECT:
-        S, I = state
-        bhat = _bhat(I, scenario)
-        a = alpha_of_i(I, scenario)
-        g = u.gamma
-        return np.array([[bhat * I, -bhat * I], [a * S, -a * S + g]])
-    # SEIR_IMPERFECT
+        b, a, _, d, _ = rates(scenario, I, u)
+        return np.array([[b * I, -b * I], [a * S, -a * S + d]])
     S, E, I = state
-    bhat = _bhat(I, scenario)
-    a = alpha_of_i(I, scenario)
-    d = delta_of_i(I, scenario)
-    e = u.eta
+    b, a, _, d, e = rates(scenario, I, u)
     return np.array(
         [
-            [bhat * I, -bhat * I, 0.0],
+            [b * I, -b * I, 0.0],
             [0.0, e, -e],
             [a * S, -a * S, d],
         ]

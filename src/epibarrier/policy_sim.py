@@ -8,14 +8,14 @@ set must survive *every* tested disturbance/input signal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import ComputedSet, Membership, Verdict, membership
+from .barrier import ComputedSet, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
-from .integrate import rk4_step
-from .models import Channel, InputVec, active_channels, input_box, state_field
+from .integrate import EventKind, EventSpec, _refine_fraction, _triggered, rk4_step
+from .models import Channel, InputVec, active_channels, input_box, rates, state_field
 
 __all__ = [
     "ConstantPolicy",
@@ -74,11 +74,9 @@ class AffineFeedbackPolicy:
         sc = self.scenario
         if not sc.variant.is_perfect:
             return self.disturbance
-        r = min(1.0, max(0.0, float(state[-1]) / sc.i_max))
-        beta = sc.beta_min * r + sc.beta_max * (1.0 - r)
+        beta, _, gamma, _, _ = rates(sc, float(state[-1]), None)
         if sc.variant is Variant.SIR_PERFECT:
             return InputVec(beta=beta)
-        gamma = sc.gamma_min * (1.0 - r) + sc.gamma_max * r
         return InputVec(beta=beta, gamma=gamma)
 
 
@@ -178,7 +176,7 @@ def simulate(
 
     The state is integrated as a float tuple, and policies receive it as one;
     recorded samples are numpy arrays.  The first crossing of I = I_max is
-    located by bisecting the sub-step, giving first_breach_time to
+    located by the integrator's event refiner, giving first_breach_time to
     event_time_tol; integration then continues to t_end unless
     stop_on_breach is set.
     """
@@ -191,6 +189,7 @@ def simulate(
         raise ValueError(f"x0 must have {scenario.dim} components")
     x = tuple(x.tolist())
     im = scenario.i_max
+    cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", lambda tt, yy: yy[-1], trigger_level=im)
     t = 0.0
     u = policy.u(t, x)
     samples = [(t, np.array(x), u)]
@@ -204,8 +203,9 @@ def simulate(
         u = policy.u(t, x)
         rhs = lambda tt, yy: state_field(scenario, yy, u)
         x_new = rk4_step(rhs, t, x, hk)
-        if first_breach is None and x_new[-1] > im and x[-1] <= im:
-            first_breach = t + _breach_fraction(rhs, t, x, hk, im, tol) * hk
+        if first_breach is None and _triggered(cap, x[-1], x_new[-1]):
+            frac, _ = _refine_fraction(rhs, cap, t, x, hk, x[-1], tol.event_time_tol)
+            first_breach = t + frac * hk
         t, x = t + hk, x_new
         max_i = max(max_i, float(x[-1]))
         if max_i > im + tol.geom_tol:
@@ -215,17 +215,6 @@ def simulate(
         if breached and stop_on_breach:
             break
     return Trajectory(samples, bool(breached), float(max_i), first_breach)
-
-
-def _breach_fraction(rhs, t, x, h, i_max, tol: Tolerances) -> float:
-    lo, hi = 0.0, 1.0
-    while (hi - lo) * h > tol.event_time_tol:
-        mid = 0.5 * (lo + hi)
-        if rk4_step(rhs, t, x, mid * h)[-1] > i_max:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def switching_law(

@@ -120,6 +120,21 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert last[3] == pytest.approx(1.0 - last[1] - last[2], abs=1e-12)
 
 
+def test_simulate_deterministic_bytes(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    argv = [
+        "simulate", "--config", cfg, "--policy", "constant:beta=0.8",
+        "--x0", "0.8,0.012", "--t-end", "20", "--out",
+    ]
+    assert main(argv + [str(out_a)]) == 0
+    assert main(argv + [str(out_b)]) == 0
+    capsys.readouterr()
+    for name in ("summary.json", "trajectory.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert json.loads((out_a / "summary.json").read_text())["first_breach_time"] > 0.0
+
+
 def test_simulate_zero_horizon(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
     out = tmp_path / "sim0"

@@ -1,0 +1,62 @@
+"""Static hygiene of the package: no unused imports, no unreferenced private functions.
+
+The modules are parsed with ``ast``, so no linter is needed.  An imported
+name is used when its own module reads it or lists it in ``__all__``; a
+module-level private function is used when any module of the package reads
+its name.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epibarrier"
+TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _reads(tree) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _imported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{mod}: {name}"
+        for mod, tree in TREES.items()
+        for name in _imported(tree)
+        if name not in _reads(tree) | _exported(tree)
+    ]
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    read_anywhere = set().union(*(_reads(tree) for tree in TREES.values()))
+    unreferenced = [
+        f"{mod}: {node.name}"
+        for mod, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and node.name not in read_anywhere
+    ]
+    assert unreferenced == []

@@ -63,6 +63,15 @@ def test_threshold_event():
     assert res.y_end[0] >= 2.0  # refinement lands just past the crossing
 
 
+def test_threshold_event_starting_at_trigger_level():
+    # the function starts exactly at its trigger level and exceeds it at once,
+    # so the event lies at the start of the first step, not at its end
+    ev = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=lambda t, y: y[0], trigger_level=0.0)
+    res = integrate_until(lambda t, y: (1.0,), [ev], (0.0,), t_limit=5.0, h=0.1)
+    assert res.terminal is ev
+    assert res.t_end <= Tolerances().event_time_tol
+
+
 def test_earliest_event_wins():
     ev_a = EventSpec(EventKind.SIGN_CHANGE, "a", fn=lambda t, y: y[0] - 0.5)
     ev_b = EventSpec(EventKind.SIGN_CHANGE, "b", fn=lambda t, y: y[0] - 0.5004)

@@ -71,6 +71,14 @@ def test_simulate_breach_detection(sc_sir):
     assert isinstance(traj.breached, bool)
 
 
+def test_simulate_breach_from_the_cap(sc_sir):
+    # starting on the cap with dI/dt > 0, the breach is at the first instant
+    pol = ConstantPolicy(sc_sir, InputVec(beta=0.8))
+    traj = simulate(sc_sir, pol, [0.9, sc_sir.i_max], 1.0, h=0.1)
+    assert traj.breached
+    assert 0.0 < traj.first_breach_time < Tolerances().event_time_tol
+
+
 def test_simulate_zero_horizon(sc_sir):
     traj = simulate(sc_sir, ConstantPolicy(sc_sir, InputVec(beta=0.6)), [0.5, 0.01], 0.0)
     assert len(traj.samples) == 1
