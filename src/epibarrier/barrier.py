@@ -585,21 +585,6 @@ def _in_simplex(scenario: Scenario, x: np.ndarray, tol: float) -> bool:
     )
 
 
-def _polyline_distance(p: np.ndarray, poly: np.ndarray, closed: bool) -> float:
-    pts = np.vstack([poly, poly[:1]]) if closed else poly
-    a, b = pts[:-1], pts[1:]
-    return _segment_distance(p, a, b - a)
-
-
-def _segment_distance(p: np.ndarray, a: np.ndarray, ab: np.ndarray) -> float:
-    denom = np.einsum("ij,ij->i", ab, ab)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.einsum("ij,ij->i", p - a, ab) / denom
-    t = np.clip(np.nan_to_num(t), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return float(np.min(np.linalg.norm(p - proj, axis=1)))
-
-
 def _sir_edges(cset: ComputedSet):
     """Cached flat edge-component arrays for distance and parity tests."""
     cached = getattr(cset, "_edge_arrays", None)
@@ -669,23 +654,49 @@ def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
 
 def mesh_triangles(cset: ComputedSet) -> np.ndarray:
     """Triangle vertex array (n_tri, 3, 3) over the curve/arc-length grid."""
-    cached = getattr(cset, "_triangles", None)
+    g = cset.mesh_nodes
+    return _quad_triangles(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:])
+
+
+def _quad_triangles(q00, q10, q11, q01) -> np.ndarray:
+    """Triangles (q00, q10, q11) of every quad, then (q00, q11, q01)."""
+    q00, q10, q11, q01 = (q.reshape(-1, 3) for q in (q00, q10, q11, q01))
+    return np.concatenate(
+        [np.stack([q00, q10, q11], axis=1), np.stack([q00, q11, q01], axis=1)]
+    )
+
+
+def _seir_arrays(cset: ComputedSet):
+    """Cached flat arrays for SEIR queries.
+
+    ``s_lo, s_hi, e_lo, e_hi`` bound the (S, E) projection of each
+    (curve c, arc node j) quad of the mesh, flattened as ``c * (nn - 1) + j``.
+    Each box is padded by ``1e-8 * diameter + 1e-12``: a triangle whose
+    smallest barycentric coordinate is ``>= -edge_eps`` (grazing or interior
+    in :func:`_seir_raw_inside`) holds the query within about
+    ``4 * edge_eps * diameter`` of its quad's box, so no triangle outside its
+    padded box can be counted or flagged; a wider pad only adds candidates.
+    The node coordinate columns and each special segment's (start, direction,
+    squared length) serve the distance estimate.
+    """
+    cached = getattr(cset, "_seir_cache", None)
     if cached is not None:
         return cached
-    grid = cset.mesh_nodes
-    nc, nn, _ = grid.shape
-    q00 = grid[: nc - 1, : nn - 1].reshape(-1, 3)
-    q10 = grid[1:, : nn - 1].reshape(-1, 3)
-    q11 = grid[1:, 1:].reshape(-1, 3)
-    q01 = grid[: nc - 1, 1:].reshape(-1, 3)
-    tris = np.concatenate(
-        [
-            np.stack([q00, q10, q11], axis=1),
-            np.stack([q00, q11, q01], axis=1),
-        ]
-    )
-    cset._triangles = tris
-    return tris
+    g = cset.mesh_nodes
+    corners = np.stack([g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]])
+    s, e = corners[..., 0], corners[..., 1]
+    s_lo, s_hi = s.min(axis=0).ravel(), s.max(axis=0).ravel()
+    e_lo, e_hi = e.min(axis=0).ravel(), e.max(axis=0).ravel()
+    pad = 1e-8 * np.hypot(s_hi - s_lo, e_hi - e_lo) + 1e-12
+    segs = []
+    for seg in cset.special_segments:
+        for a, b in zip(seg[:-1].tolist(), seg[1:].tolist()):
+            ab = [q - p for p, q in zip(a, b)]
+            segs.append((a, ab, ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]))
+    columns = tuple(g[..., k].ravel() for k in range(3))
+    cached = (s_lo - pad, s_hi + pad, e_lo - pad, e_hi + pad, columns, segs)
+    cset._seir_cache = cached
+    return cached
 
 
 def _seir_raw_inside(cset: ComputedSet, x: np.ndarray) -> bool | None:
@@ -694,10 +705,20 @@ def _seir_raw_inside(cset: ComputedSet, x: np.ndarray) -> bool | None:
     The upward ray from (S, E, I) toward the cap face I = I_max either ends on
     the set's own cap-face portion (the usable part) or not, and every barrier
     mesh crossing in between flips the side; the query is inside iff exactly
-    one of those two indicators holds.
+    one of those two indicators holds.  Only the two triangles of each quad
+    whose padded (S, E) box holds the query are tested.
     """
     s_q, e_q, i_q = x
-    tris = mesh_triangles(cset)
+    s_lo, s_hi, e_lo, e_hi, _, _ = _seir_arrays(cset)
+    g = cset.mesh_nodes
+    hits = np.flatnonzero((s_lo <= s_q) & (s_q <= s_hi) & (e_lo <= e_q) & (e_q <= e_hi))
+    cap_usable = cset.usable.contains(
+        np.array([s_q, e_q, cset.scenario.i_max]), tol=0.0
+    )
+    if not len(hits):  # no triangle to cross or graze
+        return cap_usable
+    c, j = np.divmod(hits, g.shape[1] - 1)
+    tris = _quad_triangles(g[c, j], g[c + 1, j], g[c + 1, j + 1], g[c, j + 1])
     edge_eps = 1e-9
     d = tris[:, :, :2] - np.array([s_q, e_q])
     a1 = d[:, 1, 0] * d[:, 2, 1] - d[:, 1, 1] * d[:, 2, 0]
@@ -716,9 +737,6 @@ def _seir_raw_inside(cset: ComputedSet, x: np.ndarray) -> bool | None:
     if np.any(interior & (np.abs(i_star - i_q) < edge_eps)):
         return None
     crossings = int(np.sum(interior & (i_star > i_q)))
-    cap_usable = cset.usable.contains(
-        np.array([s_q, e_q, cset.scenario.i_max]), tol=0.0
-    )
     return cap_usable != (crossings % 2 == 1)
 
 
@@ -750,14 +768,21 @@ def _seir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
 
 def _seir_distance_estimate(cset: ComputedSet, x: np.ndarray) -> float:
     scenario = cset.scenario
-    grid = cset.mesh_nodes.reshape(-1, 3)
-    dist = float(np.min(np.linalg.norm(grid - x, axis=1)))
+    *_, (nx, ny, nz), segs = _seir_arrays(cset)
+    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
+    dx, dy, dz = nx - x0, ny - x1, nz - x2
+    dist = float(np.sqrt(np.min(dx * dx + dy * dy + dz * dz)))
     # usable part of the cap face: axis-aligned box-ish region at I = I_max
     up = cset.usable
     ds = max(0.0, -x[0], x[0] - up.s_hi)
     de = max(0.0, -x[1], x[1] - up.e_cap(min(max(x[0], 0.0), up.s_hi)))
     di = scenario.i_max - x[2]
     dist = min(dist, float(np.sqrt(ds * ds + de * de + di * di)))
-    for seg in cset.special_segments:
-        dist = min(dist, _polyline_distance(x, seg, closed=False))
+    # the one SEIR special segment is the S axis, on which these plain-float
+    # products and sums are exact, whatever order a vectorised dot would use
+    for (ax, ay, az), (bx, by, bz), denom in segs:
+        dot = (x0 - ax) * bx + (x1 - ay) * by + (x2 - az) * bz
+        t = min(1.0, max(0.0, dot / denom)) if denom else 0.0
+        ex, ey, ez = x0 - (ax + t * bx), x1 - (ay + t * by), x2 - (az + t * bz)
+        dist = min(dist, math.sqrt(ex * ex + ey * ey + ez * ez))
     return dist

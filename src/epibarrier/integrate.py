@@ -111,8 +111,11 @@ def rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
     return y1
 
 
+_SIGN_CHANGE = EventKind.SIGN_CHANGE  # an Enum member lookup costs ~0.2 us per call
+
+
 def _triggered(ev: EventSpec, f_prev: float, f_new: float) -> bool:
-    if ev.kind is EventKind.SIGN_CHANGE:
+    if ev.kind is _SIGN_CHANGE:
         return f_prev * f_new < 0.0
     return f_new > ev.trigger_level and f_prev <= ev.trigger_level
 

@@ -116,7 +116,8 @@ def rates(scenario: Scenario, i: float, u: InputVec | None) -> tuple:
             return beta, beta, scenario.gamma, scenario.gamma, None
         return beta, beta, u.gamma, u.gamma, scenario.eta
     im = scenario.i_max
-    r = min(1.0, max(0.0, i / im))
+    q = i / im  # clamp to [0, 1], with NaN and -0.0 mapped to 0.0
+    r = 1.0 if q > 1.0 else (q if q > 0.0 else 0.0)
     beta = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
     alpha = 2.0 * (scenario.beta_min - scenario.beta_max) / im * i + scenario.beta_max
     if v is _SIR_PERFECT:

@@ -8,6 +8,7 @@ set must survive *every* tested disturbance/input signal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,21 +95,25 @@ class SwitchingLawPolicy:
         self.scenario = scenario
         self.admissible_set = admissible_set
         self.mrpi_set = mrpi_set
-        self._cache_state: np.ndarray | None = None
+        self._cache_state: tuple | None = None
         self._cache_radius = 0.0
         self._cache_u: InputVec | None = None
+        self._diff = np.empty(2)
 
     def u(self, t: float, state) -> InputVec:
         # verdicts cannot change while the state stays within the previously
-        # measured clearance from the boundary, so reuse the last decision
-        x = np.asarray(state, dtype=float)
+        # measured clearance from the boundary, so reuse the last decision;
+        # the distance is the BLAS dot of np.linalg.norm on a reused buffer
         if self._cache_state is not None:
-            if float(np.linalg.norm(x - self._cache_state)) < self._cache_radius:
+            (s, i), (s_c, i_c), diff = state, self._cache_state, self._diff
+            diff[0], diff[1] = s - s_c, i - i_c
+            if math.sqrt(diff.dot(diff)) < self._cache_radius:
                 return self._cache_u
+        x = np.asarray(state, dtype=float)
         u, clearance = _switching_law_with_clearance(
             x, self.admissible_set, self.mrpi_set, self.scenario
         )
-        self._cache_state = x
+        self._cache_state = tuple(x.tolist())
         self._cache_radius = clearance
         self._cache_u = u
         return u

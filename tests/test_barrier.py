@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epibarrier import barrier
 from epibarrier.analysis import backward_filter, tangent_set
 from epibarrier.barrier import (
     ComputedSet,
@@ -232,6 +233,90 @@ def test_mesh_triangles_shape(mrpi_seir):
     tris = mesh_triangles(mrpi_seir)
     nc, nn, _ = mrpi_seir.mesh_nodes.shape
     assert tris.shape == (2 * (nc - 1) * (nn - 1), 3, 3)
+
+
+def _full_scan_raw_inside(cset, x):
+    """Reference parity test over every mesh triangle (no quad-box filter)."""
+    s_q, e_q, i_q = x
+    tris = mesh_triangles(cset)
+    edge_eps = 1e-9
+    d = tris[:, :, :2] - np.array([s_q, e_q])
+    a1 = d[:, 1, 0] * d[:, 2, 1] - d[:, 1, 1] * d[:, 2, 0]
+    a2 = d[:, 2, 0] * d[:, 0, 1] - d[:, 2, 1] * d[:, 0, 0]
+    a3 = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
+    total = a1 + a2 + a3
+    ok = np.abs(total) > 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.stack([a1, a2, a3], axis=1) / total[:, None]
+    lo = np.min(b, axis=1)
+    if np.any(ok & (lo >= -edge_eps) & (lo < edge_eps)):
+        return None
+    interior = ok & (lo >= edge_eps)
+    i_star = np.einsum("ij,ij->i", b, tris[:, :, 2])
+    if np.any(interior & (np.abs(i_star - i_q) < edge_eps)):
+        return None
+    crossings = int(np.sum(interior & (i_star > i_q)))
+    cap_usable = cset.usable.contains(
+        np.array([s_q, e_q, cset.scenario.i_max]), tol=0.0
+    )
+    return cap_usable != (crossings % 2 == 1)
+
+
+def _all_nodes_distance(cset, x):
+    """Reference distance estimate: every node, the usable cap, the segments."""
+    grid = cset.mesh_nodes.reshape(-1, 3)
+    dist = float(np.min(np.linalg.norm(grid - x, axis=1)))
+    up = cset.usable
+    ds = max(0.0, -x[0], x[0] - up.s_hi)
+    de = max(0.0, -x[1], x[1] - up.e_cap(min(max(x[0], 0.0), up.s_hi)))
+    di = cset.scenario.i_max - x[2]
+    dist = min(dist, float(np.sqrt(ds * ds + de * de + di * di)))
+    for seg in cset.special_segments:
+        a, ab = seg[:-1], seg[1:] - seg[:-1]
+        denom = np.einsum("ij,ij->i", ab, ab)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.einsum("ij,ij->i", x - a, ab) / denom
+        t = np.clip(np.nan_to_num(t), 0.0, 1.0)
+        proj = a + t[:, None] * ab
+        dist = min(dist, float(np.min(np.linalg.norm(x - proj, axis=1))))
+    return dist
+
+
+@pytest.mark.parametrize("name", ["adm_seir", "mrpi_seir", "mrpi_seir_imp"])
+def test_seir_quad_filter_matches_full_scan(name, request, monkeypatch):
+    cset = request.getfixturevalue(name)
+    nodes = cset.mesh_nodes.reshape(-1, 3)
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    span = np.array([hi[0] - lo[0], hi[1] - lo[1], 0.0])
+    rng = np.random.default_rng(2024)
+    pick = lambda n: nodes[rng.integers(0, len(nodes), n)]
+    eps = cset.tolerances.boundary_layer_eps
+    groups = [
+        rng.uniform(0.0, [1.0, 1.0, cset.scenario.i_max], size=(100, 3)),
+        pick(100) + rng.normal(scale=4.0 * eps, size=(100, 3)),
+        pick(100),
+        # beyond the (S, E) projection of the mesh
+        rng.uniform(hi, hi + [0.3, 0.3, 0.0], size=(50, 3)),
+    ]
+    # nodes nudged off their quads' boxes by less than, at and beyond the pad,
+    # along the eight (S, E) compass directions
+    compass = [(a, b, 0.0) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0) if a or b]
+    for f in (1e-12, 1e-10, 1e-9, 1e-8):
+        steps = np.array(compass)[rng.integers(0, len(compass), 200)]
+        groups.append(pick(200) + f * span * steps)
+    points = np.vstack(groups)
+
+    raw = [barrier._seir_raw_inside(cset, p) for p in points]
+    ref_raw = [_full_scan_raw_inside(cset, p) for p in points]
+    assert raw == ref_raw
+    dist = [barrier._seir_distance_estimate(cset, p) for p in points]
+    assert dist == [_all_nodes_distance(cset, p) for p in points]
+
+    sub = points[::5]
+    got = [membership(cset, p) for p in sub]
+    monkeypatch.setattr(barrier, "_seir_raw_inside", _full_scan_raw_inside)
+    monkeypatch.setattr(barrier, "_seir_distance_estimate", _all_nodes_distance)
+    assert got == [membership(cset, p) for p in sub]
 
 
 def test_compute_barrier_curve_records_arclength(sc_sir):
