@@ -578,11 +578,16 @@ def _simplex_boundary_distance(scenario: Scenario, x: np.ndarray) -> float:
 
 
 def _in_simplex(scenario: Scenario, x: np.ndarray, tol: float) -> bool:
-    return (
-        np.min(x) >= -tol
-        and np.sum(x) <= 1.0 + tol
-        and x[-1] <= scenario.i_max + tol
-    )
+    # plain floats: a numpy reduction of a 3-vector costs many times these
+    # comparisons; the sum runs left to right as np.sum does for so few
+    # components, and NaN fails as it does under np.min
+    c = x.tolist()
+    total = 0.0
+    for v in c:
+        if not v >= -tol:
+            return False
+        total += v
+    return total <= 1.0 + tol and c[-1] <= scenario.i_max + tol
 
 
 def _sir_edges(cset: ComputedSet):

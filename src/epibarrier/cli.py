@@ -27,7 +27,6 @@ from .policy_sim import (
     ConstantPolicy,
     SwitchingLawPolicy,
     grid_membership_oracle,
-    membership_oracle,
     monte_carlo,
     simulate,
 )
@@ -343,20 +342,32 @@ def cmd_montecarlo(args) -> int:
 def cmd_oracle(args) -> int:
     raw, scenario, tol = _load_config(args)
     kind = _parse_set_kind(scenario, args.set)
-    if not scenario.variant.is_sir:
-        if args.points is None:
-            raise InputError(
-                "the grid oracle is two-dimensional; use --points for SEIR"
-            )
-        return _oracle_points(args, raw, scenario, tol, kind)
+    if args.points is not None:
+        try:
+            pts = [
+                [float(v) for v in chunk.split(",")]
+                for chunk in args.points.split(";")
+                if chunk.strip()
+            ]
+        except ValueError:
+            raise InputError(f"bad --points {args.points!r}")
+        for p in pts:
+            if len(p) != scenario.dim:
+                raise InputError(f"point {p} has wrong dimension")
+        pts = np.array(pts, dtype=float).reshape(-1, scenario.dim)
+        csv_name = "oracle_points.csv"
+    elif scenario.variant.is_sir:
+        s_axis = np.linspace(0.0, 1.0, args.grid)
+        i_axis = np.linspace(0.0, scenario.i_max, args.grid)
+        pts = np.array([(s, i) for s in s_axis for i in i_axis if s + i <= 1.0])
+        csv_name = "oracle_grid.csv"
+    else:
+        raise InputError("the grid oracle is two-dimensional; use --points for SEIR")
     cset = assemble_set(scenario, kind, tolerances=tol)
     adm = mrpi = None
-    if kind is SetKind.ADMISSIBLE:
+    if kind is SetKind.ADMISSIBLE and scenario.variant.is_sir:
         adm = cset
         mrpi = assemble_set(scenario, SetKind.MRPI, tolerances=tol)
-    s_axis = np.linspace(0.0, 1.0, args.grid)
-    i_axis = np.linspace(0.0, scenario.i_max, args.grid)
-    pts = np.array([(s, i) for s in s_axis for i in i_axis if s + i <= 1.0])
     oracle_inside = grid_membership_oracle(
         scenario,
         kind,
@@ -370,28 +381,7 @@ def cmd_oracle(args) -> int:
     for p, o_in in zip(pts, oracle_inside):
         verd = membership(cset, p).verdict
         results.append((p, verd, (verd is Verdict.INSIDE) == bool(o_in)))
-    return _write_oracle(args, raw, scenario, tol, "oracle_grid.csv", results)
-
-
-def _oracle_points(args, raw, scenario, tol, kind) -> int:
-    try:
-        pts = [
-            np.array([float(v) for v in chunk.split(",")])
-            for chunk in args.points.split(";")
-            if chunk.strip()
-        ]
-    except ValueError:
-        raise InputError(f"bad --points {args.points!r}")
-    cset = assemble_set(scenario, kind, tolerances=tol)
-    results = []
-    for p in pts:
-        if p.shape != (scenario.dim,):
-            raise InputError(f"point {p.tolist()} has wrong dimension")
-        rep = membership_oracle(
-            scenario, kind, p, seed=args.seed, computed_set=cset, tolerances=tol
-        )
-        results.append((p, rep.claimed, rep.agree))
-    return _write_oracle(args, raw, scenario, tol, "oracle_points.csv", results)
+    return _write_oracle(args, raw, scenario, tol, csv_name, results)
 
 
 def _write_oracle(args, raw, scenario, tol, csv_name, results) -> int:
@@ -482,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--set", required=True, choices=["admissible", "mrpi"])
     p.add_argument("--grid", type=int, default=30)
-    p.add_argument("--points", help="semicolon-separated states (SEIR mode)")
+    p.add_argument("--points", help="semicolon-separated states to check instead of the grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(fn=cmd_oracle)

@@ -97,18 +97,27 @@ def rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
+    y1 = _rk4_stages(rhs, t, y, h)
+    if not all(map(math.isfinite, y1)):
+        raise NonFiniteError(f"non-finite state after step at t={t}")
+    return y1
+
+
+def _rk4_stages(rhs, t: float, y: tuple, h: float) -> tuple:
+    """The stage arithmetic of :func:`rk4_step`, unchecked.
+
+    The components may also be equal-length numpy arrays, one entry per
+    independent trajectory, which is how the forward oracle steps its lanes.
+    """
     hh = 0.5 * h
     k1 = rhs(t, y)
     k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
     k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
     k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
     h6 = h / 6.0
-    y1 = tuple(
+    return tuple(
         [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     )
-    if not all(map(math.isfinite, y1)):
-        raise NonFiniteError(f"non-finite state after step at t={t}")
-    return y1
 
 
 _SIGN_CHANGE = EventKind.SIGN_CHANGE  # an Enum member lookup costs ~0.2 us per call

@@ -107,7 +107,8 @@ def rates(scenario: Scenario, i: float, u: InputVec | None) -> tuple:
     breaching trajectories keep integrating; the slopes are those of the
     unclamped law.  ``u=None`` closes the loop on every rate that has an
     interval, which is how :class:`AffineFeedbackPolicy` drives the perfect
-    variants' controls.
+    variants' controls.  ``i`` and the fields of ``u`` may also be numpy
+    arrays, one entry per trajectory.
     """
     v = scenario.variant
     if u is not None and (v is _SIR_PERFECT or v is _SEIR_PERFECT):
@@ -117,7 +118,10 @@ def rates(scenario: Scenario, i: float, u: InputVec | None) -> tuple:
         return beta, beta, u.gamma, u.gamma, scenario.eta
     im = scenario.i_max
     q = i / im  # clamp to [0, 1], with NaN and -0.0 mapped to 0.0
-    r = 1.0 if q > 1.0 else (q if q > 0.0 else 0.0)
+    try:
+        r = 1.0 if q > 1.0 else (q if q > 0.0 else 0.0)
+    except ValueError:  # an array of oracle lanes has no truth value
+        r = np.clip(q, 0.0, 1.0)
     beta = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
     alpha = 2.0 * (scenario.beta_min - scenario.beta_max) / im * i + scenario.beta_max
     if v is _SIR_PERFECT:

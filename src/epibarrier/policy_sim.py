@@ -1,10 +1,14 @@
 """Forward policy simulation, the set-based switching law, and oracles.
 
-The membership oracle cross-checks computed set boundaries the hard way: it
-forward-simulates candidate intervention policies (or disturbance signals)
-and watches for cap breaches.  A point claimed inside the admissible set must
-have *some* cap-preserving input; a point claimed inside the robust invariant
-set must survive *every* tested disturbance/input signal.
+The membership oracle cross-checks computed set boundaries the hard way, in
+all four variants: it forward-simulates trial input/disturbance signals
+(input-box corner constants and seeded bang signals) and watches for cap
+breaches.  A point claimed inside the admissible set must have *some*
+cap-preserving input; a point claimed inside the robust invariant set must
+survive *every* trial signal.  All (point, trial) runs of a query batch step
+together as lanes of numpy arrays, with the same RK4 stages and vector field
+as :func:`simulate`.  A refuted claim carries its counterexample: the
+deciding trial, replayed through :func:`simulate`.
 """
 from __future__ import annotations
 
@@ -15,8 +19,8 @@ import numpy as np
 
 from .barrier import ComputedSet, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
-from .integrate import EventKind, EventSpec, _refine_fraction, _triggered, rk4_step
-from .models import Channel, InputVec, active_channels, input_box, rates, state_field
+from .integrate import EventKind, EventSpec, _refine_fraction, _rk4_stages, _triggered, rk4_step
+from .models import Channel, InputVec, input_box, rates, state_field
 
 __all__ = [
     "ConstantPolicy",
@@ -326,92 +330,140 @@ def _bang_schedule(rng, lo, hi, t_end, n_segments=8):
     return times, values
 
 
-def _sir_batch_breach(
+class _ConstantSignal(ExtremalBangPolicy):
+    """A fixed input as one-segment schedules, read by ExtremalBangPolicy.u."""
+
+    def __init__(self, scenario: Scenario, values: dict[Channel, float]):
+        self.scenario = scenario
+        self.schedules = {ch: (np.zeros(1), np.array([v])) for ch, v in values.items()}
+
+
+def _oracle_trials(
+    scenario: Scenario, set_kind: SetKind, n_trials: int, seed, t_end: float
+) -> list[ExtremalBangPolicy]:
+    """The oracle's trial signals, in the order their breaches are reported.
+
+    Perfect SIR admissible set: constant beta_min alone (the switching law is
+    the fallback).  Every other set: the 2^channels input-box corner
+    constants, then ``n_trials`` seeded bang signals, one per child of
+    ``SeedSequence(seed)``.
+    """
+    if set_kind is SetKind.ADMISSIBLE and scenario.variant is Variant.SIR_PERFECT:
+        return [_ConstantSignal(scenario, {Channel.BETA: scenario.beta_min})]
+    box = list(input_box(scenario).items())
+    trials: list[ExtremalBangPolicy] = [
+        _ConstantSignal(
+            scenario,
+            {ch: hi if (mask >> k) & 1 else lo for k, (ch, (lo, hi)) in enumerate(box)},
+        )
+        for mask in range(1 << len(box))
+    ]
+    for child in np.random.SeedSequence(seed).spawn(n_trials):
+        trials.append(ExtremalBangPolicy(scenario, child, t_end))
+    return trials
+
+
+def _breach_matrix(
     scenario: Scenario,
     points: np.ndarray,
-    schedule: tuple[np.ndarray, np.ndarray],
+    trials: list[ExtremalBangPolicy],
     t_end: float,
     h: float,
     geom_tol: float,
 ) -> np.ndarray:
-    """Vectorized forward runs of all points under one input schedule.
+    """Cap-breach flags of every (point, trial) forward run, shape (n_points, n_trials).
 
-    Returns a breach flag per point.  Points are retired early once they
-    breach or once the cap can provably never be reached again
-    (beta_hi * S < gamma_lo implies dI/dt < 0 forever, S being
-    non-increasing).
+    Each pair is one lane of a tuple of numpy arrays, stepped with the stage
+    arithmetic of :func:`rk4_step` on :func:`state_field`; a lane reads its
+    trial's input at the step start t = k*h.  A lane retires once it breaches
+    (I > i_max + geom_tol) or once it provably never will: S never increases
+    and d(E+I)/dt <= I*(beta_hi*S - gamma_lo), so beta_hi*S < gamma_lo with
+    E + I <= i_max + geom_tol holds I under the cap for good (E = 0 in SIR).
     """
-    times, values = schedule
-    perfect = scenario.variant.is_perfect
-    if perfect:
-        beta_hi = float(np.max(values))
-        gamma_lo = scenario.gamma
-    else:
-        beta_hi = scenario.beta_max
-        gamma_lo = float(np.min(values))
-    im = scenario.i_max
-    S = points[:, 0].astype(float).copy()
-    I = points[:, 1].astype(float).copy()
-    breached = I > im + geom_tol
-    undecided = ~breached & ~(beta_hi * S < gamma_lo)
+    n_pts, n_tr = len(points), len(trials)
+    thr = scenario.i_max + geom_tol
+    lanes = np.arange(n_tr * n_pts)  # trial-major: lane = trial * n_pts + point
+    y = tuple(np.tile(points[:, c], n_tr) for c in range(points.shape[1]))
+    hi, lo = [], []
+    for tr in trials:
+        scheds = tr.schedules.items()
+        hi.append(rates(scenario, 0.0, InputVec(**{ch.value: max(v) for ch, (_, v) in scheds}))[0])
+        lo.append(rates(scenario, 0.0, InputVec(**{ch.value: min(v) for ch, (_, v) in scheds}))[2])
+    beta_hi, gamma_lo = np.repeat(hi, n_pts), np.repeat(lo, n_pts)
+    # every later segment start of every trial, in time order, behind one pointer
+    starts = sorted(
+        (
+            (times[seg], j, ch, values[seg])
+            for j, tr in enumerate(trials)
+            for ch, (times, values) in tr.schedules.items()
+            for seg in range(1, len(times))
+        ),
+        key=lambda start: start[0],
+    )
+    lane_u = {
+        ch: np.repeat([tr.schedules[ch][1][0] for tr in trials], n_pts)
+        for ch in trials[0].schedules
+    }
+    u = InputVec(**{ch.value: a for ch, a in lane_u.items()})
+    rhs = lambda tt, yy: state_field(scenario, yy, u)
+    breached = np.zeros(n_tr * n_pts, dtype=bool)
     n_steps = int(np.ceil(t_end / h))
-    seg = 0
-    for k in range(n_steps):
-        if not np.any(undecided):
+    k = nxt = 0
+    while len(lanes):
+        hit = y[-1] > thr
+        e_plus_i = y[-1] if len(y) == 2 else y[1] + y[2]
+        done = hit | ((beta_hi * y[0] < gamma_lo) & (e_plus_i <= thr))
+        if done.any():
+            breached[lanes[hit]] = True
+            keep = ~done
+            lanes = lanes[keep]
+            beta_hi, gamma_lo = beta_hi[keep], gamma_lo[keep]
+            y = tuple(a[keep] for a in y)
+            lane_u = {ch: a[keep] for ch, a in lane_u.items()}
+            u = InputVec(**{ch.value: a for ch, a in lane_u.items()})
+        if k == n_steps:
             break
         t = k * h
-        while seg + 1 < len(times) and times[seg + 1] <= t:
-            seg += 1
-        val = values[seg]
-        s, i = S[undecided], I[undecided]
-        if perfect:
-            beta, gamma = val, scenario.gamma
-            s, i = _sir_vec_rk4(s, i, beta, gamma, h, None)
-        else:
-            s, i = _sir_vec_rk4(s, i, None, val, h, scenario)
-        S[undecided], I[undecided] = s, i
-        hit = undecided.copy()
-        hit[undecided] = i > im + geom_tol
-        breached |= hit
-        safe = undecided.copy()
-        safe[undecided] = beta_hi * s < gamma_lo
-        undecided &= ~hit & ~safe
-    return breached
+        while nxt < len(starts) and starts[nxt][0] <= t:
+            _, j, ch, value = starts[nxt]
+            lane_u[ch][lanes // n_pts == j] = value
+            nxt += 1
+        y = _rk4_stages(rhs, t, y, h)
+        k += 1
+    return breached.reshape(n_tr, n_pts).T
 
 
-def _sir_vec_rk4(S, I, beta, gamma, h, feedback_scenario):
-    def f(s, i):
-        if feedback_scenario is not None:
-            sc = feedback_scenario
-            r = np.clip(i / sc.i_max, 0.0, 1.0)
-            b = sc.beta_min * r + sc.beta_max * (1.0 - r)
-        else:
-            b = beta
-        flux = b * s * i
-        return -flux, flux - gamma * i
-
-    k1s, k1i = f(S, I)
-    k2s, k2i = f(S + 0.5 * h * k1s, I + 0.5 * h * k1i)
-    k3s, k3i = f(S + 0.5 * h * k2s, I + 0.5 * h * k2i)
-    k4s, k4i = f(S + h * k3s, I + h * k3i)
-    return (
-        S + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s),
-        I + (h / 6.0) * (k1i + 2 * k2i + 2 * k3i + k4i),
-    )
-
-
-def _mrpi_schedules(scenario: Scenario, n_trials: int, seed, t_end: float):
-    ch = active_channels(scenario.variant)[0]
-    lo, hi = input_box(scenario)[ch]
-    schedules = [
-        (np.array([0.0]), np.array([lo])),
-        (np.array([0.0]), np.array([hi])),
-    ]
-    for child in np.random.SeedSequence(seed).spawn(n_trials):
-        schedules.append(
-            _bang_schedule(np.random.default_rng(child), lo, hi, t_end)
-        )
-    return schedules
+def _oracle(
+    scenario: Scenario,
+    set_kind: SetKind,
+    points,
+    n_trials: int,
+    seed,
+    admissible_set: ComputedSet | None,
+    mrpi_set: ComputedSet | None,
+    t_end: float,
+    h: float,
+    tol: Tolerances,
+):
+    """Oracle flags of a batch of points, with the trials and breach matrix behind them."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != scenario.dim:
+        raise ValueError(f"points must have shape (n, {scenario.dim})")
+    trials = _oracle_trials(scenario, set_kind, n_trials, seed, t_end)
+    breach = _breach_matrix(scenario, pts, trials, t_end, h, tol.geom_tol)
+    if set_kind is SetKind.MRPI:
+        inside = ~breach.any(axis=1)
+        return inside, trials, breach
+    inside = ~breach.all(axis=1)
+    if admissible_set is not None and mrpi_set is not None:
+        policy = SwitchingLawPolicy(scenario, admissible_set, mrpi_set)
+        for j in np.flatnonzero(~inside):
+            traj = simulate(
+                scenario, policy, pts[j], t_end, tol, h=h,
+                record_every=10_000, stop_on_breach=True,
+            )
+            inside[j] = not traj.breached
+    return inside, trials, breach
 
 
 def grid_membership_oracle(
@@ -427,84 +479,18 @@ def grid_membership_oracle(
     h: float = ORACLE_STEP_H,
     tolerances: Tolerances | None = None,
 ) -> np.ndarray:
-    """Oracle INSIDE/OUTSIDE flags for a batch of SIR query points.
+    """Oracle INSIDE/OUTSIDE flags for a batch of query points, any variant.
 
-    MRPI: a point is inside iff no tested disturbance/input schedule (box
-    corners plus seeded bang signals) breaches the cap.  ADMISSIBLE (perfect
-    SIR): inside iff constant beta_min preserves the cap, or failing that the
-    set-based switching law does.
-    """
-    if not scenario.variant.is_sir:
-        raise ValueError("the grid oracle is two-dimensional (SIR variants)")
-    tol = tolerances or Tolerances()
-    pts = np.asarray(points, dtype=float)
-    if set_kind is SetKind.MRPI:
-        inside = np.ones(len(pts), dtype=bool)
-        for sched in _mrpi_schedules(scenario, n_trials, seed, t_end):
-            inside &= ~_sir_batch_breach(scenario, pts, sched, t_end, h, tol.geom_tol)
-        return inside
-    # admissible: constant minimal contact first, switching law as fallback
-    sched = (np.array([0.0]), np.array([scenario.beta_min]))
-    breach_min = _sir_batch_breach(scenario, pts, sched, t_end, h, tol.geom_tol)
-    inside = ~breach_min
-    if admissible_set is not None and mrpi_set is not None:
-        policy = SwitchingLawPolicy(scenario, admissible_set, mrpi_set)
-        for j in np.flatnonzero(breach_min):
-            traj = simulate(
-                scenario, policy, pts[j], t_end, tol, h=h,
-                record_every=10_000, stop_on_breach=True,
-            )
-            inside[j] = not traj.breached
-    return inside
-
-
-def _seir_point_oracle(
-    scenario: Scenario,
-    set_kind: SetKind,
-    point: np.ndarray,
-    n_trials: int,
-    seed,
-    t_end: float,
-    tolerances: Tolerances | None,
-) -> bool:
-    """Scalar forward-simulation oracle for three-dimensional queries.
-
-    Trial signals are the input-box corner constants plus seeded bang
-    signals.  For the robust invariant set the point must survive every
-    trial; for the admissible set (perfect SEIR) one cap-preserving trial
-    suffices.
+    MRPI: a point is inside iff no trial signal (input-box corner constants
+    plus seeded bang signals) breaches the cap.  ADMISSIBLE, perfect SEIR:
+    inside iff some trial signal preserves the cap.  ADMISSIBLE, perfect
+    SIR: inside iff constant beta_min preserves the cap, or failing that the
+    set-based switching law does (when both sets are given).
     """
     tol = tolerances or Tolerances()
-    box = input_box(scenario)
-    channels = list(box)
-    policies = []
-    # corner constants: every combination of channel extremes
-    n_corners = 1 << len(channels)
-    for mask in range(n_corners):
-        vals = {}
-        for k, ch in enumerate(channels):
-            lo, hi = box[ch]
-            vals[ch.value] = hi if (mask >> k) & 1 else lo
-        policies.append(ConstantPolicy(scenario, InputVec(**vals)))
-    for child in np.random.SeedSequence(seed).spawn(n_trials):
-        policies.append(
-            ExtremalBangPolicy(scenario, child, t_end)
-        )
-    survived = breach_any = False
-    for policy in policies:
-        traj = simulate(
-            scenario, policy, point, t_end, tol, h=ORACLE_STEP_H,
-            record_every=10_000, stop_on_breach=True,
-        )
-        if traj.breached:
-            breach_any = True
-            if set_kind is SetKind.MRPI:
-                return False
-        else:
-            survived = True
-            if set_kind is SetKind.ADMISSIBLE:
-                return True
-    return not breach_any if set_kind is SetKind.MRPI else survived
+    return _oracle(
+        scenario, set_kind, points, n_trials, seed, admissible_set, mrpi_set, t_end, h, tol
+    )[0]
 
 
 def membership_oracle(
@@ -520,46 +506,32 @@ def membership_oracle(
     t_end: float = ORACLE_T_END,
     tolerances: Tolerances | None = None,
 ) -> OracleReport:
-    """Single-point oracle check against a claimed membership verdict."""
+    """Single-point oracle check against a claimed membership verdict.
+
+    On disagreement the counterexample is the deciding trial replayed through
+    :func:`simulate`: the first trial that breaches when the oracle says
+    outside, the first that survives when it says inside, or the switching
+    law when only it held a perfect-SIR point under the cap.
+    """
+    tol = tolerances or Tolerances()
     pt = np.asarray(point, dtype=float)
-    if scenario.variant.is_sir:
-        inside = bool(
-            grid_membership_oracle(
-                scenario,
-                set_kind,
-                pt[None, :],
-                n_trials=n_trials,
-                seed=seed,
-                admissible_set=admissible_set,
-                mrpi_set=mrpi_set,
-                t_end=t_end,
-                tolerances=tolerances,
-            )[0]
-        )
-    else:
-        inside = _seir_point_oracle(
-            scenario, set_kind, pt, n_trials, seed, t_end, tolerances
-        )
-    claimed = None
-    if computed_set is not None:
-        claimed = membership(computed_set, pt).verdict
-    if claimed in (None, Verdict.BOUNDARY, Verdict.UNKNOWN):
-        agree = True
-        counter = None
-    else:
-        agree = (claimed is Verdict.INSIDE) == inside
-        counter = None
-        if not agree:
-            # store the decisive trajectory for inspection
-            tol = tolerances or Tolerances()
-            if scenario.variant.is_perfect:
-                u = InputVec(beta=scenario.beta_min, gamma=getattr(scenario, "gamma_max", None))
-            else:
-                u = InputVec(gamma=scenario.gamma_min, eta=getattr(scenario, "eta_min", None))
-            vals = {
-                ch.value: u.get(ch) for ch in active_channels(scenario.variant)
-            }
-            policy = ConstantPolicy(scenario, InputVec(**vals))
-            traj = simulate(scenario, policy, pt, t_end, tol, h=ORACLE_STEP_H)
-            counter = (f"seed={seed}", traj)
+    flags, trials, breach = _oracle(
+        scenario, set_kind, pt[None, :], n_trials, seed,
+        admissible_set, mrpi_set, t_end, ORACLE_STEP_H, tol,
+    )
+    inside = bool(flags[0])
+    claimed = None if computed_set is None else membership(computed_set, pt).verdict
+    if claimed not in (Verdict.INSIDE, Verdict.OUTSIDE):
+        return OracleReport(pt, claimed, n_trials, True)
+    agree = (claimed is Verdict.INSIDE) == inside
+    counter = None
+    if not agree:
+        matching = np.flatnonzero(breach[0] != inside)
+        if len(matching):
+            j = int(matching[0])
+            policy, label = trials[j], f"seed={seed} trial={j}"
+        else:
+            policy = SwitchingLawPolicy(scenario, admissible_set, mrpi_set)
+            label = f"seed={seed} switching_law"
+        counter = (label, simulate(scenario, policy, pt, t_end, tol, h=ORACLE_STEP_H))
     return OracleReport(pt, claimed, n_trials, agree, counter)

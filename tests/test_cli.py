@@ -8,6 +8,7 @@ from epibarrier.barrier import membership
 from epibarrier.cli import load_set, main
 
 from conftest import (
+    SEIR_IMPERFECT_RAW,
     SEIR_PERFECT_RAW,
     SIR_IMPERFECT_RAW,
     SIR_PERFECT_40_RAW,
@@ -168,7 +169,7 @@ def test_montecarlo_deterministic_bytes(tmp_path, capsys):
     assert main(argv + ["--out", str(out_a)]) == 0
     assert main(argv + ["--out", str(out_b)]) == 0
     capsys.readouterr()
-    for name in ("trial_000.csv", "trial_001.csv", "trial_002.csv"):
+    for name in ("trial_000.csv", "trial_001.csv", "trial_002.csv", "aggregate.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     agg = json.loads((out_a / "aggregate.json").read_text())
     assert agg["n_trials"] == 3
@@ -220,3 +221,31 @@ def test_oracle_seir_requires_points(tmp_path, capsys):
     out = tmp_path / "o3"
     rc = main(["oracle", "--config", cfg, "--set", "mrpi", "--out", str(out)])
     assert rc == 2
+
+
+def test_oracle_points_sir(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
+    out = tmp_path / "op"
+    argv = ["oracle", "--config", cfg, "--set", "mrpi", "--out", str(out), "--points"]
+    assert main(argv + ["0.5,0.002"]) == 0
+    lines = (out / "oracle_points.csv").read_text().splitlines()
+    assert lines[0] == "S,I,verdict,oracle_agrees"
+    assert len(lines) == 2
+    assert not (out / "oracle_grid.csv").exists()
+    assert json.loads((out / "oracle_summary.json").read_text())["n_points"] == 1
+    assert main(argv + ["0.5,0.002,0.0"]) == 2
+
+
+def test_oracle_points_deterministic_bytes(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SEIR_IMPERFECT_RAW)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    argv = [
+        "oracle", "--config", cfg, "--set", "mrpi",
+        "--points", "0.684,0.147,0.044;0.3,0.1,0.02", "--out",
+    ]
+    assert main(argv + [str(out_a)]) == 0
+    assert main(argv + [str(out_b)]) == 0
+    capsys.readouterr()
+    for name in ("oracle_points.csv", "oracle_summary.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert json.loads((out_a / "oracle_summary.json").read_text())["n_points"] == 2

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from epibarrier.barrier import Verdict, membership
-from epibarrier.core import SetKind, Tolerances
+from epibarrier.core import SetKind, Tolerances, Variant
 from epibarrier.models import Channel, InputVec, input_box
 from epibarrier.policy_sim import (
     AffineFeedbackPolicy,
@@ -215,3 +217,70 @@ def test_r0_above_one_with_robust_cap(sc_sir_imp):
     assert r0 > 1.0
     trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 5, seed=0, t_end=100.0, h=1e-2)
     assert not any(t.breached for t in trajs)
+
+
+@pytest.mark.parametrize(
+    "scenario_name, kind",
+    [
+        ("sc_sir", SetKind.ADMISSIBLE),
+        ("sc_sir", SetKind.MRPI),
+        ("sc_sir_imp", SetKind.MRPI),
+        ("sc_seir", SetKind.ADMISSIBLE),
+        ("sc_seir", SetKind.MRPI),
+        ("sc_seir_imp", SetKind.MRPI),
+    ],
+)
+def test_grid_oracle_matches_per_trial_simulate(request, scenario_name, kind):
+    # the batched oracle against one scalar simulate per (point, trial): the
+    # box-corner constants (beta_min alone for the perfect SIR admissible
+    # set) and the seeded bang signals, all surviving for the robust set,
+    # any surviving for the admissible set
+    sc = request.getfixturevalue(scenario_name)
+    t_end, seed, n_trials = 40.0, 5, 3
+    # seeded states in the upper half of the cap band, plus in SEIR one with
+    # so much exposed mass that no input holds the cap
+    rng = np.random.default_rng(4)
+    pts = [] if sc.dim == 2 else [np.array([0.02, 0.68, 0.95 * sc.i_max])]
+    while len(pts) < 8:
+        x = rng.uniform(0.0, 1.0, sc.dim)
+        x[-1] = sc.i_max * (0.5 + 0.5 * x[-1])
+        if x.sum() <= 1.0:
+            pts.append(x)
+    flags = grid_membership_oracle(
+        sc, kind, np.array(pts), n_trials=n_trials, seed=seed, t_end=t_end
+    )
+    box = input_box(sc)
+    if kind is SetKind.ADMISSIBLE and sc.variant is Variant.SIR_PERFECT:
+        policies = [ConstantPolicy(sc, InputVec(beta=sc.beta_min))]
+    else:
+        policies = [
+            ConstantPolicy(sc, InputVec(**{ch.value: v for ch, v in zip(box, corner)}))
+            for corner in itertools.product(*box.values())
+        ]
+        policies += [
+            ExtremalBangPolicy(sc, child, t_end)
+            for child in np.random.SeedSequence(seed).spawn(n_trials)
+        ]
+    combine = all if kind is SetKind.MRPI else any
+    expected = [
+        combine(
+            not simulate(
+                sc, pol, p, t_end, h=1e-2, record_every=10_000, stop_on_breach=True
+            ).breached
+            for pol in policies
+        )
+        for p in pts
+    ]
+    assert flags.tolist() == expected
+
+
+def test_counterexample_replays_a_breaching_trial(sc_seir_imp, mrpi_seir_imp):
+    # two states the SEIR-imperfect robust-set mesh claims INSIDE although a
+    # trial signal drives them over the cap: the stored counterexample is
+    # that trial, replayed, so it breaches
+    for p in ([0.684, 0.147, 0.044], [0.874, 0.009, 0.082]):
+        rep = membership_oracle(sc_seir_imp, SetKind.MRPI, p, computed_set=mrpi_seir_imp)
+        assert rep.claimed is Verdict.INSIDE and not rep.agree
+        label, traj = rep.counterexample
+        assert traj.breached
+        assert label.startswith("seed=0 trial=")
