@@ -207,10 +207,13 @@ def simulate(
     first_breach = 0.0 if breached else None
     n_steps = int(np.ceil(t_end / step - 1e-12)) if t_end > 0 else 0
 
+    u_rhs = rhs = None
     for k in range(n_steps):
         hk = min(step, t_end - t)
         u = policy.u(t, x)
-        rhs = lambda tt, yy: state_field(scenario, yy, u)
+        if u is not u_rhs:  # policies that hold an input return the same object
+            u_rhs = u
+            rhs = lambda tt, yy, u=u: state_field(scenario, yy, u)
         x_new = rk4_step(rhs, t, x, hk)
         if first_breach is None and _triggered(cap, x[-1], x_new[-1]):
             frac, _ = _refine_fraction(rhs, cap, t, x, hk, x[-1], tol.event_time_tol)
@@ -277,11 +280,21 @@ def _switching_law_with_clearance(
         return InputVec(beta=scenario.beta_max), max(0.0, 0.9 * clearance)
     # the robust invariant set is contained in the admissible set, so its
     # INSIDE verdict can only add beta_max when the admissible query was
-    # inconclusive (boundary layer)
+    # inconclusive (boundary layer).  SIR distance estimates are exact
+    # Euclidean distances to the boundary polylines, hence 1-Lipschitz in the
+    # state, so within the clearance below the admissible distance stays under
+    # eps (still BOUNDARY), the robust distance stays on its side of eps (a
+    # BOUNDARY verdict stays one; otherwise the disc misses the boundary and
+    # INSIDE/OUTSIDE holds), and I stays below the cap layer
     if in_adm.verdict is Verdict.BOUNDARY:
-        if membership(mrpi_set, state).verdict is Verdict.INSIDE:
-            return InputVec(beta=scenario.beta_max), 0.0
-        return InputVec(beta=scenario.beta_min), 0.0
+        in_mrpi = membership(mrpi_set, state)
+        clearance = min(
+            eps - in_adm.distance_estimate,
+            abs(in_mrpi.distance_estimate - eps),
+            cap_margin,
+        )
+        beta = scenario.beta_max if in_mrpi.verdict is Verdict.INSIDE else scenario.beta_min
+        return InputVec(beta=beta), max(0.0, 0.9 * clearance)
     # outside: minimal contact rate, stable until the boundary layer
     clearance = min(in_adm.distance_estimate - eps, cap_margin)
     return InputVec(beta=scenario.beta_min), max(0.0, 0.9 * clearance)
@@ -376,9 +389,17 @@ def _breach_matrix(
     Each pair is one lane of a tuple of numpy arrays, stepped with the stage
     arithmetic of :func:`rk4_step` on :func:`state_field`; a lane reads its
     trial's input at the step start t = k*h.  A lane retires once it breaches
-    (I > i_max + geom_tol) or once it provably never will: S never increases
-    and d(E+I)/dt <= I*(beta_hi*S - gamma_lo), so beta_hi*S < gamma_lo with
-    E + I <= i_max + geom_tol holds I under the cap for good (E = 0 in SIR).
+    (I > i_max + geom_tol) or once it provably never will:
+
+    - S never increases and d(E+I)/dt <= I*(beta_hi*S - gamma_lo), so
+      beta_hi*S < gamma_lo with E + I <= i_max + geom_tol holds I under the
+      cap for good (E = 0 in SIR).
+    - A lane that starts on the invariant axis, I == 0 in SIR and E == 0
+      and I == 0 in SEIR, stays on it: in all four variants every
+      right-hand-side term of E and I is a product with E or I (beta*S*I,
+      eta*E, gamma*I), so each RK4 stage adds exactly 0.0 to those
+      components and I never leaves 0.  Lanes are tested for this once,
+      before the first step.
     """
     n_pts, n_tr = len(points), len(trials)
     thr = scenario.i_max + geom_tol
@@ -409,10 +430,12 @@ def _breach_matrix(
     breached = np.zeros(n_tr * n_pts, dtype=bool)
     n_steps = int(np.ceil(t_end / h))
     k = nxt = 0
-    while len(lanes):
+    while True:
         hit = y[-1] > thr
         e_plus_i = y[-1] if len(y) == 2 else y[1] + y[2]
         done = hit | ((beta_hi * y[0] < gamma_lo) & (e_plus_i <= thr))
+        if k == 0:  # on the invariant axis: y[1] is E in SEIR, I itself in SIR
+            done |= (y[1] == 0.0) & (y[-1] == 0.0)
         if done.any():
             breached[lanes[hit]] = True
             keep = ~done
@@ -421,7 +444,7 @@ def _breach_matrix(
             y = tuple(a[keep] for a in y)
             lane_u = {ch: a[keep] for ch, a in lane_u.items()}
             u = InputVec(**{ch.value: a for ch, a in lane_u.items()})
-        if k == n_steps:
+        if k == n_steps or not len(lanes):
             break
         t = k * h
         while nxt < len(starts) and starts[nxt][0] <= t:

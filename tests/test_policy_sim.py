@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from epibarrier import policy_sim
 from epibarrier.barrier import Verdict, membership
 from epibarrier.core import SetKind, Tolerances, Variant
 from epibarrier.models import Channel, InputVec, input_box
@@ -139,6 +140,57 @@ def test_switching_law_keeps_cap_from_inside(sc_sir, adm_sir, mrpi_sir):
         assert traj.max_I <= sc_sir.i_max + 1e-9
 
 
+def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_sir, mrpi_sir):
+    # criterion 08's start, driven once by the cached law and once by the law
+    # re-evaluated every step: every recorded step is bit-identical, and the
+    # run reaches the admissible boundary layer (near the I = 0 axis after
+    # about 55 days), where the cached law rides a positive clearance
+    law = policy_sim._switching_law_with_clearance
+    boundary_clearances = []
+
+    def spy(state, *args):
+        u, clearance = law(state, *args)
+        if membership(adm_sir, state).verdict is Verdict.BOUNDARY:
+            boundary_clearances.append(clearance)
+        return u, clearance
+
+    class EveryStep:
+        def u(self, t, state):
+            return switching_law(state, adm_sir, mrpi_sir, sc_sir)
+
+    run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 60.0, h=1e-2, record_every=1)
+    fresh = run(EveryStep())
+    monkeypatch.setattr(policy_sim, "_switching_law_with_clearance", spy)
+    cached = run(SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir))
+    # the cap-layer branch always returns 0, so a positive clearance at an
+    # admissible BOUNDARY verdict comes from the BOUNDARY branch
+    assert any(c > 0.0 for c in boundary_clearances)
+    assert len(cached.samples) == len(fresh.samples) == 6001
+    for (t_c, x_c, u_c), (t_f, x_f, u_f) in zip(cached.samples, fresh.samples):
+        assert t_c == t_f and u_c.beta == u_f.beta
+        assert np.array_equal(x_c, x_f)
+    assert (cached.breached, cached.max_I) == (fresh.breached, fresh.max_I)
+
+
+def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir, mrpi_sir):
+    # states in the admissible set's boundary layer, offset from its polygon
+    # vertices: the law takes one value on the whole disc its clearance spans
+    eps = adm_sir.tolerances.boundary_layer_eps
+    rng = np.random.default_rng(11)
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    n_positive = 0
+    for vertex in adm_sir.polyline:
+        x = vertex + rng.uniform(-eps, eps, 2)
+        if x.min() < 0.0 or x.sum() > 1.0 or membership(adm_sir, x).verdict is not Verdict.BOUNDARY:
+            continue
+        u, clearance = policy_sim._switching_law_with_clearance(x, adm_sir, mrpi_sir, sc_sir)
+        n_positive += clearance > 0.0
+        for y in x + clearance * ring:
+            assert switching_law(y, adm_sir, mrpi_sir, sc_sir).beta == u.beta
+    assert n_positive > 0
+
+
 def test_monte_carlo_determinism(sc_sir_imp):
     a = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=20.0, h=1e-2)
     b = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=20.0, h=1e-2)
@@ -272,6 +324,63 @@ def test_grid_oracle_matches_per_trial_simulate(request, scenario_name, kind):
         for p in pts
     ]
     assert flags.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "scenario_name, kind, axis_points",
+    [
+        ("sc_sir", SetKind.MRPI, [[0.0, 0.0], [0.3, 0.0], [0.9, 0.0], [1.0, 0.0]]),
+        ("sc_sir_imp", SetKind.MRPI, [[0.2, 0.0], [0.95, 0.0]]),
+        ("sc_seir", SetKind.ADMISSIBLE, [[0.4, 0.0, 0.0], [0.97, 0.0, 0.0]]),
+        ("sc_seir_imp", SetKind.MRPI, [[0.1, 0.0, 0.0], [0.99, 0.0, 0.0]]),
+    ],
+)
+def test_oracle_axis_lanes_take_no_steps(monkeypatch, request, scenario_name, kind, axis_points):
+    # I = 0 (E = I = 0 in SEIR) is invariant, so lanes starting there retire
+    # before the first RK4 step; their flags equal one simulate per trial
+    sc = request.getfixturevalue(scenario_name)
+    t_end, h = 20.0, 1e-2
+    pts = np.array(axis_points)
+    trials = policy_sim._oracle_trials(sc, kind, 2, 5, t_end)
+    stages = policy_sim._rk4_stages
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return stages(*args)
+
+    monkeypatch.setattr(policy_sim, "_rk4_stages", counting)
+    flags = policy_sim._breach_matrix(sc, pts, trials, t_end, h, Tolerances().geom_tol)
+    assert calls == []
+    monkeypatch.undo()
+    expected = [
+        [
+            simulate(sc, tr, p, t_end, h=h, record_every=10_000, stop_on_breach=True).breached
+            for tr in trials
+        ]
+        for p in pts
+    ]
+    assert flags.tolist() == expected
+
+
+def test_oracle_reads_the_input_at_the_step_start(sc_sir):
+    # a lane steps from t = k*h with its trial's input at t = k*h: with the
+    # switch from beta_max to beta_min at 0.095 d, ten full-contact steps take
+    # I over the cap and nine do not, so reading the input one step early or
+    # late decides the flag
+    class Switch(ExtremalBangPolicy):
+        def __init__(self, ts):
+            self.scenario = sc_sir
+            self.schedules = {Channel.BETA: (np.array([0.0, ts]), np.array([0.8, 0.6]))}
+
+    p, t_end, h = np.array([[0.7, 0.01989]]), 1.0, 1e-2
+    geom_tol = Tolerances().geom_tol
+    sim = lambda ts: simulate(sc_sir, Switch(ts), p[0], t_end, h=h, stop_on_breach=True)
+    assert sim(0.095).breached and not sim(0.085).breached
+    flags = policy_sim._breach_matrix(sc_sir, p, [Switch(0.095)], t_end, h, geom_tol)
+    assert flags.tolist() == [[True]]
+    flags = policy_sim._breach_matrix(sc_sir, p, [Switch(0.085)], t_end, h, geom_tol)
+    assert flags.tolist() == [[False]]
 
 
 def test_counterexample_replays_a_breaching_trial(sc_seir_imp, mrpi_seir_imp):
