@@ -12,14 +12,19 @@ forward in its own variable:
     ds/dtau      = |f(x, u)|          (arc length, used for resampling)
 
 For SIR variants the single curve plus the usable part and the invariant
-simplex faces stitch into a closed boundary polygon; membership is an exact
-even-odd ray test.  For SEIR variants a family of curves is resampled onto an
-arc-length grid and triangulated; membership is a vertical-ray parity test
-against that mesh with explicit UNKNOWN verdicts near its edges.
+simplex faces stitch into a closed boundary polygon.  Forward in time
+S' = -beta*S*I < 0 wherever I > 0, so S rises strictly along the backward
+curve and the polygon is the region under a graph, {0 <= I <= phi(S)}: phi is
+the cap I_max up to the tangent point and the barrier curve after it.
+Membership bisects the polygon's S coordinates and compares I with phi
+interpolated on that edge.  For SEIR variants a family of curves is resampled
+onto an arc-length grid and triangulated; membership is a vertical-ray parity
+test against that mesh with explicit UNKNOWN verdicts near its edges.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -32,7 +37,7 @@ from .analysis import (
     tangent_set,
     usable_part,
 )
-from .core import Scenario, SetKind, Tolerances, Variant
+from .core import Scenario, SetKind, Tolerances
 from .integrate import (
     SIGMA_TOL,
     EventKind,
@@ -65,6 +70,7 @@ __all__ = [
     "resample_by_arclength",
     "assemble_set",
     "membership",
+    "check_sir_graph",
 ]
 
 SWITCH_GAP_MIN_FACTOR = 10.0  # consecutive switches closer than this * event_time_tol => chattering
@@ -146,7 +152,7 @@ def select_extremal_input(
             lo, hi = box[ch]
             values[ch] = 0.5 * (lo + hi)  # placeholder for the derivative probe
     for ch in pending:
-        probe = _make_input(variant, values)
+        probe = InputVec(**{c.value: v for c, v in values.items()})
         lam_dot = adjoint_rhs(scenario, state, adjoint, probe)
         sigma_dot = switch_value(variant, set_kind, ch, lam_dot)
         if abs(sigma_dot) < sigma_tol:
@@ -155,15 +161,7 @@ def select_extremal_input(
                 f"vanish at state {np.asarray(state).tolist()}"
             )
         values[ch] = extremal_value(scenario, set_kind, ch, -sigma_dot > 0.0)
-    return _make_input(scenario.variant, values)
-
-
-def _make_input(variant: Variant, values: dict[Channel, float]) -> InputVec:
-    return InputVec(
-        beta=values.get(Channel.BETA),
-        gamma=values.get(Channel.GAMMA),
-        eta=values.get(Channel.ETA),
-    )
+    return InputVec(**{c.value: v for c, v in values.items()})
 
 
 def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
@@ -530,37 +528,28 @@ def _sir_boundary_polygon(
     else:  # i_floor / horizon: drop to the axis below the endpoint
         pts.append(np.array([end[0], 0.0]))
     poly = np.array(pts)
-    if not _polygon_is_simple(poly):
-        raise ValueError("assembled boundary polygon self-intersects")
+    check_sir_graph(poly)
     return poly
 
 
-def _polygon_is_simple(poly: np.ndarray, tol: float = 1e-12) -> bool:
-    """Reject crossings between non-adjacent edges (O(n^2), vectorized)."""
-    n = len(poly)
-    a = poly
-    b = np.vstack([poly[1:], poly[:1]])
-    d = b - a
-    for i in range(n):
-        j = np.arange(i + 2, n if i > 0 else n - 1)
-        if len(j) == 0:
-            continue
-        r, s = d[i], d[j]
-        qp = a[j] - a[i]
-        denom = r[0] * s[:, 1] - r[1] * s[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
-            u = (qp[:, 0] * r[1] - qp[:, 1] * r[0]) / denom
-        crossing = (
-            (np.abs(denom) > tol)
-            & (t > tol)
-            & (t < 1 - tol)
-            & (u > tol)
-            & (u < 1 - tol)
-        )
-        if np.any(crossing):
-            return False
-    return True
+def check_sir_graph(poly: np.ndarray) -> None:
+    """Raise ValueError unless ``poly`` bounds the region under a graph of S.
+
+    Membership reads the polygon as ``{0 <= I <= phi(S)}``, with ``phi``
+    linear through ``poly[1:]``: the first vertex must lie on ``I = 0``
+    below the second, ``S`` must never decrease along ``poly[1:]``, and the
+    last vertex must lie on ``I = 0``.
+    """
+    if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
+        raise ValueError(f"SIR boundary polyline has shape {poly.shape}, not (n >= 3, 2)")
+    s = poly[1:, 0]
+    if not (
+        poly[0, 0] == s[0]
+        and poly[0, 1] == 0.0
+        and poly[-1, 1] == 0.0
+        and np.all(np.diff(s) >= 0.0)
+    ):
+        raise ValueError("SIR boundary polyline is not the graph I = phi(S) over I = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +580,7 @@ def _in_simplex(scenario: Scenario, x: np.ndarray, tol: float) -> bool:
 
 
 def _sir_edges(cset: ComputedSet):
-    """Cached flat edge-component arrays for distance and parity tests."""
+    """Cached edge arrays for the distance estimate; graph vertices as S, I lists."""
     cached = getattr(cset, "_edge_arrays", None)
     if cached is not None:
         return cached
@@ -606,23 +595,10 @@ def _sir_edges(cset: ComputedSet):
     ab = np.vstack(ends) - a
     denom = np.einsum("ij,ij->i", ab, ab)
     inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
-    n_poly = len(poly)  # the first n_poly edges are the closed polygon
-    # dx/dy per edge; horizontal edges never straddle a ray so 0 is safe
-    safe_dy = np.where(ab[:, 1] == 0.0, 1.0, ab[:, 1])
-    slope = np.where(ab[:, 1] == 0.0, 0.0, ab[:, 0] / safe_dy)
-    cached = (a[:, 0], a[:, 1], ab[:, 0], ab[:, 1], inv, slope, n_poly)
+    xs, ys = poly[1:, 0].tolist(), poly[1:, 1].tolist()
+    cached = (a[:, 0], a[:, 1], ab[:, 0], ab[:, 1], inv, xs, ys)
     cset._edge_arrays = cached
     return cached
-
-
-def _even_odd_inside(x, y, ax, ay, abx, aby, slope, n_poly) -> bool:
-    """Crossing-number test with the half-open vertex rule, vectorized."""
-    ay_p, aby_p = ay[:n_poly], aby[:n_poly]
-    straddle = (ay_p > y) != (ay_p + aby_p > y)
-    if not np.any(straddle):
-        return False
-    x_cross = ax[:n_poly] + (y - ay_p) * slope[:n_poly]
-    return bool(np.sum(straddle & (x < x_cross)) % 2)
 
 
 def membership(cset: ComputedSet, point) -> Membership:
@@ -643,7 +619,7 @@ def membership(cset: ComputedSet, point) -> Membership:
 
 def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
     tol = cset.tolerances
-    ax, ay, abx, aby, inv, slope, n_poly = _sir_edges(cset)
+    ax, ay, abx, aby, inv, xs, ys = _sir_edges(cset)
     px, py = float(x[0]), float(x[1])
     dx, dy = px - ax, py - ay
     t = np.clip((dx * abx + dy * aby) * inv, 0.0, 1.0)
@@ -653,7 +629,13 @@ def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
         return Membership(Verdict.BOUNDARY, dist)
     if not _in_simplex(cset.scenario, x, tol.geom_tol):
         return Membership(Verdict.OUTSIDE, dist)
-    inside = _even_odd_inside(px, py, ax, ay, abx, aby, slope, n_poly)
+    # under the graph: bisect S onto the edge xs[k-1] <= S < xs[k], which has
+    # xs[k] > xs[k-1], and interpolate phi on it
+    inside = xs[0] < px < xs[-1] and py > 0.0
+    if inside:
+        k = bisect_right(xs, px)
+        s0, i0 = xs[k - 1], ys[k - 1]
+        inside = py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0)
     return Membership(Verdict.INSIDE if inside else Verdict.OUTSIDE, dist)
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import EmptyTangentError, classify, usable_part
-from .barrier import ComputedSet, Verdict, assemble_set, membership
+from .barrier import ComputedSet, Verdict, assemble_set, check_sir_graph, membership
 from .core import Scenario, ScenarioError, SetKind, Tolerances, validate_scenario
-from .models import BadChannelError, Channel, InputVec, active_channels
+from .models import BadChannelError, InputVec, active_channels
 from .policy_sim import (
     AffineFeedbackPolicy,
     ConstantPolicy,
@@ -124,22 +124,19 @@ def _parse_set_kind(scenario: Scenario, name: str) -> SetKind:
     return kind
 
 
-def _parse_x0(scenario: Scenario, text: str) -> np.ndarray:
+def _parse_state(scenario: Scenario, text: str, flag: str = "--x0") -> np.ndarray:
     try:
         x = np.array([float(v) for v in text.split(",")])
     except ValueError:
-        raise InputError(f"bad --x0 {text!r}")
+        raise InputError(f"bad {flag} {text!r}")
     if x.shape != (scenario.dim,):
         raise InputError(
-            f"--x0 needs {scenario.dim} components for {scenario.variant.value}"
+            f"{flag} needs {scenario.dim} components for {scenario.variant.value}"
         )
-    if np.min(x) < 0.0 or np.sum(x) > 1.0 + 1e-12:
-        raise InputError(f"--x0 {text!r} outside the unit simplex")
+    # negated, so that NaN and infinite components fail too
+    if not (np.min(x) >= 0.0 and np.sum(x) <= 1.0 + 1e-12):
+        raise InputError(f"{flag} {text!r} not a finite state in the unit simplex")
     return x
-
-
-def _input_columns(scenario: Scenario) -> list[Channel]:
-    return list(active_channels(scenario.variant))
 
 
 def _state_columns(scenario: Scenario) -> list[str]:
@@ -190,12 +187,15 @@ def load_set(path: str) -> ComputedSet:
     kind = SetKind(doc["set_kind"])
     if doc["trivial"]:
         return ComputedSet(scenario, kind, trivial=True, tolerances=tol)
+    polyline = np.array(doc["polyline"], dtype=float) if "polyline" in doc else None
+    if polyline is not None:
+        check_sir_graph(polyline)
     return ComputedSet(
         scenario,
         kind,
         trivial=False,
         usable=usable_part(scenario, kind),
-        polyline=np.array(doc["polyline"]) if "polyline" in doc else None,
+        polyline=polyline,
         mesh_nodes=np.array(doc["mesh_nodes"]) if "mesh_nodes" in doc else None,
         special_segments=[np.array(s) for s in doc["special_segments"]],
         tolerances=tol,
@@ -221,7 +221,7 @@ def cmd_classify(args) -> int:
 
 
 def _curve_rows(scenario, curve):
-    chans = _input_columns(scenario)
+    chans = active_channels(scenario.variant)
     for s in curve.samples:
         row = [-s.tau]
         row.extend(float(v) for v in s.state)
@@ -238,7 +238,7 @@ def cmd_barrier(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     curve_files = []
     lam_cols = [f"lambda{k + 1}" for k in range(scenario.dim)]
-    in_cols = [ch.value for ch in _input_columns(scenario)]
+    in_cols = [ch.value for ch in active_channels(scenario.variant)]
     header = ["t"] + _state_columns(scenario) + lam_cols + in_cols + ["switch_flag"]
     for idx, curve in enumerate(cset.curves):
         fname = f"curve_{idx:03d}.csv"
@@ -288,7 +288,7 @@ def _build_policy(args, scenario, tol):
 
 
 def _write_trajectory(path: str, scenario: Scenario, traj) -> None:
-    chans = _input_columns(scenario)
+    chans = active_channels(scenario.variant)
     header = ["t"] + _state_columns(scenario) + ["R"] + [ch.value for ch in chans]
     rows = (
         [t] + [float(v) for v in x] + [1.0 - float(np.sum(x))] + [u.get(ch) for ch in chans]
@@ -299,7 +299,7 @@ def _write_trajectory(path: str, scenario: Scenario, traj) -> None:
 
 def cmd_simulate(args) -> int:
     raw, scenario, tol = _load_config(args)
-    x0 = _parse_x0(scenario, args.x0)
+    x0 = _parse_state(scenario, args.x0)
     policy = _build_policy(args, scenario, tol)
     traj = simulate(scenario, policy, x0, args.t_end, tol)
     os.makedirs(args.out, exist_ok=True)
@@ -321,7 +321,7 @@ def cmd_montecarlo(args) -> int:
         raise InputError(
             "montecarlo needs an imperfect variant (uncertain disturbance)"
         )
-    x0 = _parse_x0(scenario, args.x0)
+    x0 = _parse_state(scenario, args.x0)
     trajs = monte_carlo(
         scenario, x0, args.n, args.seed, t_end=args.t_end, tolerances=tol, h=1e-2
     )
@@ -343,17 +343,11 @@ def cmd_oracle(args) -> int:
     raw, scenario, tol = _load_config(args)
     kind = _parse_set_kind(scenario, args.set)
     if args.points is not None:
-        try:
-            pts = [
-                [float(v) for v in chunk.split(",")]
-                for chunk in args.points.split(";")
-                if chunk.strip()
-            ]
-        except ValueError:
-            raise InputError(f"bad --points {args.points!r}")
-        for p in pts:
-            if len(p) != scenario.dim:
-                raise InputError(f"point {p} has wrong dimension")
+        pts = [
+            _parse_state(scenario, chunk, "--points")
+            for chunk in args.points.split(";")
+            if chunk.strip()
+        ]
         pts = np.array(pts, dtype=float).reshape(-1, scenario.dim)
         csv_name = "oracle_points.csv"
     elif scenario.variant.is_sir:

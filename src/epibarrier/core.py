@@ -19,8 +19,6 @@ __all__ = [
     "Tolerances",
     "ScenarioError",
     "validate_scenario",
-    "reconstruct_removed",
-    "check_state",
 ]
 
 
@@ -198,25 +196,3 @@ def validate_scenario(raw: dict) -> Scenario:
         raise ScenarioError("REJECT_CAP", f"i_max={i_max} outside (0, 1)")
 
     return Scenario(variant=variant, i_max=i_max, **fields)
-
-
-def reconstruct_removed(state) -> float:
-    """Removed proportion R = 1 - sum(components), clamped to [0, 1]."""
-    return float(min(1.0, max(0.0, 1.0 - float(np.sum(state)))))
-
-
-def check_state(state, variant: Variant, geom_tol: float = 1e-9) -> np.ndarray:
-    """Validate a state vector against the reduced simplex; returns an array.
-
-    Rejects wrong dimension, negative components, or component sum above one,
-    beyond ``geom_tol``.
-    """
-    x = np.asarray(state, dtype=float)
-    if x.shape != (variant.dim,):
-        raise ValueError(
-            f"state must have {variant.dim} components for {variant.value}, "
-            f"got shape {x.shape}"
-        )
-    if np.min(x) < -geom_tol or np.sum(x) > 1.0 + geom_tol:
-        raise ValueError(f"state {x.tolist()} outside the simplex (tol={geom_tol})")
-    return x

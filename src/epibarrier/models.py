@@ -5,8 +5,8 @@ Lie derivative of the constraint along the flow is simply the I-component of
 the vector field.  Imperfect variants run closed loop: the contact rate (and,
 for SEIR, the removal rate) is an affine feedback on I, and the only free
 input is the disturbance channel.  Every variant's rates, the feedback law
-and its slopes come from one function, :func:`rates`; the vector field, the
-adjoint matrix and the feedback functions are built on it.
+and its slopes come from one function, :func:`rates`; the vector field and
+the adjoint matrix are built on it.
 """
 from __future__ import annotations
 
@@ -21,13 +21,6 @@ __all__ = [
     "InputVec",
     "Channel",
     "BadChannelError",
-    "DomainError",
-    "sir_rhs",
-    "seir_rhs",
-    "beta_feedback",
-    "gamma_feedback",
-    "alpha_of_i",
-    "delta_of_i",
     "state_field",
     "state_rhs",
     "adjoint_matrix",
@@ -51,10 +44,6 @@ class BadChannelError(ValueError):
     pass
 
 
-class DomainError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class InputVec:
     """Input values for the variant's free channels; unused fields are None.
@@ -72,19 +61,6 @@ class InputVec:
         if value is None:
             raise BadChannelError(f"channel {channel.value} not populated")
         return value
-
-
-def sir_rhs(state, beta: float, gamma: float) -> tuple[float, float]:
-    S, I = state
-    flux = beta * S * I
-    return -flux, flux - gamma * I
-
-
-def seir_rhs(state, beta: float, gamma: float, eta: float) -> tuple[float, float, float]:
-    S, E, I = state
-    flux = beta * S * I
-    lat = eta * E
-    return -flux, flux - lat, lat - gamma * I
 
 
 # Enum member lookups such as ``Variant.SIR_PERFECT`` cost about 0.2 us each
@@ -133,35 +109,6 @@ def rates(scenario: Scenario, i: float, u: InputVec | None) -> tuple:
     return beta, alpha, gamma, delta, scenario.eta if u is None else u.eta
 
 
-def beta_feedback(i: float, scenario: Scenario, geom_tol: float = 1e-9) -> float:
-    """Pre-designed contact-rate feedback: beta_max at I=0 down to beta_min at I=I_max."""
-    _check_feedback_domain(i, scenario, geom_tol)
-    return rates(scenario, i, None)[0]
-
-
-def gamma_feedback(i: float, scenario: Scenario, geom_tol: float = 1e-9) -> float:
-    """Pre-designed removal-rate feedback: gamma_min at I=0 up to gamma_max at I=I_max."""
-    _check_feedback_domain(i, scenario, geom_tol)
-    return rates(scenario, i, None)[2]
-
-
-def _check_feedback_domain(i: float, scenario: Scenario, geom_tol: float) -> None:
-    if scenario.variant.is_perfect:
-        raise BadChannelError("feedback laws apply to imperfect variants only")
-    if i < -geom_tol or i > scenario.i_max + geom_tol:
-        raise DomainError(f"I={i} outside [0, i_max={scenario.i_max}]")
-
-
-def alpha_of_i(i: float, scenario: Scenario) -> float:
-    """d(beta_feedback(I) * I)/dI, the feedback-corrected contact-rate slope."""
-    return rates(scenario, i, None)[1]
-
-
-def delta_of_i(i: float, scenario: Scenario) -> float:
-    """d(gamma_feedback(I) * I)/dI for the imperfect SEIR adjoint."""
-    return rates(scenario, i, None)[3]
-
-
 def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
     """Time derivative of the reduced state under input/disturbance ``u``."""
     return np.array(state_field(scenario, state, u))
@@ -171,8 +118,13 @@ def state_field(scenario: Scenario, state, u: InputVec) -> tuple:
     """:func:`state_rhs` as a float tuple, the state form the integrator carries."""
     beta, _, gamma, _, eta = rates(scenario, state[-1], u)
     if len(state) == 2:
-        return sir_rhs(state, beta, gamma)
-    return seir_rhs(state, beta, gamma, eta)
+        S, I = state
+        flux = beta * S * I
+        return -flux, flux - gamma * I
+    S, E, I = state
+    flux = beta * S * I
+    lat = eta * E
+    return -flux, flux - lat, lat - gamma * I
 
 
 def adjoint_matrix(scenario: Scenario, state, u: InputVec) -> np.ndarray:

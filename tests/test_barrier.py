@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,51 @@ def test_sir_polygon_closed_and_simple(adm_sir, mrpi_sir, mrpi_sir_imp):
         assert np.allclose(poly[0], [0.0, 0.0])
         assert poly[-1][1] == pytest.approx(0.0, abs=1e-9)
         assert np.max(poly[:, 1]) <= cset.scenario.i_max + 2e-9
+        # the graph {0 <= I <= phi(S)}: poly[0] lies below poly[1] on I = 0,
+        # S never decreases along poly[1:], and poly[-1] lies on I = 0
+        assert poly[0, 0] == poly[1, 0] and poly[0, 1] == 0.0
+        assert np.all(np.diff(poly[1:, 0]) >= 0.0)
+        assert poly[-1, 1] == 0.0
+
+
+def _crossing_number_inside(poly, p):
+    """Reference even-odd test: a rightward ray from p, half-open vertex rule."""
+    a, b = poly, np.roll(poly, -1, axis=0)
+    straddle = (a[:, 1] > p[1]) != (b[:, 1] > p[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = a[:, 0] + (p[1] - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
+    return bool(np.sum(straddle & (p[0] < x_cross)) % 2)
+
+
+@pytest.mark.parametrize(
+    "name", ["adm_sir", "mrpi_sir", "adm_sir15", "mrpi_sir15", "mrpi_sir_imp"]
+)
+def test_sir_graph_test_matches_crossing_number(name, request):
+    fixture = request.getfixturevalue(name)
+    poly = fixture.polyline
+    # the assembled arc's edges are far shorter than the boundary layer, so
+    # only a coarse copy (every 40th arc node) tests the interpolation of phi
+    coarse = np.vstack([poly[:2], poly[2:-2:40], poly[-2:]])
+    im, eps = fixture.scenario.i_max, fixture.tolerances.boundary_layer_eps
+    rng = np.random.default_rng(7)
+    for cset in (fixture, dataclasses.replace(fixture, polyline=coarse)):
+        poly = cset.polyline
+        uniform = rng.uniform([-0.05, -0.1 * im], [1.05, 1.2 * im], size=(3000, 2))
+        # just beyond the boundary layer of the polygon's edges
+        k = rng.integers(0, len(poly), 3000)
+        edge = np.roll(poly, -1, axis=0)[k] - poly[k]
+        base = poly[k] + rng.random((3000, 1)) * edge
+        angle = rng.uniform(0.0, 2.0 * np.pi, 3000)
+        offset = rng.uniform(eps, 3.0 * eps, (3000, 1))
+        near = base + offset * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        counts = {Verdict.INSIDE: 0, Verdict.OUTSIDE: 0}
+        for p in np.vstack([uniform, near]):
+            verdict = membership(cset, p).verdict
+            if verdict is Verdict.BOUNDARY:
+                continue
+            assert (verdict is Verdict.INSIDE) == _crossing_number_inside(poly, p), p
+            counts[verdict] += 1
+        assert min(counts.values()) >= 500, counts
 
 
 def test_sir_terminations(adm_sir, mrpi_sir):

@@ -92,6 +92,25 @@ def test_barrier_artifacts_and_round_trip(tmp_path, capsys, mrpi_sir):
     assert checked == 100
 
 
+def test_load_set_rejects_a_polyline_that_is_not_a_graph(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
+    out = tmp_path / "mrpi"
+    assert main(["barrier", "--config", cfg, "--set", "mrpi", "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "set.json"
+    doc = json.loads(path.read_text())
+    poly = doc["polyline"]
+    # two arc vertices swapped: S decreases along the arc
+    swapped = dict(doc, polyline=poly[:5] + [poly[6], poly[5]] + poly[7:])
+    path.write_text(json.dumps(swapped))
+    with pytest.raises(ValueError):
+        load_set(str(path))
+    # shifted by +0.05 in S the polyline is still a graph, so it loads
+    shifted = [[s + 0.05, i] for s, i in poly]
+    path.write_text(json.dumps(dict(doc, polyline=shifted)))
+    assert load_set(str(path)).polyline.tolist() == shifted
+
+
 def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -157,6 +176,8 @@ def test_simulate_input_errors(tmp_path, capsys):
     assert main(base + ["--policy", "nonsense", "--x0", "0.5,0.01"]) == 2
     assert main(base + ["--policy", "constant:beta=0.7", "--x0", "0.5"]) == 2
     assert main(base + ["--policy", "constant:beta=0.7", "--x0", "0.9,0.3"]) == 2
+    for x0 in ("nan,0.01", "0.5,nan", "inf,0.0", "0.5,-inf"):
+        assert main(base + ["--policy", "constant:beta=0.7", "--x0", x0]) == 2, x0
 
 
 def test_montecarlo_deterministic_bytes(tmp_path, capsys):
@@ -234,6 +255,8 @@ def test_oracle_points_sir(tmp_path, capsys):
     assert not (out / "oracle_grid.csv").exists()
     assert json.loads((out / "oracle_summary.json").read_text())["n_points"] == 1
     assert main(argv + ["0.5,0.002,0.0"]) == 2
+    for points in ("nan,0.01;-0.2,0.01", "0.5,0.002;nan,0.01", "0.5,-0.01", "0.9,0.3"):
+        assert main(argv + [points]) == 2, points
 
 
 def test_oracle_points_deterministic_bytes(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from epibarrier.core import (
@@ -6,8 +5,6 @@ from epibarrier.core import (
     ScenarioError,
     Tolerances,
     Variant,
-    check_state,
-    reconstruct_removed,
     validate_scenario,
 )
 
@@ -119,25 +116,3 @@ def test_tolerances_positivity():
         Tolerances(event_time_tol=1e-2, step_h=1e-3)
     tol = Tolerances(step_h=1e-4)
     assert tol.step_h == 1e-4 and tol.geom_tol == 1e-9
-
-
-def test_reconstruct_removed():
-    assert reconstruct_removed([0.3, 0.2]) == pytest.approx(0.5)
-    assert reconstruct_removed([0.2, 0.1, 0.1]) == pytest.approx(0.6)
-    # clamped against round-off outside [0, 1]
-    assert reconstruct_removed([0.7, 0.3 + 1e-15]) >= 0.0
-    assert reconstruct_removed([0.0, 0.0]) == 1.0
-
-
-def test_check_state():
-    x = check_state([0.5, 0.1], Variant.SIR_PERFECT)
-    assert isinstance(x, np.ndarray) and x.shape == (2,)
-    check_state([0.5, 0.2, 0.1], Variant.SEIR_PERFECT)
-    with pytest.raises(ValueError):
-        check_state([0.5, 0.2, 0.1], Variant.SIR_PERFECT)
-    with pytest.raises(ValueError):
-        check_state([-0.1, 0.2], Variant.SIR_PERFECT)
-    with pytest.raises(ValueError):
-        check_state([0.9, 0.2], Variant.SIR_PERFECT)
-    # within tolerance of the faces is fine
-    check_state([0.0, 1.0 + 1e-10], Variant.SIR_PERFECT)

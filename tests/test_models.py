@@ -5,20 +5,15 @@ from epibarrier.core import SetKind, Variant
 from epibarrier.models import (
     BadChannelError,
     Channel,
-    DomainError,
     InputVec,
     active_channels,
     adjoint_matrix,
     adjoint_rhs,
-    alpha_of_i,
-    beta_feedback,
-    delta_of_i,
     extremal_value,
-    gamma_feedback,
     input_box,
     lie_derivative_g,
-    seir_rhs,
-    sir_rhs,
+    rates,
+    state_field,
     state_rhs,
     switch_value,
 )
@@ -43,14 +38,16 @@ def _random_state(rng, dim, i_max):
 ALL_SCENARIO_FIXTURES = ["sc_sir", "sc_sir_imp", "sc_seir", "sc_seir_imp"]
 
 
-def test_sir_rhs_values():
-    f = sir_rhs([0.8, 0.1], beta=0.7, gamma=0.5)
+def test_sir_rhs_values(sc_sir):
+    assert sc_sir.gamma == 0.5
+    f = state_field(sc_sir, [0.8, 0.1], InputVec(beta=0.7))
     assert f[0] == pytest.approx(-0.056)
     assert f[1] == pytest.approx(0.056 - 0.05)
 
 
-def test_seir_rhs_values():
-    f = seir_rhs([0.6, 0.2, 0.1], beta=0.9, gamma=0.25, eta=0.2)
+def test_seir_rhs_values(sc_seir):
+    assert sc_seir.eta == 0.2
+    f = state_field(sc_seir, [0.6, 0.2, 0.1], InputVec(beta=0.9, gamma=0.25))
     flux, lat = 0.9 * 0.6 * 0.1, 0.2 * 0.2
     assert np.allclose(f, [-flux, flux - lat, lat - 0.25 * 0.1])
 
@@ -68,44 +65,43 @@ def test_simplex_mass_balance(sc_sir, sc_sir_imp, sc_seir, sc_seir_imp):
     assert np.allclose(state_rhs(sc_sir, [0.7, 0.0], InputVec(beta=0.7)), 0.0)
 
 
+def _beta_feedback(i, sc):
+    return rates(sc, i, None)[0]
+
+
+def _gamma_feedback(i, sc):
+    return rates(sc, i, None)[2]
+
+
 def test_feedback_endpoints(sc_sir_imp, sc_seir_imp):
     sc = sc_sir_imp
-    assert beta_feedback(0.0, sc) == pytest.approx(sc.beta_max)
-    assert beta_feedback(sc.i_max, sc) == pytest.approx(sc.beta_min)
-    assert beta_feedback(0.5 * sc.i_max, sc) == pytest.approx(
+    assert _beta_feedback(0.0, sc) == pytest.approx(sc.beta_max)
+    assert _beta_feedback(sc.i_max, sc) == pytest.approx(sc.beta_min)
+    assert _beta_feedback(0.5 * sc.i_max, sc) == pytest.approx(
         0.5 * (sc.beta_min + sc.beta_max)
     )
     sc = sc_seir_imp
-    assert gamma_feedback(0.0, sc) == pytest.approx(sc.gamma_min)
-    assert gamma_feedback(sc.i_max, sc) == pytest.approx(sc.gamma_max)
-
-
-def test_feedback_domain_errors(sc_sir, sc_sir_imp):
-    with pytest.raises(BadChannelError):
-        beta_feedback(0.01, sc_sir)  # perfect variants have no feedback
-    with pytest.raises(DomainError):
-        beta_feedback(-0.01, sc_sir_imp)
-    with pytest.raises(DomainError):
-        beta_feedback(2.0 * sc_sir_imp.i_max, sc_sir_imp)
+    assert _gamma_feedback(0.0, sc) == pytest.approx(sc.gamma_min)
+    assert _gamma_feedback(sc.i_max, sc) == pytest.approx(sc.gamma_max)
 
 
 def test_alpha_delta_are_product_rule_slopes(sc_sir_imp, sc_seir_imp):
-    # alpha(I) = d/dI [beta_feedback(I) I], delta(I) = d/dI [gamma_feedback(I) I]
+    # alpha(I) = d/dI [beta(I) I], delta(I) = d/dI [gamma(I) I]
     eps = 1e-7
     for i in (0.02, 0.1, 0.18):
         sc = sc_sir_imp
         num = (
-            beta_feedback(i + eps, sc) * (i + eps)
-            - beta_feedback(i - eps, sc) * (i - eps)
+            _beta_feedback(i + eps, sc) * (i + eps)
+            - _beta_feedback(i - eps, sc) * (i - eps)
         ) / (2 * eps)
-        assert alpha_of_i(i, sc) == pytest.approx(num, abs=1e-6)
+        assert rates(sc, i, None)[1] == pytest.approx(num, abs=1e-6)
     for i in (0.01, 0.05, 0.09):
         sc = sc_seir_imp
         num = (
-            gamma_feedback(i + eps, sc) * (i + eps)
-            - gamma_feedback(i - eps, sc) * (i - eps)
+            _gamma_feedback(i + eps, sc) * (i + eps)
+            - _gamma_feedback(i - eps, sc) * (i - eps)
         ) / (2 * eps)
-        assert delta_of_i(i, sc) == pytest.approx(num, abs=1e-6)
+        assert rates(sc, i, None)[3] == pytest.approx(num, abs=1e-6)
 
 
 def test_adjoint_matrix_is_minus_jacobian_transposed(
