@@ -71,6 +71,7 @@ __all__ = [
     "assemble_set",
     "membership",
     "check_sir_graph",
+    "check_set_geometry",
 ]
 
 SWITCH_GAP_MIN_FACTOR = 10.0  # consecutive switches closer than this * event_time_tol => chattering
@@ -346,20 +347,30 @@ def _adjoint_renorm(d: int):
     return renorm
 
 
-def _check_containment(scenario: Scenario, curve: BarrierCurve, tol: Tolerances):
-    # face events trigger at depth geom_tol, so the terminal sample may sit up
-    # to that deep plus refinement slack; allow twice the tolerance
+def _outside_capped_simplex(scenario: Scenario, tol: Tolerances, pts) -> np.ndarray:
+    """Mask of the states in ``pts`` (last axis) outside the capped simplex.
+
+    Face events trigger at depth ``geom_tol``, so a refined terminal sample
+    may sit up to that deep plus refinement slack; a state counts as outside
+    once it is more than twice that beyond a face, or is not finite.
+    """
     slack = 2.0 * tol.geom_tol
-    for s in curve.samples:
-        x = s.state
-        if x[-1] > scenario.i_max + slack:
-            raise InvariantBreachError(
-                f"sample at tau={s.tau} has I={x[-1]} above the cap"
-            )
-        if np.min(x) < -slack or np.sum(x) > 1.0 + slack:
-            raise InvariantBreachError(
-                f"sample at tau={s.tau} left the simplex: {x.tolist()}"
-            )
+    # negated, so that NaN and infinite components count as outside
+    return ~(
+        (np.min(pts, axis=-1) >= -slack)
+        & (np.sum(pts, axis=-1) <= 1.0 + slack)
+        & (pts[..., -1] <= scenario.i_max + slack)
+    )
+
+
+def _check_containment(scenario: Scenario, curve: BarrierCurve, tol: Tolerances):
+    states = np.array([s.state for s in curve.samples])
+    bad = np.flatnonzero(_outside_capped_simplex(scenario, tol, states))
+    if len(bad):
+        s = curve.samples[bad[0]]
+        raise InvariantBreachError(
+            f"sample at tau={s.tau} left the capped simplex: {s.state.tolist()}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -384,36 +395,43 @@ def resample_by_arclength(
 
     Interpolation is cubic Hermite using the exact backward vector field as
     tangent data, so the resampled curve keeps the integrator's full order.
+    All nodes are bracketed by one ``searchsorted`` on the never-decreasing
+    arc lengths and placed by one 60-step bisection on arrays, which rounds
+    as a per-node scalar loop would; the speeds |f| stay BLAS dots ``f @ f``
+    (which may fuse multiply and add).
     """
     samples = curve.samples
     s_vals = np.array([s.arclen for s in samples])
-    targets = np.linspace(0.0, s_vals[-1], n_nodes)
+    targets = np.linspace(0.0, s_vals[-1], n_nodes)[1:-1]
     out = np.empty((n_nodes, scenario.dim))
     out[0] = samples[0].state
     out[-1] = samples[-1].state
-    k = 0
-    for j in range(1, n_nodes - 1):
-        s_t = targets[j]
-        while k + 1 < len(samples) - 1 and s_vals[k + 1] < s_t:
-            k += 1
-        a, b = samples[k], samples[k + 1]
-        dt = b.tau - a.tau
-        if dt <= 0.0 or b.arclen <= a.arclen:  # duplicated switch node
-            out[j] = b.state
-            continue
-        fa = state_rhs(scenario, a.state, a.u)
-        fb = state_rhs(scenario, b.state, b.u)
-        dsa, dsb = np.sqrt(fa @ fa), np.sqrt(fb @ fb)
-        # invert the monotone arc-length Hermite s(theta) by bisection
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _hermite(a.arclen, b.arclen, dsa, dsb, dt, mid) < s_t:
-                lo = mid
-            else:
-                hi = mid
-        theta = 0.5 * (lo + hi)
-        out[j] = _hermite(a.state, b.state, -fa, -fb, dt, theta)
+    k = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(samples) - 2)
+    # gather only the samples that bracket a node (a set: np.unique imports
+    # numpy.ma), so memory stays O(n_nodes) on curves of 10^4 samples
+    used = sorted(set(k.tolist()).union((k + 1).tolist()))
+    a = np.searchsorted(used, k)
+    b = a + 1  # k + 1 follows k in used
+    s_u = s_vals[used]
+    tau = np.array([samples[i].tau for i in used])
+    x = np.array([samples[i].state for i in used]).reshape(-1, scenario.dim)
+    f = [state_rhs(scenario, samples[i].state, samples[i].u) for i in used]
+    ds = np.sqrt([fi @ fi for fi in f])
+    f = np.array(f).reshape(-1, scenario.dim)
+    dt = tau[b] - tau[a]
+    dup = (dt <= 0.0) | (s_u[b] <= s_u[a])  # duplicated switch node
+    out[1:-1][dup] = x[b[dup]]
+    live = ~dup
+    a, b, dt, s_t = a[live], b[live], dt[live], targets[live]
+    # invert the monotone arc-length Hermite s(theta) by bisection
+    arc = (s_u[a], s_u[b], ds[a], ds[b], dt)
+    lo, hi = np.zeros_like(s_t), np.ones_like(s_t)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _hermite(*arc, mid) < s_t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    theta = 0.5 * (lo[:, None] + hi[:, None])
+    out[1:-1][live] = _hermite(x[a], x[b], -f[a], -f[b], dt[:, None], theta)
     return out
 
 
@@ -550,6 +568,24 @@ def check_sir_graph(poly: np.ndarray) -> None:
         and np.all(np.diff(s) >= 0.0)
     ):
         raise ValueError("SIR boundary polyline is not the graph I = phi(S) over I = 0")
+
+
+def check_set_geometry(cset: ComputedSet) -> None:
+    """Raise ValueError unless membership can read the set's polyline or mesh.
+
+    A SIR polyline must pass :func:`check_sir_graph`, a SEIR mesh must have
+    shape ``(n_curves >= 2, n_nodes >= 2, 3)``, and every vertex or node must
+    be finite and in the capped simplex, with the slack of curve containment.
+    """
+    if cset.scenario.variant.is_sir:
+        pts = cset.polyline
+        check_sir_graph(pts)
+    else:
+        pts = cset.mesh_nodes
+        if pts.ndim != 3 or min(pts.shape[:2]) < 2 or pts.shape[2] != 3:
+            raise ValueError(f"SEIR mesh has shape {pts.shape}, not (>= 2, >= 2, 3)")
+    if np.any(_outside_capped_simplex(cset.scenario, cset.tolerances, pts)):
+        raise ValueError("set geometry is not finite or leaves the capped simplex")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import EmptyTangentError, classify, usable_part
-from .barrier import ComputedSet, Verdict, assemble_set, check_sir_graph, membership
+from .barrier import ComputedSet, Verdict, assemble_set, check_set_geometry, membership
 from .core import Scenario, ScenarioError, SetKind, Tolerances, validate_scenario
 from .models import BadChannelError, InputVec, active_channels
 from .policy_sim import (
@@ -187,19 +187,19 @@ def load_set(path: str) -> ComputedSet:
     kind = SetKind(doc["set_kind"])
     if doc["trivial"]:
         return ComputedSet(scenario, kind, trivial=True, tolerances=tol)
-    polyline = np.array(doc["polyline"], dtype=float) if "polyline" in doc else None
-    if polyline is not None:
-        check_sir_graph(polyline)
-    return ComputedSet(
+    sir = scenario.variant.is_sir
+    cset = ComputedSet(
         scenario,
         kind,
         trivial=False,
         usable=usable_part(scenario, kind),
-        polyline=polyline,
-        mesh_nodes=np.array(doc["mesh_nodes"]) if "mesh_nodes" in doc else None,
+        polyline=np.array(doc["polyline"], dtype=float) if sir else None,
+        mesh_nodes=None if sir else np.array(doc["mesh_nodes"], dtype=float),
         special_segments=[np.array(s) for s in doc["special_segments"]],
         tolerances=tol,
     )
+    check_set_geometry(cset)
+    return cset
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,8 @@ def _curve_rows(scenario, curve):
 def cmd_barrier(args) -> int:
     raw, scenario, tol = _load_config(args)
     kind = _parse_set_kind(scenario, args.set)
+    if args.curves < 2 and not scenario.variant.is_sir:
+        raise InputError("--curves must be at least 2 for a SEIR mesh")
     cset = assemble_set(scenario, kind, n_curves=args.curves, tolerances=tol)
     os.makedirs(args.out, exist_ok=True)
     curve_files = []
@@ -474,8 +476,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value that starts with '-' and is not a plain
+    # number, such as "--x0 -0.2,0.01", for an option and exits; written as
+    # "--x0=-0.2,0.01" it reaches _parse_state, which rejects it with code 2
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--x0", "--points") and not argv[i + 1].startswith("--"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, ScenarioError, BadChannelError) as exc:

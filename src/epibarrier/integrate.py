@@ -182,6 +182,7 @@ def integrate_until(
     if horizon is None:
         horizon = EventSpec(EventKind.HORIZON, "horizon")
     watched = [e for e in events if e.kind is not EventKind.HORIZON]
+    is_sign = [e.kind is EventKind.SIGN_CHANGE for e in watched]
 
     f_prev = [e.fn(t, y) for e in watched]
     stall = [0] * len(watched)
@@ -208,7 +209,7 @@ def integrate_until(
                     frac, y_ev = 1.0, y_new
                 if hit is None or frac < hit[0]:
                     hit = (frac, ev, y_ev)
-            if ev.kind is EventKind.SIGN_CHANGE:
+            if is_sign[i]:
                 stall[i] = stall[i] + 1 if abs(f_new[i]) < SIGMA_TOL else 0
                 if stall[i] > SIGMA_STALL_STEPS:
                     raise SingularArcError(

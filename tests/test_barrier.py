@@ -16,7 +16,7 @@ from epibarrier.barrier import (
     select_extremal_input,
 )
 from epibarrier.core import SetKind, Tolerances
-from epibarrier.models import Channel, InputVec, lie_derivative_g
+from epibarrier.models import Channel, InputVec, lie_derivative_g, state_rhs
 
 
 def _all_curves(sets):
@@ -186,6 +186,66 @@ def test_resample_by_arclength(adm_sir):
     chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     target = curve.arc_length / 99.0
     assert np.max(np.abs(chords - target)) < 0.2 * target
+
+
+def _resample_one_node_at_a_time(curve, scenario, n_nodes):
+    """Per-node scalar resampling, the reference for the array bisection."""
+    samples = curve.samples
+    s_vals = np.array([s.arclen for s in samples])
+    targets = np.linspace(0.0, s_vals[-1], n_nodes)
+    out = np.empty((n_nodes, scenario.dim))
+    out[0] = samples[0].state
+    out[-1] = samples[-1].state
+    k = 0
+    for j in range(1, n_nodes - 1):
+        s_t = targets[j]
+        while k + 1 < len(samples) - 1 and s_vals[k + 1] < s_t:
+            k += 1
+        a, b = samples[k], samples[k + 1]
+        dt = b.tau - a.tau
+        if dt <= 0.0 or b.arclen <= a.arclen:
+            out[j] = b.state
+            continue
+        fa = state_rhs(scenario, a.state, a.u)
+        fb = state_rhs(scenario, b.state, b.u)
+        dsa, dsb = np.sqrt(fa @ fa), np.sqrt(fb @ fb)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if barrier._hermite(a.arclen, b.arclen, dsa, dsb, dt, mid) < s_t:
+                lo = mid
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
+        out[j] = barrier._hermite(a.state, b.state, -fa, -fb, dt, theta)
+    return out
+
+
+def test_resample_matches_per_node_reference(all_proper_sets):
+    for name, cset, curve in _all_curves(all_proper_sets):
+        n = 400 if cset.scenario.variant.is_sir else 200
+        got = resample_by_arclength(curve, cset.scenario, n)
+        want = _resample_one_node_at_a_time(curve, cset.scenario, n)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_resample_duplicated_switch_samples(mrpi_seir_imp):
+    sc = mrpi_seir_imp.scenario
+    curve = mrpi_seir_imp.curves[0]
+    # a switch sample repeated in the middle of a real curve
+    samples, mid = curve.samples, len(curve.samples) // 2
+    repeat = dataclasses.replace(samples[mid], is_switch=True)
+    doubled = dataclasses.replace(curve, samples=samples[: mid + 1] + [repeat] + samples[mid + 1 :])
+    # a zero-length curve: every target is 0, so every node brackets the
+    # duplicated first pair and takes its second state
+    s0 = curve.samples[0]
+    s1 = dataclasses.replace(s0, state=s0.state + 1e-9, is_switch=True)
+    flat = dataclasses.replace(curve, samples=[s0, s1, dataclasses.replace(s0)])
+    for c in (doubled, flat):
+        for n in (2, 3, 57, 200):
+            got = resample_by_arclength(c, sc, n)
+            assert got.tobytes() == _resample_one_node_at_a_time(c, sc, n).tobytes()
+    assert np.array_equal(resample_by_arclength(flat, sc, 5)[1:-1], np.tile(s1.state, (3, 1)))
 
 
 def test_membership_reference_points(adm_sir, mrpi_sir):

@@ -105,10 +105,45 @@ def test_load_set_rejects_a_polyline_that_is_not_a_graph(tmp_path, capsys):
     path.write_text(json.dumps(swapped))
     with pytest.raises(ValueError):
         load_set(str(path))
-    # shifted by +0.05 in S the polyline is still a graph, so it loads
+    # with I scaled by 0.9 the polyline is still a graph in the simplex, so it loads
+    lowered = [[s, 0.9 * i] for s, i in poly]
+    path.write_text(json.dumps(dict(doc, polyline=lowered)))
+    assert load_set(str(path)).polyline.tolist() == lowered
+    # shifted by +0.05 in S it is still a graph, but it leaves the simplex
     shifted = [[s + 0.05, i] for s, i in poly]
     path.write_text(json.dumps(dict(doc, polyline=shifted)))
-    assert load_set(str(path)).polyline.tolist() == shifted
+    with pytest.raises(ValueError):
+        load_set(str(path))
+    nan_vertex = poly[:3] + [[poly[3][0], float("nan")]] + poly[4:]
+    path.write_text(json.dumps(dict(doc, polyline=nan_vertex)))
+    with pytest.raises(ValueError):
+        load_set(str(path))
+
+
+def test_load_set_rejects_a_corrupted_seir_mesh(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SEIR_PERFECT_RAW)
+    out = tmp_path / "adm"
+    argv = ["barrier", "--config", cfg, "--set", "admissible", "--out", str(out), "--curves"]
+    assert main(argv + ["1"]) == 2  # one curve makes no mesh
+    assert not out.exists()
+    assert main(argv + ["3"]) == 0
+    capsys.readouterr()
+    path = out / "set.json"
+    doc = json.loads(path.read_text())
+    mesh = np.array(doc["mesh_nodes"])
+    assert mesh.shape == (3, 200, 3)
+    i_max = doc["config"]["i_max"]
+    nan_node = mesh.copy()
+    nan_node[1, 7, 0] = np.nan
+    above_cap = mesh.copy()
+    above_cap[2, 5, 2] = i_max + 1e-6
+    for bad in (nan_node, above_cap, mesh[:1], mesh[:, :, :2], mesh[0]):
+        # json writes NaN as a bare token, which json.loads reads back
+        path.write_text(json.dumps(dict(doc, mesh_nodes=bad.tolist())))
+        with pytest.raises(ValueError):
+            load_set(str(path))
+    path.write_text(json.dumps(doc))
+    assert np.array_equal(load_set(str(path)).mesh_nodes, mesh)
 
 
 def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
@@ -176,7 +211,7 @@ def test_simulate_input_errors(tmp_path, capsys):
     assert main(base + ["--policy", "nonsense", "--x0", "0.5,0.01"]) == 2
     assert main(base + ["--policy", "constant:beta=0.7", "--x0", "0.5"]) == 2
     assert main(base + ["--policy", "constant:beta=0.7", "--x0", "0.9,0.3"]) == 2
-    for x0 in ("nan,0.01", "0.5,nan", "inf,0.0", "0.5,-inf"):
+    for x0 in ("nan,0.01", "0.5,nan", "inf,0.0", "0.5,-inf", "-0.2,0.01", "-inf,0.0"):
         assert main(base + ["--policy", "constant:beta=0.7", "--x0", x0]) == 2, x0
 
 
@@ -255,7 +290,9 @@ def test_oracle_points_sir(tmp_path, capsys):
     assert not (out / "oracle_grid.csv").exists()
     assert json.loads((out / "oracle_summary.json").read_text())["n_points"] == 1
     assert main(argv + ["0.5,0.002,0.0"]) == 2
-    for points in ("nan,0.01;-0.2,0.01", "0.5,0.002;nan,0.01", "0.5,-0.01", "0.9,0.3"):
+    for points in (
+        "nan,0.01;-0.2,0.01", "0.5,0.002;nan,0.01", "0.5,-0.01", "0.9,0.3", "-0.2,0.01"
+    ):
         assert main(argv + [points]) == 2, points
 
 

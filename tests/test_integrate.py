@@ -5,6 +5,7 @@ import pytest
 
 from epibarrier.core import Tolerances
 from epibarrier.integrate import (
+    SIGMA_STALL_STEPS,
     EventKind,
     EventSpec,
     NonFiniteError,
@@ -120,6 +121,22 @@ def test_singular_arc_stall():
     ev = EventSpec(EventKind.SIGN_CHANGE, "flat", fn=lambda t, y: 0.0)
     with pytest.raises(SingularArcError):
         integrate_until(_decay, [ev], np.array([1.0]), t_limit=1.0, h=1e-3)
+
+
+def test_singular_arc_wins_over_event_in_the_same_step():
+    # y' = 1 from 0 at h = 1e-3: the exit at y = 0.0505 first triggers on step
+    # 51, the step on which the flat functional's stall passes 50; the exit is
+    # refined first (it comes first in the list), yet the stall still raises
+    assert SIGMA_STALL_STEPS == 50
+    flat = EventSpec(EventKind.SIGN_CHANGE, "flat", fn=lambda t, y: 0.0)
+
+    def run(level):
+        exit_ = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=lambda t, y: y[0] - level)
+        return integrate_until(lambda t, y: (1.0,), [exit_, flat], (0.0,), t_limit=1.0, h=1e-3)
+
+    assert run(0.0495).terminal.label == "exit"  # one step earlier: no stall yet
+    with pytest.raises(SingularArcError):
+        run(0.0505)
 
 
 def test_post_step_applied():
