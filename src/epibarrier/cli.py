@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .analysis import EmptyTangentError, classify, usable_part
 from .barrier import ComputedSet, Verdict, assemble_set, check_set_geometry, membership
-from .core import Scenario, ScenarioError, SetKind, Tolerances, validate_scenario
+from .core import Scenario, ScenarioError, SetKind, Tolerances, _as_number, validate_scenario
 from .models import BadChannelError, InputVec, active_channels
 from .policy_sim import (
     AffineFeedbackPolicy,
@@ -97,7 +97,7 @@ def _load_config(args) -> tuple[dict, Scenario, Tolerances]:
     except json.JSONDecodeError as exc:
         raise InputError(f"REJECT_FIELDS: config is not valid JSON: {exc}")
     scenario = validate_scenario(raw)
-    tol_fields = dict(raw.get("tolerances") or {})
+    tol_fields = {k: _as_number(v, k) for k, v in (raw.get("tolerances") or {}).items()}
     for item in args.tol or []:
         if "=" not in item:
             raise InputError(f"--tol expects key=value, got {item!r}")
@@ -260,7 +260,13 @@ def cmd_barrier(args) -> int:
     manifest = _manifest("barrier", raw, tol, None)
     doc = _set_document(cset, raw, curve_files, manifest)
     _write_json(os.path.join(args.out, "set.json"), doc)
-    print(json.dumps({"trivial": cset.trivial, "n_curves": len(cset.curves)}))
+    report = {
+        "trivial": cset.trivial,
+        "n_curves": len(cset.curves),
+        "retries": sum(c.step_h < tol.step_h for c in cset.curves),
+        "truncated": sum(c.truncated for c in cset.curves),
+    }
+    print(json.dumps(report))
     return EXIT_OK
 
 

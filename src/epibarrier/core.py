@@ -7,8 +7,9 @@ the removed proportion is reconstructed algebraically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances; all overridable per run."""
+    """Numeric tolerances, each positive and finite; all overridable per run."""
 
     geom_tol: float = 1e-9
     ham_tol: float = 1e-6
@@ -69,17 +70,9 @@ class Tolerances:
     t_back_max: float = 1000.0
 
     def __post_init__(self):
-        for name in (
-            "geom_tol",
-            "ham_tol",
-            "event_time_tol",
-            "boundary_layer_eps",
-            "i_floor",
-            "step_h",
-            "t_back_max",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
+        for field in dataclass_fields(self):
+            if not 0.0 < getattr(self, field.name) < np.inf:
+                raise ValueError(f"tolerance {field.name} must be positive and finite")
         if not self.event_time_tol < self.step_h:
             raise ValueError("event_time_tol must be smaller than step_h")
 
@@ -124,11 +117,15 @@ _INTERVALS = {
 }
 
 
-def _as_positive(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
+def _as_number(value, name: str) -> float:
+    # a bool is a Real and float() converts a string, but neither is a number here
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ScenarioError("REJECT_FIELDS", f"field '{name}' is not a number")
+    return float(value)
+
+
+def _as_positive(value, name: str) -> float:
+    x = _as_number(value, name)
     if not np.isfinite(x):
         raise ScenarioError("REJECT_FIELDS", f"field '{name}' is not finite")
     if x <= 0.0:
@@ -188,10 +185,7 @@ def validate_scenario(raw: dict) -> Scenario:
         fields[f"{name}_min"] = lo
         fields[f"{name}_max"] = hi
 
-    try:
-        i_max = float(raw["i_max"])
-    except (TypeError, ValueError):
-        raise ScenarioError("REJECT_FIELDS", "field 'i_max' is not a number")
+    i_max = _as_number(raw["i_max"], "i_max")
     if not (0.0 < i_max < 1.0):
         raise ScenarioError("REJECT_CAP", f"i_max={i_max} outside (0, 1)")
 

@@ -8,16 +8,19 @@ bit-reproducible.
 
 The state is carried as a tuple of Python floats, not a numpy vector: for
 the 2- to 7-component systems integrated here, building small arrays costs
-many times the arithmetic.  Each stage performs the float operations numpy
-would perform on arrays, in the same order, so results are bit-identical to
-the vector form.  The one vector reduction, the adjoint norm of the barrier
-post-step, stays a BLAS dot product as in ``np.linalg.norm``: the BLAS dot
-fuses multiply and add, so a plain-float ``sqrt(a*a + b*b)`` would differ in
-the last bit.  Records and results are converted back to numpy arrays.
+many times the arithmetic.  The RK4 stages are one source template, expanded
+per state width into straight-line code that builds no iterator or list.
+Each component performs the float operations numpy would perform on arrays,
+grouped in the same order, so results are bit-identical to the vector form.
+The one vector reduction, the adjoint norm of the barrier post-step, stays a
+BLAS dot product as in ``np.linalg.norm``: the BLAS dot fuses multiply and
+add, so a plain-float ``sqrt(a*a + b*b)`` would differ in the last bit.
+Records and results are converted back to numpy arrays.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -91,9 +94,7 @@ class SingularArcError(RuntimeError):
 def rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
     """One classic RK4 step; raises NonFiniteError on non-finite output.
 
-    ``y`` and ``rhs(t, y)`` are float tuples.  The stages evaluate
-    ``y + (0.5*h)*k`` and ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``
-    component-wise, the order numpy uses for the same expressions on arrays.
+    ``y`` and ``rhs(t, y)`` are float tuples of the same width.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
@@ -104,20 +105,38 @@ def rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
 
 
 def _rk4_stages(rhs, t: float, y: tuple, h: float) -> tuple:
-    """The stage arithmetic of :func:`rk4_step`, unchecked.
+    """Unchecked RK4 stages: :data:`_STAGE_TEMPLATE` expanded for the width of ``y``.
 
     The components may also be equal-length numpy arrays, one entry per
     independent trajectory, which is how the forward oracle steps its lanes.
     """
+    return (_STAGES.get(len(y)) or _generate_stages(len(y)))(rhs, t, y, h)
+
+
+# Each <...> is repeated per component, # being its index.  Operands group as
+# numpy's ``y + hh*k`` and ``y + h6*(((k1 + 2*k2) + 2*k3) + k4)`` on arrays:
+# a regrouped sum would round differently and break bit-identity.
+_STAGE_TEMPLATE = """\
+def stages(rhs, t, y, h):
     hh = 0.5 * h
-    k1 = rhs(t, y)
-    k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
-    k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
-    k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+    <y#>, = y
+    <a#>, = rhs(t, y)
+    <b#>, = rhs(t + hh, (<y# + hh * a#>,))
+    <c#>, = rhs(t + hh, (<y# + hh * b#>,))
+    <d#>, = rhs(t + h, (<y# + h * c#>,))
     h6 = h / 6.0
-    return tuple(
-        [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    )
+    return (<y# + h6 * (a# + 2.0 * b# + 2.0 * c# + d#)>,)
+"""
+_STAGES: dict[int, Callable] = {}
+
+
+def _generate_stages(n: int) -> Callable:
+    """Expand :data:`_STAGE_TEMPLATE` for ``n`` components and cache it by ``n``."""
+    row = lambda m: ", ".join(m[1].replace("#", str(i)) for i in range(n))
+    src = re.sub("<([^>]*)>", row, _STAGE_TEMPLATE)
+    scope: dict = {}
+    exec(compile(src, f"<rk4 stages, width {n}>", "exec"), scope)
+    return _STAGES.setdefault(n, scope["stages"])
 
 
 _SIGN_CHANGE = EventKind.SIGN_CHANGE  # an Enum member lookup costs ~0.2 us per call

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from epibarrier.barrier import membership
+from epibarrier.barrier import assemble_set, membership
 from epibarrier.cli import load_set, main
+from epibarrier.core import SetKind, Tolerances
 
 from conftest import (
     SEIR_IMPERFECT_RAW,
@@ -38,6 +39,10 @@ def test_classify_malformed_config(tmp_path, capsys):
     assert main(["classify", "--config", str(tmp_path / "missing.json")]) == 2
     cfg = _write_config(tmp_path, dict(SIR_PERFECT_RAW, beta=[0.8, 0.6]))
     assert main(["classify", "--config", cfg]) == 2
+    for bad in ({"beta": [True, True]}, {"gamma": "0.5"}, {"i_max": "0.02"}):
+        cfg = _write_config(tmp_path, dict(SIR_PERFECT_RAW, **bad))
+        assert main(["classify", "--config", cfg]) == 2, bad
+        assert "REJECT_FIELDS" in capsys.readouterr().err
 
 
 def test_tol_overrides(tmp_path, capsys):
@@ -48,6 +53,11 @@ def test_tol_overrides(tmp_path, capsys):
     assert main(["classify", "--config", cfg, "--tol", "bogus=1"]) == 2
     assert main(["classify", "--config", cfg, "--tol", "step_h"]) == 2
     assert main(["classify", "--config", cfg, "--tol", "step_h=-1"]) == 2
+    for bad in ("step_h=inf", "t_back_max=inf", "boundary_layer_eps=nan"):
+        assert main(["classify", "--config", cfg, "--tol", bad]) == 2, bad
+    for bad in ({"boundary_layer_eps": 1e400}, {"step_h": True}, {"geom_tol": "1e-9"}):
+        cfg = _write_config(tmp_path, dict(SIR_PERFECT_RAW, tolerances=bad))
+        assert main(["classify", "--config", cfg]) == 2, bad
 
 
 def test_barrier_trivial(tmp_path, capsys):
@@ -59,6 +69,24 @@ def test_barrier_trivial(tmp_path, capsys):
     assert doc["trivial"] is True
     cset = load_set(str(out / "set.json"))
     assert cset.trivial
+
+
+def test_barrier_reports_retries_and_truncations(tmp_path, capsys, sc_seir_imp):
+    # at step 0.02 one curve of eight overshoots the cap face right after
+    # tangency and is retraced at step 0.002
+    cfg = _write_config(tmp_path, SEIR_IMPERFECT_RAW)
+    argv = ["barrier", "--config", cfg, "--set", "mrpi", "--curves", "8"]
+    assert main(argv + ["--tol", "step_h=0.02", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    tol = Tolerances(step_h=0.02)
+    cset = assemble_set(sc_seir_imp, SetKind.MRPI, n_curves=8, tolerances=tol)
+    assert report == {
+        "trivial": False,
+        "n_curves": 8,
+        "retries": sum(c.step_h < tol.step_h for c in cset.curves),
+        "truncated": sum(c.truncated for c in cset.curves),
+    }
+    assert report["retries"] == 1 and report["truncated"] == 0
 
 
 def test_bad_set_kind_exit_code(tmp_path, capsys):

@@ -84,6 +84,17 @@ def test_reject_nonnumeric_and_nonfinite():
     assert _code(dict(SIR_PERFECT_RAW, beta=[0.6, float("inf")])) == "REJECT_FIELDS"
 
 
+def test_reject_bool_and_string_numbers():
+    # float() would read True as 1.0 and "0.5" as 0.5
+    assert _code(dict(SIR_PERFECT_RAW, beta=[True, True])) == "REJECT_FIELDS"
+    assert _code(dict(SIR_PERFECT_RAW, beta=[0.6, "0.8"])) == "REJECT_FIELDS"
+    assert _code(dict(SIR_PERFECT_RAW, gamma="0.5")) == "REJECT_FIELDS"
+    assert _code(dict(SIR_PERFECT_RAW, gamma=True)) == "REJECT_FIELDS"
+    assert _code(dict(SIR_PERFECT_RAW, i_max="0.1")) == "REJECT_FIELDS"
+    assert _code(dict(SIR_PERFECT_RAW, i_max=False)) == "REJECT_FIELDS"
+    assert _code(dict(SEIR_PERFECT_RAW, eta="0.2")) == "REJECT_FIELDS"
+
+
 def test_reject_bad_bounds():
     assert _code(dict(SIR_PERFECT_RAW, beta=[0.8, 0.6])) == "REJECT_BOUNDS"
     assert _code(dict(SIR_PERFECT_RAW, gamma=-0.5)) == "REJECT_BOUNDS"
@@ -116,3 +127,10 @@ def test_tolerances_positivity():
         Tolerances(event_time_tol=1e-2, step_h=1e-3)
     tol = Tolerances(step_h=1e-4)
     assert tol.step_h == 1e-4 and tol.geom_tol == 1e-9
+
+
+@pytest.mark.parametrize("name", ["step_h", "t_back_max", "boundary_layer_eps", "geom_tol"])
+def test_tolerances_finite(name):
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Tolerances(**{name: value})

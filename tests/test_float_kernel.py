@@ -4,13 +4,14 @@ The references below are the array forms of the RK4 step and of the coupled
 backward right-hand side; the tuple kernel must reproduce them bit for bit.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epibarrier import validate_scenario
 from epibarrier.barrier import _adjoint_renorm, _backward_rhs
 from epibarrier.core import Variant
-from epibarrier.integrate import rk4_step
+from epibarrier.integrate import NonFiniteError, _rk4_stages, rk4_step
 from epibarrier.models import InputVec, input_box, state_field, state_rhs
 
 from conftest import (
@@ -139,3 +140,60 @@ def test_renorm_matches_linalg_norm(case):
     lam = np.array(y[d : 2 * d])
     assert np.array(out[d : 2 * d]).tobytes() == (lam / np.linalg.norm(lam)).tobytes()
     assert out[:d] == tuple(y[:d]) and out[2 * d :] == tuple(y[2 * d :])
+
+
+WIDTHS = [2, 3, 5, 7]  # forward SIR/SEIR states, backward SIR/SEIR states
+
+
+def _linear_plus_product(coef):
+    # works on float tuples and on tuples of lane arrays alike
+    n = len(coef)
+
+    def rhs(t, y):
+        return tuple(
+            c0 * y[i] + c1 * y[(i + 1) % n] + c2 * y[i] * y[(i + 2) % n] + t
+            for i, (c0, c1, c2) in enumerate(coef)
+        )
+
+    return rhs
+
+
+_coef = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _width_case(draw, lanes=1):
+    n = draw(st.sampled_from(WIDTHS))
+    coef = [draw(_coef) for _ in range(n)]
+    y = [[draw(st.floats(-1.0, 1.0)) for _ in range(lanes)] for _ in range(n)]
+    return _linear_plus_product(coef), y, draw(_step), draw(_unit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_width_case())
+def test_generated_stages_match_array_rk4(case):
+    rhs, y, h, t = case
+    y0 = tuple(c[0] for c in y)
+    got = _rk4_stages(rhs, t, y0, h)
+    want = _rk4_ref(lambda tt, yy: np.array(rhs(tt, yy)), t, np.array(y0), h)
+    assert len(got) == len(y0)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_width_case(lanes=6))
+def test_generated_stages_on_lane_arrays_match_per_lane_steps(case):
+    rhs, y, h, t = case
+    got = _rk4_stages(rhs, t, tuple(np.array(c) for c in y), h)
+    array_rhs = lambda tt, yy: np.array(rhs(tt, yy))
+    for lane in range(6):
+        want = _rk4_ref(array_rhs, t, np.array([c[lane] for c in y]), h)
+        assert np.array([c[lane] for c in got]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_rk4_step_rejects_nonfinite_at_every_width(n):
+    for bad in range(n):
+        rhs = lambda t, y: tuple(np.nan if i == bad else 0.0 for i in range(n))
+        with pytest.raises(NonFiniteError):
+            rk4_step(rhs, 0.0, (0.5,) * n, 1e-3)

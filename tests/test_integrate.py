@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from epibarrier import integrate
 from epibarrier.core import Tolerances
 from epibarrier.integrate import (
     SIGMA_STALL_STEPS,
@@ -190,3 +191,30 @@ def test_events_not_reevaluated_after_post_step():
     )
     assert res.terminal.kind is EventKind.HORIZON
     assert len(calls) == 1 + res.n_steps
+
+
+def test_every_step_and_midpoint_calls_the_module_rk4_step(monkeypatch):
+    # the benchmark's tracer wraps the module-level rk4_step and counts steps
+    # and bisection midpoints through it, so neither may be inlined
+    calls = []
+    step = integrate.rk4_step
+
+    def counting(rhs, t, y, h):
+        calls.append(h)
+        return step(rhs, t, y, h)
+
+    monkeypatch.setattr(integrate, "rk4_step", counting)
+    res = integrate_until(_decay, [], (1.0,), t_limit=0.5, h=1e-3)
+    assert res.terminal.kind is EventKind.HORIZON
+    assert len(calls) == res.n_steps == 500
+
+    calls.clear()
+    ev = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=lambda t, y: y[0] - 0.0103)
+    res = integrate_until(lambda t, y: (1.0,), [ev], (0.0,), t_limit=1.0, h=1e-3)
+    assert res.terminal is ev
+    bisections, width = 0, 1.0
+    while width * 1e-3 > Tolerances().event_time_tol:
+        width *= 0.5
+        bisections += 1
+    assert len(calls) == res.n_steps + bisections
+    assert all(abs(h) < 1e-3 for h in calls[res.n_steps :])
