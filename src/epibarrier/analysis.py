@@ -5,7 +5,7 @@ involved.  The barrier module consumes the tangent sets produced here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -86,7 +86,6 @@ class TangentSet:
     z1_lo: float
     z1_hi: float
     z2_star: float | None = None
-    filtered: bool = False
 
     @property
     def is_sir(self) -> bool:
@@ -232,24 +231,9 @@ def backward_filter(
     derivative of the constraint is negative at the tangent point (it always
     is: -gamma* beta* I_max^2 < 0 for positive rates).
     """
-    if tangents.is_sir:
-        g, b = _rate_pair(scenario, set_kind)
-        if not -g * b * scenario.i_max**2 < 0.0:  # unreachable for valid scenarios
-            raise EmptyTangentError("tangent point does not evolve backwards into G-")
-        return TangentSet(
-            tangents.set_kind,
-            tangents.i_max,
-            tangents.z1_lo,
-            tangents.z1_hi,
-            filtered=True,
-        )
     g, b = _rate_pair(scenario, set_kind)
-    z1_hi = min(g / b, tangents.z1_hi)
-    return TangentSet(
-        tangents.set_kind,
-        tangents.i_max,
-        tangents.z1_lo,
-        z1_hi,
-        z2_star=tangents.z2_star,
-        filtered=True,
-    )
+    if not tangents.is_sir:
+        return replace(tangents, z1_hi=min(g / b, tangents.z1_hi))
+    if not -g * b * scenario.i_max**2 < 0.0:  # unreachable for valid scenarios
+        raise EmptyTangentError("tangent point does not evolve backwards into G-")
+    return tangents

@@ -61,7 +61,6 @@ from .models import (
 __all__ = [
     "Verdict",
     "Membership",
-    "CurveSample",
     "BarrierCurve",
     "ComputedSet",
     "InvariantBreachError",
@@ -95,45 +94,47 @@ class InvariantBreachError(RuntimeError):
 
 
 @dataclass
-class CurveSample:
-    tau: float  # backward time since tangency (t = -tau)
-    state: np.ndarray
-    adjoint: np.ndarray  # unit norm
-    arclen: float
-    u: InputVec
-    is_switch: bool = False
-
-
-@dataclass
 class BarrierCurve:
+    """One extremal curve, one array row per recorded sample.
+
+    A switch is recorded twice: the last sample of a segment (``is_switch``)
+    and the first of the next, at the same ``tau`` and state.
+    """
+
     tangent_point: np.ndarray
-    samples: list[CurveSample]
+    tau: np.ndarray  # (n,) backward time since tangency (t = -tau)
+    samples: np.ndarray  # (n, 2d + 1): state, unit adjoint, arc length
+    inputs: list[InputVec]  # (n,) the input of each sample's segment
+    is_switch: np.ndarray  # (n,) bool
     termination: EventSpec
     switch_times: list[tuple[float, Channel]]
     truncated: bool = False
     step_h: float = 0.0
 
     @property
+    def states(self) -> np.ndarray:
+        return self.samples[:, : len(self.tangent_point)]
+
+    @property
+    def adjoints(self) -> np.ndarray:
+        d = len(self.tangent_point)
+        return self.samples[:, d : 2 * d]
+
+    @property
     def arc_length(self) -> float:
-        return self.samples[-1].arclen
+        return self.samples[-1, -1]
 
     def hamiltonian(self, scenario: Scenario) -> np.ndarray:
         """lambda^T f at every sample (zero along an exact extremal curve)."""
         return np.array(
             [
-                float(s.adjoint @ state_rhs(scenario, s.state, s.u))
-                for s in self.samples
+                float(lam @ state_rhs(scenario, x, u))
+                for x, lam, u in zip(self.states, self.adjoints, self.inputs)
             ]
         )
 
 
-def select_extremal_input(
-    scenario: Scenario,
-    set_kind: SetKind,
-    state,
-    adjoint,
-    sigma_tol: float = SIGMA_TOL,
-) -> InputVec:
+def select_extremal_input(scenario: Scenario, set_kind: SetKind, state, adjoint) -> InputVec:
     """Bang-bang input selected by the signs of the switching functionals.
 
     At an exact zero of a functional (e.g. at the tangency instant for SEIR
@@ -146,7 +147,7 @@ def select_extremal_input(
     pending: list[Channel] = []
     for ch in active_channels(variant):
         sigma = switch_value(variant, set_kind, ch, adjoint)
-        if abs(sigma) >= sigma_tol:
+        if abs(sigma) >= SIGMA_TOL:
             values[ch] = extremal_value(scenario, set_kind, ch, sigma > 0.0)
         else:
             pending.append(ch)
@@ -156,7 +157,7 @@ def select_extremal_input(
         probe = InputVec(**{c.value: v for c, v in values.items()})
         lam_dot = adjoint_rhs(scenario, state, adjoint, probe)
         sigma_dot = switch_value(variant, set_kind, ch, lam_dot)
-        if abs(sigma_dot) < sigma_tol:
+        if abs(sigma_dot) < SIGMA_TOL:
             raise SingularArcError(
                 f"switching functional for {ch.value} and its derivative both "
                 f"vanish at state {np.asarray(state).tolist()}"
@@ -267,7 +268,7 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
     y = tuple(x0.tolist()) + (0.0,) * (d - 1) + (1.0, 0.0)
     renorm = _adjoint_renorm(d)
     events = _segment_events(scenario, set_kind, tol)
-    samples: list[CurveSample] = []
+    segments = []  # (integration result, input) per segment
     switches: list[tuple[float, Channel]] = []
     tau = 0.0
     truncated = False
@@ -279,23 +280,13 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
             events,
             y,
             t0=tau,
-            direction=1.0,
             tolerances=tol,
             h=h,
             t_limit=tol.t_back_max - tau,
             record_every=record_every,
             post_step=renorm,
         )
-        for rec in res.records:
-            samples.append(
-                CurveSample(
-                    tau=rec.t,
-                    state=rec.y[:d],
-                    adjoint=rec.y[d : 2 * d],
-                    arclen=rec.y[2 * d],
-                    u=u,
-                )
-            )
+        segments.append((res, u))
         term = res.terminal
         if term.kind is EventKind.SIGN_CHANGE:
             gap_ok = not switches or (
@@ -304,7 +295,6 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
             if not gap_ok:
                 truncated = True
                 break
-            samples[-1].is_switch = True
             switches.append((res.t_end, _SIGMA_CHANNEL[term.label]))
             tau, y = res.t_end, res.y_end
             continue
@@ -316,9 +306,17 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
             )
         break
 
+    # every segment but the last ends on a switch; a truncated curve's last
+    # segment ends on a switch too close to the previous one and flags none
+    ends = np.cumsum([len(res.t) for res, _ in segments])
+    is_switch = np.zeros(ends[-1], dtype=bool)
+    is_switch[ends[:-1] - 1] = True
     curve = BarrierCurve(
         tangent_point=x0,
-        samples=samples,
+        tau=np.concatenate([res.t for res, _ in segments]),
+        samples=np.concatenate([res.y for res, _ in segments]),
+        inputs=[u for res, u in segments for _ in range(len(res.t))],
+        is_switch=is_switch,
         termination=term,
         switch_times=switches,
         truncated=truncated,
@@ -364,12 +362,11 @@ def _outside_capped_simplex(scenario: Scenario, tol: Tolerances, pts) -> np.ndar
 
 
 def _check_containment(scenario: Scenario, curve: BarrierCurve, tol: Tolerances):
-    states = np.array([s.state for s in curve.samples])
-    bad = np.flatnonzero(_outside_capped_simplex(scenario, tol, states))
+    bad = np.flatnonzero(_outside_capped_simplex(scenario, tol, curve.states))
     if len(bad):
-        s = curve.samples[bad[0]]
+        k = bad[0]
         raise InvariantBreachError(
-            f"sample at tau={s.tau} left the capped simplex: {s.state.tolist()}"
+            f"sample at tau={curve.tau[k]} left the capped simplex: {curve.states[k].tolist()}"
         )
 
 
@@ -400,22 +397,19 @@ def resample_by_arclength(
     as a per-node scalar loop would; the speeds |f| stay BLAS dots ``f @ f``
     (which may fuse multiply and add).
     """
-    samples = curve.samples
-    s_vals = np.array([s.arclen for s in samples])
+    states, s_vals = curve.states, curve.samples[:, -1]
     targets = np.linspace(0.0, s_vals[-1], n_nodes)[1:-1]
     out = np.empty((n_nodes, scenario.dim))
-    out[0] = samples[0].state
-    out[-1] = samples[-1].state
-    k = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(samples) - 2)
+    out[0] = states[0]
+    out[-1] = states[-1]
+    k = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(s_vals) - 2)
     # gather only the samples that bracket a node (a set: np.unique imports
     # numpy.ma), so memory stays O(n_nodes) on curves of 10^4 samples
     used = sorted(set(k.tolist()).union((k + 1).tolist()))
     a = np.searchsorted(used, k)
     b = a + 1  # k + 1 follows k in used
-    s_u = s_vals[used]
-    tau = np.array([samples[i].tau for i in used])
-    x = np.array([samples[i].state for i in used]).reshape(-1, scenario.dim)
-    f = [state_rhs(scenario, samples[i].state, samples[i].u) for i in used]
+    s_u, tau, x = s_vals[used], curve.tau[used], states[used]
+    f = [state_rhs(scenario, states[i], curve.inputs[i]) for i in used]
     ds = np.sqrt([fi @ fi for fi in f])
     f = np.array(f).reshape(-1, scenario.dim)
     dt = tau[b] - tau[a]
@@ -479,9 +473,6 @@ def assemble_set(
     set_kind: SetKind,
     n_curves: int = 30,
     tolerances: Tolerances | None = None,
-    *,
-    n_arc_nodes: int = 200,
-    record_every: int = 10,
 ) -> ComputedSet:
     """Compute barrier curves and stitch them with the usable part.
 
@@ -496,9 +487,7 @@ def assemble_set(
         scenario, set_kind, tangent_set(scenario, set_kind)
     )
     curves = [
-        compute_barrier_curve(
-            scenario, set_kind, tangents.point(z1), tol, record_every=record_every
-        )
+        compute_barrier_curve(scenario, set_kind, tangents.point(z1), tol)
         for z1 in tangents.sample(n_curves)
     ]
     if scenario.variant.is_sir:
@@ -513,9 +502,7 @@ def assemble_set(
             special_segments=_sir_special_segments(scenario),
             tolerances=tol,
         )
-    nodes = np.stack(
-        [resample_by_arclength(c, scenario, n_arc_nodes) for c in curves]
-    )
+    nodes = np.stack([resample_by_arclength(c, scenario, 200) for c in curves])
     return ComputedSet(
         scenario,
         set_kind,

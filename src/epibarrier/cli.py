@@ -97,7 +97,10 @@ def _load_config(args) -> tuple[dict, Scenario, Tolerances]:
     except json.JSONDecodeError as exc:
         raise InputError(f"REJECT_FIELDS: config is not valid JSON: {exc}")
     scenario = validate_scenario(raw)
-    tol_fields = {k: _as_number(v, k) for k, v in (raw.get("tolerances") or {}).items()}
+    tol_raw = raw.get("tolerances")
+    if not isinstance(tol_raw, (dict, type(None))):
+        raise InputError(f"REJECT_FIELDS: tolerances must be an object, got {tol_raw!r}")
+    tol_fields = {k: _as_number(v, k) for k, v in (tol_raw or {}).items()}
     for item in args.tol or []:
         if "=" not in item:
             raise InputError(f"--tol expects key=value, got {item!r}")
@@ -222,13 +225,15 @@ def cmd_classify(args) -> int:
 
 def _curve_rows(scenario, curve):
     chans = active_channels(scenario.variant)
-    for s in curve.samples:
-        row = [-s.tau]
-        row.extend(float(v) for v in s.state)
-        row.extend(float(v) for v in s.adjoint)
-        row.extend(s.u.get(ch) for ch in chans)
-        row.append(int(s.is_switch))
-        yield row
+    columns = (
+        curve.tau.tolist(),
+        curve.states.tolist(),
+        curve.adjoints.tolist(),
+        curve.inputs,
+        curve.is_switch.tolist(),
+    )
+    for tau, x, lam, u, switch in zip(*columns):
+        yield [-tau, *x, *lam, *(u.get(ch) for ch in chans), int(switch)]
 
 
 def cmd_barrier(args) -> int:
@@ -244,18 +249,7 @@ def cmd_barrier(args) -> int:
     header = ["t"] + _state_columns(scenario) + lam_cols + in_cols + ["switch_flag"]
     for idx, curve in enumerate(cset.curves):
         fname = f"curve_{idx:03d}.csv"
-        if args.format == "csv":
-            _write_csv(
-                os.path.join(args.out, fname), header, _curve_rows(scenario, curve)
-            )
-        else:
-            _write_json(
-                os.path.join(args.out, fname.replace(".csv", ".json")),
-                {
-                    "columns": header,
-                    "rows": [list(r) for r in _curve_rows(scenario, curve)],
-                },
-            )
+        _write_csv(os.path.join(args.out, fname), header, _curve_rows(scenario, curve))
         curve_files.append(fname)
     manifest = _manifest("barrier", raw, tol, None)
     doc = _set_document(cset, raw, curve_files, manifest)
@@ -450,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, choices=["admissible", "mrpi"])
     p.add_argument("--curves", type=int, default=30)
     p.add_argument("--out", default=".")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=cmd_barrier)
 
     p = sub.add_parser("simulate", help="forward simulation under a policy")

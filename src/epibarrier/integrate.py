@@ -15,7 +15,7 @@ grouped in the same order, so results are bit-identical to the vector form.
 The one vector reduction, the adjoint norm of the barrier post-step, stays a
 BLAS dot product as in ``np.linalg.norm``: the BLAS dot fuses multiply and
 add, so a plain-float ``sqrt(a*a + b*b)`` would differ in the last bit.
-Records and results are converted back to numpy arrays.
+Records and results are converted back to numpy arrays once, at the end.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .core import Tolerances
 __all__ = [
     "EventKind",
     "EventSpec",
-    "StepRecord",
     "IntegrationResult",
     "NonFiniteError",
     "SingularArcError",
@@ -64,19 +63,16 @@ class EventSpec:
     kind: EventKind
     label: str
     fn: Callable[[float, tuple], float] | None = None
-    refine: bool = True
     trigger_level: float = 0.0
 
 
-@dataclass
-class StepRecord:
-    t: float
-    y: np.ndarray
+_HORIZON = EventSpec(EventKind.HORIZON, "horizon")
 
 
 @dataclass
 class IntegrationResult:
-    records: list[StepRecord]
+    t: np.ndarray  # record times
+    y: np.ndarray  # one state row per record
     terminal: EventSpec
     t_end: float
     y_end: np.ndarray
@@ -172,7 +168,6 @@ def integrate_until(
     events: list[EventSpec],
     y0,
     t0: float = 0.0,
-    direction: float = 1.0,
     tolerances: Tolerances | None = None,
     *,
     h: float | None = None,
@@ -182,50 +177,44 @@ def integrate_until(
 ) -> IntegrationResult:
     """Step until the first triggered event; always bounded by a horizon.
 
-    ``direction`` is +1 (forward) or -1 (backward).  ``rhs`` and the event
-    functions take the state as a float tuple; ``y0`` may be any sequence.
+    A negative ``h`` integrates backward.  ``rhs`` and the event functions
+    take the state as a float tuple; ``y0`` may be any sequence.
     ``post_step`` maps the state tuple after every accepted step (and after
     event refinement), e.g. to renormalize an adjoint.  Event functions are
     not re-evaluated after it, so it must not change the sign of any event
     function (a positive rescaling of components that only SIGN_CHANGE
     events read qualifies).  Records are emitted at the start, every
-    ``record_every``-th step, and at the terminal point, as numpy arrays.
+    ``record_every``-th step, and at the terminal point, as the arrays
+    ``t`` and ``y`` of the result.
     """
     tol = tolerances or Tolerances()
-    step = (h if h is not None else tol.step_h) * (1.0 if direction >= 0 else -1.0)
+    step = h if h is not None else tol.step_h
     limit = t_limit if t_limit is not None else tol.t_back_max
     y = tuple(np.asarray(y0, dtype=float).tolist())
     t = t0
 
-    horizon = next((e for e in events if e.kind is EventKind.HORIZON), None)
-    if horizon is None:
-        horizon = EventSpec(EventKind.HORIZON, "horizon")
-    watched = [e for e in events if e.kind is not EventKind.HORIZON]
-    is_sign = [e.kind is EventKind.SIGN_CHANGE for e in watched]
+    is_sign = [e.kind is EventKind.SIGN_CHANGE for e in events]
 
-    f_prev = [e.fn(t, y) for e in watched]
-    stall = [0] * len(watched)
-    records = [StepRecord(t, np.array(y))]
+    f_prev = [e.fn(t, y) for e in events]
+    stall = [0] * len(events)
+    ts, ys = [t], [y]
     n_steps = 0
 
     while True:
         remaining = limit - abs(t - t0)
         if remaining <= tol.event_time_tol:
-            return _result(records, horizon, t, y, n_steps)
+            return _result(ts, ys, _HORIZON, t, y, n_steps)
         h_cur = step if abs(step) <= remaining else math.copysign(remaining, step)
         y_new = rk4_step(rhs, t, y, h_cur)
         t_new = t + h_cur
-        f_new = [e.fn(t_new, y_new) for e in watched]
+        f_new = [e.fn(t_new, y_new) for e in events]
 
         hit: tuple[float, EventSpec, tuple] | None = None
-        for i, ev in enumerate(watched):
+        for i, ev in enumerate(events):
             if _triggered(ev, f_prev[i], f_new[i]):
-                if ev.refine:
-                    frac, y_ev = _refine_fraction(
-                        rhs, ev, t, y, h_cur, f_prev[i], tol.event_time_tol
-                    )
-                else:
-                    frac, y_ev = 1.0, y_new
+                frac, y_ev = _refine_fraction(
+                    rhs, ev, t, y, h_cur, f_prev[i], tol.event_time_tol
+                )
                 if hit is None or frac < hit[0]:
                     hit = (frac, ev, y_ev)
             if is_sign[i]:
@@ -240,18 +229,21 @@ def integrate_until(
             t_ev = t + frac * h_cur
             if post_step is not None:
                 y_ev = post_step(y_ev)
-            return _result(records, ev, t_ev, y_ev, n_steps + 1)
+            return _result(ts, ys, ev, t_ev, y_ev, n_steps + 1)
 
         if post_step is not None:
             y_new = post_step(y_new)
         t, y, f_prev = t_new, y_new, f_new
         n_steps += 1
         if n_steps % record_every == 0:
-            records.append(StepRecord(t, np.array(y)))
+            ts.append(t)
+            ys.append(y)
 
 
-def _result(records, terminal, t, y, n_steps) -> IntegrationResult:
-    if records and records[-1].t == t:
-        records.pop()
-    records.append(StepRecord(t, np.array(y)))
-    return IntegrationResult(records, terminal, t, np.array(y), n_steps)
+def _result(ts, ys, terminal, t, y, n_steps) -> IntegrationResult:
+    if ts[-1] == t:
+        ts.pop()
+        ys.pop()
+    ts.append(t)
+    ys.append(y)
+    return IntegrationResult(np.array(ts), np.array(ys), terminal, t, np.array(y), n_steps)

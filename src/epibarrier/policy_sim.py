@@ -126,17 +126,11 @@ class SwitchingLawPolicy:
 class ExtremalBangPolicy:
     """Seeded random piecewise-constant signal at the input-box corners."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        seed,
-        t_end: float,
-        n_segments: int = 8,
-    ):
+    def __init__(self, scenario: Scenario, seed, t_end: float):
         rng = np.random.default_rng(seed)
         self.scenario = scenario
         self.schedules: dict[Channel, tuple[np.ndarray, np.ndarray]] = {
-            ch: _bang_schedule(rng, lo, hi, t_end, n_segments)
+            ch: _bang_schedule(rng, lo, hi, t_end)
             for ch, (lo, hi) in input_box(scenario).items()
         }
 
@@ -184,10 +178,11 @@ def simulate(
     """Forward RK4 with the policy re-evaluated every step.
 
     The state is integrated as a float tuple, and policies receive it as one;
-    recorded samples are numpy arrays.  The first crossing of I = I_max is
-    located by the integrator's event refiner, giving first_breach_time to
-    event_time_tol; integration then continues to t_end unless
-    stop_on_breach is set.
+    recorded samples are numpy arrays.  ``first_breach_time`` marks the first
+    time I exceeds I_max, even when the excess stays within geom_tol and
+    ``breached`` is not set: 0.0 for a start above the cap, otherwise the
+    crossing located by the integrator's event refiner to event_time_tol.
+    Integration continues to t_end unless stop_on_breach is set.
     """
     tol = tolerances or Tolerances()
     step = h if h is not None else tol.step_h
@@ -204,7 +199,7 @@ def simulate(
     samples = [(t, np.array(x), u)]
     max_i = float(x[-1])
     breached = x[-1] > im + tol.geom_tol
-    first_breach = 0.0 if breached else None
+    first_breach = 0.0 if x[-1] > im else None
     n_steps = int(np.ceil(t_end / step - 1e-12)) if t_end > 0 else 0
 
     u_rhs = rhs = None

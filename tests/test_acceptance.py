@@ -97,7 +97,7 @@ def test_criterion_05_containment(_report, all_proper_sets):
         sc = cset.scenario
         for curve in cset.curves:
             # interior samples: terminal points sit on refined face events
-            states = np.array([s.state for s in curve.samples[:-1]])
+            states = curve.states[:-1]
             ok &= bool(np.all(states[:, -1] <= sc.i_max + 1e-9))
             ok &= bool(np.all(states.min(axis=1) >= -1e-9))
             ok &= bool(np.all(states.sum(axis=1) <= 1.0 + 1e-9))
@@ -110,9 +110,9 @@ def test_criterion_06_input_saturation(_report, adm_sir, mrpi_sir, mrpi_sir_imp)
         a.switch_times == []
         and m.switch_times == []
         and i.switch_times == []
-        and all(s.u.beta == adm_sir.scenario.beta_min for s in a.samples)
-        and all(s.u.beta == mrpi_sir.scenario.beta_max for s in m.samples)
-        and all(s.u.gamma == mrpi_sir_imp.scenario.gamma_min for s in i.samples)
+        and all(u.beta == adm_sir.scenario.beta_min for u in a.inputs)
+        and all(u.beta == mrpi_sir.scenario.beta_max for u in m.inputs)
+        and all(u.gamma == mrpi_sir_imp.scenario.gamma_min for u in i.inputs)
     )
     _report(6, "input saturation", ok)
 
@@ -124,8 +124,8 @@ def test_criterion_07_eta_switching(_report, mrpi_seir_imp):
         if (
             len(curve.switch_times) == 1
             and curve.switch_times[0][1] is Channel.ETA
-            and abs(curve.samples[0].u.eta - sc.eta_max) < 1e-15
-            and abs(curve.samples[-1].u.eta - sc.eta_min) < 1e-15
+            and abs(curve.inputs[0].eta - sc.eta_max) < 1e-15
+            and abs(curve.inputs[-1].eta - sc.eta_min) < 1e-15
         ):
             ok = True
     _report(7, "eta switching", ok)

@@ -136,7 +136,6 @@ def test_empty_tangent(sc_sir40):
 def test_backward_filter_sir(sc_sir):
     t_a = tangent_set(sc_sir, SetKind.ADMISSIBLE)
     f = backward_filter(sc_sir, SetKind.ADMISSIBLE, t_a)
-    assert f.filtered
     assert f.z1_lo == t_a.z1_lo and f.z1_hi == t_a.z1_hi
 
 

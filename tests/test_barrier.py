@@ -45,7 +45,7 @@ def test_tangency_residual(all_proper_sets):
 def test_curve_containment(all_proper_sets):
     for name, cset, curve in _all_curves(all_proper_sets):
         sc, tol = cset.scenario, cset.tolerances
-        states = np.array([s.state for s in curve.samples])
+        states = curve.states
         slack = 2.0 * tol.geom_tol
         assert np.all(states[:, -1] <= sc.i_max + slack), name
         assert np.all(states.min(axis=1) >= -slack), name
@@ -57,7 +57,7 @@ def test_curve_containment(all_proper_sets):
 
 def test_adjoint_stays_unit_norm(all_proper_sets):
     for name, cset, curve in _all_curves(all_proper_sets):
-        norms = np.array([np.linalg.norm(s.adjoint) for s in curve.samples])
+        norms = np.array([np.linalg.norm(lam) for lam in curve.adjoints])
         assert np.max(np.abs(norms - 1.0)) <= 1e-9, name
 
 
@@ -65,14 +65,14 @@ def test_sir_input_saturation(adm_sir, mrpi_sir, mrpi_sir_imp):
     # admissible barrier rides beta_min, MRPI barrier beta_max, no switches
     curve = adm_sir.curves[0]
     assert curve.switch_times == []
-    assert all(s.u.beta == adm_sir.scenario.beta_min for s in curve.samples)
+    assert all(u.beta == adm_sir.scenario.beta_min for u in curve.inputs)
     curve = mrpi_sir.curves[0]
     assert curve.switch_times == []
-    assert all(s.u.beta == mrpi_sir.scenario.beta_max for s in curve.samples)
+    assert all(u.beta == mrpi_sir.scenario.beta_max for u in curve.inputs)
     # imperfect SIR: worst-case removal saturated at gamma_min throughout
     curve = mrpi_sir_imp.curves[0]
     assert curve.switch_times == []
-    assert all(s.u.gamma == mrpi_sir_imp.scenario.gamma_min for s in curve.samples)
+    assert all(u.gamma == mrpi_sir_imp.scenario.gamma_min for u in curve.inputs)
 
 
 def test_switches_are_isolated(all_proper_sets):
@@ -89,8 +89,8 @@ def test_seir_imperfect_eta_switch(mrpi_seir_imp):
     found = False
     for curve in mrpi_seir_imp.curves:
         if len(curve.switch_times) == 1 and curve.switch_times[0][1] is Channel.ETA:
-            assert curve.samples[0].u.eta == pytest.approx(sc.eta_max)
-            assert curve.samples[-1].u.eta == pytest.approx(sc.eta_min)
+            assert curve.inputs[0].eta == pytest.approx(sc.eta_max)
+            assert curve.inputs[-1].eta == pytest.approx(sc.eta_min)
             found = True
     assert found
 
@@ -180,8 +180,8 @@ def test_resample_by_arclength(adm_sir):
     curve = adm_sir.curves[0]
     pts = resample_by_arclength(curve, adm_sir.scenario, 100)
     assert pts.shape == (100, 2)
-    assert np.allclose(pts[0], curve.samples[0].state)
-    assert np.allclose(pts[-1], curve.samples[-1].state)
+    assert np.allclose(pts[0], curve.states[0])
+    assert np.allclose(pts[-1], curve.states[-1])
     # chord lengths are close to the uniform arc spacing
     chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     target = curve.arc_length / 99.0
@@ -190,34 +190,33 @@ def test_resample_by_arclength(adm_sir):
 
 def _resample_one_node_at_a_time(curve, scenario, n_nodes):
     """Per-node scalar resampling, the reference for the array bisection."""
-    samples = curve.samples
-    s_vals = np.array([s.arclen for s in samples])
+    x, s_vals, tau, u = curve.states, curve.samples[:, -1], curve.tau, curve.inputs
     targets = np.linspace(0.0, s_vals[-1], n_nodes)
     out = np.empty((n_nodes, scenario.dim))
-    out[0] = samples[0].state
-    out[-1] = samples[-1].state
+    out[0] = x[0]
+    out[-1] = x[-1]
     k = 0
     for j in range(1, n_nodes - 1):
         s_t = targets[j]
-        while k + 1 < len(samples) - 1 and s_vals[k + 1] < s_t:
+        while k + 1 < len(s_vals) - 1 and s_vals[k + 1] < s_t:
             k += 1
-        a, b = samples[k], samples[k + 1]
-        dt = b.tau - a.tau
-        if dt <= 0.0 or b.arclen <= a.arclen:
-            out[j] = b.state
+        a, b = k, k + 1
+        dt = tau[b] - tau[a]
+        if dt <= 0.0 or s_vals[b] <= s_vals[a]:
+            out[j] = x[b]
             continue
-        fa = state_rhs(scenario, a.state, a.u)
-        fb = state_rhs(scenario, b.state, b.u)
+        fa = state_rhs(scenario, x[a], u[a])
+        fb = state_rhs(scenario, x[b], u[b])
         dsa, dsb = np.sqrt(fa @ fa), np.sqrt(fb @ fb)
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if barrier._hermite(a.arclen, b.arclen, dsa, dsb, dt, mid) < s_t:
+            if barrier._hermite(s_vals[a], s_vals[b], dsa, dsb, dt, mid) < s_t:
                 lo = mid
             else:
                 hi = mid
         theta = 0.5 * (lo + hi)
-        out[j] = barrier._hermite(a.state, b.state, -fa, -fb, dt, theta)
+        out[j] = barrier._hermite(x[a], x[b], -fa, -fb, dt, theta)
     return out
 
 
@@ -229,23 +228,34 @@ def test_resample_matches_per_node_reference(all_proper_sets):
         assert got.tobytes() == want.tobytes(), name
 
 
+def _take_rows(curve, rows):
+    """A copy of ``curve`` whose samples are its sample rows ``rows``, in order."""
+    return dataclasses.replace(
+        curve,
+        tau=curve.tau[rows],
+        samples=curve.samples[rows],
+        inputs=[curve.inputs[i] for i in rows],
+        is_switch=curve.is_switch[rows],
+    )
+
+
 def test_resample_duplicated_switch_samples(mrpi_seir_imp):
     sc = mrpi_seir_imp.scenario
     curve = mrpi_seir_imp.curves[0]
     # a switch sample repeated in the middle of a real curve
-    samples, mid = curve.samples, len(curve.samples) // 2
-    repeat = dataclasses.replace(samples[mid], is_switch=True)
-    doubled = dataclasses.replace(curve, samples=samples[: mid + 1] + [repeat] + samples[mid + 1 :])
+    mid = len(curve.samples) // 2
+    doubled = _take_rows(curve, [*range(mid + 1), *range(mid, len(curve.samples))])
+    doubled.is_switch[mid + 1] = True
     # a zero-length curve: every target is 0, so every node brackets the
     # duplicated first pair and takes its second state
-    s0 = curve.samples[0]
-    s1 = dataclasses.replace(s0, state=s0.state + 1e-9, is_switch=True)
-    flat = dataclasses.replace(curve, samples=[s0, s1, dataclasses.replace(s0)])
+    flat = _take_rows(curve, [0, 0, 0])
+    flat.samples[1, : sc.dim] += 1e-9
+    flat.is_switch[1] = True
     for c in (doubled, flat):
         for n in (2, 3, 57, 200):
             got = resample_by_arclength(c, sc, n)
             assert got.tobytes() == _resample_one_node_at_a_time(c, sc, n).tobytes()
-    assert np.array_equal(resample_by_arclength(flat, sc, 5)[1:-1], np.tile(s1.state, (3, 1)))
+    assert np.array_equal(resample_by_arclength(flat, sc, 5)[1:-1], np.tile(flat.states[1], (3, 1)))
 
 
 def test_membership_reference_points(adm_sir, mrpi_sir):
@@ -431,9 +441,9 @@ def test_compute_barrier_curve_records_arclength(sc_sir):
         sc_sir, SetKind.ADMISSIBLE, tangent_set(sc_sir, SetKind.ADMISSIBLE)
     )
     curve = compute_barrier_curve(sc_sir, SetKind.ADMISSIBLE, tangents.point(tangents.z1_lo))
-    arcs = np.array([s.arclen for s in curve.samples])
+    arcs = curve.samples[:, -1]
     assert arcs[0] == 0.0
     assert np.all(np.diff(arcs) >= 0.0)
     # arc length is at least the straight-line distance covered
-    chord = np.linalg.norm(curve.samples[-1].state - curve.samples[0].state)
+    chord = np.linalg.norm(curve.states[-1] - curve.states[0])
     assert curve.arc_length >= chord - 1e-12

@@ -43,6 +43,10 @@ def test_classify_malformed_config(tmp_path, capsys):
         cfg = _write_config(tmp_path, dict(SIR_PERFECT_RAW, **bad))
         assert main(["classify", "--config", cfg]) == 2, bad
         assert "REJECT_FIELDS" in capsys.readouterr().err
+    for bad in ([1], "x", []):
+        cfg = _write_config(tmp_path, dict(SIR_PERFECT_RAW, tolerances=bad))
+        assert main(["classify", "--config", cfg]) == 2, bad
+        assert "REJECT_FIELDS" in capsys.readouterr().err
 
 
 def test_tol_overrides(tmp_path, capsys):
@@ -337,3 +341,25 @@ def test_oracle_points_deterministic_bytes(tmp_path, capsys):
     for name in ("oracle_points.csv", "oracle_summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     assert json.loads((out_a / "oracle_summary.json").read_text())["n_points"] == 2
+
+
+def test_barrier_csv_switch_rows(tmp_path, capsys, sc_seir_imp):
+    # a curve with one eta switch flags one row, and the row after it repeats
+    # that row's time and state under the other extremal eta
+    cfg = _write_config(tmp_path, SEIR_IMPERFECT_RAW)
+    out = tmp_path / "out"
+    argv = ["barrier", "--config", cfg, "--set", "mrpi", "--curves", "4"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "set.json").read_text())
+    switching = [c["file"] for c in doc["curves"] if len(c["switch_times"]) == 1]
+    assert switching
+    for fname in switching:
+        lines = (out / fname).read_text().splitlines()
+        cols = lines[0].split(",")
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        flag, eta = rows[:, cols.index("switch_flag")], rows[:, cols.index("eta")]
+        (k,) = np.flatnonzero(flag == 1.0)
+        t_state = [cols.index(c) for c in ("t", "S", "E", "I")]
+        assert rows[k + 1, t_state].tolist() == rows[k, t_state].tolist()
+        assert (eta[k], eta[k + 1]) == (sc_seir_imp.eta_max, sc_seir_imp.eta_min)

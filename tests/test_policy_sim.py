@@ -82,6 +82,15 @@ def test_simulate_breach_from_the_cap(sc_sir):
     assert 0.0 < traj.first_breach_time < Tolerances().event_time_tol
 
 
+def test_simulate_breach_from_above_the_cap(sc_sir):
+    # a start above I_max, by less than geom_tol, is a crossing at t = 0; the
+    # run goes on to breach, so breached comes with its first breach time
+    pol = ConstantPolicy(sc_sir, InputVec(beta=0.8))
+    traj = simulate(sc_sir, pol, [0.8, sc_sir.i_max + 5e-10], 20.0)
+    assert traj.breached
+    assert traj.first_breach_time == 0.0
+
+
 def test_simulate_zero_horizon(sc_sir):
     traj = simulate(sc_sir, ConstantPolicy(sc_sir, InputVec(beta=0.6)), [0.5, 0.01], 0.0)
     assert len(traj.samples) == 1
