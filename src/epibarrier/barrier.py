@@ -90,7 +90,7 @@ class Membership:
 
 
 class InvariantBreachError(RuntimeError):
-    """A curve sample left the region I <= I_max (step size too coarse)."""
+    """A recorded curve sample lies outside the capped simplex."""
 
 
 @dataclass
@@ -249,17 +249,12 @@ def compute_barrier_curve(
     *,
     record_every: int = 10,
 ) -> BarrierCurve:
-    """Backward extremal curve from a tangency point; one h/10 retry on breach."""
+    """Backward extremal curve from a tangency point, traced at ``step_h``.
+
+    The curve ends at its first refined face or floor event (or at
+    ``t_back_max``), whose ``tau`` does not depend on the step size.
+    """
     tol = tolerances or Tolerances()
-    try:
-        return _compute_curve(scenario, set_kind, tangent_point, tol, tol.step_h, record_every)
-    except InvariantBreachError:
-        return _compute_curve(
-            scenario, set_kind, tangent_point, tol, tol.step_h / 10.0, record_every
-        )
-
-
-def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
     d = scenario.dim
     x0 = np.asarray(tangent_point, dtype=float)
     if x0.shape != (d,):
@@ -281,7 +276,6 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
             y,
             t0=tau,
             tolerances=tol,
-            h=h,
             t_limit=tol.t_back_max - tau,
             record_every=record_every,
             post_step=renorm,
@@ -298,12 +292,6 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
             switches.append((res.t_end, _SIGMA_CHANNEL[term.label]))
             tau, y = res.t_end, res.y_end
             continue
-        if term.label == "cap_face" and res.t_end - tau <= 10.0 * h:
-            # overshoot right after tangency: the step is too coarse; a later
-            # return to the cap face is a genuine boundary termination
-            raise InvariantBreachError(
-                f"curve re-entered I > I_max at tau={res.t_end}"
-            )
         break
 
     # every segment but the last ends on a switch; a truncated curve's last
@@ -320,7 +308,7 @@ def _compute_curve(scenario, set_kind, tangent_point, tol, h, record_every):
         termination=term,
         switch_times=switches,
         truncated=truncated,
-        step_h=h,
+        step_h=tol.step_h,
     )
     _check_containment(scenario, curve, tol)
     return curve

@@ -26,6 +26,7 @@ from .policy_sim import (
     AffineFeedbackPolicy,
     ConstantPolicy,
     SwitchingLawPolicy,
+    T_END_MAX,
     grid_membership_oracle,
     monte_carlo,
     simulate,
@@ -140,6 +141,11 @@ def _parse_state(scenario: Scenario, text: str, flag: str = "--x0") -> np.ndarra
     if not (np.min(x) >= 0.0 and np.sum(x) <= 1.0 + 1e-12):
         raise InputError(f"{flag} {text!r} not a finite state in the unit simplex")
     return x
+
+
+def _check_range(value, flag: str, lo: float, hi: float = np.inf) -> None:
+    if not lo <= value <= hi:  # negated, so that NaN fails too
+        raise InputError(f"{flag} {value} outside [{lo:g}, {hi:g}]")
 
 
 def _state_columns(scenario: Scenario) -> list[str]:
@@ -257,7 +263,6 @@ def cmd_barrier(args) -> int:
     report = {
         "trivial": cset.trivial,
         "n_curves": len(cset.curves),
-        "retries": sum(c.step_h < tol.step_h for c in cset.curves),
         "truncated": sum(c.truncated for c in cset.curves),
     }
     print(json.dumps(report))
@@ -301,6 +306,7 @@ def _write_trajectory(path: str, scenario: Scenario, traj) -> None:
 
 def cmd_simulate(args) -> int:
     raw, scenario, tol = _load_config(args)
+    _check_range(args.t_end, "--t-end", 0.0, T_END_MAX)
     x0 = _parse_state(scenario, args.x0)
     policy = _build_policy(args, scenario, tol)
     traj = simulate(scenario, policy, x0, args.t_end, tol)
@@ -323,6 +329,8 @@ def cmd_montecarlo(args) -> int:
         raise InputError(
             "montecarlo needs an imperfect variant (uncertain disturbance)"
         )
+    _check_range(args.n, "--n", 0)
+    _check_range(args.t_end, "--t-end", 0.0, T_END_MAX)
     x0 = _parse_state(scenario, args.x0)
     trajs = monte_carlo(
         scenario, x0, args.n, args.seed, t_end=args.t_end, tolerances=tol, h=1e-2
@@ -353,6 +361,7 @@ def cmd_oracle(args) -> int:
         pts = np.array(pts, dtype=float).reshape(-1, scenario.dim)
         csv_name = "oracle_points.csv"
     elif scenario.variant.is_sir:
+        _check_range(args.grid, "--grid", 1)
         s_axis = np.linspace(0.0, 1.0, args.grid)
         i_axis = np.linspace(0.0, scenario.i_max, args.grid)
         pts = np.array([(s, i) for s in s_axis for i in i_axis if s + i <= 1.0])

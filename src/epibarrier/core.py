@@ -62,7 +62,6 @@ class Tolerances:
     """Numeric tolerances, each positive and finite; all overridable per run."""
 
     geom_tol: float = 1e-9
-    ham_tol: float = 1e-6
     event_time_tol: float = 1e-10
     boundary_layer_eps: float = 1e-3
     i_floor: float = 1e-9

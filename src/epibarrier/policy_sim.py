@@ -39,6 +39,7 @@ __all__ = [
 DIVIDE_GUARD_S = 1e-9
 ORACLE_T_END = 500.0
 ORACLE_STEP_H = 1e-2
+T_END_MAX = 10000.0  # longest horizon simulate accepts, days
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,8 @@ def simulate(
     """
     tol = tolerances or Tolerances()
     step = h if h is not None else tol.step_h
-    if t_end > 10000.0:
-        raise ValueError("t_end above 10000 days is unsupported")
+    if not 0.0 <= t_end <= T_END_MAX:  # negated, so that NaN fails too
+        raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
     x = np.asarray(x0, dtype=float)
     if x.shape != (scenario.dim,):
         raise ValueError(f"x0 must have {scenario.dim} components")
@@ -200,7 +201,7 @@ def simulate(
     max_i = float(x[-1])
     breached = x[-1] > im + tol.geom_tol
     first_breach = 0.0 if x[-1] > im else None
-    n_steps = int(np.ceil(t_end / step - 1e-12)) if t_end > 0 else 0
+    n_steps = int(np.ceil(t_end / step - 1e-12))
 
     u_rhs = rhs = None
     for k in range(n_steps):

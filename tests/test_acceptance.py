@@ -10,6 +10,7 @@ import pytest
 
 from epibarrier.analysis import ClassTag, backward_filter, classify, tangent_set
 from epibarrier.barrier import (
+    InvariantBreachError,
     Verdict,
     assemble_set,
     compute_barrier_curve,
@@ -197,3 +198,25 @@ def test_criterion_12_r0_remark(_report, sc_sir_imp):
     trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 10, seed=0, t_end=500.0, h=1e-2)
     ok = abs(r0 - 1.2) <= 1e-12 and r0 > 1.0 and not any(t.breached for t in trajs)
     _report(12, "cap held despite R0 > 1", ok)
+
+
+def test_criterion_13_seir_step_convergence(_report, sc_seir, sc_seir_imp):
+    # each curve ends at its first refined event, so its termination label and
+    # end time do not depend on the step, even for a return to the cap face
+    # just after tangency
+    ok = True
+    for sc in (sc_seir, sc_seir_imp):
+        ends = []
+        try:
+            for h in (0.02, 0.01, 0.005, 0.002, 0.001):
+                tol = Tolerances(step_h=h)
+                cset = assemble_set(sc, SetKind.MRPI, n_curves=8, tolerances=tol)
+                ends.append([(c.termination.label, c.tau[-1]) for c in cset.curves])
+        except InvariantBreachError:
+            ok = False
+            continue
+        ref = ends[-1]
+        for run in ends:
+            ok &= [lab for lab, _ in run] == [lab for lab, _ in ref]
+            ok &= max(abs(t - t_ref) for (_, t), (_, t_ref) in zip(run, ref)) <= 1e-6
+    _report(13, "SEIR step-size convergence", ok)

@@ -1,12 +1,17 @@
-"""Static hygiene of the package: no unused imports, no unreferenced private functions.
+"""Static hygiene of the package: no unused imports, no unreferenced private
+functions, no unread tolerance fields.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
 module-level private function is used when any module of the package reads
-its name.
+its name; a ``Tolerances`` field is used when a module other than ``core``
+reads it as an attribute.
 """
 import ast
+import dataclasses
 from pathlib import Path
+
+from epibarrier.core import Tolerances
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epibarrier"
 TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
@@ -60,3 +65,15 @@ def test_no_unreferenced_private_functions():
         and node.name not in read_anywhere
     ]
     assert unreferenced == []
+
+
+def test_every_tolerance_field_is_read():
+    read_attrs = {
+        node.attr
+        for mod, tree in TREES.items()
+        if mod != "core"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read_attrs]
+    assert unread == []
