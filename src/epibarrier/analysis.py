@@ -61,17 +61,6 @@ class UsablePart:
             raise ValueError("e_cap only defined for SEIR usable parts")
         return min(self.e_cap_const, 1.0 - s - self.i_max)
 
-    def contains(self, state, tol: float = 1e-9) -> bool:
-        if self.e_cap_const is None:
-            s, i = state
-            return abs(i - self.i_max) <= tol and -tol <= s <= self.s_hi + tol
-        s, e, i = state
-        return (
-            abs(i - self.i_max) <= tol
-            and -tol <= s <= self.s_hi + tol
-            and -tol <= e <= self.e_cap(s) + tol
-        )
-
 
 @dataclass(frozen=True)
 class TangentSet:

@@ -19,7 +19,8 @@ the cap I_max up to the tangent point and the barrier curve after it.
 Membership bisects the polygon's S coordinates and compares I with phi
 interpolated on that edge.  For SEIR variants a family of curves is resampled
 onto an arc-length grid and triangulated; membership is a vertical-ray parity
-test against that mesh with explicit UNKNOWN verdicts near its edges.
+test against that mesh, whose one tie rule decides a query on a mesh edge or
+vertex as it decides the same query perturbed off it.
 """
 from __future__ import annotations
 
@@ -80,7 +81,6 @@ class Verdict(Enum):
     INSIDE = "INSIDE"
     OUTSIDE = "OUTSIDE"
     BOUNDARY = "BOUNDARY"
-    UNKNOWN = "UNKNOWN"
 
 
 @dataclass(frozen=True)
@@ -465,8 +465,10 @@ def assemble_set(
     """Compute barrier curves and stitch them with the usable part.
 
     For a trivial classification the whole constrained simplex is the set and
-    no curves are integrated.
+    no curves are integrated.  A SEIR mesh needs ``n_curves >= 2``.
     """
+    if n_curves < 2 and not scenario.variant.is_sir:
+        raise ValueError(f"a SEIR mesh needs at least 2 curves, got {n_curves}")
     tol = tolerances or Tolerances()
     if is_trivial(scenario, set_kind):
         return ComputedSet(scenario, set_kind, trivial=True, tolerances=tol)
@@ -616,6 +618,8 @@ def membership(cset: ComputedSet, point) -> Membership:
     """Verdict and boundary-distance estimate for a query state."""
     x = np.asarray(point, dtype=float)
     scenario, tol = cset.scenario, cset.tolerances
+    if x.shape != (scenario.dim,):
+        raise ValueError(f"query point has shape {x.shape}, not ({scenario.dim},)")
     if cset.trivial:
         dist = _simplex_boundary_distance(scenario, x)
         if not _in_simplex(scenario, x, tol.geom_tol):
@@ -651,14 +655,10 @@ def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
 
 
 def mesh_triangles(cset: ComputedSet) -> np.ndarray:
-    """Triangle vertex array (n_tri, 3, 3) over the curve/arc-length grid."""
+    """Triangles (q00, q10, q11) of every grid quad, then (q00, q11, q01), as (n, 3, 3)."""
     g = cset.mesh_nodes
-    return _quad_triangles(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:])
-
-
-def _quad_triangles(q00, q10, q11, q01) -> np.ndarray:
-    """Triangles (q00, q10, q11) of every quad, then (q00, q11, q01)."""
-    q00, q10, q11, q01 = (q.reshape(-1, 3) for q in (q00, q10, q11, q01))
+    quads = (g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:])
+    q00, q10, q11, q01 = (q.reshape(-1, 3) for q in quads)
     return np.concatenate(
         [np.stack([q00, q10, q11], axis=1), np.stack([q00, q11, q01], axis=1)]
     )
@@ -669,13 +669,12 @@ def _seir_arrays(cset: ComputedSet):
 
     ``s_lo, s_hi, e_lo, e_hi`` bound the (S, E) projection of each
     (curve c, arc node j) quad of the mesh, flattened as ``c * (nn - 1) + j``.
-    Each box is padded by ``1e-8 * diameter + 1e-12``: a triangle whose
-    smallest barycentric coordinate is ``>= -edge_eps`` (grazing or interior
-    in :func:`_seir_raw_inside`) holds the query within about
-    ``4 * edge_eps * diameter`` of its quad's box, so no triangle outside its
-    padded box can be counted or flagged; a wider pad only adds candidates.
-    The node coordinate columns and each special segment's (start, direction,
-    squared length) serve the distance estimate.
+    Each box is padded by ``1e-8 * diameter + 1e-12``: the three sides of a
+    triangle in :func:`_seir_inside` can agree on a query outside it only
+    within the rounding of an orient, far inside the pad, so no triangle
+    outside its padded box can cover the query; a wider pad only adds
+    candidates.  The node coordinate columns and each special segment's
+    (start, direction, squared length) serve the distance estimate.
     """
     cached = getattr(cset, "_seir_cache", None)
     if cached is not None:
@@ -697,45 +696,53 @@ def _seir_arrays(cset: ComputedSet):
     return cached
 
 
-def _seir_raw_inside(cset: ComputedSet, x: np.ndarray) -> bool | None:
-    """Vertical-ray parity test; None when the ray grazes a triangle edge.
+# the edges opposite the vertices of triangles (q00, q10, q11) and (q00, q11, q01),
+# as rows of _seir_inside's edge list, each signed by the triangle's traversal
+_OPPOSITE = np.array([[1, 3], [2, 4], [0, 2]])
+_TRAVERSAL = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]])[..., None]
+
+
+def _seir_inside(cset: ComputedSet, x: np.ndarray) -> bool:
+    """Vertical-ray parity test with one exact tie rule.
 
     The upward ray from (S, E, I) toward the cap face I = I_max either ends on
-    the set's own cap-face portion (the usable part) or not, and every barrier
-    mesh crossing in between flips the side; the query is inside iff exactly
-    one of those two indicators holds.  Only the two triangles of each quad
-    whose padded (S, E) box holds the query are tested.
+    the usable part or not, and each mesh crossing in between flips the side:
+    the query is inside iff exactly one of the two holds.  Only the quads whose
+    padded (S, E) box holds the query are tested.
+
+    Each grid edge a -> b, a before b in flat node order, gets one
+    ``orient = dS * (E - E_a) - dE * (S - S_a)``, which both its triangles
+    read.  An exact zero takes the side of the query perturbed to
+    (S + d, E + d^2), d -> 0+: the sign of -dE, then of dS (simulation of
+    simplicity; Edelsbrunner & Muecke, ACM TOG 9(1), 1990).  A triangle covers
+    the query iff its three traversal-signed sides are equal and nonzero, and
+    is crossed iff its height phi, with the same orients as barycentric
+    weights, exceeds I.  The usable part is read for the perturbed query too,
+    so its far edges are open: the tangent segment lies on its edge E = e_cap.
     """
-    s_q, e_q, i_q = x
-    s_lo, s_hi, e_lo, e_hi, _, _ = _seir_arrays(cset)
-    g = cset.mesh_nodes
+    s_q, e_q, i_q = x.tolist()
+    s_lo, s_hi, e_lo, e_hi, (_, _, z), _ = _seir_arrays(cset)
     hits = np.flatnonzero((s_lo <= s_q) & (s_q <= s_hi) & (e_lo <= e_q) & (e_q <= e_hi))
-    cap_usable = cset.usable.contains(
-        np.array([s_q, e_q, cset.scenario.i_max]), tol=0.0
-    )
-    if not len(hits):  # no triangle to cross or graze
+    up = cset.usable
+    cap_usable = 0.0 <= s_q < up.s_hi and 0.0 <= e_q < up.e_cap(s_q)
+    if not len(hits):  # no triangle to cross
         return cap_usable
-    c, j = np.divmod(hits, g.shape[1] - 1)
-    tris = _quad_triangles(g[c, j], g[c + 1, j], g[c + 1, j + 1], g[c, j + 1])
-    edge_eps = 1e-9
-    d = tris[:, :, :2] - np.array([s_q, e_q])
-    a1 = d[:, 1, 0] * d[:, 2, 1] - d[:, 1, 1] * d[:, 2, 0]
-    a2 = d[:, 2, 0] * d[:, 0, 1] - d[:, 2, 1] * d[:, 0, 0]
-    a3 = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-    total = a1 + a2 + a3
-    ok = np.abs(total) > 1e-14  # skip degenerate projections
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.stack([a1, a2, a3], axis=1) / total[:, None]
-    lo = np.min(b, axis=1)
-    grazing = ok & (lo >= -edge_eps) & (lo < edge_eps)
-    if np.any(grazing):
-        return None
-    interior = ok & (lo >= edge_eps)
-    i_star = np.einsum("ij,ij->i", b, tris[:, :, 2])
-    if np.any(interior & (np.abs(i_star - i_q) < edge_eps)):
-        return None
-    crossings = int(np.sum(interior & (i_star > i_q)))
-    return cap_usable != (crossings % 2 == 1)
+    nn = cset.mesh_nodes.shape[1]
+    i00 = hits + hits // (nn - 1)  # flat index of each quad's node (c, j)
+    i10, i11, i01 = i00 + nn, i00 + nn + 1, i00 + 1
+    # edges q00 q10, q10 q11, q00 q11 (the diagonal), q01 q11 and q00 q01
+    flat = cset.mesh_nodes.reshape(-1, 3)
+    a = flat[np.stack([i00, i10, i00, i01, i00])]
+    b = flat[np.stack([i10, i11, i11, i11, i01])]
+    ds, de = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    orient = ds * (e_q - a[..., 1]) - de * (s_q - a[..., 0])
+    side = np.sign(np.where(orient != 0.0, orient, np.where(de != 0.0, -de, ds)))
+    side = side[_OPPOSITE] * _TRAVERSAL
+    cover = (side[0] != 0.0) & (side[0] == side[1]) & (side[1] == side[2])
+    w = (orient[_OPPOSITE] * _TRAVERSAL)[:, cover]
+    h = z[np.array([[i00, i00], [i10, i11], [i11, i01]])][:, cover]
+    phi = (w[0] * h[0] + w[1] * h[1] + w[2] * h[2]) / (w[0] + w[1] + w[2])
+    return cap_usable != (np.count_nonzero(phi > i_q) % 2 == 1)
 
 
 def _seir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
@@ -745,23 +752,7 @@ def _seir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
         return Membership(Verdict.BOUNDARY, dist)
     if not _in_simplex(scenario, x, tol.geom_tol):
         return Membership(Verdict.OUTSIDE, dist)
-    jitters = [
-        (0.0, 0.0),
-        (1.5e-6, 0.0),
-        (0.0, 1.5e-6),
-        (-1.5e-6, 1.5e-6),
-    ]
-    votes = []
-    for ds, de in jitters:
-        probe = np.array([x[0] + ds, x[1] + de, x[2]])
-        raw = _seir_raw_inside(cset, probe)
-        if raw is not None:
-            votes.append(raw)
-        if len(votes) >= 3:
-            break
-    if not votes or any(v != votes[0] for v in votes):
-        return Membership(Verdict.UNKNOWN, dist)
-    return Membership(Verdict.INSIDE if votes[0] else Verdict.OUTSIDE, dist)
+    return Membership(Verdict.INSIDE if _seir_inside(cset, x) else Verdict.OUTSIDE, dist)
 
 
 def _seir_distance_estimate(cset: ComputedSet, x: np.ndarray) -> float:

@@ -188,25 +188,28 @@ def _set_document(cset: ComputedSet, raw_config: dict, curve_files, manifest) ->
 
 
 def load_set(path: str) -> ComputedSet:
-    """Rebuild a queryable ComputedSet from an exported set.json."""
+    """Rebuild a queryable ComputedSet from set.json; ValueError if it is malformed."""
     with open(path) as fh:
         doc = json.load(fh)
-    scenario = validate_scenario(doc["config"])
-    tol = Tolerances(**doc["tolerances"])
-    kind = SetKind(doc["set_kind"])
-    if doc["trivial"]:
-        return ComputedSet(scenario, kind, trivial=True, tolerances=tol)
-    sir = scenario.variant.is_sir
-    cset = ComputedSet(
-        scenario,
-        kind,
-        trivial=False,
-        usable=usable_part(scenario, kind),
-        polyline=np.array(doc["polyline"], dtype=float) if sir else None,
-        mesh_nodes=None if sir else np.array(doc["mesh_nodes"], dtype=float),
-        special_segments=[np.array(s) for s in doc["special_segments"]],
-        tolerances=tol,
-    )
+    try:
+        scenario = validate_scenario(doc["config"])
+        tol = Tolerances(**{k: _as_number(v, k) for k, v in doc["tolerances"].items()})
+        kind = SetKind(doc["set_kind"])
+        if doc["trivial"]:
+            return ComputedSet(scenario, kind, trivial=True, tolerances=tol)
+        sir = scenario.variant.is_sir
+        cset = ComputedSet(
+            scenario,
+            kind,
+            trivial=False,
+            usable=usable_part(scenario, kind),
+            polyline=np.array(doc["polyline"], dtype=float) if sir else None,
+            mesh_nodes=None if sir else np.array(doc["mesh_nodes"], dtype=float),
+            special_segments=[np.array(s) for s in doc["special_segments"]],
+            tolerances=tol,
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path} is not a set document: {type(exc).__name__}: {exc}") from exc
     check_set_geometry(cset)
     return cset
 
@@ -392,8 +395,8 @@ def cmd_oracle(args) -> int:
 def _write_oracle(args, raw, scenario, tol, csv_name, results) -> int:
     """Write the per-point CSV and oracle_summary.json from (point, verdict, agrees).
 
-    BOUNDARY and UNKNOWN verdicts claim nothing: they are written as agreeing
-    and left out of the agreement rate.
+    BOUNDARY verdicts claim nothing: they are written as agreeing and left out
+    of the agreement rate.
     """
     n_compared = n_agree = 0
     rows = []

@@ -35,13 +35,15 @@ class Variant(Enum):
     def dim(self) -> int:
         return 2 if self.is_sir else 3
 
+    # read off the value string: membership asks on every query, and looking
+    # up a member as a class attribute costs several times the comparison
     @property
     def is_sir(self) -> bool:
-        return self in (Variant.SIR_PERFECT, Variant.SIR_IMPERFECT)
+        return self._value_.startswith("SIR_")
 
     @property
     def is_perfect(self) -> bool:
-        return self in (Variant.SIR_PERFECT, Variant.SEIR_PERFECT)
+        return self._value_.endswith("_PERFECT")
 
 
 class SetKind(Enum):

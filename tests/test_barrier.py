@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epibarrier import barrier
-from epibarrier.analysis import backward_filter, tangent_set
+from epibarrier.analysis import backward_filter, tangent_set, usable_part
 from epibarrier.barrier import (
     ComputedSet,
     Verdict,
@@ -15,8 +17,10 @@ from epibarrier.barrier import (
     resample_by_arclength,
     select_extremal_input,
 )
-from epibarrier.core import SetKind, Tolerances
+from epibarrier.core import SetKind, Tolerances, validate_scenario
 from epibarrier.models import Channel, InputVec, lie_derivative_g, state_rhs
+
+from conftest import SEIR_PERFECT_RAW
 
 HAM_TOL = 1e-6  # largest |lambda^T f| accepted along a traced curve
 
@@ -299,6 +303,33 @@ def test_trivial_set_membership(sc_sir40):
     assert membership(cset, [0.5, 0.4 - 1e-5]).verdict is Verdict.BOUNDARY
 
 
+@pytest.mark.parametrize(
+    "name, point",
+    [
+        ("adm_sir", [0.8, 0.012, 0.015]),
+        ("adm_sir", [0.8]),
+        ("adm_sir", 0.8),
+        ("trivial_sir40", [0.5, 0.2, 0.0]),
+        ("mrpi_seir", [0.3, 0.01, 0.01, 0.0]),
+        ("mrpi_seir", [0.3, 0.01]),
+        ("mrpi_seir", [[0.3, 0.01, 0.01]]),
+    ],
+)
+def test_membership_rejects_a_point_of_the_wrong_shape(name, point, request, sc_sir40):
+    if name == "trivial_sir40":
+        cset = assemble_set(sc_sir40, SetKind.ADMISSIBLE)
+    else:
+        cset = request.getfixturevalue(name)
+    with pytest.raises(ValueError, match="shape"):
+        membership(cset, point)
+
+
+@pytest.mark.parametrize("n_curves", [1, 0, -3])
+def test_assemble_set_needs_two_seir_curves(sc_seir, n_curves):
+    with pytest.raises(ValueError, match="at least 2 curves"):
+        assemble_set(sc_seir, SetKind.MRPI, n_curves=n_curves)
+
+
 def test_seir_membership_basic(mrpi_seir):
     sc = mrpi_seir.scenario
     # deep inside: tiny infection, plenty of susceptibles
@@ -307,6 +338,20 @@ def test_seir_membership_basic(mrpi_seir):
     assert membership(mrpi_seir, [0.6, 0.3, 0.05]).verdict is Verdict.OUTSIDE
     # above the cap face
     assert membership(mrpi_seir, [0.2, 0.1, 0.35]).verdict is Verdict.OUTSIDE
+
+
+@pytest.mark.parametrize("name", ["adm_seir", "mrpi_seir", "mrpi_seir_imp"])
+def test_seir_query_under_the_tangent_segment(name, request):
+    # each curve's first arc node is its tangent point, on the usable part's
+    # edge E = e_cap: below the segment between the first and last tangent
+    # points a query is inside, on the segment as just beside it
+    cset = request.getfixturevalue(name)
+    t = cset.mesh_nodes[:, 0]
+    for p in np.vstack([t[1:-1], 0.5 * (t[:-1] + t[1:])]):
+        for i in (0.25, 0.5, 0.75):
+            for de in (0.0, 1e-7, -1e-7):
+                x = [p[0], p[1] + de, i * cset.scenario.i_max]
+                assert membership(cset, x).verdict is Verdict.INSIDE, x
 
 
 def test_seir_membership_round_trip_determinism(mrpi_seir):
@@ -354,30 +399,43 @@ def test_mesh_triangles_shape(mrpi_seir):
     assert tris.shape == (2 * (nc - 1) * (nn - 1), 3, 3)
 
 
-def _full_scan_raw_inside(cset, x):
-    """Reference parity test over every mesh triangle (no quad-box filter)."""
-    s_q, e_q, i_q = x
-    tris = mesh_triangles(cset)
-    edge_eps = 1e-9
-    d = tris[:, :, :2] - np.array([s_q, e_q])
-    a1 = d[:, 1, 0] * d[:, 2, 1] - d[:, 1, 1] * d[:, 2, 0]
-    a2 = d[:, 2, 0] * d[:, 0, 1] - d[:, 2, 1] * d[:, 0, 0]
-    a3 = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-    total = a1 + a2 + a3
-    ok = np.abs(total) > 1e-14
+def _full_scan_cover(cset, x):
+    """Reference tie-ruled coverage and height of every mesh triangle.
+
+    Triangles are index triples into the flattened node grid; each traversed
+    edge u -> v takes orient(min, max, query), negated when u > v, with an
+    exact zero broken by -dE, then dS, of the min -> max edge.
+    """
+    g = cset.mesh_nodes
+    nc, nn, _ = g.shape
+    flat = g.reshape(-1, 3)
+    k = np.arange(nc * nn).reshape(nc, nn)
+    q00, q10, q11, q01 = (q.ravel() for q in (k[:-1, :-1], k[1:, :-1], k[1:, 1:], k[:-1, 1:]))
+    tris = np.concatenate([np.stack([q00, q10, q11], 1), np.stack([q00, q11, q01], 1)])
+    u, v = tris, np.roll(tris, -1, axis=1)  # edge m runs from vertex m to vertex m + 1
+    a, b = flat[np.minimum(u, v)], flat[np.maximum(u, v)]
+    ds, de = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    o = ds * (x[1] - a[..., 1]) - de * (x[0] - a[..., 0])
+    tie = np.sign(np.where(o != 0.0, o, np.where(de != 0.0, -de, ds)))
+    flip = np.where(u < v, 1.0, -1.0)
+    o, tie = o * flip, tie * flip
+    cover = (tie[:, 0] != 0.0) & (tie[:, 0] == tie[:, 1]) & (tie[:, 1] == tie[:, 2])
+    w = np.roll(o, -1, axis=1)  # vertex m weighs by the edge opposite it
+    z = flat[tris, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.stack([a1, a2, a3], axis=1) / total[:, None]
-    lo = np.min(b, axis=1)
-    if np.any(ok & (lo >= -edge_eps) & (lo < edge_eps)):
-        return None
-    interior = ok & (lo >= edge_eps)
-    i_star = np.einsum("ij,ij->i", b, tris[:, :, 2])
-    if np.any(interior & (np.abs(i_star - i_q) < edge_eps)):
-        return None
-    crossings = int(np.sum(interior & (i_star > i_q)))
-    cap_usable = cset.usable.contains(
-        np.array([s_q, e_q, cset.scenario.i_max]), tol=0.0
-    )
+        phi = (w[:, 0] * z[:, 0] + w[:, 1] * z[:, 1] + w[:, 2] * z[:, 2]) / (
+            w[:, 0] + w[:, 1] + w[:, 2]
+        )
+    return cover, phi
+
+
+def _full_scan_inside(cset, x):
+    """Reference parity test over every mesh triangle (no quad-box filter)."""
+    cover, phi = _full_scan_cover(cset, x)
+    crossings = int(np.sum(cover & (phi > x[2])))
+    # the usable part as the query perturbed to (S + d, E + d^2) sees it
+    up = cset.usable
+    cap_usable = 0.0 <= x[0] < up.s_hi and 0.0 <= x[1] < up.e_cap(x[0])
     return cap_usable != (crossings % 2 == 1)
 
 
@@ -425,17 +483,129 @@ def test_seir_quad_filter_matches_full_scan(name, request, monkeypatch):
         groups.append(pick(200) + f * span * steps)
     points = np.vstack(groups)
 
-    raw = [barrier._seir_raw_inside(cset, p) for p in points]
-    ref_raw = [_full_scan_raw_inside(cset, p) for p in points]
-    assert raw == ref_raw
+    inside = [barrier._seir_inside(cset, p) for p in points]
+    assert inside == [_full_scan_inside(cset, p) for p in points]
     dist = [barrier._seir_distance_estimate(cset, p) for p in points]
     assert dist == [_all_nodes_distance(cset, p) for p in points]
 
     sub = points[::5]
     got = [membership(cset, p) for p in sub]
-    monkeypatch.setattr(barrier, "_seir_raw_inside", _full_scan_raw_inside)
+    monkeypatch.setattr(barrier, "_seir_inside", _full_scan_inside)
     monkeypatch.setattr(barrier, "_seir_distance_estimate", _all_nodes_distance)
     assert got == [membership(cset, p) for p in sub]
+
+
+# Synthetic meshes for the tie rule: nodes on a dyadic grid of spacing H with
+# jitter in steps of H / 16, and dyadic heights, so that every orient,
+# barycentric height and query on an edge or vertex below is an exact float.
+# They lie at E > e_cap of SEIR M, where the usable cap face plays no part.
+H = 1.0 / 32.0
+SEIR_M = validate_scenario(SEIR_PERFECT_RAW)
+
+
+def _synthetic_set(nodes):
+    return ComputedSet(
+        SEIR_M,
+        SetKind.MRPI,
+        trivial=False,
+        usable=usable_part(SEIR_M, SetKind.MRPI),
+        mesh_nodes=nodes,
+        tolerances=Tolerances(boundary_layer_eps=2.0**-40),
+    )
+
+
+@st.composite
+def _jittered_grid(draw, s_col, e_col):
+    """(S, E) nodes at (1/16 + s_col * H, 5/16 + e_col * H), each moved by up to H / 8."""
+    nc, nn = s_col.shape
+    steps = draw(st.lists(st.integers(-2, 2), min_size=2 * nc * nn, max_size=2 * nc * nn))
+    jitter = np.array(steps, dtype=float).reshape(nc, nn, 2) * (H / 16)
+    return 1 / 16 + s_col * H + jitter[..., 0], 5 / 16 + e_col * H + jitter[..., 1]
+
+
+def _on_segment(a, b, k):
+    return a + (k / 8) * (b - a)
+
+
+@st.composite
+def _planar_case(draw):
+    """A mesh on the plane I = 1/8 + ks S + ke E, a query point and its side."""
+    nc, nn = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    c, j = np.meshgrid(np.arange(nc), np.arange(nn), indexing="ij")
+    s, e = draw(_jittered_grid(c, j))
+    ks, ke = draw(st.integers(-2, 2)) / 16, draw(st.integers(-2, 2)) / 16
+    plane = lambda s, e: 1 / 8 + ks * s + ke * e
+    nodes = np.stack([s, e, plane(s, e)], axis=-1)
+    g = nodes[..., :2]
+    kind = draw(st.sampled_from(["vertex", "edge", "diagonal", "interior"]))
+    k = draw(st.integers(1, 7))
+    if kind == "vertex":  # interior nodes only: on the mesh's rim the set ends
+        q = g[draw(st.integers(1, nc - 2)), draw(st.integers(1, nn - 2))]
+    elif kind == "edge" and draw(st.booleans()):  # from curve c to c + 1
+        a, b = draw(st.integers(0, nc - 2)), draw(st.integers(1, nn - 2))
+        q = _on_segment(g[a, b], g[a + 1, b], k)
+    elif kind == "edge":  # along curve c
+        a, b = draw(st.integers(1, nc - 2)), draw(st.integers(0, nn - 2))
+        q = _on_segment(g[a, b], g[a, b + 1], k)
+    else:
+        a, b = draw(st.integers(0, nc - 2)), draw(st.integers(0, nn - 2))
+        if kind == "diagonal":
+            q = _on_segment(g[a, b], g[a + 1, b + 1], k)
+        else:
+            w0 = draw(st.integers(1, 6))
+            w1 = draw(st.integers(1, 7 - w0))
+            third = g[a + 1, b] if draw(st.booleans()) else g[a, b + 1]
+            q = (w0 * g[a, b] + w1 * g[a + 1, b + 1] + (8 - w0 - w1) * third) / 8
+    below = draw(st.booleans())
+    i_q = plane(*q) + (-1 / 64 if below else 1 / 64)
+    return nodes, np.array([q[0], q[1], i_q]), below
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planar_case())
+def test_tie_rule_on_a_planar_graph(case):
+    # on a graph the ray from below crosses exactly one triangle, wherever the
+    # query's (S, E) falls on the grid
+    nodes, x, below = case
+    cset = _synthetic_set(nodes)
+    assert membership(cset, x).verdict is (Verdict.INSIDE if below else Verdict.OUTSIDE)
+    cover, _ = _full_scan_cover(cset, x)
+    assert np.count_nonzero(cover) == 1
+
+
+@st.composite
+def _fold_case(draw):
+    """A mesh folded back over itself along arc node m, and a query on the fold."""
+    nc, m = draw(st.integers(3, 5)), draw(st.integers(1, 3))
+    nn = 2 * m + draw(st.integers(1, 2))
+    c, j = np.meshgrid(np.arange(nc), np.arange(nn), indexing="ij")
+    s, e = draw(_jittered_grid(np.where(j <= m, j, 2 * m - j), c))
+    kc = draw(st.integers(-2, 2)) / 128
+    nodes = np.stack([s, e, 1 / 8 + j / 64 + kc * c], axis=-1)  # the returning sheet is higher
+    if draw(st.booleans()):
+        a = draw(st.integers(1, nc - 2))
+        q = nodes[a, m]
+    else:
+        a = draw(st.integers(0, nc - 2))
+        q = _on_segment(nodes[a, m], nodes[a + 1, m], draw(st.integers(1, 7)))
+    below = draw(st.booleans())
+    return nodes, q + [0.0, 0.0, -1 / 64 if below else 1 / 64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fold_case())
+def test_tie_rule_on_a_fold(case):
+    # a query on the fold is covered by a triangle of both sheets or of
+    # neither, so its parity is that of a point just off the fold on either side
+    nodes, x = case
+    cset = _synthetic_set(nodes)
+    cover, _ = _full_scan_cover(cset, x)
+    assert np.count_nonzero(cover) in (0, 2)
+    verdict = membership(cset, x).verdict
+    assert verdict is Verdict.OUTSIDE
+    for ds in (-(2.0**-20), 2.0**-20):
+        assert membership(cset, x + [ds, 0.0, 0.0]).verdict is verdict
+    assert barrier._seir_inside(cset, x) == _full_scan_inside(cset, x)
 
 
 def test_compute_barrier_curve_records_arclength(sc_sir):

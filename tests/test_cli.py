@@ -180,6 +180,62 @@ def test_load_set_rejects_a_corrupted_seir_mesh(tmp_path, capsys):
     assert np.array_equal(load_set(str(path)).mesh_nodes, mesh)
 
 
+@pytest.fixture(scope="module")
+def set_documents(tmp_path_factory):
+    """set.json documents of SIR-imperfect M and of SEIR A with two curves."""
+    tmp = tmp_path_factory.mktemp("sets")
+    docs = {}
+    for name, raw, argv in (
+        ("sir", SIR_IMPERFECT_RAW, ["--set", "mrpi"]),
+        ("seir", SEIR_PERFECT_RAW, ["--set", "admissible", "--curves", "2"]),
+    ):
+        cfg = _write_config(tmp, raw, f"{name}.json")
+        out = tmp / name
+        assert main(["barrier", "--config", cfg, "--out", str(out)] + argv) == 0
+        docs[name] = json.loads((out / "set.json").read_text())
+    return docs
+
+
+def _drop(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("sir", lambda d: dict(d, tolerances=dict(d["tolerances"], ham_tol=1e-6))),
+        ("seir", lambda d: dict(d, tolerances=dict(d["tolerances"], ham_tol=1e-6))),
+        ("sir", lambda d: dict(d, tolerances=dict(d["tolerances"], step_h="1e-3"))),
+        ("sir", lambda d: dict(d, tolerances=dict(d["tolerances"], geom_tol=True))),
+        ("sir", lambda d: dict(d, tolerances=dict(d["tolerances"], step_h=None))),
+        ("sir", lambda d: dict(d, tolerances=[1e-3])),
+        ("sir", lambda d: _drop(d, "polyline")),
+        ("seir", lambda d: _drop(d, "mesh_nodes")),
+        ("sir", lambda d: _drop(d, "tolerances")),
+        ("sir", lambda d: _drop(d, "special_segments")),
+    ],
+    ids=[
+        "unknown-tolerance-sir",
+        "unknown-tolerance-seir",
+        "string-tolerance",
+        "bool-tolerance",
+        "null-tolerance",
+        "tolerances-list",
+        "no-polyline",
+        "no-mesh-nodes",
+        "no-tolerances",
+        "no-special-segments",
+    ],
+)
+def test_load_set_rejects_a_malformed_document(set_documents, name, corrupt, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(set_documents[name]))
+    load_set(str(path))  # the document as written loads
+    path.write_text(json.dumps(corrupt(set_documents[name])))
+    with pytest.raises(ValueError):
+        load_set(str(path))
+
+
 def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,5 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
-functions, no unread tolerance fields.
+functions, no unread tolerance fields, and a README that names every verdict.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -9,8 +9,10 @@ reads it as an attribute.
 """
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
+from epibarrier.barrier import Verdict
 from epibarrier.core import Tolerances
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epibarrier"
@@ -77,3 +79,10 @@ def test_every_tolerance_field_is_read():
     }
     unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read_attrs]
     assert unread == []
+
+
+def test_readme_names_exactly_the_verdicts():
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    sentence = re.search(r"Verdicts are (.*?)\.\s", readme, re.S).group(1)
+    named = re.findall(r"`([A-Z_]+)`", sentence)
+    assert sorted(named) == sorted(v.value for v in Verdict)
