@@ -320,15 +320,26 @@ def _adjoint_renorm(d: int):
     The norm is ``sqrt(lam . lam)`` with the dot product taken by BLAS on a
     reused buffer, exactly as ``np.linalg.norm`` computes it: a plain-float
     ``sqrt(a*a + b*b)`` can differ in the last bit where the BLAS dot fuses
-    multiply and add.
+    multiply and add.  The tuple is unpacked per width, as in
+    :func:`_backward_rhs`, and the buffer set item by item: slicing and
+    concatenating tuples cost more than the dot product.
     """
     buf = np.empty(d)
+    if d == 2:
+
+        def renorm(y):
+            S, I, l1, l2, s = y
+            buf[0], buf[1] = l1, l2
+            n = math.sqrt(buf.dot(buf))
+            return (S, I, l1 / n, l2 / n, s)
+
+        return renorm
 
     def renorm(y):
-        lam = y[d : 2 * d]
-        buf[:] = lam
+        S, E, I, l1, l2, l3, s = y
+        buf[0], buf[1], buf[2] = l1, l2, l3
         n = math.sqrt(buf.dot(buf))
-        return y[:d] + tuple([v / n for v in lam]) + y[2 * d :]
+        return (S, E, I, l1 / n, l2 / n, l3 / n, s)
 
     return renorm
 

@@ -2,9 +2,10 @@
 
 The integrator is deliberately simple: classic fourth-order Runge-Kutta at a
 fixed step, events located by bisecting the sub-step length of a full RK4
-step from the last pre-event node.  Between located events the right-hand
-side is smooth, so the scheme keeps its full order and the results are
-bit-reproducible.
+step from the last pre-event node.  Each step screens all watched events with
+inline comparisons first; only a step on which one fires runs the per-event
+refinement.  Between located events the right-hand side is smooth, so the
+scheme keeps its full order and the results are bit-reproducible.
 
 The state is carried as a tuple of Python floats, not a numpy vector: for
 the 2- to 7-component systems integrated here, building small arrays costs
@@ -193,9 +194,11 @@ def integrate_until(
     y = tuple(np.asarray(y0, dtype=float).tolist())
     t = t0
 
-    is_sign = [e.kind is EventKind.SIGN_CHANGE for e in events]
+    fns = [e.fn for e in events]
+    signs = [i for i, e in enumerate(events) if e.kind is _SIGN_CHANGE]
+    thresholds = [(i, e.trigger_level) for i, e in enumerate(events) if e.kind is not _SIGN_CHANGE]
 
-    f_prev = [e.fn(t, y) for e in events]
+    f_prev = [fn(t, y) for fn in fns]
     stall = [0] * len(events)
     ts, ys = [t], [y]
     n_steps = 0
@@ -207,24 +210,31 @@ def integrate_until(
         h_cur = step if abs(step) <= remaining else math.copysign(remaining, step)
         y_new = rk4_step(rhs, t, y, h_cur)
         t_new = t + h_cur
-        f_new = [e.fn(t_new, y_new) for e in events]
+        f_new = [fn(t_new, y_new) for fn in fns]
 
-        hit: tuple[float, EventSpec, tuple] | None = None
-        for i, ev in enumerate(events):
-            if _triggered(ev, f_prev[i], f_new[i]):
-                frac, y_ev = _refine_fraction(
-                    rhs, ev, t, y, h_cur, f_prev[i], tol.event_time_tol
+        # screen: the conditions of _triggered, inline; stalls raise first
+        fired = False
+        for i in signs:
+            if f_prev[i] * f_new[i] < 0.0:
+                fired = True
+            stall[i] = stall[i] + 1 if abs(f_new[i]) < SIGMA_TOL else 0
+            if stall[i] > SIGMA_STALL_STEPS:
+                raise SingularArcError(
+                    f"functional '{events[i].label}' stayed below {SIGMA_TOL} "
+                    f"for {stall[i]} consecutive steps"
                 )
-                if hit is None or frac < hit[0]:
-                    hit = (frac, ev, y_ev)
-            if is_sign[i]:
-                stall[i] = stall[i] + 1 if abs(f_new[i]) < SIGMA_TOL else 0
-                if stall[i] > SIGMA_STALL_STEPS:
-                    raise SingularArcError(
-                        f"functional '{ev.label}' stayed below {SIGMA_TOL} "
-                        f"for {stall[i]} consecutive steps"
+        for i, level in thresholds:
+            if f_new[i] > level >= f_prev[i]:
+                fired = True
+        if fired:  # refine every triggered event; the earliest, then the first listed, wins
+            hit: tuple[float, EventSpec, tuple] | None = None
+            for i, ev in enumerate(events):
+                if _triggered(ev, f_prev[i], f_new[i]):
+                    frac, y_ev = _refine_fraction(
+                        rhs, ev, t, y, h_cur, f_prev[i], tol.event_time_tol
                     )
-        if hit is not None:
+                    if hit is None or frac < hit[0]:
+                        hit = (frac, ev, y_ev)
             frac, ev, y_ev = hit
             t_ev = t + frac * h_cur
             if post_step is not None:

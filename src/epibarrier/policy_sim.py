@@ -104,13 +104,20 @@ class SwitchingLawPolicy:
         self._cache_radius = 0.0
         self._cache_u: InputVec | None = None
         self._diff = np.empty(2)
+        self._eps = admissible_set.tolerances.boundary_layer_eps
 
     def u(self, t: float, state) -> InputVec:
+        # on the cap layer the law is a closed form of S, with no clearance
+        s, i = state
+        u = _cap_layer_law(self.scenario, self.admissible_set, self._eps, s, i)
+        if u is not None:
+            self._cache_radius = 0.0
+            return u
         # verdicts cannot change while the state stays within the previously
         # measured clearance from the boundary, so reuse the last decision;
         # the distance is the BLAS dot of np.linalg.norm on a reused buffer
         if self._cache_state is not None:
-            (s, i), (s_c, i_c), diff = state, self._cache_state, self._diff
+            (s_c, i_c), diff = self._cache_state, self._diff
             diff[0], diff[1] = s - s_c, i - i_c
             if math.sqrt(diff.dot(diff)) < self._cache_radius:
                 return self._cache_u
@@ -189,6 +196,8 @@ def simulate(
     step = h if h is not None else tol.step_h
     if not 0.0 <= t_end <= T_END_MAX:  # negated, so that NaN fails too
         raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {step}")
     x = np.asarray(x0, dtype=float)
     if x.shape != (scenario.dim,):
         raise ValueError(f"x0 must have {scenario.dim} components")
@@ -258,18 +267,10 @@ def _switching_law_with_clearance(
     tol = tolerances or admissible_set.tolerances
     eps = tol.boundary_layer_eps
     s_val, i_val = float(state[0]), float(state[1])
-    up = admissible_set.usable
+    on_cap = _cap_layer_law(scenario, admissible_set, eps, s_val, i_val)
+    if on_cap is not None:  # the emitted rate varies with S here, so never cache it
+        return on_cap, 0.0
     cap_margin = (scenario.i_max - eps) - i_val  # <= 0 once in the cap layer
-    on_cap_layer = (
-        up is not None and cap_margin <= 0.0 and s_val <= up.s_hi + eps
-    )
-    if on_cap_layer:
-        # the emitted rate varies with S here, so never cache it
-        if s_val < DIVIDE_GUARD_S:
-            return InputVec(beta=scenario.beta_max), 0.0
-        beta = scenario.gamma / s_val
-        beta = min(scenario.beta_max, max(scenario.beta_min, beta))
-        return InputVec(beta=beta), 0.0
     in_adm = membership(admissible_set, state)
     if in_adm.verdict is Verdict.INSIDE:
         clearance = min(in_adm.distance_estimate - eps, cap_margin)
@@ -294,6 +295,24 @@ def _switching_law_with_clearance(
     # outside: minimal contact rate, stable until the boundary layer
     clearance = min(in_adm.distance_estimate - eps, cap_margin)
     return InputVec(beta=scenario.beta_min), max(0.0, 0.9 * clearance)
+
+
+def _cap_layer_law(
+    scenario: Scenario, admissible_set: ComputedSet, eps: float, s_val: float, i_val: float
+) -> InputVec | None:
+    """The law on the usable cap layer, or None off it.
+
+    On the layer (I within ``eps`` of the cap, S at most ``eps`` past the
+    usable part's end) the cap-holding rate gamma/S, clamped to the box, and
+    beta_max below DIVIDE_GUARD_S.
+    """
+    up = admissible_set.usable
+    if not (up is not None and scenario.i_max - eps <= i_val and s_val <= up.s_hi + eps):
+        return None
+    if s_val < DIVIDE_GUARD_S:
+        return InputVec(beta=scenario.beta_max)
+    beta = scenario.gamma / s_val
+    return InputVec(beta=min(scenario.beta_max, max(scenario.beta_min, beta)))
 
 
 def monte_carlo(
@@ -465,6 +484,8 @@ def _oracle(
     tol: Tolerances,
 ):
     """Oracle flags of a batch of points, with the trials and breach matrix behind them."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != scenario.dim:
         raise ValueError(f"points must have shape (n, {scenario.dim})")

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epibarrier import integrate
 from epibarrier.core import Tolerances
 from epibarrier.integrate import (
     SIGMA_STALL_STEPS,
+    SIGMA_TOL,
     EventKind,
     EventSpec,
     NonFiniteError,
@@ -217,3 +220,129 @@ def test_every_step_and_midpoint_calls_the_module_rk4_step(monkeypatch):
         bisections += 1
     assert len(calls) == res.n_steps + bisections
     assert all(abs(h) < 1e-3 for h in calls[res.n_steps :])
+
+
+def _integrate_per_event(rhs, events, y0, t0, tol, h, t_limit, record_every):
+    """The step loop without the event screen: on every step each event is
+    decided by ``_triggered``, refined if it triggered, and then its stall
+    is counted."""
+    step, limit = h, t_limit
+    y = tuple(np.asarray(y0, dtype=float).tolist())
+    t = t0
+    is_sign = [e.kind is EventKind.SIGN_CHANGE for e in events]
+    f_prev = [e.fn(t, y) for e in events]
+    stall = [0] * len(events)
+    ts, ys = [t], [y]
+    n_steps = 0
+    while True:
+        remaining = limit - abs(t - t0)
+        if remaining <= tol.event_time_tol:
+            return integrate._result(ts, ys, integrate._HORIZON, t, y, n_steps)
+        h_cur = step if abs(step) <= remaining else math.copysign(remaining, step)
+        y_new = rk4_step(rhs, t, y, h_cur)
+        t_new = t + h_cur
+        f_new = [e.fn(t_new, y_new) for e in events]
+        hit = None
+        for i, ev in enumerate(events):
+            if integrate._triggered(ev, f_prev[i], f_new[i]):
+                frac, y_ev = integrate._refine_fraction(
+                    rhs, ev, t, y, h_cur, f_prev[i], tol.event_time_tol
+                )
+                if hit is None or frac < hit[0]:
+                    hit = (frac, ev, y_ev)
+            if is_sign[i]:
+                stall[i] = stall[i] + 1 if abs(f_new[i]) < SIGMA_TOL else 0
+                if stall[i] > SIGMA_STALL_STEPS:
+                    raise SingularArcError(
+                        f"functional '{ev.label}' stayed below {SIGMA_TOL} "
+                        f"for {stall[i]} consecutive steps"
+                    )
+        if hit is not None:
+            frac, ev, y_ev = hit
+            return integrate._result(ts, ys, ev, t + frac * h_cur, y_ev, n_steps + 1)
+        t, y, f_prev = t_new, y_new, f_new
+        n_steps += 1
+        if n_steps % record_every == 0:
+            ts.append(t)
+            ys.append(y)
+
+
+# An event is (kind, shape, component, x, level) on y' = velocity from y = 0:
+# "cross" is y[k] - x, crossed x / (v*h) steps in; "flat" is the constant x
+# (0.0 and 1e-13 stall a sign event, NaN screens false); "nan_after" is y[k]
+# until |t| > x and NaN after.  A level of None puts the trigger level at the
+# event's start value.
+_KINDS = {"sign": EventKind.SIGN_CHANGE, "exit": EventKind.DOMAIN_EXIT, "floor": EventKind.I_FLOOR}
+
+
+def _event(i, kind, shape, k, x, level):
+    if shape == "cross":
+        fn = lambda t, y: y[k] - x
+    elif shape == "flat":
+        fn = lambda t, y: x
+    else:
+        fn = lambda t, y: math.nan if abs(t) > x else y[k]
+    if level is None:
+        level = fn(0.0, (0.0, 0.0))
+    return EventSpec(_KINDS[kind], f"{kind}{i}", fn, trigger_level=level)
+
+
+@st.composite
+def _screen_case(draw):
+    v = (draw(st.sampled_from([1.0, -1.0, 0.5, 2.0])), draw(st.sampled_from([1.0, -0.5, 3.0])))
+    h = draw(st.sampled_from([1e-2, -1e-2, 2e-2]))
+    specs = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(sorted(_KINDS)))
+        shape = draw(st.sampled_from(["cross", "cross", "flat", "nan_after"]))
+        k = draw(st.integers(0, 1))
+        if shape == "cross":  # crossed inside step m + 1, or on its node
+            x = v[k] * h * (draw(st.integers(0, 70)) + draw(st.sampled_from([0.0, 0.5, 1e-6])))
+        elif shape == "flat":
+            x = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1.0, math.nan]))
+        else:
+            x = draw(st.sampled_from([0.0, 0.25, 0.6]))
+        level = None if kind == "sign" else draw(st.sampled_from([0.0, 1e-9, -1e-3, None]))
+        specs.append((kind, shape, k, x, level))
+    return v, h, draw(st.sampled_from([1, 3, 10])), specs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screen_case())
+# a threshold event that starts at its level and rises at once
+@example(((1.0, 1.0), 1e-2, 10, [("exit", "cross", 0, 0.0, None)]))
+# two events triggered in one step: the earlier fraction wins, then list order
+@example(((1.0, 1.0), 1e-2, 3, [("sign", "cross", 0, 0.125, None), ("exit", "cross", 1, 0.123, 0.0),
+                                ("floor", "cross", 1, 0.123, 0.0)]))
+# a NaN event value
+@example(((1.0, 1.0), 1e-2, 1, [("exit", "flat", 0, math.nan, 0.0), ("sign", "nan_after", 0, 0.25, None),
+                                ("exit", "cross", 0, 0.305, 0.0)]))
+# a stall and a trigger on the same step (step 51)
+@example(((1.0, 1.0), 1e-2, 10, [("exit", "cross", 0, 0.505, 0.0), ("sign", "flat", 0, 0.0, None)]))
+def test_event_screen_matches_per_event_reference(case):
+    v, h, record_every, specs = case
+    rhs = lambda t, y: v
+    tol = Tolerances()
+
+    def run(integrator, events):
+        try:
+            return integrator(rhs, events, (0.0, 0.0), 0.0, tol, h, 0.8, record_every)
+        except SingularArcError as err:
+            return str(err)
+
+    events = [_event(i, *spec) for i, spec in enumerate(specs)]
+    want = run(_integrate_per_event, events)
+    got = run(
+        lambda rhs, ev, y0, t0, tol, h, lim, rec: integrate_until(
+            rhs, ev, y0, t0, tol, h=h, t_limit=lim, record_every=rec
+        ),
+        events,
+    )
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.terminal is want.terminal
+    assert (got.t_end, got.n_steps) == (want.t_end, want.n_steps)
+    assert got.t.tobytes() == want.t.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.y_end.tobytes() == want.y_end.tobytes()

@@ -105,6 +105,20 @@ def test_simulate_rejects_bad_inputs(sc_sir):
         simulate(sc_sir, pol, [0.5, 0.01], 20000.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+def test_forward_runs_reject_a_bad_step(h, sc_sir, sc_sir_imp):
+    # refused before any stepping: a negative or infinite step would
+    # otherwise return one unbreached sample, and a negative oracle step
+    # would never end
+    pol = ConstantPolicy(sc_sir, InputVec(beta=0.7))
+    with pytest.raises(ValueError, match="step h"):
+        simulate(sc_sir, pol, [0.5, 0.01], 1.0, h=h)
+    with pytest.raises(ValueError, match="step h"):
+        monte_carlo(sc_sir_imp, [0.8, 0.1], 2, seed=0, t_end=1.0, h=h)
+    with pytest.raises(ValueError, match="step h"):
+        grid_membership_oracle(sc_sir, SetKind.MRPI, [[0.9, 0.01]], t_end=1.0, h=h)
+
+
 def test_switching_law_regions(sc_sir, adm_sir, mrpi_sir):
     # deep inside the robust set: full contact
     u = switching_law([0.2, 0.005], adm_sir, mrpi_sir, sc_sir)
@@ -156,11 +170,16 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
     # about 55 days), where the cached law rides a positive clearance
     law = policy_sim._switching_law_with_clearance
     boundary_clearances = []
+    eps, s_hi = adm_sir.tolerances.boundary_layer_eps, adm_sir.usable.s_hi
+    on_cap_layer = lambda x: x[1] >= sc_sir.i_max - eps and x[0] <= s_hi + eps
+    cap_layer_calls = []
 
     def spy(state, *args):
         u, clearance = law(state, *args)
         if membership(adm_sir, state).verdict is Verdict.BOUNDARY:
             boundary_clearances.append(clearance)
+        if on_cap_layer(state):
+            cap_layer_calls.append(state)
         return u, clearance
 
     class EveryStep:
@@ -179,6 +198,9 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
         assert t_c == t_f and u_c.beta == u_f.beta
         assert np.array_equal(x_c, x_f)
     assert (cached.breached, cached.max_I) == (fresh.breached, fresh.max_I)
+    # the run rides the cap layer, and the policy decides those steps itself
+    assert any(on_cap_layer(x) for _, x, _ in fresh.samples)
+    assert cap_layer_calls == []
 
 
 def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir, mrpi_sir):
