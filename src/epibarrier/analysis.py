@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Scenario, SetKind, Variant
-from .models import BadChannelError
+from .models import InputVec, active_channels, check_set_kind, extremal_value, rates
 
 __all__ = [
     "ClassTag",
@@ -136,72 +136,48 @@ def classify(scenario: Scenario) -> Classification:
 
 def is_trivial(scenario: Scenario, set_kind: SetKind) -> bool:
     """True when the requested set equals the whole constrained state space."""
+    check_set_kind(scenario.variant, set_kind)
     tag = classify(scenario).tag
     if set_kind is SetKind.ADMISSIBLE:
-        if not scenario.variant.is_perfect:
-            raise BadChannelError(
-                f"{scenario.variant.value} has no controllable input; "
-                "admissible set undefined"
-            )
         return tag in (ClassTag.ALL_EQUAL_G, ClassTag.MRPI_PROPER)
     return tag in (ClassTag.ALL_EQUAL_G, ClassTag.M_EQUAL_G)
 
 
-def _rate_pair(scenario: Scenario, set_kind: SetKind) -> tuple[float, float]:
-    """(gamma*, beta*) pair entering the usable-part / tangency quotients."""
-    v = scenario.variant
-    if v is Variant.SIR_PERFECT:
-        if set_kind is SetKind.ADMISSIBLE:
-            return scenario.gamma, scenario.beta_min
-        return scenario.gamma, scenario.beta_max
-    if v is Variant.SIR_IMPERFECT:
-        # feedback endpoint: the cap-face contact rate is beta_min
-        return scenario.gamma_min, scenario.beta_min
-    if v is Variant.SEIR_PERFECT:
-        if set_kind is SetKind.ADMISSIBLE:
-            return scenario.gamma_max, scenario.beta_min
-        return scenario.gamma_min, scenario.beta_max
-    # SEIR_IMPERFECT (MRPI only)
-    return scenario.gamma_max, scenario.beta_min
+def _cap_rates(scenario: Scenario, set_kind: SetKind) -> tuple:
+    """Cap-face rates (beta*, gamma*, eta*) entering the usable-part and tangency quotients.
 
-
-def _e_rate_pair(scenario: Scenario, set_kind: SetKind) -> tuple[float, float]:
-    """(gamma*, eta*) defining the SEIR cap-face E bound and z2*."""
-    v = scenario.variant
-    if v is Variant.SEIR_PERFECT:
-        if set_kind is SetKind.ADMISSIBLE:
-            return scenario.gamma_max, scenario.eta
-        return scenario.gamma_min, scenario.eta
-    if v is Variant.SEIR_IMPERFECT:
-        return scenario.gamma_max, scenario.eta_max
-    raise ValueError("E-rate pair only defined for SEIR variants")
+    They are the rates at I = I_max with every free channel at its bang value
+    for a positive switching functional; ``eta*`` is None for SIR.
+    """
+    u = InputVec(
+        **{
+            ch.value: extremal_value(scenario, set_kind, ch, True)
+            for ch in active_channels(scenario.variant)
+        }
+    )
+    beta, _, gamma, _, eta = rates(scenario, scenario.i_max, u)
+    return beta, gamma, eta
 
 
 def usable_part(scenario: Scenario, set_kind: SetKind) -> UsablePart:
-    v, im = scenario.variant, scenario.i_max
-    if not scenario.variant.is_perfect and set_kind is SetKind.ADMISSIBLE:
-        raise BadChannelError(
-            f"{v.value} has no controllable input; admissible set undefined"
-        )
-    if v.is_sir:
-        g, b = _rate_pair(scenario, set_kind)
+    im = scenario.i_max
+    b, g, e = _cap_rates(scenario, set_kind)
+    if scenario.variant.is_sir:
         return UsablePart(set_kind, im, s_hi=min(g / b, 1.0 - im))
-    g, e = _e_rate_pair(scenario, set_kind)
     return UsablePart(set_kind, im, s_hi=1.0 - im, e_cap_const=(g / e) * im)
 
 
 def tangent_set(scenario: Scenario, set_kind: SetKind) -> TangentSet:
     """Ultimate-tangency set before the backward-evolution filter."""
-    v, im = scenario.variant, scenario.i_max
-    if v.is_sir:
-        g, b = _rate_pair(scenario, set_kind)
+    im = scenario.i_max
+    b, g, e = _cap_rates(scenario, set_kind)
+    if scenario.variant.is_sir:
         z1 = g / b
         if z1 + im > 1.0:
             raise EmptyTangentError(
                 f"tangent abscissa {z1} + i_max {im} exceeds 1; set is trivial"
             )
         return TangentSet(set_kind, im, z1_lo=z1, z1_hi=z1)
-    g, e = _e_rate_pair(scenario, set_kind)
     z2 = (g / e) * im
     z1_hi = 1.0 - z2 - im
     if z1_hi < 0.0:
@@ -220,7 +196,7 @@ def backward_filter(
     derivative of the constraint is negative at the tangent point (it always
     is: -gamma* beta* I_max^2 < 0 for positive rates).
     """
-    g, b = _rate_pair(scenario, set_kind)
+    b, g, _ = _cap_rates(scenario, set_kind)
     if not tangents.is_sir:
         return replace(tangents, z1_hi=min(g / b, tangents.z1_hi))
     if not -g * b * scenario.i_max**2 < 0.0:  # unreachable for valid scenarios

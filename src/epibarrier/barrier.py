@@ -449,22 +449,7 @@ class ComputedSet:
     curves: list[BarrierCurve] = field(default_factory=list)
     polyline: np.ndarray | None = None  # SIR: closed boundary polygon (n, 2)
     mesh_nodes: np.ndarray | None = None  # SEIR: (n_curves, n_nodes, 3)
-    special_segments: list[np.ndarray] = field(default_factory=list)
     tolerances: Tolerances = field(default_factory=Tolerances)
-
-
-def _sir_special_segments(scenario: Scenario) -> list[np.ndarray]:
-    im = scenario.i_max
-    return [
-        np.array([[0.0, 0.0], [1.0, 0.0]]),  # equilibrium axis I = 0
-        np.array([[0.0, 0.0], [0.0, im]]),  # S = 0 edge, flow decays to origin
-    ]
-
-
-def _seir_special_segments(scenario: Scenario) -> list[np.ndarray]:
-    return [
-        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),  # equilibria E = I = 0
-    ]
 
 
 def assemble_set(
@@ -500,7 +485,6 @@ def assemble_set(
             usable=up,
             curves=curves,
             polyline=poly,
-            special_segments=_sir_special_segments(scenario),
             tolerances=tol,
         )
     nodes = np.stack([resample_by_arclength(c, scenario, 200) for c in curves])
@@ -511,7 +495,6 @@ def assemble_set(
         usable=up,
         curves=curves,
         mesh_nodes=nodes,
-        special_segments=_seir_special_segments(scenario),
         tolerances=tol,
     )
 
@@ -610,13 +593,9 @@ def _sir_edges(cset: ComputedSet):
         return cached
     poly = cset.polyline
     closed = np.vstack([poly, poly[:1]])
-    starts = [closed[:-1]]
-    ends = [closed[1:]]
-    for seg in cset.special_segments:
-        starts.append(seg[:-1])
-        ends.append(seg[1:])
-    a = np.vstack(starts)
-    ab = np.vstack(ends) - a
+    # the invariant I = 0 axis and S = 0 edge, up to the cap, bound every SIR set
+    a = np.vstack([closed[:-1], [[0.0, 0.0], [0.0, 0.0]]])
+    ab = np.vstack([closed[1:], [[1.0, 0.0], [0.0, cset.scenario.i_max]]]) - a
     denom = np.einsum("ij,ij->i", ab, ab)
     inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
     xs, ys = poly[1:, 0].tolist(), poly[1:, 1].tolist()
@@ -684,8 +663,7 @@ def _seir_arrays(cset: ComputedSet):
     triangle in :func:`_seir_inside` can agree on a query outside it only
     within the rounding of an orient, far inside the pad, so no triangle
     outside its padded box can cover the query; a wider pad only adds
-    candidates.  The node coordinate columns and each special segment's
-    (start, direction, squared length) serve the distance estimate.
+    candidates.  The node coordinate columns serve the distance estimate.
     """
     cached = getattr(cset, "_seir_cache", None)
     if cached is not None:
@@ -696,13 +674,8 @@ def _seir_arrays(cset: ComputedSet):
     s_lo, s_hi = s.min(axis=0).ravel(), s.max(axis=0).ravel()
     e_lo, e_hi = e.min(axis=0).ravel(), e.max(axis=0).ravel()
     pad = 1e-8 * np.hypot(s_hi - s_lo, e_hi - e_lo) + 1e-12
-    segs = []
-    for seg in cset.special_segments:
-        for a, b in zip(seg[:-1].tolist(), seg[1:].tolist()):
-            ab = [q - p for p, q in zip(a, b)]
-            segs.append((a, ab, ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2]))
     columns = tuple(g[..., k].ravel() for k in range(3))
-    cached = (s_lo - pad, s_hi + pad, e_lo - pad, e_hi + pad, columns, segs)
+    cached = (s_lo - pad, s_hi + pad, e_lo - pad, e_hi + pad, columns)
     cset._seir_cache = cached
     return cached
 
@@ -732,7 +705,7 @@ def _seir_inside(cset: ComputedSet, x: np.ndarray) -> bool:
     so its far edges are open: the tangent segment lies on its edge E = e_cap.
     """
     s_q, e_q, i_q = x.tolist()
-    s_lo, s_hi, e_lo, e_hi, (_, _, z), _ = _seir_arrays(cset)
+    s_lo, s_hi, e_lo, e_hi, (_, _, z) = _seir_arrays(cset)
     hits = np.flatnonzero((s_lo <= s_q) & (s_q <= s_hi) & (e_lo <= e_q) & (e_q <= e_hi))
     up = cset.usable
     cap_usable = 0.0 <= s_q < up.s_hi and 0.0 <= e_q < up.e_cap(s_q)
@@ -768,7 +741,7 @@ def _seir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
 
 def _seir_distance_estimate(cset: ComputedSet, x: np.ndarray) -> float:
     scenario = cset.scenario
-    *_, (nx, ny, nz), segs = _seir_arrays(cset)
+    *_, (nx, ny, nz) = _seir_arrays(cset)
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     dx, dy, dz = nx - x0, ny - x1, nz - x2
     dist = float(np.sqrt(np.min(dx * dx + dy * dy + dz * dz)))
@@ -778,11 +751,6 @@ def _seir_distance_estimate(cset: ComputedSet, x: np.ndarray) -> float:
     de = max(0.0, -x[1], x[1] - up.e_cap(min(max(x[0], 0.0), up.s_hi)))
     di = scenario.i_max - x[2]
     dist = min(dist, float(np.sqrt(ds * ds + de * de + di * di)))
-    # the one SEIR special segment is the S axis, on which these plain-float
-    # products and sums are exact, whatever order a vectorised dot would use
-    for (ax, ay, az), (bx, by, bz), denom in segs:
-        dot = (x0 - ax) * bx + (x1 - ay) * by + (x2 - az) * bz
-        t = min(1.0, max(0.0, dot / denom)) if denom else 0.0
-        ex, ey, ez = x0 - (ax + t * bx), x1 - (ay + t * by), x2 - (az + t * bz)
-        dist = min(dist, math.sqrt(ex * ex + ey * ey + ez * ez))
-    return dist
+    # the invariant equilibria E = I = 0, the S axis from 0 to 1, bound every SEIR set
+    ex = x0 - min(1.0, max(0.0, x0))
+    return min(dist, math.sqrt(ex * ex + x1 * x1 + x2 * x2))

@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import EmptyTangentError, classify, usable_part
 from .barrier import ComputedSet, Verdict, assemble_set, check_set_geometry, membership
 from .core import Scenario, ScenarioError, SetKind, Tolerances, _as_number, validate_scenario
-from .models import BadChannelError, InputVec, active_channels
+from .models import BadChannelError, InputVec, active_channels, check_set_kind
 from .policy_sim import (
     AffineFeedbackPolicy,
     ConstantPolicy,
@@ -120,11 +120,7 @@ def _load_config(args) -> tuple[dict, Scenario, Tolerances]:
 
 def _parse_set_kind(scenario: Scenario, name: str) -> SetKind:
     kind = SetKind(name)
-    if kind is SetKind.ADMISSIBLE and not scenario.variant.is_perfect:
-        raise InputError(
-            f"BAD_SET_KIND: {scenario.variant.value} has no controllable "
-            "input; only the robust invariant set is defined"
-        )
+    check_set_kind(scenario.variant, kind)
     return kind
 
 
@@ -169,7 +165,6 @@ def _set_document(cset: ComputedSet, raw_config: dict, curve_files, manifest) ->
         return doc
     up = cset.usable
     doc["usable_part"] = {"s_hi": up.s_hi, "e_cap_const": up.e_cap_const}
-    doc["special_segments"] = [seg.tolist() for seg in cset.special_segments]
     doc["curves"] = [
         {
             "file": fname,
@@ -205,7 +200,6 @@ def load_set(path: str) -> ComputedSet:
             usable=usable_part(scenario, kind),
             polyline=np.array(doc["polyline"], dtype=float) if sir else None,
             mesh_nodes=None if sir else np.array(doc["mesh_nodes"], dtype=float),
-            special_segments=[np.array(s) for s in doc["special_segments"]],
             tolerances=tol,
         )
     except (KeyError, TypeError, AttributeError) as exc:
@@ -283,14 +277,16 @@ def _build_policy(args, scenario, tol):
                 params[key.strip()] = float(val)
             except ValueError:
                 raise InputError(f"bad policy parameter {item!r}")
-    if name == "constant":
+    if name in ("constant", "feedback"):
         try:
-            return ConstantPolicy(scenario, InputVec(**params))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad constant policy: {exc}")
-    if name == "feedback":
-        return AffineFeedbackPolicy(scenario, InputVec(**params) if params else None)
+            values = InputVec(**params)
+        except TypeError as exc:
+            raise InputError(f"bad {name} policy: {exc}")
+        policy = ConstantPolicy if name == "constant" else AffineFeedbackPolicy
+        return policy(scenario, values)
     if name == "switching":
+        if params:
+            raise InputError("the switching policy takes no parameters")
         adm = assemble_set(scenario, SetKind.ADMISSIBLE, tolerances=tol)
         mrpi = assemble_set(scenario, SetKind.MRPI, tolerances=tol)
         return SwitchingLawPolicy(scenario, adm, mrpi)

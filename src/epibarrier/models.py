@@ -7,6 +7,15 @@ for SEIR, the removal rate) is an affine feedback on I, and the only free
 input is the disturbance channel.  Every variant's rates, the feedback law
 and its slopes come from one function, :func:`rates`; the vector field and
 the adjoint matrix are built on it.
+
+Which channels are free is written once, in one table: per variant, each
+free channel with the adjoint indices of its switching functional.  One bang
+rule picks the end of the channel's box, ``(scenario.<channel>_min,
+scenario.<channel>_max)``: a positive functional selects the upper end for
+gamma on the admissible set and for every other channel on the robust
+invariant set.  The cap-face rates beta*, gamma* and eta* of
+:mod:`epibarrier.analysis` are :func:`rates` at ``I_max`` under that bang
+input for a positive functional.
 """
 from __future__ import annotations
 
@@ -26,11 +35,13 @@ __all__ = [
     "adjoint_matrix",
     "adjoint_rhs",
     "active_channels",
+    "check_set_kind",
     "switch_components",
     "switch_value",
     "extremal_value",
     "lie_derivative_g",
     "input_box",
+    "check_input",
 ]
 
 
@@ -46,11 +57,7 @@ class BadChannelError(ValueError):
 
 @dataclass(frozen=True)
 class InputVec:
-    """Input values for the variant's free channels; unused fields are None.
-
-    Perfect SIR carries beta; perfect SEIR beta and gamma; imperfect SIR the
-    disturbance gamma; imperfect SEIR the disturbance eta.
-    """
+    """Input values for the variant's free channels; unused fields are None."""
 
     beta: float | None = None
     gamma: float | None = None
@@ -152,26 +159,31 @@ def adjoint_rhs(scenario: Scenario, state, adjoint, u: InputVec) -> np.ndarray:
     return adjoint_matrix(scenario, state, u) @ np.asarray(adjoint, dtype=float)
 
 
-# Free channels per variant (controls for perfect, disturbances for imperfect).
+# Free channels per variant (controls for perfect, disturbances for imperfect),
+# each with the adjoint indices (plus, minus) of its switching functional
+# lam[plus] - lam[minus]; minus is None where the functional is lam[plus] alone.
 _CHANNELS = {
-    Variant.SIR_PERFECT: (Channel.BETA,),
-    Variant.SEIR_PERFECT: (Channel.BETA, Channel.GAMMA),
-    Variant.SIR_IMPERFECT: (Channel.GAMMA,),
-    Variant.SEIR_IMPERFECT: (Channel.ETA,),
+    Variant.SIR_PERFECT: {Channel.BETA: (1, 0)},
+    Variant.SEIR_PERFECT: {Channel.BETA: (1, 0), Channel.GAMMA: (2, None)},
+    Variant.SIR_IMPERFECT: {Channel.GAMMA: (1, None)},
+    Variant.SEIR_IMPERFECT: {Channel.ETA: (2, 1)},
 }
 
 
 def active_channels(variant: Variant) -> tuple[Channel, ...]:
-    return _CHANNELS[variant]
+    return tuple(_CHANNELS[variant])
 
 
-def _check_channel(variant: Variant, set_kind: SetKind, channel: Channel) -> None:
-    if not variant.is_perfect and set_kind is SetKind.ADMISSIBLE:
+def check_set_kind(variant: Variant, set_kind: SetKind) -> None:
+    """Raise BadChannelError for an admissible set of an imperfect variant.
+
+    With no controllable input there is no admissible set, only the robust
+    invariant one.
+    """
+    if set_kind is SetKind.ADMISSIBLE and not variant.is_perfect:
         raise BadChannelError(
             f"{variant.value} has no controllable input; admissible set undefined"
         )
-    if channel not in _CHANNELS[variant]:
-        raise BadChannelError(f"channel {channel.value} not free for {variant.value}")
 
 
 def switch_components(
@@ -181,12 +193,10 @@ def switch_components(
 
     ``minus`` is None where the functional is lam[plus] alone.
     """
-    _check_channel(variant, set_kind, channel)
-    if channel is Channel.BETA:
-        return 1, 0
-    if channel is Channel.GAMMA:
-        return (1 if variant is Variant.SIR_IMPERFECT else 2), None
-    return 2, 1  # ETA (imperfect SEIR)
+    check_set_kind(variant, set_kind)
+    if channel not in _CHANNELS[variant]:
+        raise BadChannelError(f"channel {channel.value} not free for {variant.value}")
+    return _CHANNELS[variant][channel]
 
 
 def switch_value(variant: Variant, set_kind: SetKind, channel: Channel, adjoint) -> float:
@@ -199,23 +209,15 @@ def switch_value(variant: Variant, set_kind: SetKind, channel: Channel, adjoint)
 def extremal_value(
     scenario: Scenario, set_kind: SetKind, channel: Channel, positive: bool
 ) -> float:
-    """Bang value of ``channel`` when its switching functional is positive/negative."""
-    _check_channel(scenario.variant, set_kind, channel)
-    if channel is Channel.BETA:
-        lo, hi = scenario.beta_min, scenario.beta_max
-        # admissible: beta_min when sigma > 0; MRPI: beta_max when sigma > 0
-        if set_kind is SetKind.ADMISSIBLE:
-            return lo if positive else hi
-        return hi if positive else lo
-    if channel is Channel.GAMMA:
-        lo, hi = scenario.gamma_min, scenario.gamma_max
-        # admissible (perfect SEIR): gamma_max when sigma > 0; MRPI: gamma_min
-        if set_kind is SetKind.ADMISSIBLE:
-            return hi if positive else lo
-        return lo if positive else hi
-    lo, hi = scenario.eta_min, scenario.eta_max
-    # imperfect SEIR MRPI: eta_max when lambda3 - lambda2 > 0
-    return hi if positive else lo
+    """Bang value of ``channel`` when its switching functional is positive/negative.
+
+    A positive functional selects the upper end of the box for gamma on the
+    admissible set, and for every other channel on the robust invariant set.
+    """
+    switch_components(scenario.variant, set_kind, channel)
+    lo, hi = input_box(scenario)[channel]
+    upper = (channel is Channel.GAMMA) == (set_kind is SetKind.ADMISSIBLE)
+    return hi if upper == positive else lo
 
 
 def lie_derivative_g(scenario: Scenario, state, u: InputVec) -> float:
@@ -224,13 +226,20 @@ def lie_derivative_g(scenario: Scenario, state, u: InputVec) -> float:
 
 
 def input_box(scenario: Scenario) -> dict[Channel, tuple[float, float]]:
-    """Closed interval per free channel."""
-    box: dict[Channel, tuple[float, float]] = {}
-    for ch in _CHANNELS[scenario.variant]:
-        if ch is Channel.BETA:
-            box[ch] = (scenario.beta_min, scenario.beta_max)
-        elif ch is Channel.GAMMA:
-            box[ch] = (scenario.gamma_min, scenario.gamma_max)
-        else:
-            box[ch] = (scenario.eta_min, scenario.eta_max)
-    return box
+    """Closed interval ``(scenario.<channel>_min, scenario.<channel>_max)`` per free channel."""
+    return {
+        ch: (getattr(scenario, f"{ch.value}_min"), getattr(scenario, f"{ch.value}_max"))
+        for ch in _CHANNELS[scenario.variant]
+    }
+
+
+def check_input(scenario: Scenario, u: InputVec) -> None:
+    """Raise BadChannelError unless ``u`` sets every free channel inside its box, and no other."""
+    box = input_box(scenario)
+    for ch in Channel:
+        value = getattr(u, ch.value)
+        if ch not in box:
+            if value is not None:
+                raise BadChannelError(f"channel {ch.value} not free for {scenario.variant.value}")
+        elif value is None or not box[ch][0] <= value <= box[ch][1]:  # NaN fails too
+            raise BadChannelError(f"{ch.value}={value} outside {list(box[ch])}")

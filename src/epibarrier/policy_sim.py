@@ -20,7 +20,16 @@ import numpy as np
 from .barrier import ComputedSet, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
 from .integrate import EventKind, EventSpec, _refine_fraction, _rk4_stages, _triggered, rk4_step
-from .models import Channel, InputVec, input_box, rates, state_field
+from .models import (
+    BadChannelError,
+    Channel,
+    InputVec,
+    active_channels,
+    check_input,
+    input_box,
+    rates,
+    state_field,
+)
 
 __all__ = [
     "ConstantPolicy",
@@ -51,11 +60,7 @@ class ConstantPolicy:
     """Fixed input values on every free channel."""
 
     def __init__(self, scenario: Scenario, values: InputVec):
-        box = input_box(scenario)
-        for ch, (lo, hi) in box.items():
-            v = values.get(ch)
-            if not lo <= v <= hi:
-                raise ValueError(f"{ch.value}={v} outside [{lo}, {hi}]")
+        check_input(scenario, values)
         self.values = values
 
     def u(self, t: float, state) -> InputVec:
@@ -66,24 +71,28 @@ class AffineFeedbackPolicy:
     """Interpolated-rate feedback on I, with fixed disturbance values.
 
     For imperfect variants the model dynamics already apply the feedback, so
-    only the disturbance channels are emitted.  For perfect variants the
-    controls are set to the same affine laws: the contact rate interpolates
-    from beta_max at I=0 down to beta_min at I=I_max, the removal rate from
-    gamma_min up to gamma_max.
+    only the disturbance channels are emitted, each set once and inside its
+    box.  For perfect variants, which take no disturbance, the controls are
+    set to the same affine laws: the contact rate interpolates from beta_max
+    at I=0 down to beta_min at I=I_max, the removal rate from gamma_min up to
+    gamma_max.
     """
 
     def __init__(self, scenario: Scenario, disturbance: InputVec | None = None):
         self.scenario = scenario
         self.disturbance = disturbance or InputVec()
+        if not scenario.variant.is_perfect:
+            check_input(scenario, self.disturbance)
+        elif self.disturbance != InputVec():
+            raise BadChannelError(f"feedback on {scenario.variant.value} takes no parameters")
+        self.channels = [ch.value for ch in active_channels(scenario.variant)]
 
     def u(self, t: float, state) -> InputVec:
-        sc = self.scenario
-        if not sc.variant.is_perfect:
+        if not self.scenario.variant.is_perfect:
             return self.disturbance
-        beta, _, gamma, _, _ = rates(sc, float(state[-1]), None)
-        if sc.variant is Variant.SIR_PERFECT:
-            return InputVec(beta=beta)
-        return InputVec(beta=beta, gamma=gamma)
+        beta, _, gamma, _, _ = rates(self.scenario, float(state[-1]), None)
+        law = {"beta": beta, "gamma": gamma}
+        return InputVec(**{ch: law[ch] for ch in self.channels})
 
 
 class SwitchingLawPolicy:

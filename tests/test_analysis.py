@@ -1,16 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epibarrier.analysis import (
     ClassTag,
     EmptyTangentError,
+    TangentSet,
+    UsablePart,
     backward_filter,
     classify,
     is_trivial,
     tangent_set,
     usable_part,
 )
-from epibarrier.core import SetKind, validate_scenario
+from epibarrier.core import SetKind, Variant, validate_scenario
 from epibarrier.models import BadChannelError
 
 from conftest import SIR_PERFECT_RAW
@@ -169,3 +175,109 @@ def test_monotonicity_random_scenarios():
             if is_trivial(small, kind):
                 # larger cap only relaxes the constraint
                 assert is_trivial(big, kind)
+
+
+# Reference: the hand-written cap-face rate tables that the channel table in
+# models replaced, with the usable part, tangency set and filter built on them.
+def _rate_pair(scenario, set_kind):
+    v = scenario.variant
+    if v is Variant.SIR_PERFECT:
+        if set_kind is SetKind.ADMISSIBLE:
+            return scenario.gamma, scenario.beta_min
+        return scenario.gamma, scenario.beta_max
+    if v is Variant.SIR_IMPERFECT:
+        return scenario.gamma_min, scenario.beta_min
+    if v is Variant.SEIR_PERFECT:
+        if set_kind is SetKind.ADMISSIBLE:
+            return scenario.gamma_max, scenario.beta_min
+        return scenario.gamma_min, scenario.beta_max
+    return scenario.gamma_max, scenario.beta_min
+
+
+def _e_rate_pair(scenario, set_kind):
+    if scenario.variant is Variant.SEIR_PERFECT:
+        if set_kind is SetKind.ADMISSIBLE:
+            return scenario.gamma_max, scenario.eta
+        return scenario.gamma_min, scenario.eta
+    return scenario.gamma_max, scenario.eta_max
+
+
+def _reference_usable_part(scenario, set_kind):
+    im = scenario.i_max
+    if scenario.variant.is_sir:
+        g, b = _rate_pair(scenario, set_kind)
+        return UsablePart(set_kind, im, s_hi=min(g / b, 1.0 - im))
+    g, e = _e_rate_pair(scenario, set_kind)
+    return UsablePart(set_kind, im, s_hi=1.0 - im, e_cap_const=(g / e) * im)
+
+
+def _reference_tangent_set(scenario, set_kind):
+    im = scenario.i_max
+    if scenario.variant.is_sir:
+        g, b = _rate_pair(scenario, set_kind)
+        z1 = g / b
+        if z1 + im > 1.0:
+            raise EmptyTangentError
+        return TangentSet(set_kind, im, z1_lo=z1, z1_hi=z1)
+    g, e = _e_rate_pair(scenario, set_kind)
+    z2 = (g / e) * im
+    z1_hi = 1.0 - z2 - im
+    if z1_hi < 0.0:
+        raise EmptyTangentError
+    return TangentSet(set_kind, im, z1_lo=0.0, z1_hi=z1_hi, z2_star=z2)
+
+
+def _reference_backward_filter(scenario, set_kind, tangents):
+    g, b = _rate_pair(scenario, set_kind)
+    if not tangents.is_sir:
+        return replace(tangents, z1_hi=min(g / b, tangents.z1_hi))
+    return tangents
+
+
+_RATE = st.floats(min_value=1e-3, max_value=5.0, allow_nan=False, allow_infinity=False)
+_INTERVAL = st.lists(_RATE, min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def _scenarios(draw):
+    variant = draw(st.sampled_from(list(Variant)))
+    raw = {
+        "variant": variant.value,
+        "i_max": draw(st.floats(min_value=1e-3, max_value=0.999)),
+        "beta": draw(_INTERVAL),
+    }
+    if variant is Variant.SIR_PERFECT:
+        raw["gamma"] = draw(_RATE)
+    else:
+        raw["gamma"] = draw(_INTERVAL)
+    if variant is Variant.SEIR_PERFECT:
+        raw["eta"] = draw(_RATE)
+    elif variant is Variant.SEIR_IMPERFECT:
+        raw["eta"] = draw(_INTERVAL)
+    return validate_scenario(raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scenarios(), st.sampled_from(list(SetKind)))
+def test_cap_face_rates_match_the_reference_tables(scenario, set_kind):
+    # float repr round-trips, so equal reprs mean bit-identical fields
+    if set_kind is SetKind.ADMISSIBLE and not scenario.variant.is_perfect:
+        some = TangentSet(set_kind, scenario.i_max, 0.1, 0.1)
+        for call in (usable_part, tangent_set, lambda sc, k: backward_filter(sc, k, some)):
+            with pytest.raises(BadChannelError):
+                call(scenario, set_kind)
+        return
+    assert repr(usable_part(scenario, set_kind)) == repr(
+        _reference_usable_part(scenario, set_kind)
+    )
+    try:
+        expected = _reference_tangent_set(scenario, set_kind)
+    except EmptyTangentError:
+        with pytest.raises(EmptyTangentError):
+            tangent_set(scenario, set_kind)
+        return
+    got = tangent_set(scenario, set_kind)
+    assert repr(got) == repr(expected)
+    assert repr(backward_filter(scenario, set_kind, got)) == repr(
+        _reference_backward_filter(scenario, set_kind, expected)
+    )

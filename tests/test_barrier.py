@@ -440,7 +440,7 @@ def _full_scan_inside(cset, x):
 
 
 def _all_nodes_distance(cset, x):
-    """Reference distance estimate: every node, the usable cap, the segments."""
+    """Reference distance estimate: every node, the usable cap, the S axis."""
     grid = cset.mesh_nodes.reshape(-1, 3)
     dist = float(np.min(np.linalg.norm(grid - x, axis=1)))
     up = cset.usable
@@ -448,7 +448,7 @@ def _all_nodes_distance(cset, x):
     de = max(0.0, -x[1], x[1] - up.e_cap(min(max(x[0], 0.0), up.s_hi)))
     di = cset.scenario.i_max - x[2]
     dist = min(dist, float(np.sqrt(ds * ds + de * de + di * di)))
-    for seg in cset.special_segments:
+    for seg in [np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])]:  # equilibria E = I = 0
         a, ab = seg[:-1], seg[1:] - seg[:-1]
         denom = np.einsum("ij,ij->i", ab, ab)
         with np.errstate(divide="ignore", invalid="ignore"):

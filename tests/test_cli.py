@@ -212,7 +212,6 @@ def _drop(doc, key):
         ("sir", lambda d: _drop(d, "polyline")),
         ("seir", lambda d: _drop(d, "mesh_nodes")),
         ("sir", lambda d: _drop(d, "tolerances")),
-        ("sir", lambda d: _drop(d, "special_segments")),
     ],
     ids=[
         "unknown-tolerance-sir",
@@ -224,7 +223,6 @@ def _drop(doc, key):
         "no-polyline",
         "no-mesh-nodes",
         "no-tolerances",
-        "no-special-segments",
     ],
 )
 def test_load_set_rejects_a_malformed_document(set_documents, name, corrupt, tmp_path):
@@ -234,6 +232,29 @@ def test_load_set_rejects_a_malformed_document(set_documents, name, corrupt, tmp
     path.write_text(json.dumps(corrupt(set_documents[name])))
     with pytest.raises(ValueError):
         load_set(str(path))
+
+
+def test_load_set_ignores_stored_special_segments(set_documents, tmp_path):
+    # the invariant segments are built from the scenario; a stored copy, as
+    # older set.json files carry it, is not read
+    rng = np.random.default_rng(31)
+    path = tmp_path / "set.json"
+    nan = float("nan")
+    for name, segs in (
+        ("sir", [[[nan, nan], [nan, nan]], [[nan, nan], [nan, nan]]]),
+        ("seir", [[[nan, nan, nan], [nan, nan, nan]]]),
+    ):
+        doc = set_documents[name]
+        path.write_text(json.dumps(doc))
+        fresh = load_set(str(path))
+        path.write_text(json.dumps(dict(doc, special_segments=segs)))
+        stored = load_set(str(path))
+        i_max = fresh.scenario.i_max
+        for _ in range(200):
+            x = rng.dirichlet(np.ones(fresh.scenario.dim + 1))[:-1]
+            x[-1] = min(x[-1], i_max * rng.uniform(0.0, 1.02))
+            a, b = membership(fresh, x), membership(stored, x)
+            assert a.verdict is b.verdict and a.distance_estimate == b.distance_estimate, x
 
 
 def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
@@ -306,6 +327,21 @@ def test_simulate_input_errors(tmp_path, capsys):
     for t_end in ("inf", "nan", "-5", "10001"):
         argv = ["--policy", "constant:beta=0.7", "--x0", "0.5,0.01", "--t-end", t_end]
         assert main(base + argv) == 2, t_end
+    # each free channel set once and inside its box, no other channel set, and
+    # no parameter for a perfect variant's feedback policy or for the switching law
+    for policy in (
+        "constant:beta=0.7,gamma=5", "feedback:beta=5", "feedback:bogus=1", "switching:beta=5",
+    ):
+        argv = ["--policy", policy, "--x0", "0.5,0.01", "--t-end", "1"]
+        assert main(base + argv) == 2, policy
+    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW, "imperfect.json")
+    base = ["simulate", "--config", cfg, "--out", str(tmp_path / "x")]
+    for policy in (
+        "feedback:gamma=99", "feedback:gamma=-1", "feedback", "feedback:beta=0.7",
+        "feedback:gamma=0.4,beta=0.7", "constant:gamma=nan", "constant:eta=0.1",
+    ):
+        argv = ["--policy", policy, "--x0", "0.8,0.1", "--t-end", "1"]
+        assert main(base + argv) == 2, policy
 
 
 def test_montecarlo_deterministic_bytes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
-functions, no unread tolerance fields, and a README that names every verdict.
+functions, no unread tolerance fields, one home for the rule that an
+imperfect variant has no admissible set, and a README that names every verdict.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -79,6 +80,33 @@ def test_every_tolerance_field_is_read():
     }
     unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read_attrs]
     assert unread == []
+
+
+def _guarded_raises(node, guards=frozenset()):
+    """Yield each ``raise`` under ``node`` with the names its enclosing ``if`` tests read."""
+    if isinstance(node, ast.Raise):
+        yield node, guards
+    for child in ast.iter_child_nodes(node):
+        inner = guards
+        if isinstance(node, ast.If) and child is not node.test:
+            inner = guards | {
+                n.attr if isinstance(n, ast.Attribute) else n.id
+                for n in ast.walk(node.test)
+                if isinstance(n, (ast.Attribute, ast.Name))
+            }
+        yield from _guarded_raises(child, inner)
+
+
+def test_admissible_set_rule_has_one_home():
+    # "an imperfect variant has no admissible set": a raise guarded by a test
+    # of both the variant's perfection and the admissible set kind
+    homes = [
+        f"{mod}:{node.lineno}"
+        for mod, tree in TREES.items()
+        for node, guards in _guarded_raises(tree)
+        if {"is_perfect", "ADMISSIBLE"} <= guards
+    ]
+    assert len(homes) == 1 and homes[0].startswith("models:"), homes
 
 
 def test_readme_names_exactly_the_verdicts():

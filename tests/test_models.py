@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -166,28 +168,35 @@ def test_switch_value_channel_guards():
         )
 
 
+# bang value of each free channel as (scenario field when the switching
+# functional is positive, field when negative); every other cell is undefined
+_EXTREMAL = {
+    (Variant.SIR_PERFECT, SetKind.ADMISSIBLE, Channel.BETA): ("beta_min", "beta_max"),
+    (Variant.SIR_PERFECT, SetKind.MRPI, Channel.BETA): ("beta_max", "beta_min"),
+    (Variant.SEIR_PERFECT, SetKind.ADMISSIBLE, Channel.BETA): ("beta_min", "beta_max"),
+    (Variant.SEIR_PERFECT, SetKind.MRPI, Channel.BETA): ("beta_max", "beta_min"),
+    (Variant.SEIR_PERFECT, SetKind.ADMISSIBLE, Channel.GAMMA): ("gamma_max", "gamma_min"),
+    (Variant.SEIR_PERFECT, SetKind.MRPI, Channel.GAMMA): ("gamma_min", "gamma_max"),
+    (Variant.SIR_IMPERFECT, SetKind.MRPI, Channel.GAMMA): ("gamma_min", "gamma_max"),
+    (Variant.SEIR_IMPERFECT, SetKind.MRPI, Channel.ETA): ("eta_max", "eta_min"),
+}
+
+
 def test_extremal_value_table(sc_sir, sc_seir, sc_sir_imp, sc_seir_imp):
-    # admissible beta: min when positive; MRPI beta: max when positive
+    cells = itertools.product(
+        (sc_sir, sc_seir, sc_sir_imp, sc_seir_imp), SetKind, Channel, (True, False)
+    )
+    for sc, set_kind, channel, positive in cells:
+        fields = _EXTREMAL.get((sc.variant, set_kind, channel))
+        if fields is None:
+            with pytest.raises(BadChannelError):
+                extremal_value(sc, set_kind, channel, positive)
+        else:
+            want = getattr(sc, fields[0] if positive else fields[1])
+            assert extremal_value(sc, set_kind, channel, positive) == want
+    # the worked examples' values
     assert extremal_value(sc_sir, SetKind.ADMISSIBLE, Channel.BETA, True) == 0.6
-    assert extremal_value(sc_sir, SetKind.ADMISSIBLE, Channel.BETA, False) == 0.8
-    assert extremal_value(sc_sir, SetKind.MRPI, Channel.BETA, True) == 0.8
-    assert extremal_value(sc_sir, SetKind.MRPI, Channel.BETA, False) == 0.6
-    # SEIR gamma: admissible max when positive; MRPI min when positive
-    assert extremal_value(sc_seir, SetKind.ADMISSIBLE, Channel.GAMMA, True) == (
-        pytest.approx(1.0 / 3.0)
-    )
-    assert extremal_value(sc_seir, SetKind.MRPI, Channel.GAMMA, True) == (
-        pytest.approx(0.2)
-    )
-    # imperfect SIR gamma disturbance: min when positive
     assert extremal_value(sc_sir_imp, SetKind.MRPI, Channel.GAMMA, True) == 0.3
-    # imperfect SEIR eta disturbance: max when positive
-    assert extremal_value(sc_seir_imp, SetKind.MRPI, Channel.ETA, True) == (
-        pytest.approx(0.2)
-    )
-    assert extremal_value(sc_seir_imp, SetKind.MRPI, Channel.ETA, False) == (
-        pytest.approx(1.0 / 7.0)
-    )
 
 
 def test_lie_derivative_is_i_component(sc_sir, sc_seir):
