@@ -170,7 +170,7 @@ def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
     """Coupled backward (state, adjoint, arc-length) right-hand side on float tuples.
 
     ``-f`` and ``-A lambda`` are written out from the templates of
-    ``models.state_field`` and ``models.adjoint_matrix``: this is the
+    ``models.vector_field`` and ``models.adjoint_matrix``: this is the
     innermost hot loop and the generic matrix build costs several times the
     arithmetic.  The perfect variants' rates do not depend on the state, so
     they are taken once per segment.

@@ -391,8 +391,8 @@ def cmd_oracle(args) -> int:
 def _write_oracle(args, raw, scenario, tol, csv_name, results) -> int:
     """Write the per-point CSV and oracle_summary.json from (point, verdict, agrees).
 
-    BOUNDARY verdicts claim nothing: they are written as agreeing and left out
-    of the agreement rate.
+    BOUNDARY verdicts claim nothing: they are written as agreeing, left out
+    of the agreement rate and counted as ``n_boundary``.
     """
     n_compared = n_agree = 0
     rows = []
@@ -410,14 +410,16 @@ def _write_oracle(args, raw, scenario, tol, csv_name, results) -> int:
         rows,
     )
     rate = 1.0 if n_compared == 0 else n_agree / n_compared
+    n_boundary = len(results) - n_compared
     summary = {
         "n_points": len(results),
         "n_compared": n_compared,
+        "n_boundary": n_boundary,
         "agreement_rate": rate,
         "manifest": _manifest("oracle", raw, tol, args.seed),
     }
     _write_json(os.path.join(args.out, "oracle_summary.json"), summary)
-    print(json.dumps({"agreement_rate": rate}))
+    print(json.dumps({"agreement_rate": rate, "n_boundary": n_boundary}))
     return EXIT_OK
 
 

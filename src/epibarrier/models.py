@@ -30,6 +30,7 @@ __all__ = [
     "InputVec",
     "Channel",
     "BadChannelError",
+    "vector_field",
     "state_field",
     "state_rhs",
     "adjoint_matrix",
@@ -121,17 +122,41 @@ def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
     return np.array(state_field(scenario, state, u))
 
 
+def vector_field(scenario: Scenario, u: InputVec | None):
+    """The time derivative of the reduced state under ``u``, as ``f(t, y)``.
+
+    ``f`` returns a float tuple for a float-tuple ``y``; ``y`` may also be a
+    tuple of equal-length numpy arrays, with arrays in the fields of ``u``,
+    one entry per trajectory.  A perfect variant with an input has rates
+    that do not depend on the state, so :func:`rates` is called once, here;
+    otherwise each evaluation calls it at the state's I.
+    """
+    v = scenario.variant  # compared with the aliases: state_field builds a field per call
+    perfect = v is _SIR_PERFECT or v is _SEIR_PERFECT
+    fixed = rates(scenario, 0.0, u) if u is not None and perfect else None
+    if v is _SIR_PERFECT or v is _SIR_IMPERFECT:
+
+        def f(t, y):
+            S, I = y
+            beta, _, gamma, _, _ = fixed or rates(scenario, I, u)
+            flux = beta * S * I
+            return -flux, flux - gamma * I
+
+        return f
+
+    def f(t, y):
+        S, E, I = y
+        beta, _, gamma, _, eta = fixed or rates(scenario, I, u)
+        flux = beta * S * I
+        lat = eta * E
+        return -flux, flux - lat, lat - gamma * I
+
+    return f
+
+
 def state_field(scenario: Scenario, state, u: InputVec) -> tuple:
     """:func:`state_rhs` as a float tuple, the state form the integrator carries."""
-    beta, _, gamma, _, eta = rates(scenario, state[-1], u)
-    if len(state) == 2:
-        S, I = state
-        flux = beta * S * I
-        return -flux, flux - gamma * I
-    S, E, I = state
-    flux = beta * S * I
-    lat = eta * E
-    return -flux, flux - lat, lat - gamma * I
+    return vector_field(scenario, u)(0.0, state)
 
 
 def adjoint_matrix(scenario: Scenario, state, u: InputVec) -> np.ndarray:

@@ -6,9 +6,11 @@ all four variants: it forward-simulates trial input/disturbance signals
 breaches.  A point claimed inside the admissible set must have *some*
 cap-preserving input; a point claimed inside the robust invariant set must
 survive *every* trial signal.  All (point, trial) runs of a query batch step
-together as lanes of numpy arrays, with the same RK4 stages and vector field
-as :func:`simulate`.  A refuted claim carries its counterexample: the
-deciding trial, replayed through :func:`simulate`.
+together as lanes of numpy arrays while many are live; the few left are
+finished one by one as float tuples.  Both take the RK4 stages, the vector
+field, the step count and the clipped last step of :func:`simulate`.  A
+refuted claim carries its counterexample: the deciding trial, replayed
+through :func:`simulate`.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .models import (
     check_input,
     input_box,
     rates,
-    state_field,
+    vector_field,
 )
 
 __all__ = [
@@ -227,7 +229,7 @@ def simulate(
         u = policy.u(t, x)
         if u is not u_rhs:  # policies that hold an input return the same object
             u_rhs = u
-            rhs = lambda tt, yy, u=u: state_field(scenario, yy, u)
+            rhs = vector_field(scenario, u)
         x_new = rk4_step(rhs, t, x, hk)
         if first_breach is None and _triggered(cap, x[-1], x_new[-1]):
             frac, _ = _refine_fraction(rhs, cap, t, x, hk, x[-1], tol.event_time_tol)
@@ -400,6 +402,16 @@ def _oracle_trials(
     return trials
 
 
+# Once no more than this many lanes are live, the oracle finishes each one
+# alone as a float tuple.  One RK4 step of the lane arrays costs about 40 us
+# at any width up to 64 lanes, one float-tuple lane step about 2 us (timeit,
+# SIR perfect, 2-core Xeon VM), so the tuples win below about 20 lanes.  On
+# the dynamics benchmark's 133-point admissible grid, whose first retirement
+# leaves 11 lanes, widths 12 to 200 took the same 0.041 s and width 8 took
+# 0.065 s (medians of 9).
+_TAIL_LANES = 16
+
+
 def _breach_matrix(
     scenario: Scenario,
     points: np.ndarray,
@@ -410,10 +422,13 @@ def _breach_matrix(
 ) -> np.ndarray:
     """Cap-breach flags of every (point, trial) forward run, shape (n_points, n_trials).
 
-    Each pair is one lane of a tuple of numpy arrays, stepped with the stage
-    arithmetic of :func:`rk4_step` on :func:`state_field`; a lane reads its
-    trial's input at the step start t = k*h.  A lane retires once it breaches
-    (I > i_max + geom_tol) or once it provably never will:
+    Each pair is one lane, stepped by :func:`_rk4_stages` on
+    :func:`vector_field` with :func:`simulate`'s step count and a last step
+    clipped to ``t_end``; a lane reads its trial's input at the step start
+    t = k*h.  While more than ``_TAIL_LANES`` lanes are live they step
+    together as a tuple of numpy arrays; the rest are then finished one by
+    one as float tuples, which gives the same floats.  A lane retires once
+    it breaches (I > i_max + geom_tol) or once it provably never will:
 
     - S never increases and d(E+I)/dt <= I*(beta_hi*S - gamma_lo), so
       beta_hi*S < gamma_lo with E + I <= i_max + geom_tol holds I under the
@@ -427,6 +442,7 @@ def _breach_matrix(
     """
     n_pts, n_tr = len(points), len(trials)
     thr = scenario.i_max + geom_tol
+    n_steps = int(np.ceil(t_end / h - 1e-12))
     lanes = np.arange(n_tr * n_pts)  # trial-major: lane = trial * n_pts + point
     y = tuple(np.tile(points[:, c], n_tr) for c in range(points.shape[1]))
     hi, lo = [], []
@@ -449,11 +465,9 @@ def _breach_matrix(
         ch: np.repeat([tr.schedules[ch][1][0] for tr in trials], n_pts)
         for ch in trials[0].schedules
     }
-    u = InputVec(**{ch.value: a for ch, a in lane_u.items()})
-    rhs = lambda tt, yy: state_field(scenario, yy, u)
     breached = np.zeros(n_tr * n_pts, dtype=bool)
-    n_steps = int(np.ceil(t_end / h))
     k = nxt = 0
+    f = None
     while True:
         hit = y[-1] > thr
         e_plus_i = y[-1] if len(y) == 2 else y[1] + y[2]
@@ -467,17 +481,57 @@ def _breach_matrix(
             beta_hi, gamma_lo = beta_hi[keep], gamma_lo[keep]
             y = tuple(a[keep] for a in y)
             lane_u = {ch: a[keep] for ch, a in lane_u.items()}
-            u = InputVec(**{ch.value: a for ch, a in lane_u.items()})
-        if k == n_steps or not len(lanes):
+            f = None
+        if k == n_steps or len(lanes) <= _TAIL_LANES:
             break
         t = k * h
         while nxt < len(starts) and starts[nxt][0] <= t:
             _, j, ch, value = starts[nxt]
             lane_u[ch][lanes // n_pts == j] = value
             nxt += 1
-        y = _rk4_stages(rhs, t, y, h)
+            f = None
+        if f is None:
+            f = vector_field(scenario, InputVec(**{ch.value: a for ch, a in lane_u.items()}))
+        y = _rk4_stages(f, t, y, min(h, t_end - t))
         k += 1
+    for i, lane in enumerate(lanes.tolist()):
+        j = lane // n_pts
+        breached[lane] = _finish_lane(
+            scenario, tuple(a[i].item() for a in y), trials[j],
+            [start for start in starts if start[1] == j],
+            k, n_steps, t_end, h, thr, beta_hi[i].item(), gamma_lo[i].item(),
+        )
     return breached.reshape(n_tr, n_pts).T
+
+
+def _finish_lane(scenario, y, trial, starts, k, n_steps, t_end, h, thr, beta_hi, gamma_lo):
+    """Step one oracle lane as a float tuple from step ``k`` until it retires.
+
+    The retirement rule and the step are those of :func:`_breach_matrix`.
+    ``starts`` are the lane's trial's later segment starts in time order; the
+    lane replays them from the first, so its input at t = k*h is the one the
+    lane arrays held.  Returns whether the lane breached.
+    """
+    values = {ch: v[0].item() for ch, (_, v) in trial.schedules.items()}
+    times = [start[0].item() for start in starts] + [math.inf]
+    nxt, f = 0, None
+    while True:
+        i = y[-1]
+        if i > thr:
+            return True
+        e_plus_i = i if len(y) == 2 else y[1] + i
+        if k == n_steps or (beta_hi * y[0] < gamma_lo and e_plus_i <= thr):
+            return False
+        t = k * h
+        while times[nxt] <= t:
+            _, _, ch, value = starts[nxt]
+            values[ch] = value.item()
+            nxt += 1
+            f = None
+        if f is None:
+            f = vector_field(scenario, InputVec(**{ch.value: v for ch, v in values.items()}))
+        y = _rk4_stages(f, t, y, min(h, t_end - t))
+        k += 1
 
 
 def _oracle(
@@ -493,6 +547,8 @@ def _oracle(
     tol: Tolerances,
 ):
     """Oracle flags of a batch of points, with the trials and breach matrix behind them."""
+    if not 0.0 <= t_end <= T_END_MAX:  # a negative horizon would clip to negative steps
+        raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
     pts = np.asarray(points, dtype=float)

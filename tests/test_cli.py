@@ -401,6 +401,14 @@ def test_oracle_grid_artifacts(tmp_path, capsys):
     lines = (out / "oracle_grid.csv").read_text().splitlines()
     assert lines[0] == "S,I,verdict,oracle_agrees"
     assert len(lines) == summary["n_points"] + 1
+    # the grid's I = 0 row lies on the boundary; those points are counted,
+    # not compared
+    n_boundary = sum(line.split(",")[2] == "BOUNDARY" for line in lines[1:])
+    assert n_boundary > 0
+    assert summary["n_boundary"] == n_boundary
+    assert summary["n_compared"] == summary["n_points"] - n_boundary
+    printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert printed == {"agreement_rate": summary["agreement_rate"], "n_boundary": n_boundary}
 
 
 def test_oracle_seir_requires_points(tmp_path, capsys):

@@ -18,6 +18,7 @@ from epibarrier.models import (
     state_field,
     state_rhs,
     switch_value,
+    vector_field,
 )
 
 
@@ -65,6 +66,57 @@ def test_simplex_mass_balance(sc_sir, sc_sir_imp, sc_seir, sc_seir_imp):
             assert float(np.sum(f)) <= 0.0
     # and the I=0 axis is invariant: f = 0 there for SIR
     assert np.allclose(state_rhs(sc_sir, [0.7, 0.0], InputVec(beta=0.7)), 0.0)
+
+
+def _state_field_ref(scenario, state, u):
+    # the formulas as state_field wrote them before vector_field: the rates
+    # at the state's I on every evaluation
+    beta, _, gamma, _, eta = rates(scenario, state[-1], u)
+    if len(state) == 2:
+        S, I = state
+        flux = beta * S * I
+        return -flux, flux - gamma * I
+    S, E, I = state
+    flux = beta * S * I
+    lat = eta * E
+    return -flux, flux - lat, lat - gamma * I
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIO_FIXTURES)
+def test_vector_field_matches_the_reference_bit_for_bit(request, name):
+    # float tuples and lane arrays, with an input and with u=None (every
+    # rate that has a feedback law closed on it); states include I = 0 and
+    # I above the cap, where the closed-loop rates clamp
+    sc = request.getfixturevalue(name)
+    rng = np.random.default_rng(23)
+    box = input_box(sc)
+    n = 40
+    cols = [rng.uniform(0.0, 1.0, n) for _ in range(sc.dim - 1)]
+    cols.append(rng.uniform(0.0, 1.5 * sc.i_max, n))
+    cols[-1][:4] = [0.0, sc.i_max, 1.2 * sc.i_max, 1e-300]
+    lanes = tuple(cols)
+    lane_u = InputVec(**{ch.value: rng.uniform(lo, hi, n) for ch, (lo, hi) in box.items()})
+    for u_arr in (lane_u, None):
+        if u_arr is None and sc.variant is Variant.SEIR_IMPERFECT:
+            # eta has no feedback law, so neither form has a closed loop
+            with pytest.raises(TypeError):
+                _state_field_ref(sc, lanes, None)
+            with pytest.raises(TypeError):
+                vector_field(sc, None)(0.0, lanes)
+            continue
+        got = vector_field(sc, u_arr)(0.0, lanes)
+        want = _state_field_ref(sc, lanes, u_arr)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        for m in range(n):
+            y = tuple(float(a[m]) for a in lanes)
+            u = None if u_arr is None else InputVec(
+                **{ch.value: float(getattr(u_arr, ch.value)[m]) for ch in box}
+            )
+            want = np.array(_state_field_ref(sc, y, u)).tobytes()
+            got = vector_field(sc, u)(float(m), y)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want
+            assert np.array(state_field(sc, y, u)).tobytes() == want
 
 
 def _beta_feedback(i, sc):

@@ -414,6 +414,103 @@ def test_oracle_reads_the_input_at_the_step_start(sc_sir):
     assert flags.tolist() == [[False]]
 
 
+@pytest.mark.parametrize("t_end", [-1.0, float("nan"), 20000.0])
+def test_oracle_rejects_a_bad_horizon(t_end, sc_sir):
+    # the last step is clipped to t_end, so a negative horizon would step
+    # backward with ever longer steps instead of ending
+    with pytest.raises(ValueError, match="t_end"):
+        grid_membership_oracle(sc_sir, SetKind.MRPI, [[0.9, 0.01]], t_end=t_end)
+
+
+def test_oracle_stops_at_t_end(sc_sir):
+    # simulate takes ceil(t_end/h - 1e-12) steps and clips the last one to
+    # t_end; under beta_min these states first cross the cap before 0.08 d
+    # but after t_end, so a full step past t_end flags a breach simulate
+    # never sees: an eighth step at t_end = 0.07, a full eighth step at 0.075
+    pol = ConstantPolicy(sc_sir, InputVec(beta=sc_sir.beta_min))
+    h = 0.01
+    for t_end, i0 in ((0.07, 0.019888747577818573), (0.075, 0.01989220)):
+        p = [0.95, i0]
+        assert not simulate(sc_sir, pol, p, t_end, h=h).breached
+        assert simulate(sc_sir, pol, p, 0.08, h=h).breached
+        flags = grid_membership_oracle(sc_sir, SetKind.ADMISSIBLE, [p], t_end=t_end, h=h)
+        assert flags.tolist() == [True], t_end
+
+
+class _StepStartSwitch(ExtremalBangPolicy):
+    """Every free channel from the upper to the lower end of its box at t = k*h."""
+
+    def __init__(self, scenario, k, h):
+        self.scenario = scenario
+        self.schedules = {
+            ch: (np.array([0.0, k * h]), np.array([hi, lo]))
+            for ch, (lo, hi) in input_box(scenario).items()
+        }
+
+
+def _oracle_batch(sc, kind, t_end, h):
+    # seeded states in the upper half of the cap band, two on the invariant
+    # axis; the seeded trials plus one switching exactly at a step start
+    rng = np.random.default_rng(4)
+    pts = [np.eye(sc.dim)[0] * s for s in (0.3, 0.9)]
+    while len(pts) < 10:
+        x = rng.uniform(0.0, 1.0, sc.dim)
+        x[-1] = sc.i_max * (0.5 + 0.5 * x[-1])
+        if x.sum() <= 1.0:
+            pts.append(x)
+    trials = policy_sim._oracle_trials(sc, kind, 3, 5, t_end)
+    return np.array(pts), trials + [_StepStartSwitch(sc, 37, h)]
+
+
+@pytest.mark.parametrize(
+    "scenario_name, kind",
+    [
+        ("sc_sir", SetKind.ADMISSIBLE),
+        ("sc_sir", SetKind.MRPI),
+        ("sc_sir_imp", SetKind.MRPI),
+        ("sc_seir", SetKind.ADMISSIBLE),
+        ("sc_seir", SetKind.MRPI),
+        ("sc_seir_imp", SetKind.MRPI),
+    ],
+)
+def test_oracle_flags_do_not_depend_on_the_hand_off_width(
+    monkeypatch, request, scenario_name, kind
+):
+    # every lane stepped as arrays (width 0) against every lane finished as
+    # a float tuple (a width above the batch): the same flags
+    sc = request.getfixturevalue(scenario_name)
+    t_end, h = 40.0, 1e-2
+    pts, trials = _oracle_batch(sc, kind, t_end, h)
+    flags = []
+    for width in (0, len(pts) * len(trials) + 1):
+        monkeypatch.setattr(policy_sim, "_TAIL_LANES", width)
+        flags.append(
+            policy_sim._breach_matrix(sc, pts, trials, t_end, h, Tolerances().geom_tol).tolist()
+        )
+    assert flags[0] == flags[1]
+
+
+def test_oracle_tail_lanes_step_as_float_tuples(monkeypatch, sc_sir):
+    # the lane arrays narrow from 60 lanes; once no more than _TAIL_LANES
+    # are live, the stages see float tuples only
+    t_end, h = 40.0, 1e-2
+    pts, trials = _oracle_batch(sc_sir, SetKind.MRPI, t_end, h)
+    stages = policy_sim._rk4_stages
+    widths = []
+
+    def counting(rhs, t, y, hk):
+        widths.append(len(y[0]) if isinstance(y[0], np.ndarray) else None)
+        assert widths[-1] is not None or all(type(v) is float for v in y)
+        return stages(rhs, t, y, hk)
+
+    monkeypatch.setattr(policy_sim, "_rk4_stages", counting)
+    policy_sim._breach_matrix(sc_sir, pts, trials, t_end, h, Tolerances().geom_tol)
+    first_tail = widths.index(None)
+    assert first_tail > 0
+    assert min(widths[:first_tail]) > policy_sim._TAIL_LANES
+    assert set(widths[first_tail:]) == {None}
+
+
 def test_counterexample_replays_a_breaching_trial(sc_seir_imp, mrpi_seir_imp):
     # two states the SEIR-imperfect robust-set mesh claims INSIDE although a
     # trial signal drives them over the cap: the stored counterexample is
