@@ -5,7 +5,7 @@ ultimate-tangency point with adjoint (0, ..., 0, 1) and is integrated
 backwards in time under the extremal bang-bang input selected by the adjoint's
 switching functionals.  Curves are parameterized by backward time tau = -t
 (the tangency instant is fixed at t = 0), so the integrator always moves
-forward in its own variable:
+forward in its own variable, on ``models.backward_field``:
 
     dx/dtau      = -f(x, u)
     dlambda/dtau = -A(x, u) lambda
@@ -50,13 +50,12 @@ from .models import (
     Channel,
     InputVec,
     active_channels,
-    adjoint_rhs,
+    backward_field,
     extremal_value,
     input_box,
-    rates,
-    state_rhs,
     switch_components,
     switch_value,
+    vector_field,
 )
 
 __all__ = [
@@ -126,12 +125,18 @@ class BarrierCurve:
 
     def hamiltonian(self, scenario: Scenario) -> np.ndarray:
         """lambda^T f at every sample (zero along an exact extremal curve)."""
-        return np.array(
-            [
-                float(lam @ state_rhs(scenario, x, u))
-                for x, lam, u in zip(self.states, self.adjoints, self.inputs)
-            ]
-        )
+        f = _state_derivatives(scenario, self.states, self.inputs)
+        return np.array([float(lam @ fx) for lam, fx in zip(self.adjoints, f)])
+
+
+def _state_derivatives(scenario: Scenario, states: np.ndarray, inputs) -> list[np.ndarray]:
+    """f(x, u) per state row, building one vector field per run of one input (a segment)."""
+    out, u_prev, f = [], None, None
+    for x, u in zip(states.tolist(), inputs):
+        if u is not u_prev:
+            u_prev, f = u, vector_field(scenario, u)
+        out.append(np.array(f(0.0, x)))
+    return out
 
 
 def select_extremal_input(scenario: Scenario, set_kind: SetKind, state, adjoint) -> InputVec:
@@ -155,8 +160,9 @@ def select_extremal_input(scenario: Scenario, set_kind: SetKind, state, adjoint)
             values[ch] = 0.5 * (lo + hi)  # placeholder for the derivative probe
     for ch in pending:
         probe = InputVec(**{c.value: v for c, v in values.items()})
-        lam_dot = adjoint_rhs(scenario, state, adjoint, probe)
-        sigma_dot = switch_value(variant, set_kind, ch, lam_dot)
+        # d(lambda)/dt is minus the adjoint part of the backward field
+        lam_back = backward_field(scenario, probe)(0.0, (*state, *adjoint, 0.0))[len(state) : -1]
+        sigma_dot = -switch_value(variant, set_kind, ch, lam_back)
         if abs(sigma_dot) < SIGMA_TOL:
             raise SingularArcError(
                 f"switching functional for {ch.value} and its derivative both "
@@ -164,52 +170,6 @@ def select_extremal_input(scenario: Scenario, set_kind: SetKind, state, adjoint)
             )
         values[ch] = extremal_value(scenario, set_kind, ch, -sigma_dot > 0.0)
     return InputVec(**{c.value: v for c, v in values.items()})
-
-
-def _backward_rhs(scenario: Scenario, u: InputVec, d: int):
-    """Coupled backward (state, adjoint, arc-length) right-hand side on float tuples.
-
-    ``-f`` and ``-A lambda`` are written out from the templates of
-    ``models.vector_field`` and ``models.adjoint_matrix``: this is the
-    innermost hot loop and the generic matrix build costs several times the
-    arithmetic.  The perfect variants' rates do not depend on the state, so
-    they are taken once per segment.
-    """
-    fixed = rates(scenario, 0.0, u) if scenario.variant.is_perfect else None
-    if d == 2:
-
-        def rhs(t, y):
-            S, I, l1, l2, _ = y
-            b, a, g, dd, _ = fixed or rates(scenario, I, u)
-            flux = b * S * I
-            f0, f1 = -flux, flux - g * I
-            return (
-                -f0,
-                -f1,
-                -(b * I * l1 - b * I * l2),
-                -(a * S * l1 + (-a * S + dd) * l2),
-                math.sqrt(f0 * f0 + f1 * f1),
-            )
-
-        return rhs
-
-    def rhs(t, y):
-        S, E, I, l1, l2, l3, _ = y
-        b, a, g, dd, e = fixed or rates(scenario, I, u)
-        flux = b * S * I
-        lat = e * E
-        f0, f1, f2 = -flux, flux - lat, lat - g * I
-        return (
-            -f0,
-            -f1,
-            -f2,
-            -(b * I * l1 - b * I * l2),
-            -(e * l2 - e * l3),
-            -(a * S * l1 - a * S * l2 + dd * l3),
-            math.sqrt(f0 * f0 + f1 * f1 + f2 * f2),
-        )
-
-    return rhs
 
 
 def _segment_events(scenario: Scenario, set_kind: SetKind, tol: Tolerances):
@@ -271,7 +231,7 @@ def compute_barrier_curve(
     while True:
         u = select_extremal_input(scenario, set_kind, y[:d], y[d : 2 * d])
         res = integrate_until(
-            _backward_rhs(scenario, u, d),
+            backward_field(scenario, u),
             events,
             y,
             t0=tau,
@@ -321,7 +281,7 @@ def _adjoint_renorm(d: int):
     reused buffer, exactly as ``np.linalg.norm`` computes it: a plain-float
     ``sqrt(a*a + b*b)`` can differ in the last bit where the BLAS dot fuses
     multiply and add.  The tuple is unpacked per width, as in
-    :func:`_backward_rhs`, and the buffer set item by item: slicing and
+    :func:`models.backward_field`, and the buffer set item by item: slicing and
     concatenating tuples cost more than the dot product.
     """
     buf = np.empty(d)
@@ -408,7 +368,7 @@ def resample_by_arclength(
     a = np.searchsorted(used, k)
     b = a + 1  # k + 1 follows k in used
     s_u, tau, x = s_vals[used], curve.tau[used], states[used]
-    f = [state_rhs(scenario, states[i], curve.inputs[i]) for i in used]
+    f = _state_derivatives(scenario, x, [curve.inputs[i] for i in used])
     ds = np.sqrt([fi @ fi for fi in f])
     f = np.array(f).reshape(-1, scenario.dim)
     dt = tau[b] - tau[a]
@@ -642,16 +602,6 @@ def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
         s0, i0 = xs[k - 1], ys[k - 1]
         inside = py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0)
     return Membership(Verdict.INSIDE if inside else Verdict.OUTSIDE, dist)
-
-
-def mesh_triangles(cset: ComputedSet) -> np.ndarray:
-    """Triangles (q00, q10, q11) of every grid quad, then (q00, q11, q01), as (n, 3, 3)."""
-    g = cset.mesh_nodes
-    quads = (g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:])
-    q00, q10, q11, q01 = (q.reshape(-1, 3) for q in quads)
-    return np.concatenate(
-        [np.stack([q00, q10, q11], axis=1), np.stack([q00, q11, q01], axis=1)]
-    )
 
 
 def _seir_arrays(cset: ComputedSet):

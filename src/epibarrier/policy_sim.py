@@ -209,6 +209,8 @@ def simulate(
         raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step h must be positive and finite, got {step}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     x = np.asarray(x0, dtype=float)
     if x.shape != (scenario.dim,):
         raise ValueError(f"x0 must have {scenario.dim} components")
@@ -551,9 +553,13 @@ def _oracle(
         raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
+    if n_trials < 0:
+        raise ValueError(f"n_trials must not be negative, got {n_trials}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != scenario.dim:
         raise ValueError(f"points must have shape (n, {scenario.dim})")
+    if not np.isfinite(pts).all():  # a NaN lane never compares above the cap
+        raise ValueError("points must be finite")
     trials = _oracle_trials(scenario, set_kind, n_trials, seed, t_end)
     breach = _breach_matrix(scenario, pts, trials, t_end, h, tol.geom_tol)
     if set_kind is SetKind.MRPI:

@@ -13,7 +13,6 @@ from epibarrier.barrier import (
     assemble_set,
     compute_barrier_curve,
     membership,
-    mesh_triangles,
     resample_by_arclength,
     select_extremal_input,
 )
@@ -391,12 +390,6 @@ def test_seir_mesh_probe_consistency(mrpi_seir):
             flipped += va is not vb
     assert decisive >= 30
     assert flipped / decisive >= 0.95
-
-
-def test_mesh_triangles_shape(mrpi_seir):
-    tris = mesh_triangles(mrpi_seir)
-    nc, nn, _ = mrpi_seir.mesh_nodes.shape
-    assert tris.shape == (2 * (nc - 1) * (nn - 1), 3, 3)
 
 
 def _full_scan_cover(cset, x):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epibarrier import validate_scenario
-from epibarrier.barrier import _adjoint_renorm, _backward_rhs
+from epibarrier.barrier import _adjoint_renorm
 from epibarrier.core import Variant
 from epibarrier.integrate import NonFiniteError, _rk4_stages, rk4_step
-from epibarrier.models import InputVec, input_box, state_field, state_rhs
+from epibarrier.models import InputVec, backward_field, input_box, state_rhs, vector_field
 
 from conftest import (
     SEIR_IMPERFECT_RAW,
@@ -116,7 +116,7 @@ def _case(draw):
 @given(_case())
 def test_backward_step_bit_identical(case):
     sc, u, y, h, t = case
-    got = rk4_step(_backward_rhs(sc, u, sc.dim), t, tuple(y), h)
+    got = rk4_step(backward_field(sc, u), t, tuple(y), h)
     want = _rk4_ref(_backward_rhs_ref(sc, u), t, np.array(y), h)
     assert np.array(got).tobytes() == want.tobytes()
 
@@ -126,7 +126,7 @@ def test_backward_step_bit_identical(case):
 def test_forward_step_bit_identical(case):
     sc, u, y, h, t = case
     x = y[: sc.dim]
-    got = rk4_step(lambda tt, yy: state_field(sc, yy, u), t, tuple(x), h)
+    got = rk4_step(vector_field(sc, u), t, tuple(x), h)
     want = _rk4_ref(lambda tt, yy: state_rhs(sc, yy, u), t, np.array(x), h)
     assert np.array(got).tobytes() == want.tobytes()
 

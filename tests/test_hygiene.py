@@ -1,6 +1,7 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
 functions, no unread tolerance fields, one home for the rule that an
-imperfect variant has no admissible set, and a README that names every verdict.
+imperfect variant has no admissible set, one home for the model's formulas, a
+README that names every verdict, and every package name the benchmark reads.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -10,10 +11,12 @@ reads it as an attribute.
 """
 import ast
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
-from epibarrier.barrier import Verdict
+from epibarrier import models
+from epibarrier.barrier import BarrierCurve, Verdict
 from epibarrier.core import Tolerances
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epibarrier"
@@ -114,3 +117,33 @@ def test_readme_names_exactly_the_verdicts():
     sentence = re.search(r"Verdicts are (.*?)\.\s", readme, re.S).group(1)
     named = re.findall(r"`([A-Z_]+)`", sentence)
     assert sorted(named) == sorted(v.value for v in Verdict)
+
+
+def test_barrier_writes_no_model_formula():
+    # the rates, the vector field and the adjoint live in models; barrier
+    # reads them through vector_field and backward_field only
+    assert _reads(TREES["barrier"]) & {"rates", "state_rhs", "adjoint_rhs"} == set()
+
+
+def test_names_the_benchmark_reads_exist():
+    # perfbench/tracer.py wraps each (module, name) of its TRACED list with
+    # getattr, and perfbench/workloads.py reads models.lie_derivative_g and
+    # BarrierCurve.step_h: deleting any of them breaks every benchmark run
+    tracer = ast.parse((PACKAGE.parent.parent / "perfbench" / "tracer.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert traced
+    missing = []
+    for mod_name, attr in traced:
+        owner = importlib.import_module(f"epibarrier.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
+    assert callable(models.lie_derivative_g)
+    assert "step_h" in {f.name for f in dataclasses.fields(BarrierCurve)}

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from epibarrier.models import (
     active_channels,
     adjoint_matrix,
     adjoint_rhs,
+    backward_field,
     extremal_value,
     input_box,
     lie_derivative_g,
     rates,
-    state_field,
     state_rhs,
     switch_value,
     vector_field,
@@ -43,14 +44,14 @@ ALL_SCENARIO_FIXTURES = ["sc_sir", "sc_sir_imp", "sc_seir", "sc_seir_imp"]
 
 def test_sir_rhs_values(sc_sir):
     assert sc_sir.gamma == 0.5
-    f = state_field(sc_sir, [0.8, 0.1], InputVec(beta=0.7))
+    f = vector_field(sc_sir, InputVec(beta=0.7))(0.0, (0.8, 0.1))
     assert f[0] == pytest.approx(-0.056)
     assert f[1] == pytest.approx(0.056 - 0.05)
 
 
 def test_seir_rhs_values(sc_seir):
     assert sc_seir.eta == 0.2
-    f = state_field(sc_seir, [0.6, 0.2, 0.1], InputVec(beta=0.9, gamma=0.25))
+    f = vector_field(sc_seir, InputVec(beta=0.9, gamma=0.25))(0.0, (0.6, 0.2, 0.1))
     flux, lat = 0.9 * 0.6 * 0.1, 0.2 * 0.2
     assert np.allclose(f, [-flux, flux - lat, lat - 0.25 * 0.1])
 
@@ -69,7 +70,7 @@ def test_simplex_mass_balance(sc_sir, sc_sir_imp, sc_seir, sc_seir_imp):
 
 
 def _state_field_ref(scenario, state, u):
-    # the formulas as state_field wrote them before vector_field: the rates
+    # the formulas as written before vector_field: the rates
     # at the state's I on every evaluation
     beta, _, gamma, _, eta = rates(scenario, state[-1], u)
     if len(state) == 2:
@@ -116,7 +117,67 @@ def test_vector_field_matches_the_reference_bit_for_bit(request, name):
             got = vector_field(sc, u)(float(m), y)
             assert all(type(v) is float for v in got)
             assert np.array(got).tobytes() == want
-            assert np.array(state_field(sc, y, u)).tobytes() == want
+
+
+def _random_input(rng, scenario):
+    box = input_box(scenario)
+    return InputVec(**{ch.value: rng.uniform(lo, hi) for ch, (lo, hi) in box.items()})
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIO_FIXTURES)
+def test_backward_field_repeats_the_vector_field(request, name):
+    # backward_field writes f out again for speed: its state part must be
+    # minus vector_field bit for bit, and its arc-length rate sqrt(f . f)
+    # summed left to right
+    sc = request.getfixturevalue(name)
+    rng = np.random.default_rng(29)
+    d = sc.dim
+    for _ in range(200):
+        u = _random_input(rng, sc)
+        x = (*rng.uniform(0.0, 1.0, d - 1).tolist(), float(rng.uniform(0.0, 1.5 * sc.i_max)))
+        lam = tuple(rng.uniform(-1.0, 1.0, d).tolist())
+        f = vector_field(sc, u)(0.0, x)
+        back = backward_field(sc, u)(0.0, (*x, *lam, float(rng.uniform())))
+        assert all(type(v) is float for v in back) and len(back) == 2 * d + 1
+        assert np.array(back[:d]).tobytes() == (-np.array(f)).tobytes()
+        ff = f[0] * f[0]
+        for v in f[1:]:
+            ff = ff + v * v
+        assert back[-1] == math.sqrt(ff)
+
+
+def _adjoint_matrix_ref(scenario, state, u):
+    # the 2-D and 3-D templates adjoint_matrix wrote out before it was read
+    # back from backward_field
+    if len(state) == 2:
+        S, I = state
+        b, a, _, d, _ = rates(scenario, I, u)
+        return np.array([[b * I, -b * I], [a * S, -a * S + d]])
+    S, E, I = state
+    b, a, _, d, e = rates(scenario, I, u)
+    return np.array(
+        [
+            [b * I, -b * I, 0.0],
+            [0.0, e, -e],
+            [a * S, -a * S, d],
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIO_FIXTURES)
+def test_adjoint_matrix_matches_the_templates_bit_for_bit(request, name):
+    sc = request.getfixturevalue(name)
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        u = _random_input(rng, sc)
+        x = _random_state(rng, sc.dim, sc.i_max)
+        if rng.uniform() < 0.3:  # above the cap, where closed-loop rates clamp
+            x[-1] = rng.uniform(1.0, 1.5) * sc.i_max
+        got = adjoint_matrix(sc, x, u)
+        assert got.shape == (sc.dim, sc.dim)
+        assert got.tobytes() == _adjoint_matrix_ref(sc, x, u).tobytes()
+    x = _random_state(rng, sc.dim, sc.i_max)
+    assert adjoint_matrix(sc, x.tolist(), u).tobytes() == adjoint_matrix(sc, x, u).tobytes()
 
 
 def _beta_feedback(i, sc):

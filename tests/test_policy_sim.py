@@ -422,6 +422,42 @@ def test_oracle_rejects_a_bad_horizon(t_end, sc_sir):
         grid_membership_oracle(sc_sir, SetKind.MRPI, [[0.9, 0.01]], t_end=t_end)
 
 
+@pytest.mark.parametrize("point", [[0.5, float("nan")], [float("nan"), 0.01], [0.5, float("inf")]])
+def test_oracle_rejects_a_point_that_is_not_finite(point, sc_sir):
+    # a NaN lane never compares above the cap, so it would never breach and
+    # read inside; simulate raises NonFiniteError on the same state
+    with pytest.raises(ValueError, match="finite"):
+        grid_membership_oracle(sc_sir, SetKind.MRPI, [point], t_end=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        membership_oracle(sc_sir, SetKind.MRPI, point, t_end=1.0)
+
+
+_BAD_COUNTS = {
+    "grid_oracle_n_trials": lambda sc, pol: grid_membership_oracle(
+        sc, SetKind.MRPI, [[0.9, 0.01]], n_trials=-1, t_end=1.0
+    ),
+    "oracle_n_trials": lambda sc, pol: membership_oracle(
+        sc, SetKind.MRPI, [0.9, 0.01], n_trials=-1, t_end=1.0
+    ),
+    "simulate_record_every_0": lambda sc, pol: simulate(
+        sc, pol, [0.5, 0.01], 1.0, record_every=0
+    ),
+    "simulate_record_every_negative": lambda sc, pol: simulate(
+        sc, pol, [0.5, 0.01], 1.0, record_every=-1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_COUNTS))
+def test_bad_counts_are_refused(case, sc_sir):
+    # refused before any stepping: a negative trial count reached numpy's
+    # SeedSequence.spawn (OverflowError), record_every=0 a modulo by zero
+    # partway through the run, and a negative record_every passed silently
+    pol = ConstantPolicy(sc_sir, InputVec(beta=0.7))
+    with pytest.raises(ValueError, match="n_trials|record_every"):
+        _BAD_COUNTS[case](sc_sir, pol)
+
+
 def test_oracle_stops_at_t_end(sc_sir):
     # simulate takes ceil(t_end/h - 1e-12) steps and clips the last one to
     # t_end; under beta_min these states first cross the cap before 0.08 d
