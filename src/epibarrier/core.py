@@ -61,13 +61,17 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances, each positive and finite; all overridable per run."""
+    """Numeric tolerances, each positive and finite; all overridable per run.
+
+    ``step_h``, default 1e-2, steps the curve tracer and ``simulate``; it keeps curve
+    nodes within 1e-8 of ``step_h=1e-3``. A reloaded ``set.json`` keeps its ``step_h``.
+    """
 
     geom_tol: float = 1e-9
     event_time_tol: float = 1e-10
     boundary_layer_eps: float = 1e-3
     i_floor: float = 1e-9
-    step_h: float = 1e-3
+    step_h: float = 1e-2
     t_back_max: float = 1000.0
 
     def __post_init__(self):

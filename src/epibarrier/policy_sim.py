@@ -346,9 +346,11 @@ def monte_carlo(
     """
     if scenario.variant.is_perfect:
         raise ValueError("monte_carlo requires an imperfect (disturbed) variant")
+    if n_trials < 0:
+        raise ValueError(f"n_trials must not be negative, got {n_trials}")
     box = input_box(scenario)
     out = []
-    for child in np.random.SeedSequence(seed).spawn(max(n_trials, 0)):
+    for child in np.random.SeedSequence(seed).spawn(n_trials):
         rng = np.random.default_rng(child)
         vals = {
             ch.value: float(rng.uniform(lo, hi)) for ch, (lo, hi) in box.items()

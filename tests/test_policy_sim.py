@@ -433,29 +433,33 @@ def test_oracle_rejects_a_point_that_is_not_finite(point, sc_sir):
 
 
 _BAD_COUNTS = {
-    "grid_oracle_n_trials": lambda sc, pol: grid_membership_oracle(
+    "grid_oracle_n_trials": lambda sc, sc_imp, pol: grid_membership_oracle(
         sc, SetKind.MRPI, [[0.9, 0.01]], n_trials=-1, t_end=1.0
     ),
-    "oracle_n_trials": lambda sc, pol: membership_oracle(
+    "oracle_n_trials": lambda sc, sc_imp, pol: membership_oracle(
         sc, SetKind.MRPI, [0.9, 0.01], n_trials=-1, t_end=1.0
     ),
-    "simulate_record_every_0": lambda sc, pol: simulate(
+    "monte_carlo_n_trials": lambda sc, sc_imp, pol: monte_carlo(
+        sc_imp, [0.8, 0.1], -1, seed=0, t_end=1.0
+    ),
+    "simulate_record_every_0": lambda sc, sc_imp, pol: simulate(
         sc, pol, [0.5, 0.01], 1.0, record_every=0
     ),
-    "simulate_record_every_negative": lambda sc, pol: simulate(
+    "simulate_record_every_negative": lambda sc, sc_imp, pol: simulate(
         sc, pol, [0.5, 0.01], 1.0, record_every=-1
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_BAD_COUNTS))
-def test_bad_counts_are_refused(case, sc_sir):
+def test_bad_counts_are_refused(case, sc_sir, sc_sir_imp):
     # refused before any stepping: a negative trial count reached numpy's
-    # SeedSequence.spawn (OverflowError), record_every=0 a modulo by zero
-    # partway through the run, and a negative record_every passed silently
+    # SeedSequence.spawn (OverflowError) or, in monte_carlo, ran no trial,
+    # record_every=0 a modulo by zero partway through the run, and a
+    # negative record_every passed silently
     pol = ConstantPolicy(sc_sir, InputVec(beta=0.7))
     with pytest.raises(ValueError, match="n_trials|record_every"):
-        _BAD_COUNTS[case](sc_sir, pol)
+        _BAD_COUNTS[case](sc_sir, sc_sir_imp, pol)
 
 
 def test_oracle_stops_at_t_end(sc_sir):
