@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .analysis import EmptyTangentError, classify, usable_part
+from .analysis import EmptyTangentError, classify, is_trivial, usable_part
 from .barrier import ComputedSet, Verdict, assemble_set, check_set_geometry, membership
 from .core import Scenario, ScenarioError, SetKind, Tolerances, _as_number, validate_scenario
 from .models import BadChannelError, InputVec, active_channels, check_set_kind
@@ -190,6 +190,8 @@ def load_set(path: str) -> ComputedSet:
         scenario = validate_scenario(doc["config"])
         tol = Tolerances(**{k: _as_number(v, k) for k, v in doc["tolerances"].items()})
         kind = SetKind(doc["set_kind"])
+        if doc["trivial"] != is_trivial(scenario, kind):
+            raise ValueError(f"{path}: 'trivial' disagrees with the classification")
         if doc["trivial"]:
             return ComputedSet(scenario, kind, trivial=True, tolerances=tol)
         sir = scenario.variant.is_sir
@@ -331,9 +333,7 @@ def cmd_montecarlo(args) -> int:
     _check_range(args.n, "--n", 0)
     _check_range(args.t_end, "--t-end", 0.0, T_END_MAX)
     x0 = _parse_state(scenario, args.x0)
-    trajs = monte_carlo(
-        scenario, x0, args.n, args.seed, t_end=args.t_end, tolerances=tol, h=1e-2
-    )
+    trajs = monte_carlo(scenario, x0, args.n, args.seed, t_end=args.t_end, tolerances=tol)
     os.makedirs(args.out, exist_ok=True)
     for idx, traj in enumerate(trajs):
         _write_trajectory(os.path.join(args.out, f"trial_{idx:03d}.csv"), scenario, traj)

@@ -63,8 +63,10 @@ class ScenarioError(ValueError):
 class Tolerances:
     """Numeric tolerances, each positive and finite; all overridable per run.
 
-    ``step_h``, default 1e-2, steps the curve tracer and ``simulate``; it keeps curve
-    nodes within 1e-8 of ``step_h=1e-3``. A reloaded ``set.json`` keeps its ``step_h``.
+    ``step_h``, default 1e-2, is the one step of every integrator: the curve tracer
+    (``integrate_until``), ``simulate``, ``monte_carlo`` and both membership oracles.
+    It keeps curve nodes within 1e-8 of ``step_h=1e-3``. A reloaded ``set.json`` keeps
+    its ``step_h``.
     """
 
     geom_tol: float = 1e-9

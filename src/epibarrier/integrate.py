@@ -153,7 +153,7 @@ def _refine_fraction(rhs, ev, t0, y0, h, f_prev, event_time_tol):
     its trigger level is placed at the start of the step.
     """
     lo, hi, y_hi = 0.0, 1.0, None
-    while (hi - lo) * abs(h) > event_time_tol:
+    while (hi - lo) * h > event_time_tol:
         mid = 0.5 * (lo + hi)
         y_mid = rk4_step(rhs, t0, y0, mid * h)
         if _triggered(ev, f_prev, ev.fn(t0 + mid * h, y_mid)):
@@ -171,25 +171,23 @@ def integrate_until(
     t0: float = 0.0,
     tolerances: Tolerances | None = None,
     *,
-    h: float | None = None,
     t_limit: float | None = None,
     record_every: int = 10,
     post_step=None,
 ) -> IntegrationResult:
-    """Step until the first triggered event; always bounded by a horizon.
+    """Step forward at ``step_h`` until the first triggered event or ``t0 + t_limit``.
 
-    A negative ``h`` integrates backward.  ``rhs`` and the event functions
-    take the state as a float tuple; ``y0`` may be any sequence.
-    ``post_step`` maps the state tuple after every accepted step (and after
-    event refinement), e.g. to renormalize an adjoint.  Event functions are
-    not re-evaluated after it, so it must not change the sign of any event
-    function (a positive rescaling of components that only SIGN_CHANGE
-    events read qualifies).  Records are emitted at the start, every
-    ``record_every``-th step, and at the terminal point, as the arrays
-    ``t`` and ``y`` of the result.
+    ``rhs`` and the event functions take the state as a float tuple; ``y0``
+    may be any sequence.  ``post_step`` maps the state tuple after every
+    accepted step (and after event refinement), e.g. to renormalize an
+    adjoint.  Event functions are not re-evaluated after it, so it must not
+    change the sign of any event function (a positive rescaling of
+    components that only SIGN_CHANGE events read qualifies).  Records are
+    emitted at the start, every ``record_every``-th step, and at the
+    terminal point, as the arrays ``t`` and ``y`` of the result.
     """
     tol = tolerances or Tolerances()
-    step = h if h is not None else tol.step_h
+    step = tol.step_h
     limit = t_limit if t_limit is not None else tol.t_back_max
     y = tuple(np.asarray(y0, dtype=float).tolist())
     t = t0
@@ -204,10 +202,10 @@ def integrate_until(
     n_steps = 0
 
     while True:
-        remaining = limit - abs(t - t0)
+        remaining = limit - (t - t0)
         if remaining <= tol.event_time_tol:
             return _result(ts, ys, _HORIZON, t, y, n_steps)
-        h_cur = step if abs(step) <= remaining else math.copysign(remaining, step)
+        h_cur = step if step <= remaining else remaining
         y_new = rk4_step(rhs, t, y, h_cur)
         t_new = t + h_cur
         f_new = [fn(t_new, y_new) for fn in fns]

@@ -15,7 +15,7 @@ through :func:`simulate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .models import (
     InputVec,
     active_channels,
     check_input,
+    check_set_kind,
     input_box,
     rates,
     vector_field,
@@ -49,7 +50,6 @@ __all__ = [
 
 DIVIDE_GUARD_S = 1e-9
 ORACLE_T_END = 500.0
-ORACLE_STEP_H = 1e-2
 T_END_MAX = 10000.0  # longest horizon simulate accepts, days
 
 
@@ -190,7 +190,6 @@ def simulate(
     t_end: float,
     tolerances: Tolerances | None = None,
     *,
-    h: float | None = None,
     record_every: int = 10,
     stop_on_breach: bool = False,
 ) -> Trajectory:
@@ -204,11 +203,8 @@ def simulate(
     Integration continues to t_end unless stop_on_breach is set.
     """
     tol = tolerances or Tolerances()
-    step = h if h is not None else tol.step_h
-    if not 0.0 <= t_end <= T_END_MAX:  # negated, so that NaN fails too
-        raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {step}")
+    step = tol.step_h
+    n_steps = _step_count(t_end, step)
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     x = np.asarray(x0, dtype=float)
@@ -223,7 +219,6 @@ def simulate(
     max_i = float(x[-1])
     breached = x[-1] > im + tol.geom_tol
     first_breach = 0.0 if x[-1] > im else None
-    n_steps = int(np.ceil(t_end / step - 1e-12))
 
     u_rhs = rhs = None
     for k in range(n_steps):
@@ -245,6 +240,13 @@ def simulate(
         if breached and stop_on_breach:
             break
     return Trajectory(samples, bool(breached), float(max_i), first_breach)
+
+
+def _step_count(t_end: float, h: float) -> int:
+    """Steps to ``t_end``, the last clipped to it: a negative ``t_end`` would make it negative."""
+    if not 0.0 <= t_end <= T_END_MAX:  # negated, so that NaN fails too
+        raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
+    return int(np.ceil(t_end / h - 1e-12))
 
 
 def switching_law(
@@ -343,7 +345,9 @@ def monte_carlo(
     Imperfect variants only: the feedback laws are part of the dynamics and
     each trial holds its drawn disturbance value constant in time.  The seeded
     generator is split per trial, so results do not depend on run order.
+    ``h``, when given, replaces the step ``tolerances.step_h``.
     """
+    tol = tolerances if h is None else replace(tolerances or Tolerances(), step_h=h)
     if scenario.variant.is_perfect:
         raise ValueError("monte_carlo requires an imperfect (disturbed) variant")
     if n_trials < 0:
@@ -356,9 +360,7 @@ def monte_carlo(
             ch.value: float(rng.uniform(lo, hi)) for ch, (lo, hi) in box.items()
         }
         policy = ConstantPolicy(scenario, InputVec(**vals))
-        out.append(
-            simulate(scenario, policy, x0, t_end, tolerances, h=h)
-        )
+        out.append(simulate(scenario, policy, x0, t_end, tol))
     return out
 
 
@@ -421,8 +423,7 @@ def _breach_matrix(
     points: np.ndarray,
     trials: list[ExtremalBangPolicy],
     t_end: float,
-    h: float,
-    geom_tol: float,
+    tol: Tolerances,
 ) -> np.ndarray:
     """Cap-breach flags of every (point, trial) forward run, shape (n_points, n_trials).
 
@@ -445,8 +446,9 @@ def _breach_matrix(
       before the first step.
     """
     n_pts, n_tr = len(points), len(trials)
-    thr = scenario.i_max + geom_tol
-    n_steps = int(np.ceil(t_end / h - 1e-12))
+    thr = scenario.i_max + tol.geom_tol
+    h = tol.step_h
+    n_steps = _step_count(t_end, h)
     lanes = np.arange(n_tr * n_pts)  # trial-major: lane = trial * n_pts + point
     y = tuple(np.tile(points[:, c], n_tr) for c in range(points.shape[1]))
     hi, lo = [], []
@@ -547,14 +549,11 @@ def _oracle(
     admissible_set: ComputedSet | None,
     mrpi_set: ComputedSet | None,
     t_end: float,
-    h: float,
     tol: Tolerances,
 ):
     """Oracle flags of a batch of points, with the trials and breach matrix behind them."""
-    if not 0.0 <= t_end <= T_END_MAX:  # a negative horizon would clip to negative steps
-        raise ValueError(f"t_end must lie in [0, {T_END_MAX:g}] days")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
+    check_set_kind(scenario.variant, set_kind)
+    _step_count(t_end, tol.step_h)  # refuses a bad horizon before trials are drawn on it
     if n_trials < 0:
         raise ValueError(f"n_trials must not be negative, got {n_trials}")
     pts = np.asarray(points, dtype=float)
@@ -563,7 +562,7 @@ def _oracle(
     if not np.isfinite(pts).all():  # a NaN lane never compares above the cap
         raise ValueError("points must be finite")
     trials = _oracle_trials(scenario, set_kind, n_trials, seed, t_end)
-    breach = _breach_matrix(scenario, pts, trials, t_end, h, tol.geom_tol)
+    breach = _breach_matrix(scenario, pts, trials, t_end, tol)
     if set_kind is SetKind.MRPI:
         inside = ~breach.any(axis=1)
         return inside, trials, breach
@@ -572,8 +571,7 @@ def _oracle(
         policy = SwitchingLawPolicy(scenario, admissible_set, mrpi_set)
         for j in np.flatnonzero(~inside):
             traj = simulate(
-                scenario, policy, pts[j], t_end, tol, h=h,
-                record_every=10_000, stop_on_breach=True,
+                scenario, policy, pts[j], t_end, tol, record_every=10_000, stop_on_breach=True
             )
             inside[j] = not traj.breached
     return inside, trials, breach
@@ -589,7 +587,6 @@ def grid_membership_oracle(
     admissible_set: ComputedSet | None = None,
     mrpi_set: ComputedSet | None = None,
     t_end: float = ORACLE_T_END,
-    h: float = ORACLE_STEP_H,
     tolerances: Tolerances | None = None,
 ) -> np.ndarray:
     """Oracle INSIDE/OUTSIDE flags for a batch of query points, any variant.
@@ -598,11 +595,12 @@ def grid_membership_oracle(
     plus seeded bang signals) breaches the cap.  ADMISSIBLE, perfect SEIR:
     inside iff some trial signal preserves the cap.  ADMISSIBLE, perfect
     SIR: inside iff constant beta_min preserves the cap, or failing that the
-    set-based switching law does (when both sets are given).
+    set-based switching law does (when both sets are given).  Every run
+    steps at ``tolerances.step_h``.
     """
     tol = tolerances or Tolerances()
     return _oracle(
-        scenario, set_kind, points, n_trials, seed, admissible_set, mrpi_set, t_end, h, tol
+        scenario, set_kind, points, n_trials, seed, admissible_set, mrpi_set, t_end, tol
     )[0]
 
 
@@ -630,7 +628,7 @@ def membership_oracle(
     pt = np.asarray(point, dtype=float)
     flags, trials, breach = _oracle(
         scenario, set_kind, pt[None, :], n_trials, seed,
-        admissible_set, mrpi_set, t_end, ORACLE_STEP_H, tol,
+        admissible_set, mrpi_set, t_end, tol,
     )
     inside = bool(flags[0])
     claimed = None if computed_set is None else membership(computed_set, pt).verdict
@@ -646,5 +644,5 @@ def membership_oracle(
         else:
             policy = SwitchingLawPolicy(scenario, admissible_set, mrpi_set)
             label = f"seed={seed} switching_law"
-        counter = (label, simulate(scenario, policy, pt, t_end, tol, h=ORACLE_STEP_H))
+        counter = (label, simulate(scenario, policy, pt, t_end, tol))
     return OracleReport(pt, claimed, n_trials, agree, counter)

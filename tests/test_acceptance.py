@@ -142,7 +142,7 @@ def test_criterion_08_switching_law(_report, sc_sir, adm_sir, mrpi_sir):
 
 
 def test_criterion_09_monte_carlo(_report, sc_sir_imp):
-    trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 10, seed=0, t_end=500.0, h=1e-2)
+    trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 10, seed=0, t_end=500.0)
     ok = len(trajs) == 10 and not any(t.breached for t in trajs)
     _report(9, "Monte Carlo robustness", ok)
 
@@ -195,7 +195,7 @@ def test_criterion_11_step_convergence(_report, sc_sir):
 
 def test_criterion_12_r0_remark(_report, sc_sir_imp):
     r0 = sc_sir_imp.beta_min / sc_sir_imp.gamma_max
-    trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 10, seed=0, t_end=500.0, h=1e-2)
+    trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 10, seed=0, t_end=500.0)
     ok = abs(r0 - 1.2) <= 1e-12 and r0 > 1.0 and not any(t.breached for t in trajs)
     _report(12, "cap held despite R0 > 1", ok)
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from epibarrier.barrier import assemble_set, membership
-from epibarrier.cli import load_set, main
+from epibarrier.cli import _write_trajectory, load_set, main
 from epibarrier.core import SetKind, Tolerances
+from epibarrier.policy_sim import monte_carlo
 
 from conftest import (
     SEIR_IMPERFECT_RAW,
@@ -212,6 +213,9 @@ def _drop(doc, key):
         ("sir", lambda d: _drop(d, "polyline")),
         ("seir", lambda d: _drop(d, "mesh_nodes")),
         ("sir", lambda d: _drop(d, "tolerances")),
+        ("sir", lambda d: dict(d, trivial=True)),
+        ("seir", lambda d: dict(d, trivial=True)),
+        ("sir", lambda d: dict(d, set_kind="admissible", trivial=True)),
     ],
     ids=[
         "unknown-tolerance-sir",
@@ -223,6 +227,9 @@ def _drop(doc, key):
         "no-polyline",
         "no-mesh-nodes",
         "no-tolerances",
+        "trivial-flag-sir",
+        "trivial-flag-seir",
+        "admissible-set-of-imperfect",
     ],
 )
 def test_load_set_rejects_a_malformed_document(set_documents, name, corrupt, tmp_path):
@@ -359,6 +366,28 @@ def test_montecarlo_deterministic_bytes(tmp_path, capsys):
     agg = json.loads((out_a / "aggregate.json").read_text())
     assert agg["n_trials"] == 3
     assert isinstance(agg["n_breached"], int)
+
+
+def test_montecarlo_steps_at_the_tolerance_step(tmp_path, capsys, sc_sir_imp):
+    # --tol step_h is the step of every trial, and the manifest records it
+    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
+    out_d, out_c = tmp_path / "default", tmp_path / "coarse"
+    argv = [
+        "montecarlo", "--config", cfg, "--x0", "0.8,0.1",
+        "--n", "2", "--seed", "11", "--t-end", "5",
+    ]
+    assert main(argv + ["--out", str(out_d)]) == 0
+    assert main(argv + ["--tol", "step_h=0.02", "--out", str(out_c)]) == 0
+    capsys.readouterr()
+    agg = json.loads((out_c / "aggregate.json").read_text())
+    assert agg["manifest"]["tolerances"]["step_h"] == 0.02
+    tol = Tolerances(step_h=0.02)
+    trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 2, 11, t_end=5.0, tolerances=tol)
+    for idx, traj in enumerate(trajs):
+        name, want = f"trial_{idx:03d}.csv", tmp_path / f"want_{idx:03d}.csv"
+        _write_trajectory(str(want), sc_sir_imp, traj)
+        assert (out_c / name).read_bytes() == want.read_bytes()
+        assert (out_c / name).read_bytes() != (out_d / name).read_bytes()
 
 
 def test_montecarlo_empty_and_guards(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
 functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas, a
-README that names every verdict, and every package name the benchmark reads.
+README that names every verdict, every package name and keyword the benchmark
+reads, and one step setting, ``Tolerances.step_h``.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -12,10 +13,11 @@ reads it as an attribute.
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
-from epibarrier import models
+from epibarrier import integrate, models, policy_sim
 from epibarrier.barrier import BarrierCurve, Verdict
 from epibarrier.core import Tolerances
 
@@ -147,3 +149,31 @@ def test_names_the_benchmark_reads_exist():
     assert missing == []
     assert callable(models.lie_derivative_g)
     assert "step_h" in {f.name for f in dataclasses.fields(BarrierCurve)}
+    # the keywords perfbench/workloads.py passes to the forward runs
+    for fn, keywords in (
+        (policy_sim.simulate, {"record_every"}),
+        (policy_sim.monte_carlo, {"seed", "t_end", "h"}),
+        (policy_sim.grid_membership_oracle, {"seed", "admissible_set", "mrpi_set"}),
+    ):
+        assert keywords <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_one_step_setting():
+    # every integrator steps at Tolerances.step_h; monte_carlo keeps an h
+    # keyword only because the benchmark passes it
+    for fn in (
+        policy_sim.simulate,
+        policy_sim.grid_membership_oracle,
+        policy_sim.membership_oracle,
+        integrate.integrate_until,
+    ):
+        assert "h" not in inspect.signature(fn).parameters, fn.__name__
+    step_constants = [
+        f"{mod}: {t.id}"
+        for mod, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id.endswith("_STEP_H")
+    ]
+    assert step_constants == []

@@ -6,7 +6,7 @@ import pytest
 from epibarrier import policy_sim
 from epibarrier.barrier import Verdict, membership
 from epibarrier.core import SetKind, Tolerances, Variant
-from epibarrier.models import Channel, InputVec, input_box
+from epibarrier.models import BadChannelError, Channel, InputVec, input_box
 from epibarrier.policy_sim import (
     AffineFeedbackPolicy,
     ConstantPolicy,
@@ -77,7 +77,7 @@ def test_simulate_breach_detection(sc_sir):
 def test_simulate_breach_from_the_cap(sc_sir):
     # starting on the cap with dI/dt > 0, the breach is at the first instant
     pol = ConstantPolicy(sc_sir, InputVec(beta=0.8))
-    traj = simulate(sc_sir, pol, [0.9, sc_sir.i_max], 1.0, h=0.1)
+    traj = simulate(sc_sir, pol, [0.9, sc_sir.i_max], 1.0, Tolerances(step_h=0.1))
     assert traj.breached
     assert 0.0 < traj.first_breach_time < Tolerances().event_time_tol
 
@@ -106,17 +106,14 @@ def test_simulate_rejects_bad_inputs(sc_sir):
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
-def test_forward_runs_reject_a_bad_step(h, sc_sir, sc_sir_imp):
+def test_forward_runs_reject_a_bad_step(h, sc_sir_imp):
     # refused before any stepping: a negative or infinite step would
     # otherwise return one unbreached sample, and a negative oracle step
-    # would never end
-    pol = ConstantPolicy(sc_sir, InputVec(beta=0.7))
-    with pytest.raises(ValueError, match="step h"):
-        simulate(sc_sir, pol, [0.5, 0.01], 1.0, h=h)
-    with pytest.raises(ValueError, match="step h"):
+    # would never end; every forward run takes its step from Tolerances
+    with pytest.raises(ValueError, match="step_h"):
+        Tolerances(step_h=h)
+    with pytest.raises(ValueError, match="step_h"):
         monte_carlo(sc_sir_imp, [0.8, 0.1], 2, seed=0, t_end=1.0, h=h)
-    with pytest.raises(ValueError, match="step h"):
-        grid_membership_oracle(sc_sir, SetKind.MRPI, [[0.9, 0.01]], t_end=1.0, h=h)
 
 
 def test_switching_law_regions(sc_sir, adm_sir, mrpi_sir):
@@ -158,7 +155,7 @@ def test_switching_law_keeps_cap_from_inside(sc_sir, adm_sir, mrpi_sir):
     for x0 in starts:
         assert membership(adm_sir, x0).verdict is Verdict.INSIDE
         pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
-        traj = simulate(sc_sir, pol, x0, 200.0, h=1e-2, record_every=1000)
+        traj = simulate(sc_sir, pol, x0, 200.0, record_every=1000)
         assert not traj.breached, x0
         assert traj.max_I <= sc_sir.i_max + 1e-9
 
@@ -186,7 +183,7 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
         def u(self, t, state):
             return switching_law(state, adm_sir, mrpi_sir, sc_sir)
 
-    run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 60.0, h=1e-2, record_every=1)
+    run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 60.0, record_every=1)
     fresh = run(EveryStep())
     monkeypatch.setattr(policy_sim, "_switching_law_with_clearance", spy)
     cached = run(SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir))
@@ -223,13 +220,13 @@ def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir, mrpi_
 
 
 def test_monte_carlo_determinism(sc_sir_imp):
-    a = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=20.0, h=1e-2)
-    b = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=20.0, h=1e-2)
+    a = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=20.0)
+    b = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=20.0)
     assert len(a) == 3
     for ta, tb in zip(a, b):
         assert ta.max_I == tb.max_I
         assert ta.breached == tb.breached
-    c = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=8, t_end=20.0, h=1e-2)
+    c = monte_carlo(sc_sir_imp, [0.8, 0.1], 3, seed=8, t_end=20.0)
     assert any(ta.max_I != tc.max_I for ta, tc in zip(a, c))
 
 
@@ -298,7 +295,7 @@ def test_r0_above_one_with_robust_cap(sc_sir_imp):
     r0 = sc_sir_imp.beta_min / sc_sir_imp.gamma_max
     assert r0 == pytest.approx(1.2)
     assert r0 > 1.0
-    trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 5, seed=0, t_end=100.0, h=1e-2)
+    trajs = monte_carlo(sc_sir_imp, [0.8, 0.1], 5, seed=0, t_end=100.0)
     assert not any(t.breached for t in trajs)
 
 
@@ -347,9 +344,7 @@ def test_grid_oracle_matches_per_trial_simulate(request, scenario_name, kind):
     combine = all if kind is SetKind.MRPI else any
     expected = [
         combine(
-            not simulate(
-                sc, pol, p, t_end, h=1e-2, record_every=10_000, stop_on_breach=True
-            ).breached
+            not simulate(sc, pol, p, t_end, record_every=10_000, stop_on_breach=True).breached
             for pol in policies
         )
         for p in pts
@@ -370,7 +365,7 @@ def test_oracle_axis_lanes_take_no_steps(monkeypatch, request, scenario_name, ki
     # I = 0 (E = I = 0 in SEIR) is invariant, so lanes starting there retire
     # before the first RK4 step; their flags equal one simulate per trial
     sc = request.getfixturevalue(scenario_name)
-    t_end, h = 20.0, 1e-2
+    t_end = 20.0
     pts = np.array(axis_points)
     trials = policy_sim._oracle_trials(sc, kind, 2, 5, t_end)
     stages = policy_sim._rk4_stages
@@ -381,12 +376,12 @@ def test_oracle_axis_lanes_take_no_steps(monkeypatch, request, scenario_name, ki
         return stages(*args)
 
     monkeypatch.setattr(policy_sim, "_rk4_stages", counting)
-    flags = policy_sim._breach_matrix(sc, pts, trials, t_end, h, Tolerances().geom_tol)
+    flags = policy_sim._breach_matrix(sc, pts, trials, t_end, Tolerances())
     assert calls == []
     monkeypatch.undo()
     expected = [
         [
-            simulate(sc, tr, p, t_end, h=h, record_every=10_000, stop_on_breach=True).breached
+            simulate(sc, tr, p, t_end, record_every=10_000, stop_on_breach=True).breached
             for tr in trials
         ]
         for p in pts
@@ -404,13 +399,13 @@ def test_oracle_reads_the_input_at_the_step_start(sc_sir):
             self.scenario = sc_sir
             self.schedules = {Channel.BETA: (np.array([0.0, ts]), np.array([0.8, 0.6]))}
 
-    p, t_end, h = np.array([[0.7, 0.01989]]), 1.0, 1e-2
-    geom_tol = Tolerances().geom_tol
-    sim = lambda ts: simulate(sc_sir, Switch(ts), p[0], t_end, h=h, stop_on_breach=True)
+    p, t_end, tol = np.array([[0.7, 0.01989]]), 1.0, Tolerances()
+    assert tol.step_h == 1e-2
+    sim = lambda ts: simulate(sc_sir, Switch(ts), p[0], t_end, stop_on_breach=True)
     assert sim(0.095).breached and not sim(0.085).breached
-    flags = policy_sim._breach_matrix(sc_sir, p, [Switch(0.095)], t_end, h, geom_tol)
+    flags = policy_sim._breach_matrix(sc_sir, p, [Switch(0.095)], t_end, tol)
     assert flags.tolist() == [[True]]
-    flags = policy_sim._breach_matrix(sc_sir, p, [Switch(0.085)], t_end, h, geom_tol)
+    flags = policy_sim._breach_matrix(sc_sir, p, [Switch(0.085)], t_end, tol)
     assert flags.tolist() == [[False]]
 
 
@@ -420,6 +415,15 @@ def test_oracle_rejects_a_bad_horizon(t_end, sc_sir):
     # backward with ever longer steps instead of ending
     with pytest.raises(ValueError, match="t_end"):
         grid_membership_oracle(sc_sir, SetKind.MRPI, [[0.9, 0.01]], t_end=t_end)
+
+
+def test_oracle_refuses_an_admissible_set_of_an_imperfect_variant(sc_sir_imp):
+    # with no controllable input there is no admissible set to check, so the
+    # oracle may not report one; it used to flag this point inside
+    with pytest.raises(BadChannelError):
+        grid_membership_oracle(sc_sir_imp, SetKind.ADMISSIBLE, [[0.5, 0.05]], t_end=10.0)
+    with pytest.raises(BadChannelError):
+        membership_oracle(sc_sir_imp, SetKind.ADMISSIBLE, [0.5, 0.05], t_end=10.0)
 
 
 @pytest.mark.parametrize("point", [[0.5, float("nan")], [float("nan"), 0.01], [0.5, float("inf")]])
@@ -468,12 +472,12 @@ def test_oracle_stops_at_t_end(sc_sir):
     # but after t_end, so a full step past t_end flags a breach simulate
     # never sees: an eighth step at t_end = 0.07, a full eighth step at 0.075
     pol = ConstantPolicy(sc_sir, InputVec(beta=sc_sir.beta_min))
-    h = 0.01
+    assert Tolerances().step_h == 0.01
     for t_end, i0 in ((0.07, 0.019888747577818573), (0.075, 0.01989220)):
         p = [0.95, i0]
-        assert not simulate(sc_sir, pol, p, t_end, h=h).breached
-        assert simulate(sc_sir, pol, p, 0.08, h=h).breached
-        flags = grid_membership_oracle(sc_sir, SetKind.ADMISSIBLE, [p], t_end=t_end, h=h)
+        assert not simulate(sc_sir, pol, p, t_end).breached
+        assert simulate(sc_sir, pol, p, 0.08).breached
+        flags = grid_membership_oracle(sc_sir, SetKind.ADMISSIBLE, [p], t_end=t_end)
         assert flags.tolist() == [True], t_end
 
 
@@ -488,7 +492,7 @@ class _StepStartSwitch(ExtremalBangPolicy):
         }
 
 
-def _oracle_batch(sc, kind, t_end, h):
+def _oracle_batch(sc, kind, t_end):
     # seeded states in the upper half of the cap band, two on the invariant
     # axis; the seeded trials plus one switching exactly at a step start
     rng = np.random.default_rng(4)
@@ -499,7 +503,7 @@ def _oracle_batch(sc, kind, t_end, h):
         if x.sum() <= 1.0:
             pts.append(x)
     trials = policy_sim._oracle_trials(sc, kind, 3, 5, t_end)
-    return np.array(pts), trials + [_StepStartSwitch(sc, 37, h)]
+    return np.array(pts), trials + [_StepStartSwitch(sc, 37, Tolerances().step_h)]
 
 
 @pytest.mark.parametrize(
@@ -519,13 +523,13 @@ def test_oracle_flags_do_not_depend_on_the_hand_off_width(
     # every lane stepped as arrays (width 0) against every lane finished as
     # a float tuple (a width above the batch): the same flags
     sc = request.getfixturevalue(scenario_name)
-    t_end, h = 40.0, 1e-2
-    pts, trials = _oracle_batch(sc, kind, t_end, h)
+    t_end = 40.0
+    pts, trials = _oracle_batch(sc, kind, t_end)
     flags = []
     for width in (0, len(pts) * len(trials) + 1):
         monkeypatch.setattr(policy_sim, "_TAIL_LANES", width)
         flags.append(
-            policy_sim._breach_matrix(sc, pts, trials, t_end, h, Tolerances().geom_tol).tolist()
+            policy_sim._breach_matrix(sc, pts, trials, t_end, Tolerances()).tolist()
         )
     assert flags[0] == flags[1]
 
@@ -533,8 +537,8 @@ def test_oracle_flags_do_not_depend_on_the_hand_off_width(
 def test_oracle_tail_lanes_step_as_float_tuples(monkeypatch, sc_sir):
     # the lane arrays narrow from 60 lanes; once no more than _TAIL_LANES
     # are live, the stages see float tuples only
-    t_end, h = 40.0, 1e-2
-    pts, trials = _oracle_batch(sc_sir, SetKind.MRPI, t_end, h)
+    t_end = 40.0
+    pts, trials = _oracle_batch(sc_sir, SetKind.MRPI, t_end)
     stages = policy_sim._rk4_stages
     widths = []
 
@@ -544,7 +548,7 @@ def test_oracle_tail_lanes_step_as_float_tuples(monkeypatch, sc_sir):
         return stages(rhs, t, y, hk)
 
     monkeypatch.setattr(policy_sim, "_rk4_stages", counting)
-    policy_sim._breach_matrix(sc_sir, pts, trials, t_end, h, Tolerances().geom_tol)
+    policy_sim._breach_matrix(sc_sir, pts, trials, t_end, Tolerances())
     first_tail = widths.index(None)
     assert first_tail > 0
     assert min(widths[:first_tail]) > policy_sim._TAIL_LANES
@@ -561,3 +565,17 @@ def test_counterexample_replays_a_breaching_trial(sc_seir_imp, mrpi_seir_imp):
         label, traj = rep.counterexample
         assert traj.breached
         assert label.startswith("seed=0 trial=")
+
+
+def test_counterexample_replays_at_the_tolerance_step(sc_seir_imp, mrpi_seir_imp):
+    # the oracle and its replayed counterexample both step at step_h: the
+    # replay records every tenth step, so its second sample lies at 10 * step_h
+    tol = Tolerances(step_h=0.02)
+    rep = membership_oracle(
+        sc_seir_imp, SetKind.MRPI, [0.684, 0.147, 0.044], computed_set=mrpi_seir_imp,
+        tolerances=tol,
+    )
+    assert rep.claimed is Verdict.INSIDE and not rep.agree
+    _, traj = rep.counterexample
+    assert traj.breached
+    assert traj.samples[1][0] == pytest.approx(10 * tol.step_h, abs=1e-12)
