@@ -345,46 +345,54 @@ def _hermite(xa, xb, da, db, dt, theta):
 
 
 def resample_by_arclength(
-    curve: BarrierCurve, scenario: Scenario, n_nodes: int
+    curves: list[BarrierCurve], scenario: Scenario, n_nodes: int
 ) -> np.ndarray:
-    """States at n_nodes equally spaced arc-length stations along the curve.
+    """States at n_nodes equally spaced arc-length stations along each curve.
 
-    Interpolation is cubic Hermite using the exact backward vector field as
-    tangent data, so the resampled curve keeps the integrator's full order.
-    All nodes are bracketed by one ``searchsorted`` on the never-decreasing
-    arc lengths and placed by one 60-step bisection on arrays, which rounds
-    as a per-node scalar loop would; the speeds |f| stay BLAS dots ``f @ f``
-    (which may fuse multiply and add).
+    Returns ``(len(curves), n_nodes, dim)``. Interpolation is cubic Hermite with
+    the exact backward vector field as tangent data, so the curves keep the
+    integrator's full order. One ``searchsorted`` on a curve's never-decreasing
+    arc lengths brackets its nodes; one 60-step bisection on arrays places the
+    nodes of all curves, rounding as a per-node scalar loop would; the speeds
+    |f| stay BLAS dots ``f @ f`` (which may fuse multiply and add).
     """
-    states, s_vals = curve.states, curve.samples[:, -1]
-    targets = np.linspace(0.0, s_vals[-1], n_nodes)[1:-1]
-    out = np.empty((n_nodes, scenario.dim))
-    out[0] = states[0]
-    out[-1] = states[-1]
-    k = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(s_vals) - 2)
-    # gather only the samples that bracket a node (a set: np.unique imports
-    # numpy.ma), so memory stays O(n_nodes) on curves of 10^4 samples
-    used = sorted(set(k.tolist()).union((k + 1).tolist()))
-    a = np.searchsorted(used, k)
-    b = a + 1  # k + 1 follows k in used
-    s_u, tau, x = s_vals[used], curve.tau[used], states[used]
-    f = _state_derivatives(scenario, x, [curve.inputs[i] for i in used])
-    ds = np.sqrt([fi @ fi for fi in f])
-    f = np.array(f).reshape(-1, scenario.dim)
-    dt = tau[b] - tau[a]
-    dup = (dt <= 0.0) | (s_u[b] <= s_u[a])  # duplicated switch node
-    out[1:-1][dup] = x[b[dup]]
-    live = ~dup
-    a, b, dt, s_t = a[live], b[live], dt[live], targets[live]
-    # invert the monotone arc-length Hermite s(theta) by bisection
-    arc = (s_u[a], s_u[b], ds[a], ds[b], dt)
+    out = np.empty((len(curves), n_nodes, scenario.dim))
+    arcs, n_used = [], 0
+    for i, curve in enumerate(curves):
+        states, s_vals = curve.states, curve.samples[:, -1]
+        targets = np.linspace(0.0, s_vals[-1], n_nodes)[1:-1]
+        out[i, 0] = states[0]
+        out[i, -1] = states[-1]
+        k = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(s_vals) - 2)
+        # gather only the samples that bracket a node (a set: np.unique imports
+        # numpy.ma), so memory stays O(n_nodes) on curves of 10^4 samples
+        used = sorted(set(k.tolist()).union((k + 1).tolist()))
+        a = np.searchsorted(used, k)
+        b = a + 1  # k + 1 follows k in used
+        s_u, tau, x = s_vals[used], curve.tau[used], states[used]
+        f = _state_derivatives(scenario, x, [curve.inputs[j] for j in used])
+        ds = np.sqrt([fj @ fj for fj in f])
+        f = np.array(f).reshape(-1, scenario.dim)
+        dt = tau[b] - tau[a]
+        dup = (dt <= 0.0) | (s_u[b] <= s_u[a])  # duplicated switch node
+        out[i, 1:-1][dup] = x[b[dup]]
+        (live,) = np.nonzero(~dup)
+        # its used samples; per live node: global left-sample index, dt, target, row
+        arcs.append((s_u, ds, x, f, n_used + a[live], dt[live], targets[live],
+                     i * n_nodes + 1 + live))
+        n_used += len(used)
+    s_u, ds, x, f, a, dt, s_t, node = map(np.concatenate, zip(*arcs))
+    # invert every curve's monotone arc-length Hermite s(theta) by bisection
+    arc = (s_u[a], s_u[a + 1], ds[a], ds[a + 1], dt)
     lo, hi = np.zeros_like(s_t), np.ones_like(s_t)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = _hermite(*arc, mid) < s_t
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     theta = 0.5 * (lo[:, None] + hi[:, None])
-    out[1:-1][live] = _hermite(x[a], x[b], -f[a], -f[b], dt[:, None], theta)
+    del arcs, arc, lo, hi, mid, below  # peak memory: free them before the (lanes, dim) arrays
+    rows = out.reshape(-1, scenario.dim)  # a view: out is C-contiguous
+    rows[node] = _hermite(x[a], x[a + 1], -f[a], -f[a + 1], dt[:, None], theta)
     return out
 
 
@@ -447,14 +455,13 @@ def assemble_set(
             polyline=poly,
             tolerances=tol,
         )
-    nodes = np.stack([resample_by_arclength(c, scenario, 200) for c in curves])
     return ComputedSet(
         scenario,
         set_kind,
         trivial=False,
         usable=up,
         curves=curves,
-        mesh_nodes=nodes,
+        mesh_nodes=resample_by_arclength(curves, scenario, 200),
         tolerances=tol,
     )
 
@@ -464,7 +471,7 @@ def _sir_boundary_polygon(
 ) -> np.ndarray:
     """Closed boundary: S=0 edge, usable part, barrier, then invariant faces."""
     im = scenario.i_max
-    arc = resample_by_arclength(curve, scenario, 400)
+    arc = resample_by_arclength([curve], scenario, 400)[0]
     if abs(arc[0, 0] - up.s_hi) > 1e-6 or abs(arc[0, 1] - im) > tol.geom_tol:
         raise ValueError(
             "barrier tangent point does not meet the usable part endpoint"
@@ -587,7 +594,7 @@ def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
     ax, ay, abx, aby, inv, xs, ys = _sir_edges(cset)
     px, py = float(x[0]), float(x[1])
     dx, dy = px - ax, py - ay
-    t = np.clip((dx * abx + dy * aby) * inv, 0.0, 1.0)
+    t = np.minimum(np.maximum((dx * abx + dy * aby) * inv, 0.0), 1.0)
     ex, ey = dx - t * abx, dy - t * aby
     dist = float(np.sqrt(np.min(ex * ex + ey * ey)))
     if dist <= tol.boundary_layer_eps:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -73,7 +74,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_json(path: str, doc) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # compact: without indent, json.dumps runs on the C encoder
+    _write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _manifest(command: str, raw_config: dict, tol: Tolerances, seed) -> dict:
@@ -428,6 +430,7 @@ def _write_oracle(args, raw, scenario, tol, csv_name, results) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epibarrier",

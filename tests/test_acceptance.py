@@ -186,7 +186,7 @@ def test_criterion_11_step_convergence(_report, sc_sir):
         curve = compute_barrier_curve(
             sc_sir, SetKind.ADMISSIBLE, tangents.point(z1), tol, record_every=200
         )
-        curves.append(resample_by_arclength(curve, sc_sir, 400))
+        curves.append(resample_by_arclength([curve], sc_sir, 400)[0])
     d01 = float(np.max(np.linalg.norm(curves[0] - curves[1], axis=1)))
     d12 = float(np.max(np.linalg.norm(curves[1] - curves[2], axis=1)))
     ok = d12 > 0.0 and d01 / d12 >= 8.0

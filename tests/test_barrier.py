@@ -183,7 +183,7 @@ def test_select_extremal_input_at_tangency(sc_sir, sc_seir, sc_seir_imp, sc_sir_
 
 def test_resample_by_arclength(adm_sir):
     curve = adm_sir.curves[0]
-    pts = resample_by_arclength(curve, adm_sir.scenario, 100)
+    pts = resample_by_arclength([curve], adm_sir.scenario, 100)[0]
     assert pts.shape == (100, 2)
     assert np.allclose(pts[0], curve.states[0])
     assert np.allclose(pts[-1], curve.states[-1])
@@ -226,11 +226,13 @@ def _resample_one_node_at_a_time(curve, scenario, n_nodes):
 
 
 def test_resample_matches_per_node_reference(all_proper_sets):
-    for name, cset, curve in _all_curves(all_proper_sets):
+    for name, cset in all_proper_sets.items():
         n = 400 if cset.scenario.variant.is_sir else 200
-        got = resample_by_arclength(curve, cset.scenario, n)
-        want = _resample_one_node_at_a_time(curve, cset.scenario, n)
-        assert got.tobytes() == want.tobytes(), name
+        got = resample_by_arclength(cset.curves, cset.scenario, n)
+        assert got.shape == (len(cset.curves), n, cset.scenario.dim), name
+        for c, curve in enumerate(cset.curves):
+            want = _resample_one_node_at_a_time(curve, cset.scenario, n)
+            assert got[c].tobytes() == want.tobytes(), (name, c)
 
 
 def _take_rows(curve, rows):
@@ -256,11 +258,29 @@ def test_resample_duplicated_switch_samples(mrpi_seir_imp):
     flat = _take_rows(curve, [0, 0, 0])
     flat.samples[1, : sc.dim] += 1e-9
     flat.is_switch[1] = True
-    for c in (doubled, flat):
+    # a batch mixes curves with and without live lanes; at n = 2, and in the
+    # batch of the zero-length curve alone, no curve has one
+    for batch in ([curve, doubled, flat], [flat]):
         for n in (2, 3, 57, 200):
-            got = resample_by_arclength(c, sc, n)
-            assert got.tobytes() == _resample_one_node_at_a_time(c, sc, n).tobytes()
-    assert np.array_equal(resample_by_arclength(flat, sc, 5)[1:-1], np.tile(flat.states[1], (3, 1)))
+            got = resample_by_arclength(batch, sc, n)
+            for c, want in zip(got, batch):
+                assert c.tobytes() == _resample_one_node_at_a_time(want, sc, n).tobytes()
+    assert np.array_equal(resample_by_arclength([flat], sc, 5)[0, 1:-1], np.tile(flat.states[1], (3, 1)))
+
+
+def test_assemble_set_resamples_all_curves_in_one_bisection(sc_seir, monkeypatch):
+    calls = []
+    hermite = barrier._hermite
+
+    def counted(*args):
+        calls.append(1)
+        return hermite(*args)
+
+    monkeypatch.setattr(barrier, "_hermite", counted)
+    cset = assemble_set(sc_seir, SetKind.ADMISSIBLE, n_curves=30)
+    assert len(cset.curves) == 30
+    # 60 bisection steps and one final interpolation for the whole set
+    assert len(calls) == 61
 
 
 def test_membership_reference_points(adm_sir, mrpi_sir):
@@ -278,6 +298,32 @@ def test_membership_reference_points(adm_sir, mrpi_sir):
     assert membership(mrpi_sir, p).verdict is Verdict.INSIDE
     # outside the simplex entirely
     assert membership(adm_sir, [0.99, 0.05]).verdict is Verdict.OUTSIDE
+
+
+def _sir_distance_with_clip(cset, x):
+    """The SIR distance estimate with the edge parameter clamped by ``np.clip``, the reference."""
+    ax, ay, abx, aby, inv, _, _ = barrier._sir_edges(cset)
+    dx, dy = float(x[0]) - ax, float(x[1]) - ay
+    t = np.clip((dx * abx + dy * aby) * inv, 0.0, 1.0)
+    ex, ey = dx - t * abx, dy - t * aby
+    return float(np.sqrt(np.min(ex * ex + ey * ey)))
+
+
+def test_sir_membership_matches_the_clip_form(all_proper_sets):
+    rng = np.random.default_rng(19)
+    for name, cset in all_proper_sets.items():
+        if not cset.scenario.variant.is_sir:
+            continue
+        poly, im = cset.polyline, cset.scenario.i_max
+        eps = cset.tolerances.boundary_layer_eps
+        uniform = rng.uniform([-0.05, -0.1 * im], [1.05, 1.2 * im], size=(1000, 2))
+        near = poly[rng.integers(0, len(poly), 1000)] + rng.normal(0.0, 2.0 * eps, (1000, 2))
+        for p in np.vstack([uniform, near, poly, [[np.nan, 0.01], [0.5, np.nan]]]):
+            m = membership(cset, p)
+            dist = _sir_distance_with_clip(cset, p)
+            assert np.float64(m.distance_estimate).tobytes() == np.float64(dist).tobytes(), (name, p)
+            # past the boundary layer the verdict does not read the distance
+            assert (m.verdict is Verdict.BOUNDARY) == (dist <= eps), (name, p)
 
 
 def test_membership_boundary_layer(adm_sir):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epibarrier.barrier import assemble_set, membership
-from epibarrier.cli import _write_trajectory, load_set, main
+from epibarrier.cli import _build_parser, _write_trajectory, load_set, main
 from epibarrier.core import SetKind, Tolerances
 from epibarrier.policy_sim import monte_carlo
 
@@ -262,6 +262,40 @@ def test_load_set_ignores_stored_special_segments(set_documents, tmp_path):
             x[-1] = min(x[-1], i_max * rng.uniform(0.0, 1.02))
             a, b = membership(fresh, x), membership(stored, x)
             assert a.verdict is b.verdict and a.distance_estimate == b.distance_estimate, x
+
+
+def test_reused_parser_keeps_no_tolerance_between_calls(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
+    argv = ["barrier", "--config", cfg, "--set", "mrpi", "--curves", "2", "--out"]
+    assert main(argv + [str(tmp_path / "a"), "--tol", "step_h=0.02"]) == 0
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    steps = [
+        json.loads((tmp_path / out / "set.json").read_text())["manifest"]["tolerances"]["step_h"]
+        for out in ("a", "b")
+    ]
+    assert steps == [0.02, Tolerances().step_h]
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize(
+    "raw, fixture", [(SIR_PERFECT_RAW, "mrpi_sir"), (SEIR_PERFECT_RAW, "adm_seir")]
+)
+def test_set_json_is_one_compact_line(raw, fixture, tmp_path, capsys, request):
+    fresh = request.getfixturevalue(fixture)
+    cfg = _write_config(tmp_path, raw)
+    kind = fresh.set_kind.value
+    assert main(["barrier", "--config", cfg, "--set", kind, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "set.json").read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    stored = load_set(str(tmp_path / "set.json"))
+    for name in ("polyline", "mesh_nodes"):
+        want, got = getattr(fresh, name), getattr(stored, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
