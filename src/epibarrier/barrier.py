@@ -129,14 +129,14 @@ class BarrierCurve:
         return np.array([float(lam @ fx) for lam, fx in zip(self.adjoints, f)])
 
 
-def _state_derivatives(scenario: Scenario, states: np.ndarray, inputs) -> list[np.ndarray]:
-    """f(x, u) per state row, building one vector field per run of one input (a segment)."""
+def _state_derivatives(scenario: Scenario, states: np.ndarray, inputs) -> np.ndarray:
+    """f(x, u) per state row, shaped like ``states``; one field per run of one input (a segment)."""
     out, u_prev, f = [], None, None
     for x, u in zip(states.tolist(), inputs):
         if u is not u_prev:
             u_prev, f = u, vector_field(scenario, u)
-        out.append(np.array(f(0.0, x)))
-    return out
+        out.append(f(0.0, x))
+    return np.array(out, dtype=float).reshape(states.shape)
 
 
 def select_extremal_input(scenario: Scenario, set_kind: SetKind, state, adjoint) -> InputVec:
@@ -335,11 +335,13 @@ def _check_containment(scenario: Scenario, curve: BarrierCurve, tol: Tolerances)
 
 
 def _hermite(xa, xb, da, db, dt, theta):
-    t2, t3 = theta * theta, theta * theta * theta
+    t2 = theta * theta
+    t3 = t2 * theta
+    two_t3, three_t2 = 2 * t3, 3 * t2
     return (
-        (2 * t3 - 3 * t2 + 1) * xa
+        (two_t3 - three_t2 + 1) * xa
         + (t3 - 2 * t2 + theta) * dt * da
-        + (-2 * t3 + 3 * t2) * xb
+        + (three_t2 - two_t3) * xb
         + (t3 - t2) * dt * db
     )
 
@@ -372,7 +374,6 @@ def resample_by_arclength(
         s_u, tau, x = s_vals[used], curve.tau[used], states[used]
         f = _state_derivatives(scenario, x, [curve.inputs[j] for j in used])
         ds = np.sqrt([fj @ fj for fj in f])
-        f = np.array(f).reshape(-1, scenario.dim)
         dt = tau[b] - tau[a]
         dup = (dt <= 0.0) | (s_u[b] <= s_u[a])  # duplicated switch node
         out[i, 1:-1][dup] = x[b[dup]]

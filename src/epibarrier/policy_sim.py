@@ -1,20 +1,22 @@
 """Forward policy simulation, the set-based switching law, and oracles.
 
-The membership oracle cross-checks computed set boundaries the hard way, in
-all four variants: it forward-simulates trial input/disturbance signals
-(input-box corner constants and seeded bang signals) and watches for cap
-breaches.  A point claimed inside the admissible set must have *some*
-cap-preserving input; a point claimed inside the robust invariant set must
-survive *every* trial signal.  All (point, trial) runs of a query batch step
-together as lanes of numpy arrays while many are live; the few left are
-finished one by one as float tuples.  Both take the RK4 stages, the vector
-field, the step count and the clipped last step of :func:`simulate`.  A
-refuted claim carries its counterexample: the deciding trial, replayed
-through :func:`simulate`.
+The membership oracle cross-checks computed set boundaries the hard way, in all
+four variants: it forward-simulates trial input/disturbance signals (input-box
+corner constants and seeded bang signals) and watches for cap breaches.  A
+trial signal is one list of segments: ``inputs[k]`` holds from ``starts[k]``
+until the next start.  A point claimed inside the admissible set must have
+*some* cap-preserving input; a point claimed inside the robust invariant set
+must survive *every* trial signal.  All (point, trial) runs of a query batch
+step together as lanes of numpy arrays while many are live; the few left are
+finished one by one as float tuples, each reading its trial's segments.  Both
+take the RK4 stages, the vector field, the step count and the clipped last step
+of :func:`simulate`.  A refuted claim carries its counterexample: the deciding
+trial, replayed through :func:`simulate`.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +26,6 @@ from .core import Scenario, SetKind, Tolerances, Variant
 from .integrate import EventKind, EventSpec, _refine_fraction, _rk4_stages, _triggered, rk4_step
 from .models import (
     BadChannelError,
-    Channel,
     InputVec,
     active_channels,
     check_input,
@@ -50,6 +51,7 @@ __all__ = [
 
 DIVIDE_GUARD_S = 1e-9
 ORACLE_T_END = 500.0
+_BANG_SEGMENTS = 8  # segments of one channel of a seeded bang signal
 T_END_MAX = 10000.0  # longest horizon simulate accepts, days
 
 
@@ -59,14 +61,15 @@ T_END_MAX = 10000.0  # longest horizon simulate accepts, days
 
 
 class ConstantPolicy:
-    """Fixed input values on every free channel."""
+    """Fixed input values on every free channel: a signal of one segment."""
 
     def __init__(self, scenario: Scenario, values: InputVec):
         check_input(scenario, values)
-        self.values = values
+        self.starts = [0.0]
+        self.inputs = [values]
 
     def u(self, t: float, state) -> InputVec:
-        return self.values
+        return self.inputs[0]
 
 
 class AffineFeedbackPolicy:
@@ -143,22 +146,28 @@ class SwitchingLawPolicy:
 
 
 class ExtremalBangPolicy:
-    """Seeded random piecewise-constant signal at the input-box corners."""
+    """Seeded random piecewise-constant signal at the input-box corners.
+
+    The free channels' switch times merge into ``starts``, the first 0.0;
+    ``inputs[k]`` holds from ``starts[k]`` to the next start (the first also before 0).
+    """
 
     def __init__(self, scenario: Scenario, seed, t_end: float):
         rng = np.random.default_rng(seed)
         self.scenario = scenario
-        self.schedules: dict[Channel, tuple[np.ndarray, np.ndarray]] = {
-            ch: _bang_schedule(rng, lo, hi, t_end)
-            for ch, (lo, hi) in input_box(scenario).items()
-        }
+        box = input_box(scenario).items()
+        scheds = {ch.value: _bang_schedule(rng, lo, hi, t_end) for ch, (lo, hi) in box}
+        self.starts = sorted({t for times, _ in scheds.values() for t in times.tolist()})
+        self.inputs = [
+            InputVec(**{
+                ch: float(values[np.searchsorted(times, t, side="right") - 1])
+                for ch, (times, values) in scheds.items()
+            })
+            for t in self.starts
+        ]
 
     def u(self, t: float, state) -> InputVec:
-        vals = {}
-        for ch, (times, values) in self.schedules.items():
-            k = int(np.searchsorted(times, t, side="right")) - 1
-            vals[ch.value] = float(values[max(k, 0)])
-        return InputVec(**vals)
+        return self.inputs[max(bisect_right(self.starts, t) - 1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +378,15 @@ def monte_carlo(
 # ---------------------------------------------------------------------------
 
 
-def _bang_schedule(rng, lo, hi, t_end, n_segments=8):
-    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_end, n_segments - 1))])
-    values = rng.choice([lo, hi], size=n_segments)
+def _bang_schedule(rng, lo, hi, t_end):
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_end, _BANG_SEGMENTS - 1))])
+    values = rng.choice([lo, hi], size=_BANG_SEGMENTS)
     return times, values
-
-
-class _ConstantSignal(ExtremalBangPolicy):
-    """A fixed input as one-segment schedules, read by ExtremalBangPolicy.u."""
-
-    def __init__(self, scenario: Scenario, values: dict[Channel, float]):
-        self.scenario = scenario
-        self.schedules = {ch: (np.zeros(1), np.array([v])) for ch, v in values.items()}
 
 
 def _oracle_trials(
     scenario: Scenario, set_kind: SetKind, n_trials: int, seed, t_end: float
-) -> list[ExtremalBangPolicy]:
+) -> list[ConstantPolicy | ExtremalBangPolicy]:
     """The oracle's trial signals, in the order their breaches are reported.
 
     Perfect SIR admissible set: constant beta_min alone (the switching law is
@@ -394,12 +395,12 @@ def _oracle_trials(
     ``SeedSequence(seed)``.
     """
     if set_kind is SetKind.ADMISSIBLE and scenario.variant is Variant.SIR_PERFECT:
-        return [_ConstantSignal(scenario, {Channel.BETA: scenario.beta_min})]
-    box = list(input_box(scenario).items())
-    trials: list[ExtremalBangPolicy] = [
-        _ConstantSignal(
+        return [ConstantPolicy(scenario, InputVec(beta=scenario.beta_min))]
+    box = [(ch.value, lo, hi) for ch, (lo, hi) in input_box(scenario).items()]
+    trials: list[ConstantPolicy | ExtremalBangPolicy] = [
+        ConstantPolicy(
             scenario,
-            {ch: hi if (mask >> k) & 1 else lo for k, (ch, (lo, hi)) in enumerate(box)},
+            InputVec(**{ch: hi if (mask >> k) & 1 else lo for k, (ch, lo, hi) in enumerate(box)}),
         )
         for mask in range(1 << len(box))
     ]
@@ -451,25 +452,18 @@ def _breach_matrix(
     n_steps = _step_count(t_end, h)
     lanes = np.arange(n_tr * n_pts)  # trial-major: lane = trial * n_pts + point
     y = tuple(np.tile(points[:, c], n_tr) for c in range(points.shape[1]))
+    channels = [ch.value for ch in input_box(scenario)]
     hi, lo = [], []
     for tr in trials:
-        scheds = tr.schedules.items()
-        hi.append(rates(scenario, 0.0, InputVec(**{ch.value: max(v) for ch, (_, v) in scheds}))[0])
-        lo.append(rates(scenario, 0.0, InputVec(**{ch.value: min(v) for ch, (_, v) in scheds}))[2])
+        vals = [[getattr(u, ch) for u in tr.inputs] for ch in channels]
+        hi.append(rates(scenario, 0.0, InputVec(**dict(zip(channels, map(max, vals)))))[0])
+        lo.append(rates(scenario, 0.0, InputVec(**dict(zip(channels, map(min, vals)))))[2])
     beta_hi, gamma_lo = np.repeat(hi, n_pts), np.repeat(lo, n_pts)
     # every later segment start of every trial, in time order, behind one pointer
-    starts = sorted(
-        (
-            (times[seg], j, ch, values[seg])
-            for j, tr in enumerate(trials)
-            for ch, (times, values) in tr.schedules.items()
-            for seg in range(1, len(times))
-        ),
-        key=lambda start: start[0],
-    )
+    segs = ((t, j, u) for j, tr in enumerate(trials) for t, u in zip(tr.starts[1:], tr.inputs[1:]))
+    starts = sorted(segs, key=lambda start: start[0])
     lane_u = {
-        ch: np.repeat([tr.schedules[ch][1][0] for tr in trials], n_pts)
-        for ch in trials[0].schedules
+        ch: np.repeat([getattr(tr.inputs[0], ch) for tr in trials], n_pts) for ch in channels
     }
     breached = np.zeros(n_tr * n_pts, dtype=bool)
     k = nxt = 0
@@ -492,35 +486,31 @@ def _breach_matrix(
             break
         t = k * h
         while nxt < len(starts) and starts[nxt][0] <= t:
-            _, j, ch, value = starts[nxt]
-            lane_u[ch][lanes // n_pts == j] = value
+            _, j, u = starts[nxt]
+            for ch, a in lane_u.items():
+                a[lanes // n_pts == j] = getattr(u, ch)
             nxt += 1
             f = None
         if f is None:
-            f = vector_field(scenario, InputVec(**{ch.value: a for ch, a in lane_u.items()}))
+            f = vector_field(scenario, InputVec(**lane_u))
         y = _rk4_stages(f, t, y, min(h, t_end - t))
         k += 1
     for i, lane in enumerate(lanes.tolist()):
-        j = lane // n_pts
         breached[lane] = _finish_lane(
-            scenario, tuple(a[i].item() for a in y), trials[j],
-            [start for start in starts if start[1] == j],
+            scenario, tuple(a[i].item() for a in y), trials[lane // n_pts],
             k, n_steps, t_end, h, thr, beta_hi[i].item(), gamma_lo[i].item(),
         )
     return breached.reshape(n_tr, n_pts).T
 
 
-def _finish_lane(scenario, y, trial, starts, k, n_steps, t_end, h, thr, beta_hi, gamma_lo):
+def _finish_lane(scenario, y, trial, k, n_steps, t_end, h, thr, beta_hi, gamma_lo):
     """Step one oracle lane as a float tuple from step ``k`` until it retires.
 
-    The retirement rule and the step are those of :func:`_breach_matrix`.
-    ``starts`` are the lane's trial's later segment starts in time order; the
-    lane replays them from the first, so its input at t = k*h is the one the
-    lane arrays held.  Returns whether the lane breached.
+    Retires and steps as :func:`_breach_matrix` does.  The input at t = k*h is
+    the trial's segment holding t (what its ``u`` returns), looked up again only
+    once t passes that segment's end.  Returns whether the lane breached.
     """
-    values = {ch: v[0].item() for ch, (_, v) in trial.schedules.items()}
-    times = [start[0].item() for start in starts] + [math.inf]
-    nxt, f = 0, None
+    ends, end = trial.starts[1:] + [math.inf], -math.inf
     while True:
         i = y[-1]
         if i > thr:
@@ -529,13 +519,9 @@ def _finish_lane(scenario, y, trial, starts, k, n_steps, t_end, h, thr, beta_hi,
         if k == n_steps or (beta_hi * y[0] < gamma_lo and e_plus_i <= thr):
             return False
         t = k * h
-        while times[nxt] <= t:
-            _, _, ch, value = starts[nxt]
-            values[ch] = value.item()
-            nxt += 1
-            f = None
-        if f is None:
-            f = vector_field(scenario, InputVec(**{ch.value: v for ch, v in values.items()}))
+        if t >= end:
+            seg = bisect_right(ends, t)
+            end, f = ends[seg], vector_field(scenario, trial.inputs[seg])
         y = _rk4_stages(f, t, y, min(h, t_end - t))
         k += 1
 

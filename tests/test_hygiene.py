@@ -129,8 +129,10 @@ def test_barrier_writes_no_model_formula():
 
 def test_names_the_benchmark_reads_exist():
     # perfbench/tracer.py wraps each (module, name) of its TRACED list with
-    # getattr, and perfbench/workloads.py reads models.lie_derivative_g and
-    # BarrierCurve.step_h: deleting any of them breaks every benchmark run
+    # getattr, and each Class.method through its own class's __dict__, so an
+    # inherited method raises KeyError there; perfbench/workloads.py reads
+    # models.lie_derivative_g and BarrierCurve.step_h: deleting any of them
+    # breaks every benchmark run
     tracer = ast.parse((PACKAGE.parent.parent / "perfbench" / "tracer.py").read_text())
     traced = next(
         ast.literal_eval(node.value)
@@ -143,8 +145,8 @@ def test_names_the_benchmark_reads_exist():
     for mod_name, attr in traced:
         owner = importlib.import_module(f"epibarrier.{mod_name}")
         for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
+            holder, owner = owner, getattr(owner, part, None)
+        if not callable(owner) or part not in vars(holder):
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
     assert callable(models.lie_derivative_g)

@@ -52,6 +52,55 @@ def test_extremal_bang_policy_values(sc_seir_imp):
     )
 
 
+@pytest.mark.parametrize("scenario_name", ["sc_seir", "sc_sir_imp"])
+@pytest.mark.parametrize("seed", range(5))
+def test_bang_signal_matches_per_channel_schedules(request, scenario_name, seed):
+    # the merged segments read as the per-channel schedules did: each channel
+    # draws 7 sorted switch times and 8 box ends in input_box order, and its
+    # value at t is the last one starting at or before t (the first before 0)
+    sc = request.getfixturevalue(scenario_name)
+    t_end = 100.0
+    pol = ExtremalBangPolicy(sc, seed, t_end)
+    rng = np.random.default_rng(seed)
+    scheds = {}
+    for ch, (lo, hi) in input_box(sc).items():
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_end, 7))])
+        scheds[ch.value] = times, rng.choice([lo, hi], size=8)
+
+    def reference(t):
+        vals = {}
+        for ch, (times, values) in scheds.items():
+            k = int(np.searchsorted(times, t, side="right")) - 1
+            vals[ch] = float(values[max(k, 0)])
+        return InputVec(**vals)
+
+    starts = pol.starts
+    assert starts[0] == 0.0 and len(starts) == len(pol.inputs)
+    assert all(type(t) is float for t in starts) and starts == sorted(set(starts))
+    mids = [0.5 * (a + b) for a, b in zip(starts, starts[1:])] + [0.5 * (starts[-1] + t_end)]
+    probes = starts + [np.nextafter(t, -np.inf) for t in starts] + mids + [-1.0, t_end + 5.0]
+    for t in probes:
+        assert pol.u(t, None) == reference(t), t
+    for start, mid in zip(starts, mids):  # one segment, one object
+        assert pol.u(start, None) is pol.u(mid, None)
+
+
+def test_simulate_builds_one_field_per_segment(monkeypatch, sc_seir):
+    # a bang signal returns one InputVec per segment, so simulate builds its
+    # vector field once per segment, not once per step
+    pol = ExtremalBangPolicy(sc_seir, 3, 100.0)
+    field = policy_sim.vector_field
+    calls = []
+
+    def counting(scenario, u):
+        calls.append(u)
+        return field(scenario, u)
+
+    monkeypatch.setattr(policy_sim, "vector_field", counting)
+    simulate(sc_seir, pol, [0.7, 0.01, 0.02], 100.0, record_every=1000)
+    assert 1 < len(calls) <= len(pol.starts)
+
+
 def test_simulate_axis_equilibrium(sc_sir):
     # I = 0 is invariant: nothing moves
     traj = simulate(sc_sir, ConstantPolicy(sc_sir, InputVec(beta=0.8)), [0.7, 0.0], 5.0)
@@ -397,7 +446,7 @@ def test_oracle_reads_the_input_at_the_step_start(sc_sir):
     class Switch(ExtremalBangPolicy):
         def __init__(self, ts):
             self.scenario = sc_sir
-            self.schedules = {Channel.BETA: (np.array([0.0, ts]), np.array([0.8, 0.6]))}
+            self.starts, self.inputs = [0.0, ts], [InputVec(beta=0.8), InputVec(beta=0.6)]
 
     p, t_end, tol = np.array([[0.7, 0.01989]]), 1.0, Tolerances()
     assert tol.step_h == 1e-2
@@ -486,10 +535,12 @@ class _StepStartSwitch(ExtremalBangPolicy):
 
     def __init__(self, scenario, k, h):
         self.scenario = scenario
-        self.schedules = {
-            ch: (np.array([0.0, k * h]), np.array([hi, lo]))
-            for ch, (lo, hi) in input_box(scenario).items()
-        }
+        box = input_box(scenario).items()
+        self.starts = [0.0, k * h]
+        self.inputs = [
+            InputVec(**{ch.value: hi for ch, (lo, hi) in box}),
+            InputVec(**{ch.value: lo for ch, (lo, hi) in box}),
+        ]
 
 
 def _oracle_batch(sc, kind, t_end):
