@@ -413,9 +413,11 @@ def _oracle_trials(
 # alone as a float tuple.  One RK4 step of the lane arrays costs about 40 us
 # at any width up to 64 lanes, one float-tuple lane step about 2 us (timeit,
 # SIR perfect, 2-core Xeon VM), so the tuples win below about 20 lanes.  On
-# the dynamics benchmark's 133-point admissible grid, whose first retirement
-# leaves 11 lanes, widths 12 to 200 took the same 0.041 s and width 8 took
-# 0.065 s (medians of 9).
+# the dynamics benchmark's 133-point SIR grid (i_max 0.02, 500 d), the
+# admissible schedule's first retirement leaves 2 lanes, so every width from
+# 4 up took about 1 ms and width 0 took 12 ms (medians of 9); the robust
+# schedule's leaves 254 of 1,330, and widths 0 / 8 / 16 / 24 / 64 / 2000 took
+# 0.41 / 0.28 / 0.24 / 0.28 / 0.44 / 0.98 s (medians of 5).
 _TAIL_LANES = 16
 
 
@@ -436,9 +438,21 @@ def _breach_matrix(
     one as float tuples, which gives the same floats.  A lane retires once
     it breaches (I > i_max + geom_tol) or once it provably never will:
 
-    - S never increases and d(E+I)/dt <= I*(beta_hi*S - gamma_lo), so
-      beta_hi*S < gamma_lo with E + I <= i_max + geom_tol holds I under the
-      cap for good (E = 0 in SIR).
+    - Its trial's rates stay within beta <= beta_hi and gamma >= gamma_lo
+      (the imperfect feedback laws included: they sit at those ends at
+      I = 0), so with c = gamma_lo/beta_hi, V = S + E + I - c*ln(S) has
+      dV/dt = I*(c*beta - gamma) <= 0 in all four variants (E = 0 in SIR;
+      eta cancels in E + I).  S never increases, and S' - c*ln(S') over
+      S' <= S is least at S' = min(S, c), so E + I stays at most its value
+      now plus slack(S) = S - c - c*ln(S/c) for S > c, 0 otherwise.  The
+      lane retires once E + I + slack(S) <= i_max + geom_tol.  Under a
+      corner constant with beta = beta_hi and gamma = gamma_lo, V is
+      conserved and the bound is the exact peak of E + I.  RK4 does not
+      conserve V exactly: at step_h = 1e-2 over 500 d, under the SIR and
+      SEIR corner constants that conserve it (three starts each), V rose at
+      most 5.7e-14 above its start, so a retired lane whose RK4 run would
+      still have breached peaks within that of the threshold, inside the
+      geom_tol = 1e-9 band the threshold already grants the cap.
     - A lane that starts on the invariant axis, I == 0 in SIR and E == 0
       and I == 0 in SEIR, stays on it: in all four variants every
       right-hand-side term of E and I is a product with E or I (beta*S*I,
@@ -451,14 +465,14 @@ def _breach_matrix(
     h = tol.step_h
     n_steps = _step_count(t_end, h)
     lanes = np.arange(n_tr * n_pts)  # trial-major: lane = trial * n_pts + point
-    y = tuple(np.tile(points[:, c], n_tr) for c in range(points.shape[1]))
+    y = tuple(np.tile(points[:, d], n_tr) for d in range(points.shape[1]))
     channels = [ch.value for ch in input_box(scenario)]
     hi, lo = [], []
     for tr in trials:
         vals = [[getattr(u, ch) for u in tr.inputs] for ch in channels]
         hi.append(rates(scenario, 0.0, InputVec(**dict(zip(channels, map(max, vals)))))[0])
         lo.append(rates(scenario, 0.0, InputVec(**dict(zip(channels, map(min, vals)))))[2])
-    beta_hi, gamma_lo = np.repeat(hi, n_pts), np.repeat(lo, n_pts)
+    c = np.repeat(np.divide(lo, hi), n_pts)  # gamma_lo / beta_hi per lane
     # every later segment start of every trial, in time order, behind one pointer
     segs = ((t, j, u) for j, tr in enumerate(trials) for t, u in zip(tr.starts[1:], tr.inputs[1:]))
     starts = sorted(segs, key=lambda start: start[0])
@@ -471,14 +485,15 @@ def _breach_matrix(
     while True:
         hit = y[-1] > thr
         e_plus_i = y[-1] if len(y) == 2 else y[1] + y[2]
-        done = hit | ((beta_hi * y[0] < gamma_lo) & (e_plus_i <= thr))
+        slack = np.maximum(y[0] - c - c * np.log(np.maximum(y[0] / c, 1.0)), 0.0)
+        done = hit | (e_plus_i + slack <= thr)
         if k == 0:  # on the invariant axis: y[1] is E in SEIR, I itself in SIR
             done |= (y[1] == 0.0) & (y[-1] == 0.0)
         if done.any():
             breached[lanes[hit]] = True
             keep = ~done
             lanes = lanes[keep]
-            beta_hi, gamma_lo = beta_hi[keep], gamma_lo[keep]
+            c = c[keep]
             y = tuple(a[keep] for a in y)
             lane_u = {ch: a[keep] for ch, a in lane_u.items()}
             f = None
@@ -498,12 +513,12 @@ def _breach_matrix(
     for i, lane in enumerate(lanes.tolist()):
         breached[lane] = _finish_lane(
             scenario, tuple(a[i].item() for a in y), trials[lane // n_pts],
-            k, n_steps, t_end, h, thr, beta_hi[i].item(), gamma_lo[i].item(),
+            k, n_steps, t_end, h, thr, c[i].item(),
         )
     return breached.reshape(n_tr, n_pts).T
 
 
-def _finish_lane(scenario, y, trial, k, n_steps, t_end, h, thr, beta_hi, gamma_lo):
+def _finish_lane(scenario, y, trial, k, n_steps, t_end, h, thr, c):
     """Step one oracle lane as a float tuple from step ``k`` until it retires.
 
     Retires and steps as :func:`_breach_matrix` does.  The input at t = k*h is
@@ -516,7 +531,9 @@ def _finish_lane(scenario, y, trial, k, n_steps, t_end, h, thr, beta_hi, gamma_l
         if i > thr:
             return True
         e_plus_i = i if len(y) == 2 else y[1] + i
-        if k == n_steps or (beta_hi * y[0] < gamma_lo and e_plus_i <= thr):
+        s = y[0]
+        slack = max(s - c - c * math.log(s / c), 0.0) if s > c else 0.0
+        if k == n_steps or e_plus_i + slack <= thr:
             return False
         t = k * h
         if t >= end:

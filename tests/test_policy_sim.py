@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -417,25 +418,91 @@ def test_oracle_axis_lanes_take_no_steps(monkeypatch, request, scenario_name, ki
     t_end = 20.0
     pts = np.array(axis_points)
     trials = policy_sim._oracle_trials(sc, kind, 2, 5, t_end)
-    stages = policy_sim._rk4_stages
-    calls = []
+    calls = _stage_calls(monkeypatch)
+    flags = policy_sim._breach_matrix(sc, pts, trials, t_end, Tolerances())
+    assert calls == []
+    assert flags.tolist() == _simulated_flags(sc, pts, trials, t_end)
+
+
+def _stage_calls(monkeypatch):
+    """The start time of every RK4 step the oracle takes from here on."""
+    stages, calls = policy_sim._rk4_stages, []
 
     def counting(*args):
         calls.append(args[1])
         return stages(*args)
 
     monkeypatch.setattr(policy_sim, "_rk4_stages", counting)
-    flags = policy_sim._breach_matrix(sc, pts, trials, t_end, Tolerances())
-    assert calls == []
-    monkeypatch.undo()
-    expected = [
+    return calls
+
+
+def _simulated_flags(sc, pts, trials, t_end):
+    return [
         [
             simulate(sc, tr, p, t_end, record_every=10_000, stop_on_breach=True).breached
             for tr in trials
         ]
         for p in pts
     ]
-    assert flags.tolist() == expected
+
+
+# Per scenario: the set kind, states the bound retires at the start, and
+# states it retires partway through some trials.  All have S above
+# c = gamma_lo/beta_hi of the input box and I > 0, so beta_hi*S < gamma_lo
+# fails on the corner (beta_max, gamma_min) trial.  E + I + slack(S) lies
+# under the cap for every trial at the first states, over it at the later
+# ones until their inputs have made V fall or S has passed c.
+_BOUND_RETIRED = {
+    "sc_sir": (SetKind.MRPI, [[0.7, 0.005], [0.66, 0.01]], [[0.8, 0.005], [0.76, 0.01]]),
+    "sc_sir_imp": (SetKind.MRPI, [[0.5, 0.05], [0.6, 0.1]], [[0.8, 0.1], [0.9, 0.05]]),
+    "sc_seir": (
+        SetKind.ADMISSIBLE,
+        [[0.3, 0.01, 0.02], [0.5, 0.05, 0.05]],
+        [[0.7, 0.05, 0.05], [0.6, 0.1, 0.1]],
+    ),
+    "sc_seir_imp": (
+        SetKind.MRPI,
+        [[0.3, 0.02, 0.03], [0.25, 0.02, 0.03]],
+        [[0.4, 0.02, 0.03], [0.45, 0.03, 0.02]],
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario_name", list(_BOUND_RETIRED))
+def test_oracle_bound_retired_lanes_take_no_steps(monkeypatch, request, scenario_name):
+    # V = S + E + I - c*ln(S) never rises along a trial, so E + I never
+    # exceeds its value plus slack(S) = S - c - c*ln(S/c): these lanes retire
+    # before the first RK4 step, with the flags of one simulate per trial over
+    # the whole horizon
+    sc = request.getfixturevalue(scenario_name)
+    kind, points, _ = _BOUND_RETIRED[scenario_name]
+    pts, t_end = np.array(points), 100.0
+    assert (pts[:, 0] > (sc.gamma_min or sc.gamma) / sc.beta_max).all()
+    assert (pts[:, -1] > 0.0).all()
+    trials = policy_sim._oracle_trials(sc, kind, 2, 5, t_end)
+    calls = _stage_calls(monkeypatch)
+    flags = policy_sim._breach_matrix(sc, pts, trials, t_end, Tolerances())
+    assert calls == []
+    assert flags.tolist() == _simulated_flags(sc, pts, trials, t_end)
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+def test_oracle_bound_is_the_peak_under_a_conserving_corner(monkeypatch, sc_sir, offset):
+    # under constant beta_max, V = S + I - c*ln(S) with c = gamma/beta_max is
+    # conserved, so I peaks at I0 + slack(S0) as S passes c: a start whose
+    # peak lies 1e-6 under the cap retires before the first step, one whose
+    # peak lies 1e-6 over it steps until it breaches, as simulate flags them
+    c, s0, t_end = sc_sir.gamma / sc_sir.beta_max, 0.75, 100.0
+    peak = sc_sir.i_max + offset
+    pts = np.array([[s0, peak - (s0 - c - c * math.log(s0 / c))]])
+    trials = [ConstantPolicy(sc_sir, InputVec(beta=sc_sir.beta_max))]
+    calls = _stage_calls(monkeypatch)
+    flags = policy_sim._breach_matrix(sc_sir, pts, trials, t_end, Tolerances())
+    assert flags.tolist() == [[offset > 0]]
+    assert (calls == []) == (offset < 0)
+    traj = simulate(sc_sir, trials[0], pts[0], t_end, record_every=10_000)
+    assert traj.breached == (offset > 0)
+    assert traj.max_I == pytest.approx(peak, abs=1e-8)
 
 
 def test_oracle_reads_the_input_at_the_step_start(sc_sir):
@@ -576,6 +643,24 @@ def test_oracle_flags_do_not_depend_on_the_hand_off_width(
     sc = request.getfixturevalue(scenario_name)
     t_end = 40.0
     pts, trials = _oracle_batch(sc, kind, t_end)
+    _assert_flags_do_not_depend_on_the_hand_off_width(monkeypatch, sc, pts, trials, t_end)
+
+
+@pytest.mark.parametrize("scenario_name", list(_BOUND_RETIRED))
+def test_oracle_flags_do_not_depend_on_the_hand_off_width_with_bound_retired_lanes(
+    monkeypatch, request, scenario_name
+):
+    # the batch above plus lanes the bound retires, at the start and partway
+    # through a run, where a lane is a float tuple at the larger width
+    sc = request.getfixturevalue(scenario_name)
+    kind, at_start, later = _BOUND_RETIRED[scenario_name]
+    t_end = 40.0
+    pts, trials = _oracle_batch(sc, kind, t_end)
+    pts = np.vstack([pts, at_start, later])
+    _assert_flags_do_not_depend_on_the_hand_off_width(monkeypatch, sc, pts, trials, t_end)
+
+
+def _assert_flags_do_not_depend_on_the_hand_off_width(monkeypatch, sc, pts, trials, t_end):
     flags = []
     for width in (0, len(pts) * len(trials) + 1):
         monkeypatch.setattr(policy_sim, "_TAIL_LANES", width)
