@@ -101,46 +101,38 @@ class EmptyTangentError(ValueError):
 
 
 def classify(scenario: Scenario) -> Classification:
-    """Evaluate the triviality inequalities for the scenario's variant."""
+    """Tag the sets that are trivial, as :func:`is_trivial` decides, with the paper's terms."""
     v, im = scenario.variant, scenario.i_max
     if v is Variant.SIR_PERFECT:
         thr = scenario.gamma / (1.0 - im)
         w = {"threshold": thr, "beta_min": scenario.beta_min, "beta_max": scenario.beta_max}
-        if scenario.beta_max <= thr:
-            return Classification(ClassTag.ALL_EQUAL_G, w)
-        if scenario.beta_min <= thr:
-            return Classification(ClassTag.MRPI_PROPER, w)
-        return Classification(ClassTag.BOTH_PROPER, w)
-    if v is Variant.SIR_IMPERFECT:
+    elif v is Variant.SIR_IMPERFECT:
         thr = scenario.gamma_min / (1.0 - im)
         w = {"threshold": thr, "beta_min": scenario.beta_min}
-        if scenario.beta_min <= thr:
-            return Classification(ClassTag.M_EQUAL_G, w)
-        return Classification(ClassTag.M_PROPER, w)
-    if v is Variant.SEIR_PERFECT:
+    elif v is Variant.SEIR_PERFECT:
         lhs_min = scenario.eta * (1.0 - im) - scenario.gamma_min * im
         lhs_max = scenario.eta * (1.0 - im) - scenario.gamma_max * im
         w = {"eta_term_gamma_min": lhs_min, "eta_term_gamma_max": lhs_max}
-        if lhs_min <= 0.0:
-            return Classification(ClassTag.ALL_EQUAL_G, w)
-        if lhs_max <= 0.0:
-            return Classification(ClassTag.MRPI_PROPER, w)
-        return Classification(ClassTag.BOTH_PROPER, w)
-    # SEIR_IMPERFECT
-    lhs = scenario.eta_max * (1.0 - im) - scenario.gamma_max * im
-    w = {"eta_max_term": lhs}
-    if lhs <= 0.0:
-        return Classification(ClassTag.M_EQUAL_G, w)
-    return Classification(ClassTag.M_PROPER, w)
+    else:
+        w = {"eta_max_term": scenario.eta_max * (1.0 - im) - scenario.gamma_max * im}
+    if is_trivial(scenario, SetKind.MRPI):
+        return Classification(ClassTag.ALL_EQUAL_G if v.is_perfect else ClassTag.M_EQUAL_G, w)
+    if not v.is_perfect:
+        return Classification(ClassTag.M_PROPER, w)
+    if is_trivial(scenario, SetKind.ADMISSIBLE):
+        return Classification(ClassTag.MRPI_PROPER, w)
+    return Classification(ClassTag.BOTH_PROPER, w)
 
 
 def is_trivial(scenario: Scenario, set_kind: SetKind) -> bool:
-    """True when the requested set equals the whole constrained state space."""
+    """True when the requested set equals the whole constrained state space.
+
+    That is exactly when the ultimate-tangency set is empty: SIR
+    ``z1 + I_max >= 1``, SEIR ``z1_hi <= 0`` (at ``z1_hi = 0`` every curve
+    would start at the excluded ``z1 = 0``).
+    """
     check_set_kind(scenario.variant, set_kind)
-    tag = classify(scenario).tag
-    if set_kind is SetKind.ADMISSIBLE:
-        return tag in (ClassTag.ALL_EQUAL_G, ClassTag.MRPI_PROPER)
-    return tag in (ClassTag.ALL_EQUAL_G, ClassTag.M_EQUAL_G)
+    return _tangents(scenario, set_kind) is None
 
 
 def _cap_rates(scenario: Scenario, set_kind: SetKind) -> tuple:
@@ -167,24 +159,30 @@ def usable_part(scenario: Scenario, set_kind: SetKind) -> UsablePart:
     return UsablePart(set_kind, im, s_hi=1.0 - im, e_cap_const=(g / e) * im)
 
 
-def tangent_set(scenario: Scenario, set_kind: SetKind) -> TangentSet:
-    """Ultimate-tangency set before the backward-evolution filter."""
+def _tangents(scenario: Scenario, set_kind: SetKind) -> TangentSet | None:
+    """The ultimate-tangency set, or None when it is empty and the set trivial."""
     im = scenario.i_max
     b, g, e = _cap_rates(scenario, set_kind)
     if scenario.variant.is_sir:
         z1 = g / b
-        if z1 + im > 1.0:
-            raise EmptyTangentError(
-                f"tangent abscissa {z1} + i_max {im} exceeds 1; set is trivial"
-            )
+        if z1 + im >= 1.0:
+            return None
         return TangentSet(set_kind, im, z1_lo=z1, z1_hi=z1)
     z2 = (g / e) * im
     z1_hi = 1.0 - z2 - im
-    if z1_hi < 0.0:
-        raise EmptyTangentError(
-            f"z1 interval empty (z2*={z2}, i_max={im}); set is trivial"
-        )
+    if z1_hi <= 0.0:
+        return None
     return TangentSet(set_kind, im, z1_lo=0.0, z1_hi=z1_hi, z2_star=z2)
+
+
+def tangent_set(scenario: Scenario, set_kind: SetKind) -> TangentSet:
+    """Ultimate-tangency set before the backward-evolution filter."""
+    tangents = _tangents(scenario, set_kind)
+    if tangents is None:
+        raise EmptyTangentError(
+            f"no tangent point on the cap face; {set_kind.value} set is trivial"
+        )
+    return tangents
 
 
 def backward_filter(
@@ -192,13 +190,10 @@ def backward_filter(
 ) -> TangentSet:
     """Restrict to tangent points whose barrier curve evolves backwards into G-.
 
-    SIR sets pass through unchanged after verifying the one-sided second
-    derivative of the constraint is negative at the tangent point (it always
-    is: -gamma* beta* I_max^2 < 0 for positive rates).
+    SIR sets pass through unchanged: the one-sided second derivative of the
+    constraint at the tangent point, -gamma* beta* I_max^2, is always negative.
     """
     b, g, _ = _cap_rates(scenario, set_kind)
-    if not tangents.is_sir:
-        return replace(tangents, z1_hi=min(g / b, tangents.z1_hi))
-    if not -g * b * scenario.i_max**2 < 0.0:  # unreachable for valid scenarios
-        raise EmptyTangentError("tangent point does not evolve backwards into G-")
-    return tangents
+    if tangents.is_sir:
+        return tangents
+    return replace(tangents, z1_hi=min(g / b, tangents.z1_hi))

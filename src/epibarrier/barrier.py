@@ -28,6 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -365,26 +366,21 @@ def resample_by_arclength(
         targets = np.linspace(0.0, s_vals[-1], n_nodes)[1:-1]
         out[i, 0] = states[0]
         out[i, -1] = states[-1]
-        k = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(s_vals) - 2)
-        # gather only the samples that bracket a node (a set: np.unique imports
-        # numpy.ma), so memory stays O(n_nodes) on curves of 10^4 samples
-        used = sorted(set(k.tolist()).union((k + 1).tolist()))
-        a = np.searchsorted(used, k)
-        b = a + 1  # k + 1 follows k in used
-        s_u, tau, x = s_vals[used], curve.tau[used], states[used]
-        f = _state_derivatives(scenario, x, [curve.inputs[j] for j in used])
+        a = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(s_vals) - 2)
+        b = a + 1
+        f = _state_derivatives(scenario, states, curve.inputs)
         ds = np.sqrt([fj @ fj for fj in f])
-        dt = tau[b] - tau[a]
-        dup = (dt <= 0.0) | (s_u[b] <= s_u[a])  # duplicated switch node
-        out[i, 1:-1][dup] = x[b[dup]]
+        dt = curve.tau[b] - curve.tau[a]
+        dup = (dt <= 0.0) | (s_vals[b] <= s_vals[a])  # duplicated switch node
+        out[i, 1:-1][dup] = states[b[dup]]
         (live,) = np.nonzero(~dup)
-        # its used samples; per live node: global left-sample index, dt, target, row
-        arcs.append((s_u, ds, x, f, n_used + a[live], dt[live], targets[live],
+        # its samples; per live node: global left-sample index, dt, target, row
+        arcs.append((s_vals, ds, states, f, n_used + a[live], dt[live], targets[live],
                      i * n_nodes + 1 + live))
-        n_used += len(used)
-    s_u, ds, x, f, a, dt, s_t, node = map(np.concatenate, zip(*arcs))
+        n_used += len(s_vals)
+    s_vals, ds, x, f, a, dt, s_t, node = map(np.concatenate, zip(*arcs))
     # invert every curve's monotone arc-length Hermite s(theta) by bisection
-    arc = (s_u[a], s_u[a + 1], ds[a], ds[a + 1], dt)
+    arc = (s_vals[a], s_vals[a + 1], ds[a], ds[a + 1], dt)
     lo, hi = np.zeros_like(s_t), np.ones_like(s_t)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -406,19 +402,33 @@ def resample_by_arclength(
 class ComputedSet:
     """A computed admissible or robust-invariant set with membership queries.
 
-    Membership only consults the geometric fields (boundary polyline for SIR,
-    mesh nodes and usable part for SEIR), so a set reloaded from its exported
-    geometry answers identically to the freshly assembled one.
+    Every set, assembled, reloaded or built by hand, derives ``trivial`` and
+    ``usable`` from its scenario and kind, and a non-trivial one is checked by
+    :func:`check_set_geometry` when it is made.  Membership only consults the
+    geometric fields (boundary polyline for SIR, mesh nodes and usable part
+    for SEIR), so a set reloaded from its exported geometry answers
+    identically to the freshly assembled one.
     """
 
     scenario: Scenario
     set_kind: SetKind
-    trivial: bool
-    usable: UsablePart | None = None
     curves: list[BarrierCurve] = field(default_factory=list)
     polyline: np.ndarray | None = None  # SIR: closed boundary polygon (n, 2)
     mesh_nodes: np.ndarray | None = None  # SEIR: (n_curves, n_nodes, 3)
     tolerances: Tolerances = field(default_factory=Tolerances)
+    trivial: bool = field(init=False)
+    usable: UsablePart | None = field(init=False)
+
+    def __post_init__(self):
+        self.trivial = is_trivial(self.scenario, self.set_kind)
+        self.usable = None if self.trivial else usable_part(self.scenario, self.set_kind)
+        if not self.trivial:
+            check_set_geometry(self)
+
+    @cached_property
+    def query_arrays(self):
+        """The arrays membership reads, built on the first query."""
+        return _sir_edges(self) if self.scenario.variant.is_sir else _seir_arrays(self)
 
 
 def assemble_set(
@@ -435,58 +445,36 @@ def assemble_set(
     if n_curves < 2 and not scenario.variant.is_sir:
         raise ValueError(f"a SEIR mesh needs at least 2 curves, got {n_curves}")
     tol = tolerances or Tolerances()
-    if is_trivial(scenario, set_kind):
-        return ComputedSet(scenario, set_kind, trivial=True, tolerances=tol)
-    up = usable_part(scenario, set_kind)
-    tangents = backward_filter(
-        scenario, set_kind, tangent_set(scenario, set_kind)
-    )
-    curves = [
-        compute_barrier_curve(scenario, set_kind, tangents.point(z1), tol)
-        for z1 in tangents.sample(n_curves)
-    ]
-    if scenario.variant.is_sir:
-        poly = _sir_boundary_polygon(scenario, up, curves[0], tol)
-        return ComputedSet(
-            scenario,
-            set_kind,
-            trivial=False,
-            usable=up,
-            curves=curves,
-            polyline=poly,
-            tolerances=tol,
+    curves, poly, mesh = [], None, None
+    if not is_trivial(scenario, set_kind):
+        tangents = backward_filter(
+            scenario, set_kind, tangent_set(scenario, set_kind)
         )
-    return ComputedSet(
-        scenario,
-        set_kind,
-        trivial=False,
-        usable=up,
-        curves=curves,
-        mesh_nodes=resample_by_arclength(curves, scenario, 200),
-        tolerances=tol,
-    )
+        curves = [
+            compute_barrier_curve(scenario, set_kind, tangents.point(z1), tol)
+            for z1 in tangents.sample(n_curves)
+        ]
+        if scenario.variant.is_sir:
+            poly = _sir_boundary_polygon(scenario, curves[0])
+        else:
+            mesh = resample_by_arclength(curves, scenario, 200)
+    return ComputedSet(scenario, set_kind, curves, poly, mesh, tol)
 
 
 def _sir_boundary_polygon(
-    scenario: Scenario, up: UsablePart, curve: BarrierCurve, tol: Tolerances
+    scenario: Scenario, curve: BarrierCurve
 ) -> np.ndarray:
     """Closed boundary: S=0 edge, usable part, barrier, then invariant faces."""
     im = scenario.i_max
     arc = resample_by_arclength([curve], scenario, 400)[0]
-    if abs(arc[0, 0] - up.s_hi) > 1e-6 or abs(arc[0, 1] - im) > tol.geom_tol:
-        raise ValueError(
-            "barrier tangent point does not meet the usable part endpoint"
-        )
     pts = [np.array([0.0, 0.0]), np.array([0.0, im])]
-    pts.extend(arc)  # arc[0] is the tangent point = usable-part right endpoint
+    pts.extend(arc)  # arc[0] is the tangent point (z1, I_max); s_hi = z1 when z1 + I_max < 1
     end = arc[-1]
     if curve.termination.label == "sum_face":
         pts.append(np.array([1.0, 0.0]))
     else:  # i_floor / horizon: drop to the axis below the endpoint
         pts.append(np.array([end[0], 0.0]))
-    poly = np.array(pts)
-    check_sir_graph(poly)
-    return poly
+    return np.array(pts)
 
 
 def check_sir_graph(poly: np.ndarray) -> None:
@@ -516,13 +504,14 @@ def check_set_geometry(cset: ComputedSet) -> None:
     shape ``(n_curves >= 2, n_nodes >= 2, 3)``, and every vertex or node must
     be finite and in the capped simplex, with the slack of curve containment.
     """
-    if cset.scenario.variant.is_sir:
-        pts = cset.polyline
+    sir = cset.scenario.variant.is_sir
+    pts = cset.polyline if sir else cset.mesh_nodes
+    if pts is None:
+        raise ValueError(f"a non-trivial set needs its {'polyline' if sir else 'mesh_nodes'}")
+    if sir:
         check_sir_graph(pts)
-    else:
-        pts = cset.mesh_nodes
-        if pts.ndim != 3 or min(pts.shape[:2]) < 2 or pts.shape[2] != 3:
-            raise ValueError(f"SEIR mesh has shape {pts.shape}, not (>= 2, >= 2, 3)")
+    elif pts.ndim != 3 or min(pts.shape[:2]) < 2 or pts.shape[2] != 3:
+        raise ValueError(f"SEIR mesh has shape {pts.shape}, not (>= 2, >= 2, 3)")
     if np.any(_outside_capped_simplex(cset.scenario, cset.tolerances, pts)):
         raise ValueError("set geometry is not finite or leaves the capped simplex")
 
@@ -555,10 +544,7 @@ def _in_simplex(scenario: Scenario, x: np.ndarray, tol: float) -> bool:
 
 
 def _sir_edges(cset: ComputedSet):
-    """Cached edge arrays for the distance estimate; graph vertices as S, I lists."""
-    cached = getattr(cset, "_edge_arrays", None)
-    if cached is not None:
-        return cached
+    """Edge arrays for the distance estimate; graph vertices as S, I lists."""
     poly = cset.polyline
     closed = np.vstack([poly, poly[:1]])
     # the invariant I = 0 axis and S = 0 edge, up to the cap, bound every SIR set
@@ -567,9 +553,7 @@ def _sir_edges(cset: ComputedSet):
     denom = np.einsum("ij,ij->i", ab, ab)
     inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
     xs, ys = poly[1:, 0].tolist(), poly[1:, 1].tolist()
-    cached = (a[:, 0], a[:, 1], ab[:, 0], ab[:, 1], inv, xs, ys)
-    cset._edge_arrays = cached
-    return cached
+    return (a[:, 0], a[:, 1], ab[:, 0], ab[:, 1], inv, xs, ys)
 
 
 def membership(cset: ComputedSet, point) -> Membership:
@@ -592,7 +576,7 @@ def membership(cset: ComputedSet, point) -> Membership:
 
 def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
     tol = cset.tolerances
-    ax, ay, abx, aby, inv, xs, ys = _sir_edges(cset)
+    ax, ay, abx, aby, inv, xs, ys = cset.query_arrays
     px, py = float(x[0]), float(x[1])
     dx, dy = px - ax, py - ay
     t = np.minimum(np.maximum((dx * abx + dy * aby) * inv, 0.0), 1.0)
@@ -613,7 +597,7 @@ def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
 
 
 def _seir_arrays(cset: ComputedSet):
-    """Cached flat arrays for SEIR queries.
+    """Flat arrays for SEIR queries.
 
     ``s_lo, s_hi, e_lo, e_hi`` bound the (S, E) projection of each
     (curve c, arc node j) quad of the mesh, flattened as ``c * (nn - 1) + j``.
@@ -623,9 +607,6 @@ def _seir_arrays(cset: ComputedSet):
     outside its padded box can cover the query; a wider pad only adds
     candidates.  The node coordinate columns serve the distance estimate.
     """
-    cached = getattr(cset, "_seir_cache", None)
-    if cached is not None:
-        return cached
     g = cset.mesh_nodes
     corners = np.stack([g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]])
     s, e = corners[..., 0], corners[..., 1]
@@ -633,9 +614,7 @@ def _seir_arrays(cset: ComputedSet):
     e_lo, e_hi = e.min(axis=0).ravel(), e.max(axis=0).ravel()
     pad = 1e-8 * np.hypot(s_hi - s_lo, e_hi - e_lo) + 1e-12
     columns = tuple(g[..., k].ravel() for k in range(3))
-    cached = (s_lo - pad, s_hi + pad, e_lo - pad, e_hi + pad, columns)
-    cset._seir_cache = cached
-    return cached
+    return (s_lo - pad, s_hi + pad, e_lo - pad, e_hi + pad, columns)
 
 
 # the edges opposite the vertices of triangles (q00, q10, q11) and (q00, q11, q01),
@@ -663,7 +642,7 @@ def _seir_inside(cset: ComputedSet, x: np.ndarray) -> bool:
     so its far edges are open: the tangent segment lies on its edge E = e_cap.
     """
     s_q, e_q, i_q = x.tolist()
-    s_lo, s_hi, e_lo, e_hi, (_, _, z) = _seir_arrays(cset)
+    s_lo, s_hi, e_lo, e_hi, (_, _, z) = cset.query_arrays
     hits = np.flatnonzero((s_lo <= s_q) & (s_q <= s_hi) & (e_lo <= e_q) & (e_q <= e_hi))
     up = cset.usable
     cap_usable = 0.0 <= s_q < up.s_hi and 0.0 <= e_q < up.e_cap(s_q)
@@ -699,7 +678,7 @@ def _seir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
 
 def _seir_distance_estimate(cset: ComputedSet, x: np.ndarray) -> float:
     scenario = cset.scenario
-    *_, (nx, ny, nz) = _seir_arrays(cset)
+    *_, (nx, ny, nz) = cset.query_arrays
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     dx, dy, dz = nx - x0, ny - x1, nz - x2
     dist = float(np.sqrt(np.min(dx * dx + dy * dy + dz * dz)))

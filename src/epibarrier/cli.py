@@ -19,8 +19,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .analysis import EmptyTangentError, classify, is_trivial, usable_part
-from .barrier import ComputedSet, Verdict, assemble_set, check_set_geometry, membership
+from .analysis import EmptyTangentError, classify, is_trivial
+from .barrier import ComputedSet, Verdict, assemble_set, membership
 from .core import Scenario, ScenarioError, SetKind, Tolerances, _as_number, validate_scenario
 from .models import BadChannelError, InputVec, active_channels, check_set_kind
 from .policy_sim import (
@@ -194,22 +194,11 @@ def load_set(path: str) -> ComputedSet:
         kind = SetKind(doc["set_kind"])
         if doc["trivial"] != is_trivial(scenario, kind):
             raise ValueError(f"{path}: 'trivial' disagrees with the classification")
-        if doc["trivial"]:
-            return ComputedSet(scenario, kind, trivial=True, tolerances=tol)
-        sir = scenario.variant.is_sir
-        cset = ComputedSet(
-            scenario,
-            kind,
-            trivial=False,
-            usable=usable_part(scenario, kind),
-            polyline=np.array(doc["polyline"], dtype=float) if sir else None,
-            mesh_nodes=None if sir else np.array(doc["mesh_nodes"], dtype=float),
-            tolerances=tol,
-        )
+        key = "polyline" if scenario.variant.is_sir else "mesh_nodes"
+        geometry = {} if doc["trivial"] else {key: np.array(doc[key], dtype=float)}
+        return ComputedSet(scenario, kind, tolerances=tol, **geometry)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path} is not a set document: {type(exc).__name__}: {exc}") from exc
-    check_set_geometry(cset)
-    return cset
 
 
 # ---------------------------------------------------------------------------

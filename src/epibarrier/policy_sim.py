@@ -263,7 +263,6 @@ def switching_law(
     admissible_set: ComputedSet,
     mrpi_set: ComputedSet,
     scenario: Scenario,
-    tolerances: Tolerances | None = None,
 ) -> InputVec:
     """Contact rate chosen from the state's location relative to both sets.
 
@@ -276,7 +275,6 @@ def switching_law(
         admissible_set,
         mrpi_set,
         scenario,
-        tolerances,
     )[0]
 
 
@@ -285,11 +283,9 @@ def _switching_law_with_clearance(
     admissible_set: ComputedSet,
     mrpi_set: ComputedSet,
     scenario: Scenario,
-    tolerances: Tolerances | None = None,
 ) -> tuple[InputVec, float]:
     """Law value plus the state-space radius within which it cannot change."""
-    tol = tolerances or admissible_set.tolerances
-    eps = tol.boundary_layer_eps
+    eps = admissible_set.tolerances.boundary_layer_eps
     s_val, i_val = float(state[0]), float(state[1])
     on_cap = _cap_layer_law(scenario, admissible_set, eps, s_val, i_val)
     if on_cap is not None:  # the emitted rate varies with S here, so never cache it

@@ -63,6 +63,39 @@ def test_is_trivial(sc_sir, sc_sir40, sc_seir40, sc_sir_imp):
         is_trivial(sc_sir_imp, SetKind.ADMISSIBLE)
 
 
+# SEIR-perfect scenarios at the exact admissible boundary, where the paper's
+# inequality eta*(1 - i_max) - gamma_max*i_max > 0 and the tangent set's
+# z1_hi = 1 - z2* - i_max round to different sides
+EMPTY_TANGENT_RAW = {
+    "variant": "SEIR_PERFECT",
+    "i_max": 0.05903627382330471,
+    "beta": [0.13551532189465046, 0.26894411035431975],
+    "eta": 0.5312569300054344,
+    "gamma": [5.645043496605542, 8.467565244908313],
+}  # z1_hi < 0: tangent_set refused, so building A failed
+ZERO_WIDTH_TANGENT_RAW = {
+    "variant": "SEIR_PERFECT",
+    "i_max": 0.9238194529882411,
+    "beta": [0.7321934573096696, 2.8420500545515273],
+    "eta": 1.574342984794412,
+    "gamma": [0.08654960257859688, 0.12982440386789532],
+}  # z1_hi == 0.0: every curve of A started at the excluded z1 = 0
+
+
+@pytest.mark.parametrize(
+    "raw", [EMPTY_TANGENT_RAW, ZERO_WIDTH_TANGENT_RAW], ids=["empty", "zero-width"]
+)
+def test_triviality_at_the_exact_boundary(raw):
+    sc = validate_scenario(raw)
+    assert classify(sc).witnesses["eta_term_gamma_max"] > 0.0
+    assert classify(sc).tag is ClassTag.MRPI_PROPER
+    assert is_trivial(sc, SetKind.ADMISSIBLE)
+    with pytest.raises(EmptyTangentError):
+        tangent_set(sc, SetKind.ADMISSIBLE)
+    assert not is_trivial(sc, SetKind.MRPI)
+    assert tangent_set(sc, SetKind.MRPI).z1_hi > 0.0
+
+
 def test_sir_usable_part(sc_sir):
     up_a = usable_part(sc_sir, SetKind.ADMISSIBLE)
     up_m = usable_part(sc_sir, SetKind.MRPI)
@@ -216,13 +249,13 @@ def _reference_tangent_set(scenario, set_kind):
     if scenario.variant.is_sir:
         g, b = _rate_pair(scenario, set_kind)
         z1 = g / b
-        if z1 + im > 1.0:
+        if z1 + im >= 1.0:
             raise EmptyTangentError
         return TangentSet(set_kind, im, z1_lo=z1, z1_hi=z1)
     g, e = _e_rate_pair(scenario, set_kind)
     z2 = (g / e) * im
     z1_hi = 1.0 - z2 - im
-    if z1_hi < 0.0:
+    if z1_hi <= 0.0:
         raise EmptyTangentError
     return TangentSet(set_kind, im, z1_lo=0.0, z1_hi=z1_hi, z2_star=z2)
 
@@ -281,3 +314,53 @@ def test_cap_face_rates_match_the_reference_tables(scenario, set_kind):
     assert repr(backward_filter(scenario, set_kind, got)) == repr(
         _reference_backward_filter(scenario, set_kind, expected)
     )
+
+
+@st.composite
+def _boundary_scenarios(draw):
+    """A scenario whose triviality rate sits exactly on the paper's boundary.
+
+    SIR: gamma (or gamma_min) = beta_end * (1 - i_max); SEIR: one gamma end
+    = eta_end * (1 - i_max) / i_max, so the inequality and the tangent set's
+    emptiness test are evaluated where their roundings can disagree.
+    """
+    variant = draw(st.sampled_from(list(Variant)))
+    im = draw(st.floats(min_value=0.01, max_value=0.99))
+    beta = draw(_INTERVAL)
+    raw = {"variant": variant.value, "i_max": im, "beta": beta}
+    if variant.is_sir:
+        edge = draw(st.sampled_from(beta)) * (1.0 - im)
+    else:
+        # the rule reads eta (perfect) or eta_max (imperfect)
+        raw["eta"] = draw(_INTERVAL) if variant is Variant.SEIR_IMPERFECT else draw(_RATE)
+        edge = float(np.max(raw["eta"])) * (1.0 - im) / im
+    if variant is Variant.SIR_PERFECT:
+        raw["gamma"] = edge
+    else:
+        raw["gamma"] = sorted([edge, draw(_RATE)])
+    return validate_scenario(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boundary_scenarios())
+def test_classify_agrees_with_the_tangent_set_on_the_boundary(scenario):
+    # a set is trivial exactly when tangent_set refuses; otherwise its
+    # filtered tangent abscissas, from which assemble_set traces, are positive
+    kinds = list(SetKind) if scenario.variant.is_perfect else [SetKind.MRPI]
+    trivial = {}
+    for kind in kinds:
+        trivial[kind] = is_trivial(scenario, kind)
+        if trivial[kind]:
+            with pytest.raises(EmptyTangentError):
+                tangent_set(scenario, kind)
+            continue
+        tangents = backward_filter(scenario, kind, tangent_set(scenario, kind))
+        assert np.all(tangents.sample(30) > 0.0)
+        if tangents.is_sir:
+            assert tangents.z1_hi + scenario.i_max < 1.0
+    tag = classify(scenario).tag
+    if not scenario.variant.is_perfect:
+        assert (tag is ClassTag.M_EQUAL_G) == trivial[SetKind.MRPI]
+    else:
+        assert (tag is ClassTag.ALL_EQUAL_G) == trivial[SetKind.MRPI]
+        assert (tag is not ClassTag.BOTH_PROPER) == trivial[SetKind.ADMISSIBLE]

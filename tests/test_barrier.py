@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epibarrier import barrier
-from epibarrier.analysis import backward_filter, tangent_set, usable_part
+from epibarrier.analysis import backward_filter, tangent_set
 from epibarrier.barrier import (
     ComputedSet,
     Verdict,
@@ -281,6 +281,47 @@ def test_assemble_set_resamples_all_curves_in_one_bisection(sc_seir, monkeypatch
     assert len(cset.curves) == 30
     # 60 bisection steps and one final interpolation for the whole set
     assert len(calls) == 61
+
+
+def test_set_refuses_a_mesh_node_above_the_cap(mrpi_seir):
+    nodes = mrpi_seir.mesh_nodes.copy()
+    slack = 2.0 * mrpi_seir.tolerances.geom_tol
+    nodes[1, 5, 2] = mrpi_seir.scenario.i_max + 0.5 * slack  # within curve containment
+    assert not dataclasses.replace(mrpi_seir, mesh_nodes=nodes).trivial
+    nodes[1, 5, 2] = mrpi_seir.scenario.i_max + 2.0 * slack
+    with pytest.raises(ValueError, match="capped simplex"):
+        dataclasses.replace(mrpi_seir, mesh_nodes=nodes)
+
+
+@pytest.mark.parametrize(
+    "fixture, missing", [("adm_sir", "polyline"), ("mrpi_seir", "mesh_nodes")]
+)
+def test_set_without_its_geometry_names_it(request, fixture, missing):
+    cset = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError, match=missing):
+        ComputedSet(cset.scenario, cset.set_kind, tolerances=cset.tolerances)
+
+
+def test_trivial_set_needs_no_geometry(sc_sir40, sc_seir40):
+    for sc in (sc_sir40, sc_seir40):
+        cset = ComputedSet(sc, SetKind.ADMISSIBLE)
+        assert cset.trivial and cset.usable is None
+
+
+def test_each_set_builds_its_query_arrays_once(all_proper_sets, monkeypatch):
+    calls = []
+    for builder in ("_sir_edges", "_seir_arrays"):
+        build = getattr(barrier, builder)
+        counted = lambda cset, build=build, builder=builder: calls.append(builder) or build(cset)
+        monkeypatch.setattr(barrier, builder, counted)
+    rng = np.random.default_rng(23)
+    for name, cset in all_proper_sets.items():
+        pts = rng.dirichlet(np.ones(cset.scenario.dim + 1), 100)[:, :-1]
+        want = [membership(cset, p) for p in pts]
+        calls.clear()
+        fresh = dataclasses.replace(cset)  # made again, no query arrays yet
+        assert [membership(fresh, p) for p in pts] == want, name
+        assert calls == ["_sir_edges" if cset.scenario.variant.is_sir else "_seir_arrays"], name
 
 
 def test_membership_reference_points(adm_sir, mrpi_sir):
@@ -575,8 +616,6 @@ def _synthetic_set(nodes):
     return ComputedSet(
         SEIR_M,
         SetKind.MRPI,
-        trivial=False,
-        usable=usable_part(SEIR_M, SetKind.MRPI),
         mesh_nodes=nodes,
         tolerances=Tolerances(boundary_layer_eps=2.0**-40),
     )

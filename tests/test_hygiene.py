@@ -2,7 +2,8 @@
 functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas, a
 README that names every verdict, every package name and keyword the benchmark
-reads, and one step setting, ``Tolerances.step_h``.
+reads, one step setting, ``Tolerances.step_h``, and no attribute stored on an
+object other than ``self``.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -179,3 +180,25 @@ def test_one_step_setting():
         if isinstance(t, ast.Name) and t.id.endswith("_STEP_H")
     ]
     assert step_constants == []
+
+
+def test_attributes_are_stored_on_self_only():
+    # state that belongs to an object is made by that object (a cache stored
+    # on another object from outside is how two homes for one rule start)
+    stores = [
+        f"{mod}:{node.lineno} {ast.unparse(node)}"
+        for mod, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    setattrs = [
+        f"{mod}:{node.lineno}"
+        for mod, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("setattr", "delattr")
+    ]
+    assert stores == [] and setattrs == []
