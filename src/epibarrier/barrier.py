@@ -25,7 +25,7 @@ vertex as it decides the same query perturbed off it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -402,8 +402,8 @@ def resample_by_arclength(
 class ComputedSet:
     """A computed admissible or robust-invariant set with membership queries.
 
-    Every set, assembled, reloaded or built by hand, derives ``trivial`` and
-    ``usable`` from its scenario and kind, and a non-trivial one is checked by
+    Every set, assembled, reloaded or built by hand, derives ``dim``, ``trivial``
+    and ``usable`` from its scenario and kind, and a non-trivial one is checked by
     :func:`check_set_geometry` when it is made.  Membership only consults the
     geometric fields (boundary polyline for SIR, mesh nodes and usable part
     for SEIR), so a set reloaded from its exported geometry answers
@@ -418,8 +418,10 @@ class ComputedSet:
     tolerances: Tolerances = field(default_factory=Tolerances)
     trivial: bool = field(init=False)
     usable: UsablePart | None = field(init=False)
+    dim: int = field(init=False)
 
     def __post_init__(self):
+        self.dim = self.scenario.dim
         self.trivial = is_trivial(self.scenario, self.set_kind)
         self.usable = None if self.trivial else usable_part(self.scenario, self.set_kind)
         if not self.trivial:
@@ -521,20 +523,13 @@ def check_set_geometry(cset: ComputedSet) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_boundary_distance(scenario: Scenario, x: np.ndarray) -> float:
+def _simplex_boundary_distance(scenario: Scenario, c: list[float]) -> float:
     """Distance to the boundary of the constrained simplex."""
-    d = scenario.dim
-    faces = [float(x[j]) for j in range(d)]
-    faces.append((1.0 - float(np.sum(x))) / np.sqrt(d))
-    faces.append(scenario.i_max - float(x[-1]))
-    return min(faces)
+    return min(*c, (1.0 - sum(c)) / math.sqrt(len(c)), scenario.i_max - c[-1])
 
 
-def _in_simplex(scenario: Scenario, x: np.ndarray, tol: float) -> bool:
-    # plain floats: a numpy reduction of a 3-vector costs many times these
-    # comparisons; the sum runs left to right as np.sum does for so few
-    # components, and NaN fails as it does under np.min
-    c = x.tolist()
+def _in_simplex(scenario: Scenario, c: list[float], tol: float) -> bool:
+    # plain floats, summed left to right as np.sum does for so few components
     total = 0.0
     for v in c:
         if not v >= -tol:
@@ -544,56 +539,94 @@ def _in_simplex(scenario: Scenario, x: np.ndarray, tol: float) -> bool:
 
 
 def _sir_edges(cset: ComputedSet):
-    """Edge arrays for the distance estimate; graph vertices as S, I lists."""
+    """S, I of the graph vertices; rows ax, ay, abx, aby, 1/|ab|^2 of graph edges j -> j + 1;
+    (ax, ay, bx, by, 1/|ab|^2) of the closing edges and the I = 0 axis and S = 0 edge."""
     poly = cset.polyline
-    closed = np.vstack([poly, poly[:1]])
-    # the invariant I = 0 axis and S = 0 edge, up to the cap, bound every SIR set
-    a = np.vstack([closed[:-1], [[0.0, 0.0], [0.0, 0.0]]])
-    ab = np.vstack([closed[1:], [[1.0, 0.0], [0.0, cset.scenario.i_max]]]) - a
+    a = np.vstack([poly, [[0.0, 0.0], [0.0, 0.0]]])
+    b = np.vstack([poly[1:], poly[:1], [[1.0, 0.0], [0.0, cset.scenario.i_max]]])
+    ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
     inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
-    xs, ys = poly[1:, 0].tolist(), poly[1:, 1].tolist()
-    return (a[:, 0], a[:, 1], ab[:, 0], ab[:, 1], inv, xs, ys)
+    other = np.column_stack([a, b, inv])[[0, -3, -2, -1]].tolist()
+    graph = np.vstack([a.T, ab.T, inv])[:, 1:-3].copy()
+    return poly[1:, 0].tolist(), poly[1:, 1].tolist(), graph, other
 
 
 def membership(cset: ComputedSet, point) -> Membership:
-    """Verdict and boundary-distance estimate for a query state."""
+    """Verdict and boundary distance of a finite query state; ValueError otherwise."""
     x = np.asarray(point, dtype=float)
-    scenario, tol = cset.scenario, cset.tolerances
-    if x.shape != (scenario.dim,):
-        raise ValueError(f"query point has shape {x.shape}, not ({scenario.dim},)")
+    scenario, tol, dim = cset.scenario, cset.tolerances, cset.dim
+    c = x.tolist()
+    if x.shape != (dim,) or not all(map(math.isfinite, c)):
+        raise ValueError(f"query point {c} is not a finite state of shape ({dim},)")
     if cset.trivial:
-        dist = _simplex_boundary_distance(scenario, x)
-        if not _in_simplex(scenario, x, tol.geom_tol):
+        dist = _simplex_boundary_distance(scenario, c)
+        if not _in_simplex(scenario, c, tol.geom_tol):
             return Membership(Verdict.OUTSIDE, abs(dist))
         if dist <= tol.boundary_layer_eps:
             return Membership(Verdict.BOUNDARY, dist)
         return Membership(Verdict.INSIDE, dist)
-    if scenario.variant.is_sir:
-        return _sir_membership(cset, x)
-    return _seir_membership(cset, x)
-
-
-def _sir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
-    tol = cset.tolerances
-    ax, ay, abx, aby, inv, xs, ys = cset.query_arrays
-    px, py = float(x[0]), float(x[1])
-    dx, dy = px - ax, py - ay
-    t = np.minimum(np.maximum((dx * abx + dy * aby) * inv, 0.0), 1.0)
-    ex, ey = dx - t * abx, dy - t * aby
-    dist = float(np.sqrt(np.min(ex * ex + ey * ey)))
+    dist = _sir_distance(cset, *c) if dim == 2 else _seir_distance_estimate(cset, x)
     if dist <= tol.boundary_layer_eps:
         return Membership(Verdict.BOUNDARY, dist)
-    if not _in_simplex(cset.scenario, x, tol.geom_tol):
+    if not _in_simplex(scenario, c, tol.geom_tol):
         return Membership(Verdict.OUTSIDE, dist)
+    inside = _sir_inside(cset, *c) if dim == 2 else _seir_inside(cset, x)
+    return Membership(Verdict.INSIDE if inside else Verdict.OUTSIDE, dist)
+
+
+def _sir_inside(cset: ComputedSet, px: float, py: float) -> bool:
     # under the graph: bisect S onto the edge xs[k-1] <= S < xs[k], which has
     # xs[k] > xs[k-1], and interpolate phi on it
-    inside = xs[0] < px < xs[-1] and py > 0.0
-    if inside:
-        k = bisect_right(xs, px)
-        s0, i0 = xs[k - 1], ys[k - 1]
-        inside = py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0)
-    return Membership(Verdict.INSIDE if inside else Verdict.OUTSIDE, dist)
+    xs, ys, _, _ = cset.query_arrays
+    if not (xs[0] < px < xs[-1] and py > 0.0):
+        return False
+    k = bisect_right(xs, px)
+    s0, i0 = xs[k - 1], ys[k - 1]
+    return py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0)
+
+
+def _least_d2(px, py, edges, best=math.inf):
+    """Least of ``best`` and the squared distances to edges (ax, ay, bx, by, 1/|ab|^2)."""
+    for ax, ay, bx, by, inv in edges:
+        abx, aby, dx, dy = bx - ax, by - ay, px - ax, py - ay
+        t = (dx * abx + dy * aby) * inv
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        ex, ey = dx - t * abx, dy - t * aby
+        best = min(best, ex * ex + ey * ey)
+    return best
+
+
+_SCAN_EDGES = 24  # a wider window is measured in one numpy pass
+
+
+def _sir_distance(cset: ComputedSet, px: float, py: float) -> float:
+    """Distance from (px, py) to the SIR boundary, measured on the edges near ``px``.
+
+    Each edge is measured as the numpy form over all edges does, operation by operation,
+    so the bits are the same.  S never decreases along the graph, so an edge whose S
+    range lies ``r`` from ``px`` is no closer than ``r`` less the rounding of its ``ex``,
+    below ``u * (2|px| + 6 max|S|)``, ``u = 2**-53``; ``r`` is the distance to the edges
+    off the graph and under ``px``, widened far past that.  The edges within ``r`` are
+    measured one by one, or in one numpy pass past ``_SCAN_EDGES``.
+    """
+    xs, ys, graph, other = cset.query_arrays
+    last = graph.shape[1] - 1
+    k = min(max(bisect_right(xs, px) - 1, 0), last)
+    best = _least_d2(px, py, other + [(xs[k], ys[k], xs[k + 1], ys[k + 1], graph.item(4, k))])
+    r = math.sqrt(best) * (1.0 + 1e-14) + 1e-14 * (1.0 + abs(px) + abs(xs[0]) + abs(xs[-1]))
+    lo = k if k == 0 or px - xs[k] >= r else max(bisect_right(xs, px - r) - 1, 0)
+    hi = k + 1 if k == last or xs[k + 1] - px >= r else min(bisect_left(xs, px + r), last + 1)
+    if hi - lo > _SCAN_EDGES:
+        ax, ay, abx, aby, inv = graph[:, lo:hi]
+        dx, dy = px - ax, py - ay
+        t = np.minimum(np.maximum((dx * abx + dy * aby) * inv, 0.0), 1.0)
+        ex, ey = dx - t * abx, dy - t * aby
+        best = min(best, float(np.min(ex * ex + ey * ey)))
+    elif hi - lo > 1:
+        ends = xs[lo + 1 : hi + 1], ys[lo + 1 : hi + 1]
+        best = _least_d2(px, py, zip(xs[lo:hi], ys[lo:hi], *ends, graph[4, lo:hi].tolist()), best)
+    return math.sqrt(best)
 
 
 def _seir_arrays(cset: ComputedSet):
@@ -666,28 +699,17 @@ def _seir_inside(cset: ComputedSet, x: np.ndarray) -> bool:
     return cap_usable != (np.count_nonzero(phi > i_q) % 2 == 1)
 
 
-def _seir_membership(cset: ComputedSet, x: np.ndarray) -> Membership:
-    scenario, tol = cset.scenario, cset.tolerances
-    dist = _seir_distance_estimate(cset, x)
-    if dist <= tol.boundary_layer_eps:
-        return Membership(Verdict.BOUNDARY, dist)
-    if not _in_simplex(scenario, x, tol.geom_tol):
-        return Membership(Verdict.OUTSIDE, dist)
-    return Membership(Verdict.INSIDE if _seir_inside(cset, x) else Verdict.OUTSIDE, dist)
-
-
 def _seir_distance_estimate(cset: ComputedSet, x: np.ndarray) -> float:
-    scenario = cset.scenario
     *_, (nx, ny, nz) = cset.query_arrays
     x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
     dx, dy, dz = nx - x0, ny - x1, nz - x2
     dist = float(np.sqrt(np.min(dx * dx + dy * dy + dz * dz)))
     # usable part of the cap face: axis-aligned box-ish region at I = I_max
     up = cset.usable
-    ds = max(0.0, -x[0], x[0] - up.s_hi)
-    de = max(0.0, -x[1], x[1] - up.e_cap(min(max(x[0], 0.0), up.s_hi)))
-    di = scenario.i_max - x[2]
-    dist = min(dist, float(np.sqrt(ds * ds + de * de + di * di)))
+    ds = max(0.0, -x0, x0 - up.s_hi)
+    de = max(0.0, -x1, x1 - up.e_cap(min(max(x0, 0.0), up.s_hi)))
+    di = cset.scenario.i_max - x2
+    dist = min(dist, math.sqrt(ds * ds + de * de + di * di))
     # the invariant equilibria E = I = 0, the S axis from 0 to 1, bound every SEIR set
     ex = x0 - min(1.0, max(0.0, x0))
     return min(dist, math.sqrt(ex * ex + x1 * x1 + x2 * x2))

@@ -19,7 +19,7 @@ from epibarrier.barrier import (
 from epibarrier.core import SetKind, Tolerances, validate_scenario
 from epibarrier.models import Channel, InputVec, lie_derivative_g, state_rhs
 
-from conftest import SEIR_PERFECT_RAW
+from conftest import SEIR_PERFECT_RAW, SIR_PERFECT_15_RAW
 
 HAM_TOL = 1e-6  # largest |lambda^T f| accepted along a traced curve
 
@@ -342,12 +342,25 @@ def test_membership_reference_points(adm_sir, mrpi_sir):
 
 
 def _sir_distance_with_clip(cset, x):
-    """The SIR distance estimate with the edge parameter clamped by ``np.clip``, the reference."""
-    ax, ay, abx, aby, inv, _, _ = barrier._sir_edges(cset)
-    dx, dy = float(x[0]) - ax, float(x[1]) - ay
-    t = np.clip((dx * abx + dy * aby) * inv, 0.0, 1.0)
-    ex, ey = dx - t * abx, dy - t * aby
+    """The SIR distance over every edge, with ``t`` clamped by ``np.clip``: the reference.
+
+    Its edges come from the polyline itself: the closed polygon, the invariant
+    I = 0 axis from S = 0 to 1 and the S = 0 edge up to the cap.
+    """
+    poly = cset.polyline
+    a = np.vstack([poly, [[0.0, 0.0], [0.0, 0.0]]])
+    b = np.vstack([poly[1:], poly[:1], [[1.0, 0.0], [0.0, cset.scenario.i_max]]])
+    ab = b - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
+    dx, dy = float(x[0]) - a[:, 0], float(x[1]) - a[:, 1]
+    t = np.clip((dx * ab[:, 0] + dy * ab[:, 1]) * inv, 0.0, 1.0)
+    ex, ey = dx - t * ab[:, 0], dy - t * ab[:, 1]
     return float(np.sqrt(np.min(ex * ex + ey * ey)))
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def test_sir_membership_matches_the_clip_form(all_proper_sets):
@@ -359,12 +372,78 @@ def test_sir_membership_matches_the_clip_form(all_proper_sets):
         eps = cset.tolerances.boundary_layer_eps
         uniform = rng.uniform([-0.05, -0.1 * im], [1.05, 1.2 * im], size=(1000, 2))
         near = poly[rng.integers(0, len(poly), 1000)] + rng.normal(0.0, 2.0 * eps, (1000, 2))
-        for p in np.vstack([uniform, near, poly, [[np.nan, 0.01], [0.5, np.nan]]]):
+        for p in np.vstack([uniform, near, poly]):
             m = membership(cset, p)
             dist = _sir_distance_with_clip(cset, p)
-            assert np.float64(m.distance_estimate).tobytes() == np.float64(dist).tobytes(), (name, p)
+            assert _same_bits(m.distance_estimate, dist), (name, p)
             # past the boundary layer the verdict does not read the distance
             assert (m.verdict is Verdict.BOUNDARY) == (dist <= eps), (name, p)
+
+
+@pytest.mark.parametrize("name", ["adm_sir", "mrpi_sir_imp", "mrpi_seir", "trivial_sir40"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_refuses_a_non_finite_point(name, bad, request, sc_sir40):
+    if name == "trivial_sir40":
+        cset = assemble_set(sc_sir40, SetKind.ADMISSIBLE)
+    else:
+        cset = request.getfixturevalue(name)
+    for k in range(cset.scenario.dim):
+        point = [0.3, 0.01, 0.01][: cset.scenario.dim]
+        point[k] = bad
+        with pytest.raises(ValueError, match="not a finite state"):
+            membership(cset, point)
+
+
+# Synthetic SIR graphs: vertical, zero-length and flat edges, and repeated S,
+# under the cap of SIR A at i_max 0.15 and inside the simplex
+SIR_A15 = validate_scenario(SIR_PERFECT_15_RAW)
+
+
+@st.composite
+def _sir_graph_case(draw):
+    """A polyline that passes check_sir_graph, and queries on, near and far from it."""
+    im = SIR_A15.i_max
+    n = draw(st.integers(2, 60))
+    s, i = draw(st.floats(0.0, 0.4)), draw(st.floats(0.0, im))
+    verts = []
+    for _ in range(n - 1):
+        verts.append((s, i))
+        move = draw(st.sampled_from(["step", "vertical", "flat", "repeat"]))
+        if move in ("step", "flat"):
+            s += draw(st.sampled_from([0.0, 2.0**-10]) | st.floats(0.0, 0.005))
+        if move in ("step", "vertical"):
+            i = draw(st.sampled_from([0.0, im, i]) | st.floats(0.0, im))
+    verts.append((s, 0.0))
+    poly = np.array([(verts[0][0], 0.0)] + verts)
+    queries = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["vertex", "beside", "edge", "outside", "far", "any"]))
+        j = draw(st.integers(1, n - 1))
+        if kind == "vertex":  # at a vertex's S, on the vertex or above or below it
+            q = (poly[j, 0], draw(st.just(poly[j, 1]) | st.floats(-0.05, 0.3)))
+        elif kind == "beside":  # off a vertex in any direction, where a far edge can be nearest
+            q = poly[j] + [draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.05, 0.05))]
+        elif kind == "edge":  # on the edge or its line, up to rounding
+            q = poly[j] + draw(st.integers(-2, 10)) / 8 * (poly[j + 1] - poly[j])
+        elif kind == "outside":  # S below 0 or above 1
+            q = (draw(st.floats(-1.0, -1e-300) | st.floats(1.0, 2.0)), draw(st.floats(-0.2, 0.5)))
+        elif kind == "far":  # far above the cap
+            q = (draw(st.floats(-0.5, 1.5)), draw(st.floats(1.0, 1e6)))
+        else:
+            q = (draw(st.floats(-0.1, 1.1)), draw(st.floats(-0.05, 0.3)))
+        queries.append(np.array(q, dtype=float))
+    return poly, queries
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sir_graph_case())
+def test_sir_distance_matches_the_clip_form_on_synthetic_graphs(case):
+    poly, queries = case
+    barrier.check_sir_graph(poly)
+    cset = ComputedSet(SIR_A15, SetKind.ADMISSIBLE, polyline=poly)
+    for q in queries:
+        dist = membership(cset, q).distance_estimate
+        assert _same_bits(dist, _sir_distance_with_clip(cset, q)), (poly.tolist(), q)
 
 
 def test_membership_boundary_layer(adm_sir):
