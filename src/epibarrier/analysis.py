@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Scenario, SetKind, Variant
-from .models import InputVec, active_channels, check_set_kind, extremal_value, rates
+from .models import InputVec, active_channels, check_set_kind, extremal_value, rate_law
 
 __all__ = [
     "ClassTag",
@@ -147,7 +147,7 @@ def _cap_rates(scenario: Scenario, set_kind: SetKind) -> tuple:
             for ch in active_channels(scenario.variant)
         }
     )
-    beta, _, gamma, _, eta = rates(scenario, scenario.i_max, u)
+    beta, _, gamma, _, eta = rate_law(scenario, u)(scenario.i_max)
     return beta, gamma, eta
 
 

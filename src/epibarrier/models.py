@@ -5,9 +5,10 @@ Lie derivative of the constraint along the flow is simply the I-component of
 the vector field.  Imperfect variants run closed loop: the contact rate (and,
 for SEIR, the removal rate) is an affine feedback on I, and the only free
 input is the disturbance channel.  Every variant's rates, the feedback law
-and its slopes come from one function, :func:`rates`; the vector field and
-the backward system of a barrier curve, the one home of the adjoint matrix,
-are built on it.
+and its slopes are written once, in :func:`rate_law`, which binds them for
+one input and returns the law as a function of I; the vector field and the
+backward system of a barrier curve, the one home of the adjoint matrix, bind
+it once per field.
 
 Which channels are free is written once, in one table: per variant, each
 free channel with the adjoint indices of its switching functional.  One bang
@@ -15,7 +16,7 @@ rule picks the end of the channel's box, ``(scenario.<channel>_min,
 scenario.<channel>_max)``: a positive functional selects the upper end for
 gamma on the admissible set and for every other channel on the robust
 invariant set.  The cap-face rates beta*, gamma* and eta* of
-:mod:`epibarrier.analysis` are :func:`rates` at ``I_max`` under that bang
+:mod:`epibarrier.analysis` are :func:`rate_law` at ``I_max`` under that bang
 input for a positive functional.
 """
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "BadChannelError",
     "vector_field",
     "backward_field",
+    "rate_law",
     "state_rhs",
     "adjoint_matrix",
     "adjoint_rhs",
@@ -74,15 +76,29 @@ class InputVec:
 
 
 # Enum member lookups such as ``Variant.SIR_PERFECT`` cost about 0.2 us each
-# in CPython 3.11, more than the rate arithmetic, so the per-evaluation rate
-# law compares against module-level aliases.
+# in CPython 3.11, more than a field build's own work, and the switching law
+# builds a field on most steps, so builds compare against module-level aliases.
 _SIR_PERFECT = Variant.SIR_PERFECT
 _SEIR_PERFECT = Variant.SEIR_PERFECT
 _SIR_IMPERFECT = Variant.SIR_IMPERFECT
 
 
-def rates(scenario: Scenario, i: float, u: InputVec | None) -> tuple:
-    """Rates ``(beta, alpha, gamma, delta, eta)`` at infective level ``i``.
+def _input_rates(scenario: Scenario, u: InputVec | None) -> tuple | None:
+    """A perfect variant's rates under the input ``u``, or None where the feedback law sets them.
+
+    They do not depend on I, and each is its own slope.
+    """
+    v = scenario.variant
+    if u is None or not (v is _SIR_PERFECT or v is _SEIR_PERFECT):
+        return None
+    beta = u.beta
+    if v is _SIR_PERFECT:
+        return beta, beta, scenario.gamma, scenario.gamma, None
+    return beta, beta, u.gamma, u.gamma, scenario.eta
+
+
+def rate_law(scenario: Scenario, u: InputVec | None):
+    """The rates ``law(i) -> (beta, alpha, gamma, delta, eta)`` at infective level ``i``.
 
     ``alpha = d(beta*I)/dI`` and ``delta = d(gamma*I)/dI`` are the slopes the
     adjoint needs; a rate that is an input or a constant is its own slope.
@@ -94,29 +110,35 @@ def rates(scenario: Scenario, i: float, u: InputVec | None) -> tuple:
     unclamped law.  ``u=None`` closes the loop on every rate that has an
     interval, which is how :class:`AffineFeedbackPolicy` drives the perfect
     variants' controls.  ``i`` and the fields of ``u`` may also be numpy
-    arrays, one entry per trajectory.
+    arrays, one entry per trajectory.  Everything but ``i`` is read once, by
+    this call; a slope coefficient ``2.0 * (lo - hi) / im`` is what
+    ``2.0 * (lo - hi) / im * i`` evaluates first, so it rounds the same.
     """
-    v = scenario.variant
-    if u is not None and (v is _SIR_PERFECT or v is _SEIR_PERFECT):
-        beta = u.beta
-        if v is _SIR_PERFECT:
-            return beta, beta, scenario.gamma, scenario.gamma, None
-        return beta, beta, u.gamma, u.gamma, scenario.eta
+    fixed = _input_rates(scenario, u)
+    if fixed is not None:
+        return lambda i: fixed
     im = scenario.i_max
-    q = i / im  # clamp to [0, 1], with NaN and -0.0 mapped to 0.0
-    try:
-        r = 1.0 if q > 1.0 else (q if q > 0.0 else 0.0)
-    except ValueError:  # an array of oracle lanes has no truth value
-        r = np.clip(q, 0.0, 1.0)
-    beta = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
-    alpha = 2.0 * (scenario.beta_min - scenario.beta_max) / im * i + scenario.beta_max
-    if v is _SIR_PERFECT:
-        return beta, alpha, scenario.gamma, scenario.gamma, None
-    if v is _SIR_IMPERFECT and u is not None:
-        return beta, alpha, u.gamma, u.gamma, None
-    gamma = scenario.gamma_min * (1.0 - r) + scenario.gamma_max * r
-    delta = 2.0 * (scenario.gamma_max - scenario.gamma_min) / im * i + scenario.gamma_min
-    return beta, alpha, gamma, delta, scenario.eta if u is None else u.eta
+    b_lo, b_hi = scenario.beta_min, scenario.beta_max
+    b_slope = 2.0 * (b_lo - b_hi) / im
+    # gamma is fixed where SIR's scenario or disturbance sets it, else interpolated
+    g = scenario.gamma if u is None else u.gamma
+    g_lo, g_hi = scenario.gamma_min, scenario.gamma_max
+    g_slope = None if g is not None else 2.0 * (g_hi - g_lo) / im
+    e = scenario.eta if u is None else u.eta
+
+    def law(i):
+        q = i / im  # clamp to [0, 1], with NaN and -0.0 mapped to 0.0
+        try:
+            r = 1.0 if q > 1.0 else (q if q > 0.0 else 0.0)
+        except ValueError:  # an array of oracle lanes has no truth value
+            r = np.clip(q, 0.0, 1.0)
+        beta = b_lo * r + b_hi * (1.0 - r)
+        alpha = b_slope * i + b_hi
+        if g is not None:
+            return beta, alpha, g, g, None
+        return beta, alpha, g_lo * (1.0 - r) + g_hi * r, g_slope * i + g_lo, e
+
+    return law
 
 
 def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
@@ -130,17 +152,18 @@ def vector_field(scenario: Scenario, u: InputVec | None):
     ``f`` returns a float tuple for a float-tuple ``y``; ``y`` may also be a
     tuple of equal-length numpy arrays, with arrays in the fields of ``u``,
     one entry per trajectory.  A perfect variant with an input has rates
-    that do not depend on the state, so :func:`rates` is called once, here;
-    otherwise each evaluation calls it at the state's I.
+    that do not depend on the state, read once, here; otherwise the field
+    binds :func:`rate_law` once, here, and each evaluation calls the law at
+    the state's I.
     """
-    v = scenario.variant  # compared with the aliases: state_rhs builds a field per call
-    perfect = v is _SIR_PERFECT or v is _SEIR_PERFECT
-    fixed = rates(scenario, 0.0, u) if u is not None and perfect else None
+    v = scenario.variant  # compared with the aliases: simulate builds many fields
+    fixed = _input_rates(scenario, u)
+    law = None if fixed else rate_law(scenario, u)
     if v is _SIR_PERFECT or v is _SIR_IMPERFECT:
 
         def f(t, y):
             S, I = y
-            beta, _, gamma, _, _ = fixed or rates(scenario, I, u)
+            beta, _, gamma, _, _ = fixed or law(I)
             flux = beta * S * I
             return -flux, flux - gamma * I
 
@@ -148,7 +171,7 @@ def vector_field(scenario: Scenario, u: InputVec | None):
 
     def f(t, y):
         S, E, I = y
-        beta, _, gamma, _, eta = fixed or rates(scenario, I, u)
+        beta, _, gamma, _, eta = fixed or law(I)
         flux = beta * S * I
         lat = eta * E
         return -flux, flux - lat, lat - gamma * I
@@ -165,13 +188,13 @@ def backward_field(scenario: Scenario, u: InputVec | None):
     per evaluation (CPython 3.11) of the curve tracer's innermost loop.
     """
     v = scenario.variant
-    perfect = v is _SIR_PERFECT or v is _SEIR_PERFECT
-    fixed = rates(scenario, 0.0, u) if u is not None and perfect else None
+    fixed = _input_rates(scenario, u)
+    law = None if fixed else rate_law(scenario, u)
     if v is _SIR_PERFECT or v is _SIR_IMPERFECT:
 
         def rhs(t, y):
             S, I, l1, l2, _ = y
-            b, a, g, dd, _ = fixed or rates(scenario, I, u)
+            b, a, g, dd, _ = fixed or law(I)
             flux = b * S * I
             f0, f1 = -flux, flux - g * I
             return (
@@ -186,7 +209,7 @@ def backward_field(scenario: Scenario, u: InputVec | None):
 
     def rhs(t, y):
         S, E, I, l1, l2, l3, _ = y
-        b, a, g, dd, e = fixed or rates(scenario, I, u)
+        b, a, g, dd, e = fixed or law(I)
         flux = b * S * I
         lat = e * E
         f0, f1, f2 = -flux, flux - lat, lat - g * I

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .barrier import ComputedSet, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
-from .integrate import EventKind, EventSpec, _refine_fraction, _rk4_stages, _triggered, rk4_step
+from .integrate import EventKind, EventSpec, _refine_fraction, _rk4_stages, rk4_step
 from .models import (
     BadChannelError,
     InputVec,
@@ -31,7 +32,7 @@ from .models import (
     check_input,
     check_set_kind,
     input_box,
-    rates,
+    rate_law,
     vector_field,
 )
 
@@ -91,11 +92,12 @@ class AffineFeedbackPolicy:
         elif self.disturbance != InputVec():
             raise BadChannelError(f"feedback on {scenario.variant.value} takes no parameters")
         self.channels = [ch.value for ch in active_channels(scenario.variant)]
+        self._law = rate_law(scenario, None) if scenario.variant.is_perfect else None
 
     def u(self, t: float, state) -> InputVec:
-        if not self.scenario.variant.is_perfect:
+        if self._law is None:
             return self.disturbance
-        beta, _, gamma, _, _ = rates(self.scenario, float(state[-1]), None)
+        beta, _, gamma, _, _ = self._law(float(state[-1]))
         law = {"beta": beta, "gamma": gamma}
         return InputVec(**{ch: law[ch] for ch in self.channels})
 
@@ -221,34 +223,36 @@ def simulate(
         raise ValueError(f"x0 must have {scenario.dim} components")
     x = tuple(x.tolist())
     im = scenario.i_max
+    thr = im + tol.geom_tol
     cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", lambda tt, yy: yy[-1], trigger_level=im)
     t = 0.0
     u = policy.u(t, x)
     samples = [(t, np.array(x), u)]
-    max_i = float(x[-1])
-    breached = x[-1] > im + tol.geom_tol
-    first_breach = 0.0 if x[-1] > im else None
+    max_i = x[-1]
+    breached = max_i > thr
+    first_breach = 0.0 if max_i > im else None
 
     u_rhs = rhs = None
     for k in range(n_steps):
-        hk = min(step, t_end - t)
+        hk = step if step <= t_end - t else t_end - t
         u = policy.u(t, x)
         if u is not u_rhs:  # policies that hold an input return the same object
             u_rhs = u
             rhs = vector_field(scenario, u)
         x_new = rk4_step(rhs, t, x, hk)
-        if first_breach is None and _triggered(cap, x[-1], x_new[-1]):
-            frac, _ = _refine_fraction(rhs, cap, t, x, hk, x[-1], tol.event_time_tol)
+        i_old, i_new = x[-1], x_new[-1]
+        if first_breach is None and i_new > im >= i_old:  # the cap event triggers
+            frac, _ = _refine_fraction(rhs, cap, t, x, hk, i_old, tol.event_time_tol)
             first_breach = t + frac * hk
         t, x = t + hk, x_new
-        max_i = max(max_i, float(x[-1]))
-        if max_i > im + tol.geom_tol:
-            breached = True
+        if i_new > max_i:
+            max_i = i_new
+            breached = breached or i_new > thr
         if (k + 1) % record_every == 0 or k == n_steps - 1:
             samples.append((t, np.array(x), u))
         if breached and stop_on_breach:
             break
-    return Trajectory(samples, bool(breached), float(max_i), first_breach)
+    return Trajectory(samples, breached, max_i, first_breach)
 
 
 def _step_count(t_end: float, h: float) -> int:
@@ -291,10 +295,11 @@ def _switching_law_with_clearance(
     if on_cap is not None:  # the emitted rate varies with S here, so never cache it
         return on_cap, 0.0
     cap_margin = (scenario.i_max - eps) - i_val  # <= 0 once in the cap layer
+    lo, hi = _beta_ends(scenario)
     in_adm = membership(admissible_set, state)
     if in_adm.verdict is Verdict.INSIDE:
         clearance = min(in_adm.distance_estimate - eps, cap_margin)
-        return InputVec(beta=scenario.beta_max), max(0.0, 0.9 * clearance)
+        return hi, max(0.0, 0.9 * clearance)
     # the robust invariant set is contained in the admissible set, so its
     # INSIDE verdict can only add beta_max when the admissible query was
     # inconclusive (boundary layer).  SIR distance estimates are exact
@@ -310,11 +315,19 @@ def _switching_law_with_clearance(
             abs(in_mrpi.distance_estimate - eps),
             cap_margin,
         )
-        beta = scenario.beta_max if in_mrpi.verdict is Verdict.INSIDE else scenario.beta_min
-        return InputVec(beta=beta), max(0.0, 0.9 * clearance)
+        return hi if in_mrpi.verdict is Verdict.INSIDE else lo, max(0.0, 0.9 * clearance)
     # outside: minimal contact rate, stable until the boundary layer
     clearance = min(in_adm.distance_estimate - eps, cap_margin)
-    return InputVec(beta=scenario.beta_min), max(0.0, 0.9 * clearance)
+    return lo, max(0.0, 0.9 * clearance)
+
+
+@lru_cache(maxsize=16)
+def _beta_ends(scenario: Scenario) -> tuple[InputVec, InputVec]:
+    """``(beta_min, beta_max)`` as one input object each per scenario.
+
+    The law returns these at its clamped ends, so :func:`simulate` keeps its field there.
+    """
+    return InputVec(beta=scenario.beta_min), InputVec(beta=scenario.beta_max)
 
 
 def _cap_layer_law(
@@ -324,15 +337,16 @@ def _cap_layer_law(
 
     On the layer (I within ``eps`` of the cap, S at most ``eps`` past the
     usable part's end) the cap-holding rate gamma/S, clamped to the box, and
-    beta_max below DIVIDE_GUARD_S.
+    beta_max below DIVIDE_GUARD_S; a clamped rate is one of :func:`_beta_ends`.
     """
     up = admissible_set.usable
     if not (up is not None and scenario.i_max - eps <= i_val and s_val <= up.s_hi + eps):
         return None
-    if s_val < DIVIDE_GUARD_S:
-        return InputVec(beta=scenario.beta_max)
-    beta = scenario.gamma / s_val
-    return InputVec(beta=min(scenario.beta_max, max(scenario.beta_min, beta)))
+    beta = scenario.gamma / s_val if s_val >= DIVIDE_GUARD_S else scenario.beta_max
+    if scenario.beta_min < beta < scenario.beta_max:
+        return InputVec(beta=beta)
+    lo, hi = _beta_ends(scenario)
+    return hi if beta >= scenario.beta_max else lo
 
 
 def monte_carlo(
@@ -470,8 +484,8 @@ def _breach_matrix(
     hi, lo = [], []
     for tr in trials:
         vals = [[getattr(u, ch) for u in tr.inputs] for ch in channels]
-        hi.append(rates(scenario, 0.0, InputVec(**dict(zip(channels, map(max, vals)))))[0])
-        lo.append(rates(scenario, 0.0, InputVec(**dict(zip(channels, map(min, vals)))))[2])
+        hi.append(rate_law(scenario, InputVec(**dict(zip(channels, map(max, vals)))))(0.0)[0])
+        lo.append(rate_law(scenario, InputVec(**dict(zip(channels, map(min, vals)))))(0.0)[2])
     c = np.repeat(np.divide(lo, hi), n_pts)  # gamma_lo / beta_hi per lane
     # every later segment start of every trial, in time order, behind one pointer
     segs = ((t, j, u) for j, tr in enumerate(trials) for t, u in zip(tr.starts[1:], tr.inputs[1:]))

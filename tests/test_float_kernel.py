@@ -1,7 +1,9 @@
 """The float-tuple RK4 kernel against the numpy-vector expressions it replaced.
 
-The references below are the array forms of the RK4 step and of the coupled
-backward right-hand side; the tuple kernel must reproduce them bit for bit.
+The references below are the array forms of the RK4 step, of the closed-loop
+forward field and of the coupled backward right-hand side, each written from
+the model's formulas without calling the package; the tuple kernel must
+reproduce them bit for bit.
 """
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from epibarrier import validate_scenario
 from epibarrier.barrier import _adjoint_renorm
 from epibarrier.core import Variant
 from epibarrier.integrate import NonFiniteError, _rk4_stages, rk4_step
-from epibarrier.models import InputVec, backward_field, input_box, state_rhs, vector_field
+from epibarrier.models import InputVec, backward_field, input_box, vector_field
 
 from conftest import (
     SEIR_IMPERFECT_RAW,
@@ -33,6 +35,34 @@ def _rk4_ref(rhs, t, y, h):
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _forward_rhs_ref(scenario, u):
+    # a free channel takes its value from u; every other rate with an
+    # interval follows the affine feedback on I, beta from beta_max down to
+    # beta_min and gamma from gamma_min up to gamma_max over [0, I_max],
+    # clamped outside it (NaN and -0.0 read as I = 0)
+    v = scenario.variant
+    im = scenario.i_max
+    free = lambda ch: None if u is None else getattr(u, ch)
+
+    def rhs(t, y):
+        I = y[-1]
+        r = min(1.0, max(0.0, I / im))
+        b = free("beta")
+        if b is None:
+            b = scenario.beta_min * r + scenario.beta_max * (1.0 - r)
+        g = scenario.gamma if v is Variant.SIR_PERFECT else free("gamma")
+        if g is None:
+            g = scenario.gamma_min * (1.0 - r) + scenario.gamma_max * r
+        if len(y) == 2:
+            S = y[0]
+            return np.array([-(b * S * I), b * S * I - g * I])
+        S, E = y[0], y[1]
+        e = scenario.eta if v is Variant.SEIR_PERFECT else u.eta
+        return np.array([-(b * S * I), b * S * I - e * E, e * E - g * I])
+
+    return rhs
 
 
 def _backward_rhs_ref(scenario, u):
@@ -127,8 +157,47 @@ def test_forward_step_bit_identical(case):
     sc, u, y, h, t = case
     x = y[: sc.dim]
     got = rk4_step(vector_field(sc, u), t, tuple(x), h)
-    want = _rk4_ref(lambda tt, yy: state_rhs(sc, yy, u), t, np.array(x), h)
+    want = _rk4_ref(_forward_rhs_ref(sc, u), t, np.array(x), h)
     assert np.array(got).tobytes() == want.tobytes()
+
+
+_LANE_I = [-0.5, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 40.0, np.nan]  # times I_max
+
+
+# every variant under array inputs, and the perfect ones closed on the feedback law
+_LANE_CASES = [(sc, False) for sc in SCENARIOS] + [
+    (sc, True) for sc in SCENARIOS if sc.variant.is_perfect
+]
+
+
+@pytest.mark.parametrize(
+    "sc, closed", _LANE_CASES, ids=[f"{sc.variant.value}-{c}" for sc, c in _LANE_CASES]
+)
+def test_forward_step_on_lane_arrays_matches_the_reference(sc, closed):
+    # lanes below 0, at -0.0 and 0.0, inside, at and above the cap, and NaN:
+    # the rate law's np.clip branch, per lane against the float reference;
+    # a NaN lane's state is NaN throughout, whatever its bits, and every
+    # other lane steps alone as a float tuple to the same bits
+    rng = np.random.default_rng(37)
+    n = len(_LANE_I)
+    lanes = [rng.uniform(0.0, 1.0, n) for _ in range(sc.dim - 1)]
+    lanes.append(np.array(_LANE_I) * sc.i_max)
+    box = input_box(sc)
+    lane_u = {} if closed else {ch.value: rng.uniform(lo, hi, n) for ch, (lo, hi) in box.items()}
+    u = InputVec(**lane_u) if lane_u else None
+    h, t = 0.05, 0.3
+    got = _rk4_stages(vector_field(sc, u), t, tuple(lanes), h)
+    for m in range(n):
+        u_m = InputVec(**{ch: float(a[m]) for ch, a in lane_u.items()}) if lane_u else None
+        want = _rk4_ref(_forward_rhs_ref(sc, u_m), t, np.array([a[m] for a in lanes]), h)
+        lane = np.array([a[m] for a in got])
+        if np.isnan(_LANE_I[m]):
+            assert np.isnan(lane).all() and np.isnan(want).all()
+            continue
+        assert lane.tobytes() == want.tobytes(), _LANE_I[m]
+        # the same state as a float tuple: the rate law's scalar clamp
+        alone = rk4_step(vector_field(sc, u_m), t, tuple(a[m].item() for a in lanes), h)
+        assert np.array(alone).tobytes() == want.tobytes(), _LANE_I[m]
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,6 +1,7 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
 functions, no unread tolerance fields, one home for the rule that an
-imperfect variant has no admissible set, one home for the model's formulas, a
+imperfect variant has no admissible set, one home for the model's formulas
+and the feedback law's slopes, a
 README that names every verdict, every package name and keyword the benchmark
 reads, one step setting, ``Tolerances.step_h``, and no attribute stored on an
 object other than ``self``.
@@ -125,7 +126,26 @@ def test_readme_names_exactly_the_verdicts():
 def test_barrier_writes_no_model_formula():
     # the rates, the vector field and the adjoint live in models; barrier
     # reads them through vector_field and backward_field only
-    assert _reads(TREES["barrier"]) & {"rates", "state_rhs", "adjoint_rhs"} == set()
+    assert _reads(TREES["barrier"]) & {"rate_law", "state_rhs", "adjoint_rhs"} == set()
+
+
+def test_feedback_slopes_are_written_once():
+    # the slope coefficients 2.0 * (lo - hi) of the affine feedback on I,
+    # for beta and for gamma, are written in models.rate_law and nowhere else
+    homes = [
+        f"{mod}:{fn.name}"
+        for mod, tree in TREES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 2.0
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Sub)
+    ]
+    assert homes == ["models:rate_law"] * 2
 
 
 def test_names_the_benchmark_reads_exist():

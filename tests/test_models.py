@@ -16,7 +16,7 @@ from epibarrier.models import (
     extremal_value,
     input_box,
     lie_derivative_g,
-    rates,
+    rate_law,
     state_rhs,
     switch_value,
     vector_field,
@@ -70,9 +70,9 @@ def test_simplex_mass_balance(sc_sir, sc_sir_imp, sc_seir, sc_seir_imp):
 
 
 def _state_field_ref(scenario, state, u):
-    # the formulas as written before vector_field: the rates
+    # the formulas as written before vector_field: the rate law
     # at the state's I on every evaluation
-    beta, _, gamma, _, eta = rates(scenario, state[-1], u)
+    beta, _, gamma, _, eta = rate_law(scenario, u)(state[-1])
     if len(state) == 2:
         S, I = state
         flux = beta * S * I
@@ -151,10 +151,10 @@ def _adjoint_matrix_ref(scenario, state, u):
     # back from backward_field
     if len(state) == 2:
         S, I = state
-        b, a, _, d, _ = rates(scenario, I, u)
+        b, a, _, d, _ = rate_law(scenario, u)(I)
         return np.array([[b * I, -b * I], [a * S, -a * S + d]])
     S, E, I = state
-    b, a, _, d, e = rates(scenario, I, u)
+    b, a, _, d, e = rate_law(scenario, u)(I)
     return np.array(
         [
             [b * I, -b * I, 0.0],
@@ -181,11 +181,11 @@ def test_adjoint_matrix_matches_the_templates_bit_for_bit(request, name):
 
 
 def _beta_feedback(i, sc):
-    return rates(sc, i, None)[0]
+    return rate_law(sc, None)(i)[0]
 
 
 def _gamma_feedback(i, sc):
-    return rates(sc, i, None)[2]
+    return rate_law(sc, None)(i)[2]
 
 
 def test_feedback_endpoints(sc_sir_imp, sc_seir_imp):
@@ -209,14 +209,14 @@ def test_alpha_delta_are_product_rule_slopes(sc_sir_imp, sc_seir_imp):
             _beta_feedback(i + eps, sc) * (i + eps)
             - _beta_feedback(i - eps, sc) * (i - eps)
         ) / (2 * eps)
-        assert rates(sc, i, None)[1] == pytest.approx(num, abs=1e-6)
+        assert rate_law(sc, None)(i)[1] == pytest.approx(num, abs=1e-6)
     for i in (0.01, 0.05, 0.09):
         sc = sc_seir_imp
         num = (
             _gamma_feedback(i + eps, sc) * (i + eps)
             - _gamma_feedback(i - eps, sc) * (i - eps)
         ) / (2 * eps)
-        assert rates(sc, i, None)[3] == pytest.approx(num, abs=1e-6)
+        assert rate_law(sc, None)(i)[3] == pytest.approx(num, abs=1e-6)
 
 
 def test_adjoint_matrix_is_minus_jacobian_transposed(

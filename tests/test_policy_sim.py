@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from epibarrier import policy_sim
+from epibarrier import models, policy_sim
 from epibarrier.barrier import Verdict, membership
 from epibarrier.core import SetKind, Tolerances, Variant
 from epibarrier.models import BadChannelError, Channel, InputVec, input_box
@@ -100,6 +102,147 @@ def test_simulate_builds_one_field_per_segment(monkeypatch, sc_seir):
     monkeypatch.setattr(policy_sim, "vector_field", counting)
     simulate(sc_seir, pol, [0.7, 0.01, 0.02], 100.0, record_every=1000)
     assert 1 < len(calls) <= len(pol.starts)
+
+
+def test_switching_law_keeps_its_field_at_a_clamped_end(monkeypatch, sc_sir, adm_sir, mrpi_sir):
+    # the law emits one object per clamped end of the contact-rate box, on
+    # the cap layer and off it, so simulate builds a field only when the
+    # rate changes; the dynamics benchmark's run rides the cap layer, where
+    # gamma/S changes every step
+    field = policy_sim.vector_field
+    built = []
+
+    def counting(scenario, u):
+        built.append(u.beta)
+        return field(scenario, u)
+
+    monkeypatch.setattr(policy_sim, "vector_field", counting)
+    pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+    simulate(sc_sir, pol, [0.8, 0.012], 20.0)
+    assert sc_sir.beta_max in built
+    assert all(a != b for a, b in zip(built, built[1:]))
+
+
+def _float_bytes(v):
+    return b"N" if v is None else struct.pack("<d", v)
+
+
+def _trajectories_digest(trajs):
+    """SHA-256 of every sample's time, state and input, then breached, max_I and first breach."""
+    h = hashlib.sha256()
+    for tr in trajs:
+        for t, x, u in tr.samples:
+            h.update(_float_bytes(t) + x.tobytes())
+            h.update(_float_bytes(u.beta) + _float_bytes(u.gamma) + _float_bytes(u.eta))
+        h.update(bytes([tr.breached]) + _float_bytes(tr.max_I) + _float_bytes(tr.first_breach_time))
+    return h.hexdigest()
+
+
+# Forward runs in all four variants: refiner-located breaches (``breach``),
+# a run cut at its breach, last steps clipped to t_end (12.345, 30.005, 60.5
+# at step 1e-2), record_every of 3, 7, 25 and 50, the closed-loop laws above
+# the cap, and the dynamics benchmark's switching-law run.  The digests were
+# recorded before the rate law was bound once per field; they pin every bit.
+_GOLDEN = {
+    "sir_switching_law": (
+        lambda f: [simulate(
+            f.sc_sir, SwitchingLawPolicy(f.sc_sir, f.adm_sir, f.mrpi_sir), [0.8, 0.012], 20.0
+        )],
+        "2a9ce5628f6215697c41b2a153401c41745e8c8b036e3bc1b17c0cab212e3261",
+    ),
+    "sir_breach_stop": (
+        lambda f: [simulate(
+            f.sc_sir, ConstantPolicy(f.sc_sir, InputVec(beta=0.8)), [0.8, 0.012], 50.0,
+            record_every=7, stop_on_breach=True,
+        )],
+        "b71176cbf5d85f67e507ae8e33c054e98a2975af082237105817fe6489fb2960",
+    ),
+    "sir_breach_clipped": (
+        lambda f: [simulate(
+            f.sc_sir, ConstantPolicy(f.sc_sir, InputVec(beta=0.8)), [0.8, 0.012], 12.345,
+            record_every=3,
+        )],
+        "85807ba6e796fcc24bbe8a297d2121e6b6c5327b0edd7649344f8c899fcf8ad0",
+    ),
+    "sir_affine": (
+        lambda f: [simulate(
+            f.sc_sir, AffineFeedbackPolicy(f.sc_sir), [0.8, 0.012], 30.005, record_every=25
+        )],
+        "efbda8f1adc5cf03ebb53b5ced10a109d3647bed0e4542c0ffef9ae843db2fa8",
+    ),
+    "sir_imp_monte_carlo": (
+        lambda f: monte_carlo(f.sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=50.0),
+        "11f57f85ba0afdeb57ad318b71142c67c684f47402295d7c108b0d959be73b53",
+    ),
+    "sir_imp_affine_breach": (
+        lambda f: [simulate(
+            f.sc_sir_imp, AffineFeedbackPolicy(f.sc_sir_imp, InputVec(gamma=0.3)),
+            [0.8, 0.19], 40.0,
+        )],
+        "da545ce13ab943811dcb1237b924d957e13ea05a243bee8723a3f7b4c1cea4a2",
+    ),
+    "seir_bang": (
+        lambda f: [simulate(
+            f.sc_seir, ExtremalBangPolicy(f.sc_seir, 3, 100.0), [0.7, 0.01, 0.02], 100.0,
+            record_every=50,
+        )],
+        "d8a2edaf0ce559c58a616f4424b8bd7e9e8271d152aacc75468a78326c0a358a",
+    ),
+    "seir_affine": (
+        lambda f: [simulate(f.sc_seir, AffineFeedbackPolicy(f.sc_seir), [0.6, 0.1, 0.25], 60.5)],
+        "ff4f9fbdbfb8807c9ddcfd44936dd4831b6c59255306a3d6a18972c8be53f079",
+    ),
+    "seir_corner_breach": (
+        lambda f: [simulate(
+            f.sc_seir, ConstantPolicy(f.sc_seir, InputVec(beta=1.0, gamma=0.2)),
+            [0.45, 0.3, 0.25], 30.0,
+        )],
+        "5909b467578de976bee5564a32be0c01e0356b15678ab519ff2e710559db71fb",
+    ),
+    "seir_imp_monte_carlo": (
+        lambda f: monte_carlo(
+            f.sc_seir_imp, [0.7, 0.05, 0.08], 3, seed=11, t_end=80.0,
+            tolerances=Tolerances(step_h=0.02),
+        ),
+        "fd11cc28fb1aee3831d97a744433ec8b5c96fcbcdfa2d797249cee3560de9b4d",
+    ),
+    "seir_imp_breach_stop": (
+        lambda f: [simulate(
+            f.sc_seir_imp, ExtremalBangPolicy(f.sc_seir_imp, 6, 200.0), [0.85, 0.1, 0.05],
+            200.0, stop_on_breach=True,
+        )],
+        "fe2405a6fcb4f5ea74c1daf3168ac7e48d146a366668eaff96ef10da7c57f645",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_forward_runs_match_their_golden_digests(request, case):
+    run, want = _GOLDEN[case]
+
+    class Fixtures:
+        def __getattr__(self, name):
+            return request.getfixturevalue(name)
+
+    assert _trajectories_digest(run(Fixtures())) == want
+
+
+def test_monte_carlo_builds_one_rate_law_per_trial(monkeypatch, sc_sir_imp, sc_seir_imp):
+    # a trial holds its disturbance, so its one field binds the rate law
+    # once, not once per evaluation
+    law = models.rate_law
+    calls = []
+
+    def counting(scenario, u):
+        calls.append(u)
+        return law(scenario, u)
+
+    monkeypatch.setattr(models, "rate_law", counting)
+    for sc, x0 in ((sc_sir_imp, [0.8, 0.1]), (sc_seir_imp, [0.7, 0.05, 0.08])):
+        calls.clear()
+        trajs = monte_carlo(sc, x0, 3, seed=7, t_end=5.0)
+        assert len(calls) == 3
+        assert calls == [tr.samples[0][2] for tr in trajs]
 
 
 def test_simulate_axis_equilibrium(sc_sir):
