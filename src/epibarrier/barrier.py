@@ -20,7 +20,10 @@ Membership bisects the polygon's S coordinates and compares I with phi
 interpolated on that edge.  For SEIR variants a family of curves is resampled
 onto an arc-length grid and triangulated; membership is a vertical-ray parity
 test against that mesh, whose one tie rule decides a query on a mesh edge or
-vertex as it decides the same query perturbed off it.
+vertex as it decides the same query perturbed off it.  A uniform bucket grid
+over the (S, E) projection of the mesh quads, built on a set's first query,
+hands the test only the quads near the query, and the nodes sorted by S hand
+the distance only the nodes near it; both answer as a scan of the whole mesh.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +87,12 @@ class Verdict(Enum):
     BOUNDARY = "BOUNDARY"
 
 
-@dataclass(frozen=True)
-class Membership:
+# every query returns one of these: module-level aliases skip the Enum member
+# lookup, and a named tuple builds in half the time of a frozen dataclass
+_INSIDE, _OUTSIDE, _BOUNDARY = Verdict.INSIDE, Verdict.OUTSIDE, Verdict.BOUNDARY
+
+
+class Membership(NamedTuple):
     verdict: Verdict
     distance_estimate: float
 
@@ -562,17 +570,17 @@ def membership(cset: ComputedSet, point) -> Membership:
     if cset.trivial:
         dist = _simplex_boundary_distance(scenario, c)
         if not _in_simplex(scenario, c, tol.geom_tol):
-            return Membership(Verdict.OUTSIDE, abs(dist))
+            return Membership(_OUTSIDE, abs(dist))
         if dist <= tol.boundary_layer_eps:
-            return Membership(Verdict.BOUNDARY, dist)
-        return Membership(Verdict.INSIDE, dist)
-    dist = _sir_distance(cset, *c) if dim == 2 else _seir_distance_estimate(cset, x)
+            return Membership(_BOUNDARY, dist)
+        return Membership(_INSIDE, dist)
+    dist = _sir_distance(cset, *c) if dim == 2 else _seir_distance_estimate(cset, *c)
     if dist <= tol.boundary_layer_eps:
-        return Membership(Verdict.BOUNDARY, dist)
+        return Membership(_BOUNDARY, dist)
     if not _in_simplex(scenario, c, tol.geom_tol):
-        return Membership(Verdict.OUTSIDE, dist)
-    inside = _sir_inside(cset, *c) if dim == 2 else _seir_inside(cset, x)
-    return Membership(Verdict.INSIDE if inside else Verdict.OUTSIDE, dist)
+        return Membership(_OUTSIDE, dist)
+    inside = _sir_inside(cset, *c) if dim == 2 else _seir_inside(cset, *c)
+    return Membership(_INSIDE if inside else _OUTSIDE, dist)
 
 
 def _sir_inside(cset: ComputedSet, px: float, py: float) -> bool:
@@ -630,39 +638,84 @@ def _sir_distance(cset: ComputedSet, px: float, py: float) -> float:
 
 
 def _seir_arrays(cset: ComputedSet):
-    """Flat arrays for SEIR queries.
+    """The bucket grid of the mesh quads, the quads and the nodes that SEIR queries read.
 
-    ``s_lo, s_hi, e_lo, e_hi`` bound the (S, E) projection of each
-    (curve c, arc node j) quad of the mesh, flattened as ``c * (nn - 1) + j``.
-    Each box is padded by ``1e-8 * diameter + 1e-12``: the three sides of a
-    triangle in :func:`_seir_inside` can agree on a query outside it only
-    within the rounding of an orient, far inside the pad, so no triangle
-    outside its padded box can cover the query; a wider pad only adds
-    candidates.  The node coordinate columns serve the distance estimate.
+    A uniform grid of ``n * n`` cells, ``n`` the ceiling of the square root of
+    the quad count, covers the extent of the quads' padded boxes (Ericson,
+    *Real-Time Collision Detection*, 7.1).  Each quad is listed, in ascending
+    order, in every cell its box overlaps: cell ``k`` holds
+    ``ids[offsets[k]:offsets[k + 1]]``.  Box ends and queries take their cell
+    from one monotone expression, ``min(int((v - v0) * scale), n - 1)``, so a
+    query's cell lies in the cell range of every box that holds it.  The
+    boxes and the flat node columns serve the crossing test; the nodes sorted
+    by S and their E and I extents serve the distance.  Every buffer is a
+    numpy array or a memoryview of one.
     """
     g = cset.mesh_nodes
+    boxes = _quad_boxes(g)
+    n = math.isqrt(len(boxes[0]) - 1) + 1
+    grid, cells = [], []
+    for lo, hi in (boxes[:2], boxes[2:]):
+        v0, v1 = float(lo.min()), float(hi.max())
+        scale = n / (v1 - v0) if v1 > v0 else 0.0  # one cell across a zero-width extent
+        grid += [v0, v1, scale]
+        cells.append([np.minimum(((v - v0) * scale).astype(np.int32), n - 1) for v in (lo, hi)])
+    (ks_lo, ks_hi), (ke_lo, ke_hi) = cells
+    # each quad's cells, ks-major: a run of (ks_hi - ks_lo + 1) * (ke_hi - ke_lo + 1)
+    n_e = ke_hi - ke_lo + 1
+    runs = (ks_hi - ks_lo + 1) * n_e
+    quad = np.repeat(np.arange(len(runs), dtype=np.int32), runs)
+    starts = np.cumsum(runs, dtype=np.int32) - runs
+    at = np.arange(len(quad), dtype=np.int32) - np.repeat(starts, runs)
+    n_e = n_e[quad]
+    cell = (ks_lo[quad] + at // n_e) * n + ke_lo[quad] + at % n_e
+    del at, n_e  # peak memory: free them before the sort
+    ids = quad[np.argsort(cell, kind="stable")]  # stable: ascending quads per cell
+    offsets = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cell, minlength=n * n), out=offsets[1:])
+    flat = g.reshape(-1, 3)
+    by_s = flat[np.argsort(flat[:, 0], kind="stable")].T.copy()
+    extents = (*map(float, flat[:, 1:].min(axis=0)), *map(float, flat[:, 1:].max(axis=0)))
+    return (
+        (*grid, n, offsets.data, ids.data),
+        (*(b.data for b in boxes), g.shape[1], *(flat[:, k].copy().data for k in range(3))),
+        (by_s[0].data, *by_s, *extents),
+    )
+
+
+def _quad_boxes(g: np.ndarray):
+    """``s_lo, s_hi, e_lo, e_hi``: the padded (S, E) box of each quad of the mesh.
+
+    Quad (curve c, arc node j) is flattened as ``c * (nn - 1) + j``.  Each box
+    is padded by ``1e-8 * diameter + 1e-12``: the three sides of a triangle in
+    :func:`_seir_inside` can agree on a query outside it only within the
+    rounding of an orient, far inside the pad, so no triangle outside its
+    padded box can cover the query; a wider pad only adds candidates.
+    """
     corners = np.stack([g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]])
     s, e = corners[..., 0], corners[..., 1]
     s_lo, s_hi = s.min(axis=0).ravel(), s.max(axis=0).ravel()
     e_lo, e_hi = e.min(axis=0).ravel(), e.max(axis=0).ravel()
     pad = 1e-8 * np.hypot(s_hi - s_lo, e_hi - e_lo) + 1e-12
-    columns = tuple(g[..., k].ravel() for k in range(3))
-    return (s_lo - pad, s_hi + pad, e_lo - pad, e_hi + pad, columns)
+    return s_lo - pad, s_hi + pad, e_lo - pad, e_hi + pad
 
 
-# the edges opposite the vertices of triangles (q00, q10, q11) and (q00, q11, q01),
-# as rows of _seir_inside's edge list, each signed by the triangle's traversal
-_OPPOSITE = np.array([[1, 3], [2, 4], [0, 2]])
-_TRAVERSAL = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]])[..., None]
+def _cell_quads(grid, s_q: float, e_q: float):
+    """The quads listed in the grid cell of (s_q, e_q); none outside the grid."""
+    s0, s1, s_scale, e0, e1, e_scale, n, offsets, ids = grid
+    if not (s0 <= s_q <= s1 and e0 <= e_q <= e1):
+        return ()
+    k = min(int((s_q - s0) * s_scale), n - 1) * n + min(int((e_q - e0) * e_scale), n - 1)
+    return ids[offsets[k] : offsets[k + 1]]
 
 
-def _seir_inside(cset: ComputedSet, x: np.ndarray) -> bool:
+def _seir_inside(cset: ComputedSet, s_q: float, e_q: float, i_q: float) -> bool:
     """Vertical-ray parity test with one exact tie rule.
 
     The upward ray from (S, E, I) toward the cap face I = I_max either ends on
     the usable part or not, and each mesh crossing in between flips the side:
-    the query is inside iff exactly one of the two holds.  Only the quads whose
-    padded (S, E) box holds the query are tested.
+    the query is inside iff exactly one of the two holds.  Only the quads of
+    the query's grid cell whose padded (S, E) box holds it are tested.
 
     Each grid edge a -> b, a before b in flat node order, gets one
     ``orient = dS * (E - E_a) - dE * (S - S_a)``, which both its triangles
@@ -674,42 +727,93 @@ def _seir_inside(cset: ComputedSet, x: np.ndarray) -> bool:
     weights, exceeds I.  The usable part is read for the perturbed query too,
     so its far edges are open: the tangent segment lies on its edge E = e_cap.
     """
-    s_q, e_q, i_q = x.tolist()
-    s_lo, s_hi, e_lo, e_hi, (_, _, z) = cset.query_arrays
-    hits = np.flatnonzero((s_lo <= s_q) & (s_q <= s_hi) & (e_lo <= e_q) & (e_q <= e_hi))
     up = cset.usable
-    cap_usable = 0.0 <= s_q < up.s_hi and 0.0 <= e_q < up.e_cap(s_q)
-    if not len(hits):  # no triangle to cross
-        return cap_usable
-    nn = cset.mesh_nodes.shape[1]
-    i00 = hits + hits // (nn - 1)  # flat index of each quad's node (c, j)
-    i10, i11, i01 = i00 + nn, i00 + nn + 1, i00 + 1
-    # edges q00 q10, q10 q11, q00 q11 (the diagonal), q01 q11 and q00 q01
-    flat = cset.mesh_nodes.reshape(-1, 3)
-    a = flat[np.stack([i00, i10, i00, i01, i00])]
-    b = flat[np.stack([i10, i11, i11, i11, i01])]
-    ds, de = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
-    orient = ds * (e_q - a[..., 1]) - de * (s_q - a[..., 0])
-    side = np.sign(np.where(orient != 0.0, orient, np.where(de != 0.0, -de, ds)))
-    side = side[_OPPOSITE] * _TRAVERSAL
-    cover = (side[0] != 0.0) & (side[0] == side[1]) & (side[1] == side[2])
-    w = (orient[_OPPOSITE] * _TRAVERSAL)[:, cover]
-    h = z[np.array([[i00, i00], [i10, i11], [i11, i01]])][:, cover]
-    phi = (w[0] * h[0] + w[1] * h[1] + w[2] * h[2]) / (w[0] + w[1] + w[2])
-    return cap_usable != (np.count_nonzero(phi > i_q) % 2 == 1)
+    inside = 0.0 <= s_q < up.s_hi and 0.0 <= e_q < up.e_cap(s_q)
+    grid, (s_lo, s_hi, e_lo, e_hi, nn, S, E, Z), _ = cset.query_arrays
+    for q in _cell_quads(grid, s_q, e_q):
+        if not (s_lo[q] <= s_q <= s_hi[q] and e_lo[q] <= e_q <= e_hi[q]):
+            continue
+        # nodes a = (c, j), b = (c + 1, j), c = (c + 1, j + 1), d = (c, j + 1);
+        # each orient below is written out, with its tie break t = o or -dE or dS
+        a = q + q // (nn - 1)
+        sa, ea = S[a], E[a]
+        qs, qe = s_q - sa, e_q - ea
+        c = a + nn + 1
+        sc, ec = S[c], E[c]
+        ds, de = sc - sa, ec - ea
+        o_ac = ds * qe - de * qs
+        t = o_ac or -de or ds
+        if not t:  # a zero-length diagonal: neither triangle covers
+            continue
+        # both triangles read the diagonal a -> c; a covering one has its two
+        # other sides, a -> b and b -> c or a -> d and d -> c, of the opposite sign
+        flip = -1.0 if t > 0.0 else 1.0
+        b = a + nn
+        sb, eb = S[b], E[b]
+        ds, de = sb - sa, eb - ea
+        o_ab = ds * qe - de * qs
+        if (o_ab or -de or ds) * flip > 0.0:
+            ds, de = sc - sb, ec - eb
+            o_bc = ds * (e_q - eb) - de * (s_q - sb)
+            if (o_bc or -de or ds) * flip > 0.0:
+                inside ^= _height(o_bc, -o_ac, o_ab, Z[a], Z[b], Z[c]) > i_q
+        d = a + 1
+        sd, ed = S[d], E[d]
+        ds, de = sd - sa, ed - ea
+        o_ad = ds * qe - de * qs
+        if (o_ad or -de or ds) * flip > 0.0:
+            ds, de = sc - sd, ec - ed
+            o_dc = ds * (e_q - ed) - de * (s_q - sd)
+            if (o_dc or -de or ds) * flip > 0.0:
+                inside ^= _height(-o_dc, -o_ad, o_ac, Z[a], Z[c], Z[d]) > i_q
+    return inside
 
 
-def _seir_distance_estimate(cset: ComputedSet, x: np.ndarray) -> float:
-    *_, (nx, ny, nz) = cset.query_arrays
-    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
-    dx, dy, dz = nx - x0, ny - x1, nz - x2
-    dist = float(np.sqrt(np.min(dx * dx + dy * dy + dz * dz)))
+def _height(w0, w1, w2, h0, h1, h2):
+    """Height of a covering triangle at the query, with its sides' orients as weights.
+
+    The weights of a covering triangle are of one sign and not all zero, so
+    their sum is not zero.
+    """
+    return (w0 * h0 + w1 * h1 + w2 * h2) / (w0 + w1 + w2)
+
+
+def _seir_distance_estimate(cset: ComputedSet, x0: float, x1: float, x2: float) -> float:
+    """Least distance to the mesh nodes, the usable cap face and the S axis.
+
+    ``r`` starts as the cap-face and S-axis distances, less any distance to
+    the corners of the first quad of the query's grid cell.  Only nodes within
+    ``r`` can be nearer: none when the nodes' bounding box lies ``w`` away,
+    ``w = r * (1 + 1e-14) + 1e-14 * (1 + |x0|)``, else only those with S in
+    ``x0 +- w``.  ``w`` exceeds ``r`` by far more than the rounding of the
+    window's ends, of a node's ``dx`` and of its squared sum, so the nodes in
+    the window, measured as the numpy form over all nodes measures them, give
+    the same least distance.
+    """
     # usable part of the cap face: axis-aligned box-ish region at I = I_max
     up = cset.usable
     ds = max(0.0, -x0, x0 - up.s_hi)
     de = max(0.0, -x1, x1 - up.e_cap(min(max(x0, 0.0), up.s_hi)))
     di = cset.scenario.i_max - x2
-    dist = min(dist, math.sqrt(ds * ds + de * de + di * di))
     # the invariant equilibria E = I = 0, the S axis from 0 to 1, bound every SEIR set
     ex = x0 - min(1.0, max(0.0, x0))
-    return min(dist, math.sqrt(ex * ex + x1 * x1 + x2 * x2))
+    r = min(math.sqrt(ds * ds + de * de + di * di), math.sqrt(ex * ex + x1 * x1 + x2 * x2))
+    grid, (*_, nn, S, E, Z), (s_sorted, ns, ne, ni, e_min, z_min, e_max, z_max) = cset.query_arrays
+    for q in _cell_quads(grid, x0, x1)[:1]:
+        a = q + q // (nn - 1)
+        d2 = []
+        for j in (a, a + 1, a + nn, a + nn + 1):
+            dx, dy, dz = S[j] - x0, E[j] - x1, Z[j] - x2
+            d2.append(dx * dx + dy * dy + dz * dz)
+        r = min(r, math.sqrt(min(d2)))
+    w = r * (1.0 + 1e-14) + 1e-14 * (1.0 + abs(x0))
+    dx = max(0.0, s_sorted[0] - x0, x0 - s_sorted[-1])
+    dy = max(0.0, e_min - x1, x1 - e_max)
+    dz = max(0.0, z_min - x2, x2 - z_max)
+    if dx * dx + dy * dy + dz * dz >= w * w:
+        return r
+    lo, hi = bisect_left(s_sorted, x0 - w), bisect_right(s_sorted, x0 + w)
+    if lo == hi:
+        return r
+    dx, dy, dz = ns[lo:hi] - x0, ne[lo:hi] - x1, ni[lo:hi] - x2
+    return min(math.sqrt((dx * dx + dy * dy + dz * dz).min()), r)

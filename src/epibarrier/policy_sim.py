@@ -137,10 +137,9 @@ class SwitchingLawPolicy:
             diff[0], diff[1] = s - s_c, i - i_c
             if math.sqrt(diff.dot(diff)) < self._cache_radius:
                 return self._cache_u
+        # off the cap layer, which was tested above, the law reads the verdicts
         x = np.asarray(state, dtype=float)
-        u, clearance = _switching_law_with_clearance(
-            x, self.admissible_set, self.mrpi_set, self.scenario
-        )
+        u, clearance = _membership_law(x, self.admissible_set, self.mrpi_set, self.scenario)
         self._cache_state = tuple(x.tolist())
         self._cache_radius = clearance
         self._cache_u = u
@@ -290,11 +289,21 @@ def _switching_law_with_clearance(
 ) -> tuple[InputVec, float]:
     """Law value plus the state-space radius within which it cannot change."""
     eps = admissible_set.tolerances.boundary_layer_eps
-    s_val, i_val = float(state[0]), float(state[1])
-    on_cap = _cap_layer_law(scenario, admissible_set, eps, s_val, i_val)
+    on_cap = _cap_layer_law(scenario, admissible_set, eps, float(state[0]), float(state[1]))
     if on_cap is not None:  # the emitted rate varies with S here, so never cache it
         return on_cap, 0.0
-    cap_margin = (scenario.i_max - eps) - i_val  # <= 0 once in the cap layer
+    return _membership_law(state, admissible_set, mrpi_set, scenario)
+
+
+def _membership_law(
+    state: np.ndarray,
+    admissible_set: ComputedSet,
+    mrpi_set: ComputedSet,
+    scenario: Scenario,
+) -> tuple[InputVec, float]:
+    """The law and its clearance off the cap layer, read from the two sets' verdicts."""
+    eps = admissible_set.tolerances.boundary_layer_eps
+    cap_margin = (scenario.i_max - eps) - float(state[1])  # <= 0 once in the cap layer
     lo, hi = _beta_ends(scenario)
     in_adm = membership(admissible_set, state)
     if in_adm.verdict is Verdict.INSIDE:

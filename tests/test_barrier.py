@@ -1,14 +1,16 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epibarrier import barrier
+from epibarrier import barrier, cli
 from epibarrier.analysis import backward_filter, tangent_set
 from epibarrier.barrier import (
     ComputedSet,
+    Membership,
     Verdict,
     assemble_set,
     compute_barrier_curve,
@@ -308,7 +310,7 @@ def test_trivial_set_needs_no_geometry(sc_sir40, sc_seir40):
         assert cset.trivial and cset.usable is None
 
 
-def test_each_set_builds_its_query_arrays_once(all_proper_sets, monkeypatch):
+def test_each_set_builds_its_query_arrays_once(all_proper_sets, mrpi_seir, tmp_path, monkeypatch):
     calls = []
     for builder in ("_sir_edges", "_seir_arrays"):
         build = getattr(barrier, builder)
@@ -322,6 +324,14 @@ def test_each_set_builds_its_query_arrays_once(all_proper_sets, monkeypatch):
         fresh = dataclasses.replace(cset)  # made again, no query arrays yet
         assert [membership(fresh, p) for p in pts] == want, name
         assert calls == ["_sir_edges" if cset.scenario.variant.is_sir else "_seir_arrays"], name
+    # a reloaded set builds its index on its first query, not in load_set
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(cli._set_document(mrpi_seir, SEIR_PERFECT_RAW, [], {})))
+    calls.clear()
+    loaded = cli.load_set(str(path))
+    assert calls == []
+    assert [membership(loaded, p) for p in pts] == [membership(mrpi_seir, p) for p in pts]
+    assert calls == ["_seir_arrays"]
 
 
 def test_membership_reference_points(adm_sir, mrpi_sir):
@@ -444,6 +454,15 @@ def test_sir_distance_matches_the_clip_form_on_synthetic_graphs(case):
     for q in queries:
         dist = membership(cset, q).distance_estimate
         assert _same_bits(dist, _sir_distance_with_clip(cset, q)), (poly.tolist(), q)
+
+
+def test_membership_result_is_an_immutable_pair(adm_sir, mrpi_seir):
+    for cset, p in ((adm_sir, [0.8, 0.012]), (mrpi_seir, [0.3, 0.01, 0.01])):
+        m = membership(cset, p)
+        assert m == Membership(Verdict.INSIDE, m.distance_estimate)
+        assert m._fields == ("verdict", "distance_estimate")
+        with pytest.raises(AttributeError):
+            m.verdict = Verdict.OUTSIDE
 
 
 def test_membership_boundary_layer(adm_sir):
@@ -647,6 +666,26 @@ def _all_nodes_distance(cset, x):
     return dist
 
 
+def _grid_line_points(cset, rng, n):
+    """Queries whose S or E lies on a cell line of the bucket grid, one float
+    to either side of it, on the grid's far edges or one float outside them."""
+    s0, s1, s_scale, e0, e1, e_scale, cells = barrier._seir_arrays(cset)[0][:7]
+    axes = []
+    for v0, v1, scale in ((s0, s1, s_scale), (e0, e1, e_scale)):
+        lines = v0 + np.arange(cells + 1) / scale
+        ends = [v0, v1, np.nextafter(v0, -np.inf), np.nextafter(v1, np.inf)]
+        beside = [np.nextafter(lines, -1.0), np.nextafter(lines, 2.0)]
+        axes.append(np.concatenate([lines, *beside, ends]))
+    nodes = cset.mesh_nodes.reshape(-1, 3)
+    pts = nodes[rng.integers(0, len(nodes), n)]
+    pts[:, 2] = rng.uniform(0.0, cset.scenario.i_max, n)
+    for k, values in enumerate(axes):  # S on a line for the first half, E for the second
+        rows = slice(0, n // 2) if k == 0 else slice(n // 2, n)
+        pts[rows, k] = values[rng.integers(0, len(values), len(pts[rows]))]
+    pts[: n // 4, 1] = axes[1][rng.integers(0, len(axes[1]), n // 4)]  # both, a quarter
+    return pts
+
+
 @pytest.mark.parametrize("name", ["adm_seir", "mrpi_seir", "mrpi_seir_imp"])
 def test_seir_quad_filter_matches_full_scan(name, request, monkeypatch):
     cset = request.getfixturevalue(name)
@@ -669,17 +708,20 @@ def test_seir_quad_filter_matches_full_scan(name, request, monkeypatch):
     for f in (1e-12, 1e-10, 1e-9, 1e-8):
         steps = np.array(compass)[rng.integers(0, len(compass), 200)]
         groups.append(pick(200) + f * span * steps)
+    groups.append(_grid_line_points(cset, rng, 400))
     points = np.vstack(groups)
 
-    inside = [barrier._seir_inside(cset, p) for p in points]
+    inside = [barrier._seir_inside(cset, *p) for p in points.tolist()]
     assert inside == [_full_scan_inside(cset, p) for p in points]
-    dist = [barrier._seir_distance_estimate(cset, p) for p in points]
+    dist = [barrier._seir_distance_estimate(cset, *p) for p in points.tolist()]
     assert dist == [_all_nodes_distance(cset, p) for p in points]
 
     sub = points[::5]
     got = [membership(cset, p) for p in sub]
-    monkeypatch.setattr(barrier, "_seir_inside", _full_scan_inside)
-    monkeypatch.setattr(barrier, "_seir_distance_estimate", _all_nodes_distance)
+    monkeypatch.setattr(barrier, "_seir_inside", lambda cs, *x: _full_scan_inside(cs, np.array(x)))
+    monkeypatch.setattr(
+        barrier, "_seir_distance_estimate", lambda cs, *x: _all_nodes_distance(cs, np.array(x))
+    )
     assert got == [membership(cset, p) for p in sub]
 
 
@@ -791,7 +833,72 @@ def test_tie_rule_on_a_fold(case):
     assert verdict is Verdict.OUTSIDE
     for ds in (-(2.0**-20), 2.0**-20):
         assert membership(cset, x + [ds, 0.0, 0.0]).verdict is verdict
-    assert barrier._seir_inside(cset, x) == _full_scan_inside(cset, x)
+    assert barrier._seir_inside(cset, *x.tolist()) == _full_scan_inside(cset, x)
+
+
+@pytest.mark.parametrize("name", ["adm_seir", "mrpi_seir", "mrpi_seir_imp"])
+def test_seir_bucket_index_lists_each_quad_at_its_box_corners(name, request):
+    # the cell of each corner of a padded box lists the quad, so by monotony
+    # every cell the box overlaps does, and every cell lists ascending quads
+    cset = request.getfixturevalue(name)
+    grid, (s_lo, s_hi, e_lo, e_hi, *_), _ = barrier._seir_arrays(cset)
+    *_, cells, offsets, ids = grid
+    for q in range(len(s_lo)):
+        for s in (s_lo[q], s_hi[q]):
+            for e in (e_lo[q], e_hi[q]):
+                assert q in barrier._cell_quads(grid, s, e), (q, s, e)
+    ids = np.asarray(ids)
+    assert len(offsets) == cells * cells + 1 and offsets[-1] == len(ids)
+    for k in range(cells * cells):
+        assert np.all(np.diff(ids[offsets[k] : offsets[k + 1]]) > 0)
+
+
+@st.composite
+def _index_case(draw):
+    """A small mesh, flat or folded, with dyadic heights and perhaps one S or E value
+    throughout, and queries on its nodes, edges, grid cell lines and extent."""
+    nc, nn = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    c, j = np.meshgrid(np.arange(nc), np.arange(nn), indexing="ij")
+    if draw(st.booleans()):  # folded back along arc node m, no further than j = -1
+        m = draw(st.integers(max(1, (nn - 1) // 2), nn - 1))
+        j = np.where(j <= m, j, 2 * m - j)
+    s, e = draw(_jittered_grid(j, c))
+    flat = draw(st.sampled_from(["", "S", "E"]))
+    if flat == "S":
+        s = np.full_like(s, s[0, 0])
+    elif flat == "E":
+        e = np.full_like(e, e[0, 0])
+    steps = draw(st.lists(st.integers(0, 8), min_size=nc * nn, max_size=nc * nn))
+    nodes = np.stack([s, e, 1 / 8 + np.reshape(steps, (nc, nn)) / 64], axis=-1)
+    pick = st.tuples(st.integers(0, 5), st.integers(0, 10**6))
+    picks = draw(st.lists(pick, min_size=8, max_size=8))
+    return nodes, picks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_index_case())
+def test_seir_bucket_index_matches_full_scan_on_synthetic_meshes(case):
+    nodes, picks = case
+    cset = _synthetic_set(nodes)
+    s0, s1, s_scale, e0, e1, e_scale, cells = barrier._seir_arrays(cset)[0][:7]
+    g = nodes.reshape(-1, 3)
+    points = []
+    for kind, k in picks:
+        a, b = g[k % len(g)], g[(k // 7) % len(g)]
+        i_q = 1 / 8 + (k % 9) / 64 - 1 / 128
+        line = lambda v0, scale: v0 + (k % (cells + 1)) / scale if scale else v0
+        s_q, e_q = [
+            a[:2],  # a node
+            _on_segment(a[:2], b[:2], k % 9),  # on the segment between two nodes
+            (line(s0, s_scale), a[1]),  # on a cell line
+            (a[0], line(e0, e_scale)),
+            ((s0, s1)[k % 2], (e0, e1)[k // 2 % 2]),  # a corner of the grid
+            (np.nextafter(s0, -1.0), a[1]) if k % 2 else (a[0], np.nextafter(e1, 2.0)),  # outside
+        ][kind]
+        points.append([s_q, e_q, i_q])
+    for x in np.array(points, dtype=float):
+        assert barrier._seir_inside(cset, *x.tolist()) == _full_scan_inside(cset, x), x
+        assert barrier._seir_distance_estimate(cset, *x.tolist()) == _all_nodes_distance(cset, x), x
 
 
 def test_compute_barrier_curve_records_arclength(sc_sir):

@@ -358,7 +358,7 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
     # re-evaluated every step: every recorded step is bit-identical, and the
     # run reaches the admissible boundary layer (near the I = 0 axis after
     # about 55 days), where the cached law rides a positive clearance
-    law = policy_sim._switching_law_with_clearance
+    law = policy_sim._membership_law
     boundary_clearances = []
     eps, s_hi = adm_sir.tolerances.boundary_layer_eps, adm_sir.usable.s_hi
     on_cap_layer = lambda x: x[1] >= sc_sir.i_max - eps and x[0] <= s_hi + eps
@@ -378,7 +378,7 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
 
     run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 60.0, record_every=1)
     fresh = run(EveryStep())
-    monkeypatch.setattr(policy_sim, "_switching_law_with_clearance", spy)
+    monkeypatch.setattr(policy_sim, "_membership_law", spy)
     cached = run(SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir))
     # the cap-layer branch always returns 0, so a positive clearance at an
     # admissible BOUNDARY verdict comes from the BOUNDARY branch
@@ -391,6 +391,25 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
     # the run rides the cap layer, and the policy decides those steps itself
     assert any(on_cap_layer(x) for _, x, _ in fresh.samples)
     assert cap_layer_calls == []
+
+
+def test_switching_policy_tests_the_cap_layer_once_per_step(monkeypatch, sc_sir, adm_sir, mrpi_sir):
+    # criterion 08's start for 20 days: each policy.u call, clearance-cache
+    # miss or not, tests the cap layer exactly once
+    cap_calls, misses = [], []
+    cap, law = policy_sim._cap_layer_law, policy_sim._membership_law
+    monkeypatch.setattr(policy_sim, "_cap_layer_law", lambda *a: cap_calls.append(1) or cap(*a))
+    monkeypatch.setattr(policy_sim, "_membership_law", lambda *a: misses.append(1) or law(*a))
+    u_calls = []
+
+    class Counted(SwitchingLawPolicy):
+        def u(self, t, state):
+            u_calls.append(1)
+            return super().u(t, state)
+
+    simulate(sc_sir, Counted(sc_sir, adm_sir, mrpi_sir), [0.8, 0.012], 20.0, record_every=1000)
+    assert len(misses) > 100
+    assert len(cap_calls) == len(u_calls) >= 2_000
 
 
 def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir, mrpi_sir):
