@@ -203,7 +203,7 @@ def _segment_events(scenario: Scenario, set_kind: SetKind, tol: Tolerances):
     faces.append(("cap_face", lambda t, y: y[d - 1] - scenario.i_max))
     for label, fn in faces:
         events.append(EventSpec(EventKind.DOMAIN_EXIT, label, fn, trigger_level=geom))
-    events.append(EventSpec(EventKind.I_FLOOR, "i_floor", lambda t, y: tol.i_floor - y[d - 1]))
+    events.append(EventSpec(EventKind.DOMAIN_EXIT, "i_floor", lambda t, y: tol.i_floor - y[d - 1]))
     return events
 
 
@@ -561,7 +561,12 @@ def _sir_edges(cset: ComputedSet):
 
 
 def membership(cset: ComputedSet, point) -> Membership:
-    """Verdict and boundary distance of a finite query state; ValueError otherwise."""
+    """Verdict and boundary distance of a finite query state; ValueError otherwise.
+
+    The distance counts the SIR polygon's edges, the whole I = 0 axis and the S = 0 edge
+    up to the cap, so the sum face only where a polygon edge lies on it; the SEIR mesh
+    nodes, the usable cap face and the S axis; every face of a trivial set's capped simplex.
+    """
     x = np.asarray(point, dtype=float)
     scenario, tol, dim = cset.scenario, cset.tolerances, cset.dim
     c = x.tolist()

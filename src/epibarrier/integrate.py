@@ -47,7 +47,6 @@ SIGMA_STALL_STEPS = 50
 class EventKind(Enum):
     SIGN_CHANGE = "sign_change"
     DOMAIN_EXIT = "domain_exit"
-    I_FLOOR = "i_floor"
     HORIZON = "horizon"
 
 
@@ -56,9 +55,9 @@ class EventSpec:
     """A termination/switch condition monitored during integration.
 
     ``fn(t, y)`` is a scalar of the float-tuple state: SIGN_CHANGE triggers on
-    a sign flip between consecutive steps; DOMAIN_EXIT and I_FLOOR trigger
-    once the value exceeds their trigger level (an outward tolerance for
-    domain faces, zero for the floor).  HORIZON needs no function.
+    a sign flip between consecutive steps; DOMAIN_EXIT triggers once the
+    value exceeds its trigger level (an outward tolerance for domain faces,
+    zero for the I floor).  HORIZON needs no function.
     """
 
     kind: EventKind

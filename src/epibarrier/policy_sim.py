@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,7 +102,12 @@ class AffineFeedbackPolicy:
 
 
 class SwitchingLawPolicy:
-    """Set-membership-driven contact-rate law for the perfect SIR model."""
+    """Set-membership-driven contact-rate law for the perfect SIR model.
+
+    Full contact (beta_max) while safely inside either set; minimal contact
+    (beta_min) on the barrier and outside; the cap-holding rate gamma/S,
+    clamped to the box, on the usable part of the cap face.
+    """
 
     def __init__(
         self,
@@ -116,34 +120,78 @@ class SwitchingLawPolicy:
         self.scenario = scenario
         self.admissible_set = admissible_set
         self.mrpi_set = mrpi_set
-        self._cache_state: tuple | None = None
-        self._cache_radius = 0.0
+        self._cache_state = (0.0, 0.0)
+        self._cache_radius = 0.0  # no state lies nearer than 0 to the cached one
         self._cache_u: InputVec | None = None
         self._diff = np.empty(2)
         self._eps = admissible_set.tolerances.boundary_layer_eps
+        # the law returns these at its clamped ends, so simulate keeps its field there
+        self._lo = InputVec(beta=scenario.beta_min)
+        self._hi = InputVec(beta=scenario.beta_max)
 
     def u(self, t: float, state) -> InputVec:
         # on the cap layer the law is a closed form of S, with no clearance
         s, i = state
-        u = _cap_layer_law(self.scenario, self.admissible_set, self._eps, s, i)
+        u = self._cap_layer_law(s, i)
         if u is not None:
             self._cache_radius = 0.0
             return u
         # verdicts cannot change while the state stays within the previously
         # measured clearance from the boundary, so reuse the last decision;
         # the distance is the BLAS dot of np.linalg.norm on a reused buffer
-        if self._cache_state is not None:
-            (s_c, i_c), diff = self._cache_state, self._diff
-            diff[0], diff[1] = s - s_c, i - i_c
-            if math.sqrt(diff.dot(diff)) < self._cache_radius:
-                return self._cache_u
+        (s_c, i_c), diff = self._cache_state, self._diff
+        diff[0], diff[1] = s - s_c, i - i_c
+        if math.sqrt(diff.dot(diff)) < self._cache_radius:
+            return self._cache_u
         # off the cap layer, which was tested above, the law reads the verdicts
         x = np.asarray(state, dtype=float)
-        u, clearance = _membership_law(x, self.admissible_set, self.mrpi_set, self.scenario)
+        u, clearance = self._membership_law(x)
         self._cache_state = tuple(x.tolist())
         self._cache_radius = clearance
         self._cache_u = u
         return u
+
+    def _cap_layer_law(self, s_val: float, i_val: float) -> InputVec | None:
+        """The law on the usable cap layer, or None off it.
+
+        On the layer (I within ``eps`` of the cap, S at most ``eps`` past the
+        usable part's end) the cap-holding rate gamma/S, clamped to the box, and
+        beta_max below DIVIDE_GUARD_S; a clamped rate is one of the policy's two ends.
+        """
+        sc, eps, up = self.scenario, self._eps, self.admissible_set.usable
+        if not (up is not None and sc.i_max - eps <= i_val and s_val <= up.s_hi + eps):
+            return None
+        beta = sc.gamma / s_val if s_val >= DIVIDE_GUARD_S else sc.beta_max
+        if sc.beta_min < beta < sc.beta_max:
+            return InputVec(beta=beta)
+        return self._hi if beta >= sc.beta_max else self._lo
+
+    def _membership_law(self, state: np.ndarray) -> tuple[InputVec, float]:
+        """The law and its clearance off the cap layer, read from the two sets' verdicts."""
+        eps = self._eps
+        cap_margin = (self.scenario.i_max - eps) - float(state[1])  # <= 0 once in the cap layer
+        in_adm = membership(self.admissible_set, state)
+        if in_adm.verdict is not Verdict.BOUNDARY:
+            # inside: full contact rate, outside: minimal; stable until the boundary layer
+            clearance = min(in_adm.distance_estimate - eps, cap_margin)
+            u = self._hi if in_adm.verdict is Verdict.INSIDE else self._lo
+        else:
+            # the robust invariant set is contained in the admissible set, so its
+            # INSIDE verdict can only add beta_max when the admissible query was
+            # inconclusive (boundary layer).  SIR distance estimates are exact
+            # Euclidean distances to the boundary polylines, hence 1-Lipschitz in the
+            # state, so within the clearance below the admissible distance stays under
+            # eps (still BOUNDARY), the robust distance stays on its side of eps (a
+            # BOUNDARY verdict stays one; otherwise the disc misses the boundary and
+            # INSIDE/OUTSIDE holds), and I stays below the cap layer
+            in_mrpi = membership(self.mrpi_set, state)
+            clearance = min(
+                eps - in_adm.distance_estimate,
+                abs(in_mrpi.distance_estimate - eps),
+                cap_margin,
+            )
+            u = self._hi if in_mrpi.verdict is Verdict.INSIDE else self._lo
+        return u, max(0.0, 0.9 * clearance)
 
 
 class ExtremalBangPolicy:
@@ -267,95 +315,8 @@ def switching_law(
     mrpi_set: ComputedSet,
     scenario: Scenario,
 ) -> InputVec:
-    """Contact rate chosen from the state's location relative to both sets.
-
-    Full contact (beta_max) while safely inside either set; minimal contact
-    (beta_min) on the barrier and outside; the cap-holding rate gamma/S,
-    clamped to the box, on the usable part of the cap face.
-    """
-    return _switching_law_with_clearance(
-        np.asarray(state, dtype=float),
-        admissible_set,
-        mrpi_set,
-        scenario,
-    )[0]
-
-
-def _switching_law_with_clearance(
-    state: np.ndarray,
-    admissible_set: ComputedSet,
-    mrpi_set: ComputedSet,
-    scenario: Scenario,
-) -> tuple[InputVec, float]:
-    """Law value plus the state-space radius within which it cannot change."""
-    eps = admissible_set.tolerances.boundary_layer_eps
-    on_cap = _cap_layer_law(scenario, admissible_set, eps, float(state[0]), float(state[1]))
-    if on_cap is not None:  # the emitted rate varies with S here, so never cache it
-        return on_cap, 0.0
-    return _membership_law(state, admissible_set, mrpi_set, scenario)
-
-
-def _membership_law(
-    state: np.ndarray,
-    admissible_set: ComputedSet,
-    mrpi_set: ComputedSet,
-    scenario: Scenario,
-) -> tuple[InputVec, float]:
-    """The law and its clearance off the cap layer, read from the two sets' verdicts."""
-    eps = admissible_set.tolerances.boundary_layer_eps
-    cap_margin = (scenario.i_max - eps) - float(state[1])  # <= 0 once in the cap layer
-    lo, hi = _beta_ends(scenario)
-    in_adm = membership(admissible_set, state)
-    if in_adm.verdict is Verdict.INSIDE:
-        clearance = min(in_adm.distance_estimate - eps, cap_margin)
-        return hi, max(0.0, 0.9 * clearance)
-    # the robust invariant set is contained in the admissible set, so its
-    # INSIDE verdict can only add beta_max when the admissible query was
-    # inconclusive (boundary layer).  SIR distance estimates are exact
-    # Euclidean distances to the boundary polylines, hence 1-Lipschitz in the
-    # state, so within the clearance below the admissible distance stays under
-    # eps (still BOUNDARY), the robust distance stays on its side of eps (a
-    # BOUNDARY verdict stays one; otherwise the disc misses the boundary and
-    # INSIDE/OUTSIDE holds), and I stays below the cap layer
-    if in_adm.verdict is Verdict.BOUNDARY:
-        in_mrpi = membership(mrpi_set, state)
-        clearance = min(
-            eps - in_adm.distance_estimate,
-            abs(in_mrpi.distance_estimate - eps),
-            cap_margin,
-        )
-        return hi if in_mrpi.verdict is Verdict.INSIDE else lo, max(0.0, 0.9 * clearance)
-    # outside: minimal contact rate, stable until the boundary layer
-    clearance = min(in_adm.distance_estimate - eps, cap_margin)
-    return lo, max(0.0, 0.9 * clearance)
-
-
-@lru_cache(maxsize=16)
-def _beta_ends(scenario: Scenario) -> tuple[InputVec, InputVec]:
-    """``(beta_min, beta_max)`` as one input object each per scenario.
-
-    The law returns these at its clamped ends, so :func:`simulate` keeps its field there.
-    """
-    return InputVec(beta=scenario.beta_min), InputVec(beta=scenario.beta_max)
-
-
-def _cap_layer_law(
-    scenario: Scenario, admissible_set: ComputedSet, eps: float, s_val: float, i_val: float
-) -> InputVec | None:
-    """The law on the usable cap layer, or None off it.
-
-    On the layer (I within ``eps`` of the cap, S at most ``eps`` past the
-    usable part's end) the cap-holding rate gamma/S, clamped to the box, and
-    beta_max below DIVIDE_GUARD_S; a clamped rate is one of :func:`_beta_ends`.
-    """
-    up = admissible_set.usable
-    if not (up is not None and scenario.i_max - eps <= i_val and s_val <= up.s_hi + eps):
-        return None
-    beta = scenario.gamma / s_val if s_val >= DIVIDE_GUARD_S else scenario.beta_max
-    if scenario.beta_min < beta < scenario.beta_max:
-        return InputVec(beta=beta)
-    lo, hi = _beta_ends(scenario)
-    return hi if beta >= scenario.beta_max else lo
+    """Contact rate at ``state`` from a fresh :class:`SwitchingLawPolicy`, the law's only home."""
+    return SwitchingLawPolicy(scenario, admissible_set, mrpi_set).u(0.0, tuple(map(float, state)))
 
 
 def monte_carlo(

@@ -606,12 +606,14 @@ def test_seir_mesh_probe_consistency(mrpi_seir):
     assert flipped / decisive >= 0.95
 
 
-def _full_scan_cover(cset, x):
-    """Reference tie-ruled coverage and height of every mesh triangle.
+def _full_scan(cset):
+    """Reference tie-ruled coverage and height over every mesh triangle.
 
     Triangles are index triples into the flattened node grid; each traversed
     edge u -> v takes orient(min, max, query), negated when u > v, with an
-    exact zero broken by -dE, then dS, of the min -> max edge.
+    exact zero broken by -dE, then dS, of the min -> max edge.  What does not
+    depend on the query is built once; the returned ``cover(x)`` gives the
+    covering mask and the heights of the covering triangles at ``x``.
     """
     g = cset.mesh_nodes
     nc, nn, _ = g.shape
@@ -621,25 +623,34 @@ def _full_scan_cover(cset, x):
     tris = np.concatenate([np.stack([q00, q10, q11], 1), np.stack([q00, q11, q01], 1)])
     u, v = tris, np.roll(tris, -1, axis=1)  # edge m runs from vertex m to vertex m + 1
     a, b = flat[np.minimum(u, v)], flat[np.maximum(u, v)]
-    ds, de = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
-    o = ds * (x[1] - a[..., 1]) - de * (x[0] - a[..., 0])
-    tie = np.sign(np.where(o != 0.0, o, np.where(de != 0.0, -de, ds)))
+    a_s, a_e = a[..., 0], a[..., 1]
+    ds, de = b[..., 0] - a_s, b[..., 1] - a_e
     flip = np.where(u < v, 1.0, -1.0)
-    o, tie = o * flip, tie * flip
-    cover = (tie[:, 0] != 0.0) & (tie[:, 0] == tie[:, 1]) & (tie[:, 1] == tie[:, 2])
-    w = np.roll(o, -1, axis=1)  # vertex m weighs by the edge opposite it
+    tie_zero = np.sign(np.where(de != 0.0, -de, ds)) * flip  # the tie of an exact zero
     z = flat[tris, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = (w[:, 0] * z[:, 0] + w[:, 1] * z[:, 1] + w[:, 2] * z[:, 2]) / (
-            w[:, 0] + w[:, 1] + w[:, 2]
-        )
-    return cover, phi
+
+    def cover(x):
+        o = (ds * (x[1] - a_e) - de * (x[0] - a_s)) * flip
+        tie = np.where(o != 0.0, np.sign(o), tie_zero)
+        covered = (tie[:, 0] != 0.0) & (tie[:, 0] == tie[:, 1]) & (tie[:, 1] == tie[:, 2])
+        w = np.roll(o[covered], -1, axis=1)  # vertex m weighs by the edge opposite it
+        zc = z[covered]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = (w[:, 0] * zc[:, 0] + w[:, 1] * zc[:, 1] + w[:, 2] * zc[:, 2]) / (
+                w[:, 0] + w[:, 1] + w[:, 2]
+            )
+        return covered, phi
+
+    return cover
 
 
-def _full_scan_inside(cset, x):
-    """Reference parity test over every mesh triangle (no quad-box filter)."""
-    cover, phi = _full_scan_cover(cset, x)
-    crossings = int(np.sum(cover & (phi > x[2])))
+def _full_scan_inside(cset, x, cover):
+    """Reference parity test over every mesh triangle (no quad-box filter).
+
+    ``cover`` is :func:`_full_scan` of ``cset``.
+    """
+    _, phi = cover(x)
+    crossings = int(np.sum(phi > x[2]))
     # the usable part as the query perturbed to (S + d, E + d^2) sees it
     up = cset.usable
     cap_usable = 0.0 <= x[0] < up.s_hi and 0.0 <= x[1] < up.e_cap(x[0])
@@ -711,14 +722,17 @@ def test_seir_quad_filter_matches_full_scan(name, request, monkeypatch):
     groups.append(_grid_line_points(cset, rng, 400))
     points = np.vstack(groups)
 
+    scan = _full_scan(cset)
     inside = [barrier._seir_inside(cset, *p) for p in points.tolist()]
-    assert inside == [_full_scan_inside(cset, p) for p in points]
+    assert inside == [_full_scan_inside(cset, p, scan) for p in points]
     dist = [barrier._seir_distance_estimate(cset, *p) for p in points.tolist()]
     assert dist == [_all_nodes_distance(cset, p) for p in points]
 
     sub = points[::5]
     got = [membership(cset, p) for p in sub]
-    monkeypatch.setattr(barrier, "_seir_inside", lambda cs, *x: _full_scan_inside(cs, np.array(x)))
+    monkeypatch.setattr(
+        barrier, "_seir_inside", lambda cs, *x: _full_scan_inside(cs, np.array(x), scan)
+    )
     monkeypatch.setattr(
         barrier, "_seir_distance_estimate", lambda cs, *x: _all_nodes_distance(cs, np.array(x))
     )
@@ -797,7 +811,7 @@ def test_tie_rule_on_a_planar_graph(case):
     nodes, x, below = case
     cset = _synthetic_set(nodes)
     assert membership(cset, x).verdict is (Verdict.INSIDE if below else Verdict.OUTSIDE)
-    cover, _ = _full_scan_cover(cset, x)
+    cover, _ = _full_scan(cset)(x)
     assert np.count_nonzero(cover) == 1
 
 
@@ -827,13 +841,14 @@ def test_tie_rule_on_a_fold(case):
     # neither, so its parity is that of a point just off the fold on either side
     nodes, x = case
     cset = _synthetic_set(nodes)
-    cover, _ = _full_scan_cover(cset, x)
+    scan = _full_scan(cset)
+    cover, _ = scan(x)
     assert np.count_nonzero(cover) in (0, 2)
     verdict = membership(cset, x).verdict
     assert verdict is Verdict.OUTSIDE
     for ds in (-(2.0**-20), 2.0**-20):
         assert membership(cset, x + [ds, 0.0, 0.0]).verdict is verdict
-    assert barrier._seir_inside(cset, *x.tolist()) == _full_scan_inside(cset, x)
+    assert barrier._seir_inside(cset, *x.tolist()) == _full_scan_inside(cset, x, scan)
 
 
 @pytest.mark.parametrize("name", ["adm_seir", "mrpi_seir", "mrpi_seir_imp"])
@@ -896,8 +911,9 @@ def test_seir_bucket_index_matches_full_scan_on_synthetic_meshes(case):
             (np.nextafter(s0, -1.0), a[1]) if k % 2 else (a[0], np.nextafter(e1, 2.0)),  # outside
         ][kind]
         points.append([s_q, e_q, i_q])
+    scan = _full_scan(cset)
     for x in np.array(points, dtype=float):
-        assert barrier._seir_inside(cset, *x.tolist()) == _full_scan_inside(cset, x), x
+        assert barrier._seir_inside(cset, *x.tolist()) == _full_scan_inside(cset, x, scan), x
         assert barrier._seir_distance_estimate(cset, *x.tolist()) == _all_nodes_distance(cset, x), x
 
 

@@ -1,7 +1,7 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
 functions, no unread tolerance fields, one home for the rule that an
-imperfect variant has no admissible set, one home for the model's formulas
-and the feedback law's slopes, a
+imperfect variant has no admissible set, one home for the model's formulas,
+the feedback law's slopes and the switching law, a
 README that names every verdict, every package name and keyword the benchmark
 reads, one step setting, ``Tolerances.step_h``, and no attribute stored on an
 object other than ``self``.
@@ -114,6 +114,31 @@ def test_admissible_set_rule_has_one_home():
         if {"is_perfect", "ADMISSIBLE"} <= guards
     ]
     assert len(homes) == 1 and homes[0].startswith("models:"), homes
+
+
+def _loads(node, name: str) -> int:
+    return sum(
+        isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+        for n in ast.walk(node)
+    )
+
+
+def test_switching_law_has_one_home():
+    # SwitchingLawPolicy holds the law: switching_law is a single return of a
+    # call into it, the policy binds its clamped ends itself (no process-wide
+    # cache), and only the policy reads the divide guard
+    tree = TREES["policy_sim"]
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    law, policy = top["switching_law"], top["SwitchingLawPolicy"]
+    body = law.body[1:] if ast.get_docstring(law) else law.body
+    assert len(body) == 1 and isinstance(body[0], ast.Return), ast.unparse(law)
+    called = body[0].value.func
+    assert isinstance(called, ast.Attribute) and called.attr == "u"
+    assert isinstance(called.value, ast.Call) and called.value.func.id == "SwitchingLawPolicy"
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "lru_cache" not in _reads(tree) | attrs | set(_imported(tree))
+    guard = "DIVIDE_GUARD_S"
+    assert _loads(policy, guard) == sum(_loads(t, guard) for t in TREES.values()) > 0
 
 
 def test_readme_names_exactly_the_verdicts():

@@ -269,7 +269,7 @@ def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every):
 # (0.0 and 1e-13 stall a sign event, NaN screens false); "nan_after" is y[k]
 # until |t| > x and NaN after.  A level of None puts the trigger level at the
 # event's start value.
-_KINDS = {"sign": EventKind.SIGN_CHANGE, "exit": EventKind.DOMAIN_EXIT, "floor": EventKind.I_FLOOR}
+_KINDS = {"sign": EventKind.SIGN_CHANGE, "exit": EventKind.DOMAIN_EXIT}
 
 
 def _event(i, kind, shape, k, x, level):
@@ -310,7 +310,7 @@ def _screen_case(draw):
 @example(((1.0, 1.0), 1e-2, 10, [("exit", "cross", 0, 0.0, None)]))
 # two events triggered in one step: the earlier fraction wins, then list order
 @example(((1.0, 1.0), 1e-2, 3, [("sign", "cross", 0, 0.125, None), ("exit", "cross", 1, 0.123, 0.0),
-                                ("floor", "cross", 1, 0.123, 0.0)]))
+                                ("exit", "cross", 1, 0.123, 0.0)]))
 # a NaN event value
 @example(((1.0, 1.0), 1e-2, 1, [("exit", "flat", 0, math.nan, 0.0), ("sign", "nan_after", 0, 0.25, None),
                                 ("exit", "cross", 0, 0.305, 0.0)]))

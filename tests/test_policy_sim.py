@@ -358,14 +358,14 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
     # re-evaluated every step: every recorded step is bit-identical, and the
     # run reaches the admissible boundary layer (near the I = 0 axis after
     # about 55 days), where the cached law rides a positive clearance
-    law = policy_sim._membership_law
+    law = SwitchingLawPolicy._membership_law
     boundary_clearances = []
     eps, s_hi = adm_sir.tolerances.boundary_layer_eps, adm_sir.usable.s_hi
     on_cap_layer = lambda x: x[1] >= sc_sir.i_max - eps and x[0] <= s_hi + eps
     cap_layer_calls = []
 
-    def spy(state, *args):
-        u, clearance = law(state, *args)
+    def spy(self, state):
+        u, clearance = law(self, state)
         if membership(adm_sir, state).verdict is Verdict.BOUNDARY:
             boundary_clearances.append(clearance)
         if on_cap_layer(state):
@@ -378,7 +378,7 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
 
     run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 60.0, record_every=1)
     fresh = run(EveryStep())
-    monkeypatch.setattr(policy_sim, "_membership_law", spy)
+    monkeypatch.setattr(SwitchingLawPolicy, "_membership_law", spy)
     cached = run(SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir))
     # the cap-layer branch always returns 0, so a positive clearance at an
     # admissible BOUNDARY verdict comes from the BOUNDARY branch
@@ -397,9 +397,10 @@ def test_switching_policy_tests_the_cap_layer_once_per_step(monkeypatch, sc_sir,
     # criterion 08's start for 20 days: each policy.u call, clearance-cache
     # miss or not, tests the cap layer exactly once
     cap_calls, misses = [], []
-    cap, law = policy_sim._cap_layer_law, policy_sim._membership_law
-    monkeypatch.setattr(policy_sim, "_cap_layer_law", lambda *a: cap_calls.append(1) or cap(*a))
-    monkeypatch.setattr(policy_sim, "_membership_law", lambda *a: misses.append(1) or law(*a))
+    cap, law = SwitchingLawPolicy._cap_layer_law, SwitchingLawPolicy._membership_law
+    counted = lambda calls, fn: lambda *a: calls.append(1) or fn(*a)
+    monkeypatch.setattr(SwitchingLawPolicy, "_cap_layer_law", counted(cap_calls, cap))
+    monkeypatch.setattr(SwitchingLawPolicy, "_membership_law", counted(misses, law))
     u_calls = []
 
     class Counted(SwitchingLawPolicy):
@@ -424,7 +425,9 @@ def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir, mrpi_
         x = vertex + rng.uniform(-eps, eps, 2)
         if x.min() < 0.0 or x.sum() > 1.0 or membership(adm_sir, x).verdict is not Verdict.BOUNDARY:
             continue
-        u, clearance = policy_sim._switching_law_with_clearance(x, adm_sir, mrpi_sir, sc_sir)
+        pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+        u = pol.u(0.0, x)
+        clearance = pol._cache_radius
         n_positive += clearance > 0.0
         for y in x + clearance * ring:
             assert switching_law(y, adm_sir, mrpi_sir, sc_sir).beta == u.beta
