@@ -49,6 +49,7 @@ from .integrate import (
     EventKind,
     EventSpec,
     SingularArcError,
+    Source,
     integrate_until,
 )
 from .models import (
@@ -56,6 +57,7 @@ from .models import (
     InputVec,
     active_channels,
     backward_field,
+    backward_source,
     extremal_value,
     input_box,
     switch_components,
@@ -182,29 +184,36 @@ def select_extremal_input(scenario: Scenario, set_kind: SetKind, state, adjoint)
 
 
 def _segment_events(scenario: Scenario, set_kind: SetKind, tol: Tolerances):
-    """Switch and face events on the (state, adjoint, arc length) tuple."""
+    """Switch and face events on the (state, adjoint, arc length) tuple, as sources."""
     d, geom = scenario.dim, tol.geom_tol
+    bound = {"im": scenario.i_max, "i_floor": tol.i_floor}
     events = []
     for ch in active_channels(scenario.variant):
         plus, minus = switch_components(scenario.variant, set_kind, ch)
-        if minus is None:
-            fn = lambda t, y, p=d + plus: y[p]
-        else:
-            fn = lambda t, y, p=d + plus, m=d + minus: y[p] - y[m]
-        events.append(EventSpec(EventKind.SIGN_CHANGE, f"sigma_{ch.value}", fn=fn))
+        sigma = f"y[{d + plus}]" + ("" if minus is None else f" - y[{d + minus}]")
+        events.append(EventSpec(EventKind.SIGN_CHANGE, f"sigma_{ch.value}", Source(sigma)))
     # left-to-right sums, the order np.sum uses on so few components
-    if d == 2:
-        sum_face = lambda t, y: y[0] + y[1] - 1.0
-    else:
-        sum_face = lambda t, y: y[0] + y[1] + y[2] - 1.0
-    faces = [("sum_face", sum_face), ("s_floor", lambda t, y: -y[0])]
+    faces = [("sum_face", " + ".join(f"y[{k}]" for k in range(d)) + " - 1.0"), ("s_floor", "-y[0]")]
     if d == 3:
-        faces.append(("e_floor", lambda t, y: -y[1]))
-    faces.append(("cap_face", lambda t, y: y[d - 1] - scenario.i_max))
-    for label, fn in faces:
-        events.append(EventSpec(EventKind.DOMAIN_EXIT, label, fn, trigger_level=geom))
-    events.append(EventSpec(EventKind.DOMAIN_EXIT, "i_floor", lambda t, y: tol.i_floor - y[d - 1]))
+        faces.append(("e_floor", "-y[1]"))
+    faces.append(("cap_face", f"y[{d - 1}] - im"))
+    for label, expr in faces:
+        events.append(EventSpec(EventKind.DOMAIN_EXIT, label, Source(expr, params=bound), geom))
+    events.append(EventSpec(EventKind.DOMAIN_EXIT, "i_floor", Source(f"i_floor - y[{d - 1}]", params=bound)))
     return events
+
+
+def _unit_adjoint(d: int) -> Source:
+    """Post-step map scaling the adjoint part of the state to unit norm, as ``np.linalg.norm``.
+
+    That is ``sqrt`` of a BLAS dot product on a reused buffer: a plain-float
+    ``sqrt(a*a + b*b)`` can differ in the last bit where BLAS fuses multiply and add.
+    """
+    lam = [f"y[{k}]" for k in range(d, 2 * d)]
+    buf = np.empty(d)
+    body = f"{', '.join(f'buf[{i}]' for i in range(d))} = {', '.join(lam)}\nn = sqrt(dot(buf))"
+    out = [f"y[{k}]" for k in range(d)] + [f"{c} / n" for c in lam] + [f"y[{2 * d}]"]
+    return Source(tuple(out), body, params={"buf": buf, "dot": buf.dot})
 
 
 _SIGMA_CHANNEL = {f"sigma_{ch.value}": ch for ch in Channel}
@@ -230,7 +239,7 @@ def compute_barrier_curve(
         raise ValueError(f"tangent point must have {d} components")
     # state, adjoint (0, ..., 0, 1) and arc length as one float tuple
     y = tuple(x0.tolist()) + (0.0,) * (d - 1) + (1.0, 0.0)
-    renorm = _adjoint_renorm(d)
+    renorm = _unit_adjoint(d)
     events = _segment_events(scenario, set_kind, tol)
     segments = []  # (integration result, input) per segment
     switches: list[tuple[float, Channel]] = []
@@ -240,7 +249,7 @@ def compute_barrier_curve(
     while True:
         u = select_extremal_input(scenario, set_kind, y[:d], y[d : 2 * d])
         res = integrate_until(
-            backward_field(scenario, u),
+            backward_source(scenario, u),
             events,
             y,
             t0=tau,
@@ -281,36 +290,6 @@ def compute_barrier_curve(
     )
     _check_containment(scenario, curve, tol)
     return curve
-
-
-def _adjoint_renorm(d: int):
-    """Post-step map scaling the adjoint part of the state tuple to unit norm.
-
-    The norm is ``sqrt(lam . lam)`` with the dot product taken by BLAS on a
-    reused buffer, exactly as ``np.linalg.norm`` computes it: a plain-float
-    ``sqrt(a*a + b*b)`` can differ in the last bit where the BLAS dot fuses
-    multiply and add.  The tuple is unpacked per width, as in
-    :func:`models.backward_field`, and the buffer set item by item: slicing and
-    concatenating tuples cost more than the dot product.
-    """
-    buf = np.empty(d)
-    if d == 2:
-
-        def renorm(y):
-            S, I, l1, l2, s = y
-            buf[0], buf[1] = l1, l2
-            n = math.sqrt(buf.dot(buf))
-            return (S, I, l1 / n, l2 / n, s)
-
-        return renorm
-
-    def renorm(y):
-        S, E, I, l1, l2, l3, s = y
-        buf[0], buf[1], buf[2] = l1, l2, l3
-        n = math.sqrt(buf.dot(buf))
-        return (S, E, I, l1 / n, l2 / n, l3 / n, s)
-
-    return renorm
 
 
 def _outside_capped_simplex(scenario: Scenario, tol: Tolerances, pts) -> np.ndarray:

@@ -49,10 +49,6 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _write_atomic(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
@@ -67,9 +63,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
+    """Floats as ``%.17g``, other values as ``str``: by one ``%`` format built from
+    the first row's column types, or value by value for a row of other types."""
+    lines, types = [",".join(header)], None
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        if types is None:
+            types = list(map(type, row))
+            fmt = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+        if list(map(type, row)) == types:
+            lines.append(fmt % tuple(row))
+        else:
+            lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -1,30 +1,27 @@
 """Fixed-step RK4 integration with bisection event location.
 
-The integrator is deliberately simple: classic fourth-order Runge-Kutta at a
-fixed step, events located by bisecting the sub-step length of a full RK4
-step from the last pre-event node.  Each step screens all watched events with
-inline comparisons first; only a step on which one fires runs the per-event
-refinement.  Between located events the right-hand side is smooth, so the
-scheme keeps its full order and the results are bit-reproducible.
+Classic fourth-order Runge-Kutta at a fixed step; events are located by
+bisecting the sub-step length of a full RK4 step from the last pre-event
+node.  Each step screens all watched events with inline comparisons first;
+only a step on which one fires runs the per-event refinement.  Between
+located events the right-hand side is smooth, so the scheme keeps its full
+order and the results are bit-reproducible.
 
-The state is carried as a tuple of Python floats, not a numpy vector: for
-the 2- to 7-component systems integrated here, building small arrays costs
-many times the arithmetic.  The RK4 stages are one source template, expanded
-per state width into straight-line code that builds no iterator or list.
-Each component performs the float operations numpy would perform on arrays,
-grouped in the same order, so results are bit-identical to the vector form.
-The one vector reduction, the adjoint norm of the barrier post-step, stays a
-BLAS dot product as in ``np.linalg.norm``: the BLAS dot fuses multiply and
-add, so a plain-float ``sqrt(a*a + b*b)`` would differ in the last bit.
-Records and results are converted back to numpy arrays once, at the end.
+The state is a tuple of Python floats: for these 2- to 7-component systems,
+small numpy arrays cost many times the arithmetic.  The RK4 stages are one
+source template, expanded into straight-line code that does per component
+the float operations numpy does on arrays, in the same order, so results are
+bit-identical to the vector form.  :func:`integrate_until` expands it into a
+whole segment loop, generated once per structure, that inlines a right-hand
+side, event function or post-step map given as a :class:`Source`.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +33,10 @@ __all__ = [
     "IntegrationResult",
     "NonFiniteError",
     "SingularArcError",
+    "Source",
     "rk4_step",
     "integrate_until",
+    "source_function",
 ]
 
 SIGMA_TOL = 1e-12
@@ -50,19 +49,35 @@ class EventKind(Enum):
     HORIZON = "horizon"
 
 
+class Source(NamedTuple):
+    """Straight-line code for generated functions to inline, and its bound values.
+
+    ``body`` (statements, possibly none) runs, then ``out`` is the value: one
+    expression for an event, one per component for a right-hand side or
+    post-step map.  The code reads component k of the state as ``y[k]``, reads
+    no time and no name with a leading underscore; ``sqrt`` and the keys of
+    ``params`` (shared by the sources of one integration) are bound.
+    """
+
+    out: str | tuple[str, ...]
+    body: str = ""
+    params: dict | None = None
+
+
 @dataclass
 class EventSpec:
     """A termination/switch condition monitored during integration.
 
-    ``fn(t, y)`` is a scalar of the float-tuple state: SIGN_CHANGE triggers on
-    a sign flip between consecutive steps; DOMAIN_EXIT triggers once the
-    value exceeds its trigger level (an outward tolerance for domain faces,
-    zero for the I floor).  HORIZON needs no function.
+    ``fn(t, y)`` is a scalar of the float-tuple state, or a :class:`Source`:
+    SIGN_CHANGE triggers on a sign flip between consecutive steps;
+    DOMAIN_EXIT triggers once the value exceeds its trigger level (an outward
+    tolerance for domain faces, zero for the I floor).  HORIZON needs no
+    function.
     """
 
     kind: EventKind
     label: str
-    fn: Callable[[float, tuple], float] | None = None
+    fn: Callable[[float, tuple], float] | Source | None = None
     trigger_level: float = 0.0
 
 
@@ -87,6 +102,12 @@ class SingularArcError(RuntimeError):
     """A switching functional stayed at zero for many consecutive steps."""
 
 
+def _stalled(ev: EventSpec, count: int) -> SingularArcError:
+    return SingularArcError(
+        f"functional '{ev.label}' stayed below {SIGMA_TOL} for {count} consecutive steps"
+    )
+
+
 def rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
     """One classic RK4 step; raises NonFiniteError on non-finite output.
 
@@ -101,38 +122,148 @@ def rk4_step(rhs, t: float, y: tuple, h: float) -> tuple:
 
 
 def _rk4_stages(rhs, t: float, y: tuple, h: float) -> tuple:
-    """Unchecked RK4 stages: :data:`_STAGE_TEMPLATE` expanded for the width of ``y``.
-
-    The components may also be equal-length numpy arrays, one entry per
-    independent trajectory, which is how the forward oracle steps its lanes.
-    """
-    return (_STAGES.get(len(y)) or _generate_stages(len(y)))(rhs, t, y, h)
+    """Unchecked RK4 stages; the components of ``y`` may also be equal-length
+    numpy arrays, one entry per trajectory, as the forward oracle's lanes are."""
+    n = len(y)  # no closure here: a cell variable would cost every call
+    return (_STAGES.get(n) or _generated(n, _fill, _LANES_TEMPLATE, n, None))(rhs, t, y, h)
 
 
-# Each <...> is repeated per component, # being its index.  Operands group as
-# numpy's ``y + hh*k`` and ``y + h6*(((k1 + 2*k2) + 2*k3) + k4)`` on arrays:
+# Each `...` is repeated per component, # being its index: as lines, or joined by
+# commas within one.  `k#` = FIELD(time; `x#`) is the right-hand side at x.  Operands
+# group as numpy's ``y + hh*k`` and ``y + h6*(((k1 + 2*k2) + 2*k3) + k4)`` on arrays:
 # a regrouped sum would round differently and break bit-identity.
 _STAGE_TEMPLATE = """\
-def stages(rhs, t, y, h):
-    hh = 0.5 * h
-    <y#>, = y
-    <a#>, = rhs(t, y)
-    <b#>, = rhs(t + hh, (<y# + hh * a#>,))
-    <c#>, = rhs(t + hh, (<y# + hh * b#>,))
-    <d#>, = rhs(t + h, (<y# + h * c#>,))
-    h6 = h / 6.0
-    return (<y# + h6 * (a# + 2.0 * b# + 2.0 * c# + d#)>,)
+_hh = 0.5 * _h
+`_a#` = FIELD(_t; `_y#`)
+`_b#` = FIELD(_t + _hh; `_y# + _hh * _a#`)
+`_c#` = FIELD(_t + _hh; `_y# + _hh * _b#`)
+`_d#` = FIELD(_t + _h; `_y# + _h * _c#`)
+_h6 = _h / 6.0
+`_z# = _y# + _h6 * (_a# + 2.0 * _b# + 2.0 * _c# + _d#)`
 """
-_STAGES: dict[int, Callable] = {}
+_LANES_TEMPLATE = "def entry(_rhs, _t, _y, _h):\n    `_y#`, = _y\n    @STAGES\n    return `_z#`,\n"
+# Steps until the horizon or a screened event, recording every `_every`-th
+# state; a step that fires returns what the refinement needs.
+_SEGMENT_TEMPLATE = """\
+def entry(_t, _y, _t0, _limit, _step, _tol, _every, _ts, _ys, @PARAMS):
+    `_y#`, = _y
+    @START
+    _n = 0
+    while True:
+        _rem = _limit - (_t - _t0)
+        if _rem <= _tol:
+            return _t, (`_y#`,), _n, None, None, None
+        _h = _step if _step <= _rem else _rem
+        @STAGES
+        @FINITE
+            raise NonFiniteError(f"non-finite state after step at t={_t}")
+        _tn = _t + _h
+        @SCREEN
+        @POST
+        _t = _tn
+        @ADVANCE
+        _n += 1
+        if _n % _every == 0:
+            _ts.append(_t)
+            _ys.append((`_y#`,))
+"""
+_STAGES: dict = {}  # generated code: one entry per state width or structure
 
 
-def _generate_stages(n: int) -> Callable:
-    """Expand :data:`_STAGE_TEMPLATE` for ``n`` components and cache it by ``n``."""
-    row = lambda m: ", ".join(m[1].replace("#", str(i)) for i in range(n))
-    src = re.sub("<([^>]*)>", row, _STAGE_TEMPLATE)
-    scope: dict = {}
-    exec(compile(src, f"<rk4 stages, width {n}>", "exec"), scope)
-    return _STAGES.setdefault(n, scope["stages"])
+def _generated(key, make_source: Callable[..., str], *args) -> Callable:
+    """The function ``entry`` of ``make_source(*args)``, compiled once per ``key``."""
+    entry = _STAGES.get(key)
+    if entry is None:
+        scope = {"sqrt": math.sqrt, "NonFiniteError": NonFiniteError, "_stalled": _stalled}
+        exec(compile(make_source(*args), "<generated>", "exec"), scope)
+        entry = _STAGES.setdefault(key, scope["entry"])
+    return entry
+
+
+def _each(row: str, n: int) -> list[str]:
+    return [row.replace("#", str(i)) for i in range(n)]
+
+
+def _inline(src: Source, inputs: list[str], targets: list[str]) -> list[str]:
+    """Lines running ``src`` on the expressions ``inputs``, its value assigned to ``targets``."""
+    outs = [src.out] if isinstance(src.out, str) else src.out
+    code = "\n".join([src.body, *(f"{t} = {x}" for t, x in zip(targets, outs))]).strip()
+    grouped = [x if x.isidentifier() else f"({x})" for x in inputs]
+    return re.sub(r"\by\[(\d+)\]", lambda m: grouped[int(m[1])], code).splitlines()
+
+
+def _fill(template: str, n: int, field, **blocks) -> str:
+    """``template`` for ``n`` components, each ``@NAME`` line replaced by ``blocks[NAME]``;
+    ``STAGES`` inlines a ``field`` given as a :class:`Source` and calls ``_rhs`` else."""
+    blocks["STAGES"] = stages = []
+    for line in _STAGE_TEMPLATE.splitlines():
+        m = re.fullmatch(r"`(.*)` = FIELD\((.*); `(.*)`\)", line)
+        whole = re.fullmatch("`([^`]*)`", line)
+        if m and isinstance(field, Source):
+            stages += _inline(field, _each(m[3], n), _each(m[1], n))
+        elif m:  # the state tuple _y holds the inputs `_y#` of the first stage
+            stages.append(f"`{m[1]}`, = _rhs({m[2]}, {'_y' if m[3] == '_y#' else f'(`{m[3]}`,)'})")
+        else:
+            stages += _each(whole[1], n) if whole else [line]
+    out = []
+    for line in template.splitlines():
+        pad, name = line[: len(line) - len(line.lstrip())], line.strip()
+        rows = blocks[name[1:]] if name.startswith("@") else [name]
+        out += [pad + re.sub("`([^`]*)`", lambda m: ", ".join(_each(m[1], n)), r) for r in rows]
+    return "\n".join(out) + "\n"
+
+
+def _segment_source(n: int, field, events: list[EventSpec], post, params: dict) -> str:
+    """:data:`_SEGMENT_TEMPLATE` for ``n`` components, these sources or callables and ``params``."""
+
+    def value(i, state, t, target):  # event i at the state `state#`, assigned to target
+        fn = events[i].fn
+        if isinstance(fn, Source):
+            return _inline(fn, _each(state, n), [target])
+        return [f"{target} = _fn{i}({t}, (`{state}`,))"]
+
+    start, values, stalls, fired = [], [], [], []
+    for i, ev in enumerate(events):
+        start += value(i, "_y#", "_t", f"_F{i}")
+        values += value(i, "_z#", "_tn", f"_G{i}")
+        if ev.kind is _SIGN_CHANGE:
+            start.append(f"_s{i} = 0")
+            stalls += [f"_s{i} = _s{i} + 1 if {-SIGMA_TOL!r} < _G{i} < {SIGMA_TOL!r} else 0",
+                       f"if _s{i} > {SIGMA_STALL_STEPS}:", f"    raise _stalled(_events[{i}], _s{i})"]
+            fired.append(f"_F{i} * _G{i} < 0.0")
+        else:
+            start.append(f"_L{i} = _events[{i}].trigger_level")
+            fired.append(f"_G{i} > _L{i} >= _F{i}")
+    if fired:  # stalls raise first, even on a step that fires
+        f_prev, f_new = ("".join(f"{v}{i}, " for i in range(len(events))) for v in ("_F", "_G"))
+        stalls += [f"if {' or '.join(fired)}:", f"    return _t, (`_y#`,), _n, _h, ({f_prev}), ({f_new})"]
+    if isinstance(post, Source):
+        accept = _inline(post, _each("_z#", n), _each("_y#", n))
+    else:  # a callable, or no map: the new state is accepted as it is
+        accept = ["`_y#`, = _post((`_z#`,))"] if post else _each("_y# = _z#", n)
+    if not isinstance(field, Source):  # a called field reads the state tuple
+        accept.append("_y = (`_y#`,)")
+    return _fill(
+        _SEGMENT_TEMPLATE.replace("@PARAMS", ", ".join(params)), n, field,
+        START=start,
+        # zero times finite factors stays zero; an infinite or NaN one makes it NaN
+        FINITE=[f"if 0.0 * {' * '.join(_each('_z#', n))} != 0.0:"],
+        SCREEN=values + stalls,
+        POST=accept,
+        ADVANCE=[f"_F{i} = _G{i}" for i in range(len(events))],
+    )
+
+
+def source_function(src: Source) -> Callable:
+    """``src`` as a function ``f(t, y)`` of a float tuple ``y``, with its params bound."""
+    params = src.params or {}
+
+    def make():
+        out = src.out if isinstance(src.out, str) else f"({', '.join(src.out)},)"
+        body = "\n        ".join([*src.body.splitlines(), f"return {out}"])
+        return f"def entry({', '.join(params)}):\n    def f(t, y):\n        {body}\n    return f\n"
+
+    return _generated(("function", *src[:2], tuple(params)), make)(**params)
 
 
 _SIGN_CHANGE = EventKind.SIGN_CHANGE  # an Enum member lookup costs ~0.2 us per call
@@ -181,70 +312,46 @@ def integrate_until(
     accepted step (and after event refinement), e.g. to renormalize an
     adjoint.  Event functions are not re-evaluated after it, so it must not
     change the sign of any event function (a positive rescaling of
-    components that only SIGN_CHANGE events read qualifies).  Records are
-    emitted at the start, every ``record_every``-th step, and at the
-    terminal point, as the arrays ``t`` and ``y`` of the result.
+    components that only SIGN_CHANGE events read qualifies).  A
+    :class:`Source` among them is inlined into the step loop; the refinement
+    steps with :func:`rk4_step` on its :func:`source_function`.  Records are
+    emitted at the start, every ``record_every``-th step, and at the end.
     """
     tol = tolerances or Tolerances()
-    step = tol.step_h
     limit = t_limit if t_limit is not None else tol.t_back_max
     y = tuple(np.asarray(y0, dtype=float).tolist())
-    t = t0
+    codes = {"_rhs": rhs, **{f"_fn{i}": ev.fn for i, ev in enumerate(events)}, "_post": post_step}
+    params = {"_events": events}
+    for name, c in codes.items():  # a source binds its params, a callable its own name
+        if isinstance(c, Source):
+            params.update(c.params or {})
+        elif c is not None:
+            params[name] = c
+    shape = (c[:2] if isinstance(c, Source) else c is None for c in codes.values())
+    key = ("segment", len(y), *shape, *(ev.kind for ev in events), tuple(params))
+    loop = _generated(key, _segment_source, len(y), rhs, events, post_step, params)
 
-    fns = [e.fn for e in events]
-    signs = [i for i, e in enumerate(events) if e.kind is _SIGN_CHANGE]
-    thresholds = [(i, e.trigger_level) for i, e in enumerate(events) if e.kind is not _SIGN_CHANGE]
-
-    f_prev = [fn(t, y) for fn in fns]
-    stall = [0] * len(events)
-    ts, ys = [t], [y]
-    n_steps = 0
-
-    while True:
-        remaining = limit - (t - t0)
-        if remaining <= tol.event_time_tol:
-            return _result(ts, ys, _HORIZON, t, y, n_steps)
-        h_cur = step if step <= remaining else remaining
-        y_new = rk4_step(rhs, t, y, h_cur)
-        t_new = t + h_cur
-        f_new = [fn(t_new, y_new) for fn in fns]
-
-        # screen: the conditions of _triggered, inline; stalls raise first
-        fired = False
-        for i in signs:
-            if f_prev[i] * f_new[i] < 0.0:
-                fired = True
-            stall[i] = stall[i] + 1 if abs(f_new[i]) < SIGMA_TOL else 0
-            if stall[i] > SIGMA_STALL_STEPS:
-                raise SingularArcError(
-                    f"functional '{events[i].label}' stayed below {SIGMA_TOL} "
-                    f"for {stall[i]} consecutive steps"
-                )
-        for i, level in thresholds:
-            if f_new[i] > level >= f_prev[i]:
-                fired = True
-        if fired:  # refine every triggered event; the earliest, then the first listed, wins
-            hit: tuple[float, EventSpec, tuple] | None = None
-            for i, ev in enumerate(events):
-                if _triggered(ev, f_prev[i], f_new[i]):
-                    frac, y_ev = _refine_fraction(
-                        rhs, ev, t, y, h_cur, f_prev[i], tol.event_time_tol
-                    )
-                    if hit is None or frac < hit[0]:
-                        hit = (frac, ev, y_ev)
-            frac, ev, y_ev = hit
-            t_ev = t + frac * h_cur
-            if post_step is not None:
-                y_ev = post_step(y_ev)
-            return _result(ts, ys, ev, t_ev, y_ev, n_steps + 1)
-
-        if post_step is not None:
-            y_new = post_step(y_new)
-        t, y, f_prev = t_new, y_new, f_new
-        n_steps += 1
-        if n_steps % record_every == 0:
-            ts.append(t)
-            ys.append(y)
+    ts, ys = [t0], [y]
+    t, y, n_steps, h, f_prev, f_new = loop(
+        t0, y, t0, limit, tol.step_h, tol.event_time_tol, record_every, ts, ys, **params
+    )
+    if h is None:
+        return _result(ts, ys, _HORIZON, t, y, n_steps)
+    # refine every triggered event; the earliest, then the first listed, wins
+    call = lambda code: source_function(code) if isinstance(code, Source) else code
+    hit: tuple[float, EventSpec, tuple] | None = None
+    for ev, a, b in zip(events, f_prev, f_new):
+        if _triggered(ev, a, b):
+            frac, y_ev = _refine_fraction(
+                call(rhs), replace(ev, fn=call(ev.fn)), t, y, h, a, tol.event_time_tol
+            )
+            if hit is None or frac < hit[0]:
+                hit = (frac, ev, y_ev)
+    frac, ev, y_ev = hit
+    t_ev = t + frac * h
+    if post_step is not None:
+        y_ev = call(post_step)(t_ev, y_ev) if isinstance(post_step, Source) else post_step(y_ev)
+    return _result(ts, ys, ev, t_ev, y_ev, n_steps + 1)
 
 
 def _result(ts, ys, terminal, t, y, n_steps) -> IntegrationResult:

@@ -21,13 +21,13 @@ input for a positive functional.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import Scenario, SetKind, Variant
+from .integrate import Source, source_function
 
 __all__ = [
     "InputVec",
@@ -35,6 +35,7 @@ __all__ = [
     "BadChannelError",
     "vector_field",
     "backward_field",
+    "backward_source",
     "rate_law",
     "state_rhs",
     "adjoint_matrix",
@@ -179,51 +180,44 @@ def vector_field(scenario: Scenario, u: InputVec | None):
     return f
 
 
-def backward_field(scenario: Scenario, u: InputVec | None):
-    """Backward (state, adjoint, arc length) right-hand side of a barrier curve.
+# The backward system of a barrier curve, per dimension: the state components
+# it reads, by name, its statements and its value -f, -A lambda, |f|, on the
+# rates b, a, g, dd, e of rate_law.  A shared ``b * I`` or ``a * S`` rounds as
+# the product it replaces; ``flux = b * S * I`` keeps its grouping.
+_BACKWARD = {
+    2: (
+        "S = y[0]\nI = y[1]\nl1 = y[2]\nl2 = y[3]",
+        "flux = b * S * I\nf0, f1 = -flux, flux - g * I\nbI, aS = b * I, a * S",
+        ("-f0", "-f1", "-(bI * l1 - bI * l2)", "-(aS * l1 + (-aS + dd) * l2)",
+         "sqrt(f0 * f0 + f1 * f1)"),
+    ),
+    3: (
+        "S = y[0]\nE = y[1]\nI = y[2]\nl1 = y[3]\nl2 = y[4]\nl3 = y[5]",
+        "flux = b * S * I\nlat = e * E\nf0, f1, f2 = -flux, flux - lat, lat - g * I\n"
+        "bI, aS = b * I, a * S",
+        ("-f0", "-f1", "-f2", "-(bI * l1 - bI * l2)", "-(e * l2 - e * l3)",
+         "-(aS * l1 - aS * l2 + dd * l3)", "sqrt(f0 * f0 + f1 * f1 + f2 * f2)"),
+    ),
+}
 
-    On float tuples in backward time tau = -t, it returns -f, -A lambda and
-    |f|.  It is the one place A, minus the transposed Jacobian of f, is
-    written.  ``-f`` is written out, not called: a call costs 25-150% more
-    per evaluation (CPython 3.11) of the curve tracer's innermost loop.
+
+def backward_source(scenario: Scenario, u: InputVec | None) -> Source:
+    """The backward (state, adjoint, arc length) system in tau = -t, as a :class:`Source`.
+
+    It is the one place A, minus the transposed Jacobian of f, is written; the
+    curve tracer inlines it.  Rates that do not depend on the state are bound
+    here, else the :func:`rate_law` bound here is called at each evaluation.
     """
-    v = scenario.variant
+    reads, body, out = _BACKWARD[scenario.dim]
     fixed = _input_rates(scenario, u)
-    law = None if fixed else rate_law(scenario, u)
-    if v is _SIR_PERFECT or v is _SIR_IMPERFECT:
+    if fixed:
+        return Source(out, f"{reads}\n{body}", dict(zip(("b", "a", "g", "dd", "e"), fixed)))
+    return Source(out, f"{reads}\nb, a, g, dd, e = law(I)\n{body}", {"law": rate_law(scenario, u)})
 
-        def rhs(t, y):
-            S, I, l1, l2, _ = y
-            b, a, g, dd, _ = fixed or law(I)
-            flux = b * S * I
-            f0, f1 = -flux, flux - g * I
-            return (
-                -f0,
-                -f1,
-                -(b * I * l1 - b * I * l2),
-                -(a * S * l1 + (-a * S + dd) * l2),
-                math.sqrt(f0 * f0 + f1 * f1),
-            )
 
-        return rhs
-
-    def rhs(t, y):
-        S, E, I, l1, l2, l3, _ = y
-        b, a, g, dd, e = fixed or law(I)
-        flux = b * S * I
-        lat = e * E
-        f0, f1, f2 = -flux, flux - lat, lat - g * I
-        return (
-            -f0,
-            -f1,
-            -f2,
-            -(b * I * l1 - b * I * l2),
-            -(e * l2 - e * l3),
-            -(a * S * l1 - a * S * l2 + dd * l3),
-            math.sqrt(f0 * f0 + f1 * f1 + f2 * f2),
-        )
-
-    return rhs
+def backward_field(scenario: Scenario, u: InputVec | None):
+    """:func:`backward_source` as ``rhs(t, y)`` on float tuples, in backward time tau = -t."""
+    return source_function(backward_source(scenario, u))
 
 
 def adjoint_matrix(scenario: Scenario, state, u: InputVec) -> np.ndarray:

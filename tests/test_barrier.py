@@ -68,6 +68,31 @@ def test_adjoint_stays_unit_norm(all_proper_sets):
         assert np.max(np.abs(norms - 1.0)) <= 1e-9, name
 
 
+# max |V - V(0)| over a segment; the worked examples read at most 4.5e-13
+# (seir_mrpi_030, 30 curves), 1.8e-14 on SIR, at the default step_h
+FIRST_INTEGRAL_DRIFT_MAX = 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", ["adm_sir", "mrpi_sir", "adm_sir15", "mrpi_sir15", "adm_seir", "mrpi_seir", "mrpi_seir40"]
+)
+def test_first_integral_drift_on_constant_input_segments(request, name):
+    # under constant rates a perfect variant conserves V = S + E + I - (gamma/beta) ln S
+    # (SIR: S + I - (gamma/beta) ln S), along the backward curve too
+    cset = request.getfixturevalue(name)
+    sc, worst, segments = cset.scenario, 0.0, 0
+    for curve in cset.curves:
+        x = curve.states
+        starts = [0, *(np.flatnonzero(curve.is_switch) + 1).tolist()]
+        for a, b in zip(starts, [*starts[1:], len(x)]):
+            u = curve.inputs[a]
+            c = (sc.gamma if sc.dim == 2 else u.gamma) / u.beta
+            v = x[a:b].sum(axis=1) - c * np.log(x[a:b, 0])
+            worst, segments = max(worst, float(np.abs(v - v[0]).max())), segments + 1
+    assert segments >= len(cset.curves)
+    assert worst <= FIRST_INTEGRAL_DRIFT_MAX
+
+
 def test_sir_input_saturation(adm_sir, mrpi_sir, mrpi_sir_imp):
     # admissible barrier rides beta_min, MRPI barrier beta_max, no switches
     curve = adm_sir.curves[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epibarrier.barrier import assemble_set, membership
-from epibarrier.cli import _build_parser, _write_trajectory, load_set, main
+from epibarrier.cli import _build_parser, _write_csv, _write_trajectory, load_set, main
 from epibarrier.core import SetKind, Tolerances
 from epibarrier.policy_sim import monte_carlo
 
@@ -538,3 +538,23 @@ def test_barrier_csv_switch_rows(tmp_path, capsys, sc_seir_imp):
         t_state = [cols.index(c) for c in ("t", "S", "E", "I")]
         assert rows[k + 1, t_state].tolist() == rows[k, t_state].tolist()
         assert (eta[k], eta[k + 1]) == (sc_seir_imp.eta_max, sc_seir_imp.eta_min)
+
+
+def test_write_csv_one_format_matches_per_value_formatting(tmp_path):
+    # rows of the first row's types go through one % format; a row of other
+    # types (an int where a float was, a float where a str was) falls back to
+    # formatting each value; both give %.17g for floats and str() otherwise
+    rows = [
+        [-0.1, np.float64(1.0 / 3.0), 2, True, "x", None],
+        [1e-300, np.float64(-0.0), 0, False, "y,z", None],
+        [5, 0.1, 2.5, 1, 0.7, "n"],
+        [float("inf"), np.float64(float("nan")), -3, True, "", None],
+    ]
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), ["a", "b", "c", "d", "e", "f"], iter(rows))
+    per_value = [
+        ",".join("%.17g" % float(v) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    assert path.read_text() == "\n".join(["a,b,c,d,e,f", *per_value]) + "\n"
+    assert per_value[2] == "5,0.10000000000000001,2.5,1,0.69999999999999996,n"

@@ -11,10 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epibarrier import validate_scenario
-from epibarrier.barrier import _adjoint_renorm
-from epibarrier.core import Variant
-from epibarrier.integrate import NonFiniteError, _rk4_stages, rk4_step
-from epibarrier.models import InputVec, backward_field, input_box, vector_field
+from epibarrier.barrier import _unit_adjoint
+from epibarrier.core import Tolerances, Variant
+from epibarrier.integrate import (
+    NonFiniteError,
+    Source,
+    _rk4_stages,
+    integrate_until,
+    rk4_step,
+    source_function,
+)
+from epibarrier.models import InputVec, backward_field, backward_source, input_box, vector_field
 
 from conftest import (
     SEIR_IMPERFECT_RAW,
@@ -151,6 +158,25 @@ def test_backward_step_bit_identical(case):
     assert np.array(got).tobytes() == want.tobytes()
 
 
+def _one_loop_step(rhs, y, h, t, post_step=None):
+    # integrate_until's generated loop, stopped at the horizon after one step
+    res = integrate_until(
+        rhs, [], y, t0=t, tolerances=Tolerances(step_h=h), t_limit=h, post_step=post_step
+    )
+    assert res.n_steps == 1
+    return res.y_end
+
+
+@settings(max_examples=400, deadline=None)
+@given(_case())
+def test_inlined_backward_step_bit_identical(case):
+    # the backward source inlined into the segment loop steps as the array form
+    sc, u, y, h, t = case
+    got = _one_loop_step(backward_source(sc, u), y, abs(h), t)
+    want = _rk4_ref(_backward_rhs_ref(sc, u), t, np.array(y), abs(h))
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_case())
 def test_forward_step_bit_identical(case):
@@ -203,12 +229,17 @@ def test_forward_step_on_lane_arrays_matches_the_reference(sc, closed):
 @settings(max_examples=400, deadline=None)
 @given(_case())
 def test_renorm_matches_linalg_norm(case):
+    # as a function, and inlined into the loop after one step of a zero field,
+    # which leaves every (nonzero or +0.0) component as it is
     sc, _, y, _, _ = case
     d = sc.dim
-    out = _adjoint_renorm(d)(tuple(y))
+    unit = _unit_adjoint(d)
+    still = Source(("0.0",) * len(y))
+    inlined = tuple(_one_loop_step(still, y, 0.01, 0.0, post_step=unit).tolist())
     lam = np.array(y[d : 2 * d])
-    assert np.array(out[d : 2 * d]).tobytes() == (lam / np.linalg.norm(lam)).tobytes()
-    assert out[:d] == tuple(y[:d]) and out[2 * d :] == tuple(y[2 * d :])
+    for out in (source_function(unit)(0.0, tuple(y)), inlined):
+        assert np.array(out[d : 2 * d]).tobytes() == (lam / np.linalg.norm(lam)).tobytes()
+        assert out[:d] == tuple(y[:d]) and out[2 * d :] == tuple(y[2 * d :])
 
 
 WIDTHS = [2, 3, 5, 7]  # forward SIR/SEIR states, backward SIR/SEIR states

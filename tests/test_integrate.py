@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epibarrier import integrate
+from epibarrier import SetKind, assemble_set, barrier, integrate, validate_scenario
 from epibarrier.core import Tolerances
 from epibarrier.integrate import (
     SIGMA_STALL_STEPS,
@@ -14,8 +15,17 @@ from epibarrier.integrate import (
     EventSpec,
     NonFiniteError,
     SingularArcError,
+    Source,
     integrate_until,
     rk4_step,
+    source_function,
+)
+
+from conftest import (
+    SEIR_IMPERFECT_RAW,
+    SEIR_PERFECT_RAW,
+    SIR_IMPERFECT_RAW,
+    SIR_PERFECT_RAW,
 )
 
 
@@ -192,38 +202,52 @@ def test_events_not_reevaluated_after_post_step():
     assert len(calls) == 1 + res.n_steps
 
 
-def test_every_step_and_midpoint_calls_the_module_rk4_step(monkeypatch):
-    # the benchmark's tracer wraps the module-level rk4_step and counts steps
-    # and bisection midpoints through it, so neither may be inlined
-    calls = []
-    step = integrate.rk4_step
+def _counting(fn, calls):
+    def counted(*args):
+        calls.append(args[0])
+        return fn(*args)
 
-    def counting(rhs, t, y, h):
-        calls.append(h)
-        return step(rhs, t, y, h)
+    return counted
 
-    monkeypatch.setattr(integrate, "rk4_step", counting)
-    res = integrate_until(_decay, [], (1.0,), t_limit=0.5, tolerances=FINE)
-    assert res.terminal.kind is EventKind.HORIZON
-    assert len(calls) == res.n_steps == 500
 
-    calls.clear()
-    ev = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=lambda t, y: y[0] - 0.0103)
-    res = integrate_until(lambda t, y: (1.0,), [ev], (0.0,), t_limit=1.0, tolerances=FINE)
-    assert res.terminal is ev
+@pytest.mark.parametrize("level", [None, 0.0103, 0.01])
+def test_generated_loop_steps_and_bisections_match_the_reference(level):
+    # the same steps, the same bisection midpoints (one event evaluation
+    # each) and the same four right-hand-side calls per step and midpoint as
+    # the per-event reference below; level 0.01 lands on a step node
+    runs = []
+    for integrator in (_integrate_per_event, _integrate_generated):
+        rhs_calls, fn_calls = [], []
+        rhs = _counting(lambda t, y: (1.0, -y[1]), rhs_calls)
+        events = []
+        if level is not None:
+            fn = _counting(lambda t, y: y[0] - level, fn_calls)
+            events = [EventSpec(EventKind.DOMAIN_EXIT, "exit", fn)]
+        res = integrator(rhs, events, (0.0, 1.0), 0.0, FINE, 0.5, 10)
+        runs.append((res.n_steps, rhs_calls, fn_calls, res.t_end, res.y_end.tobytes()))
+    (n_steps, rhs_calls, fn_calls, _, _), generated = runs
+    assert generated == runs[0]
     bisections, width = 0, 1.0
-    while width * 1e-3 > Tolerances().event_time_tol:
+    while level is not None and width * 1e-3 > Tolerances().event_time_tol:
         width *= 0.5
         bisections += 1
-    assert len(calls) == res.n_steps + bisections
-    assert all(abs(h) < 1e-3 for h in calls[res.n_steps :])
+    assert n_steps == {None: 500, 0.0103: 11, 0.01: 10}[level]
+    assert len(fn_calls) == (0 if level is None else 1 + n_steps + bisections)
+    assert len(rhs_calls) in (4 * (n_steps + bisections), 4 * (n_steps + bisections + 1))
 
 
-def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every):
-    """The step loop without the event screen: on every step each event is
-    decided by ``_triggered``, refined if it triggered, and then its stall
-    is counted."""
+def _integrate_generated(rhs, events, y0, t0, tol, t_limit, record_every, post_step=None):
+    return integrate_until(
+        rhs, events, y0, t0, tol, t_limit=t_limit, record_every=record_every, post_step=post_step
+    )
+
+
+def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every, post_step=None):
+    """The step loop without the event screen, written by hand: on every
+    step each event is decided by ``_triggered``, refined if it triggered,
+    and then its stall is counted."""
     step, limit = tol.step_h, t_limit
+    post = post_step or (lambda yy: yy)
     y = tuple(np.asarray(y0, dtype=float).tolist())
     t = t0
     is_sign = [e.kind is EventKind.SIGN_CHANGE for e in events]
@@ -256,8 +280,8 @@ def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every):
                     )
         if hit is not None:
             frac, ev, y_ev = hit
-            return integrate._result(ts, ys, ev, t + frac * h_cur, y_ev, n_steps + 1)
-        t, y, f_prev = t_new, y_new, f_new
+            return integrate._result(ts, ys, ev, t + frac * h_cur, post(y_ev), n_steps + 1)
+        t, y, f_prev = t_new, post(y_new), f_new
         n_steps += 1
         if n_steps % record_every == 0:
             ts.append(t)
@@ -329,12 +353,7 @@ def test_event_screen_matches_per_event_reference(case):
 
     events = [_event(i, *spec) for i, spec in enumerate(specs)]
     want = run(_integrate_per_event, events)
-    got = run(
-        lambda rhs, ev, y0, t0, tol, lim, rec: integrate_until(
-            rhs, ev, y0, t0, tol, t_limit=lim, record_every=rec
-        ),
-        events,
-    )
+    got = run(_integrate_generated, events)
     if isinstance(want, str):
         assert got == want
         return
@@ -343,3 +362,125 @@ def test_event_screen_matches_per_event_reference(case):
     assert got.t.tobytes() == want.t.tobytes()
     assert got.y.tobytes() == want.y.tobytes()
     assert got.y_end.tobytes() == want.y_end.tobytes()
+
+
+def _as_callable(code):
+    return source_function(code) if isinstance(code, Source) else code
+
+
+def _per_event_on_functions(rhs, events, y0, t0=0.0, tolerances=None, *, t_limit=None,
+                            record_every=10, post_step=None):
+    """integrate_until's signature on the per-event reference, with every source
+    turned into a function; the terminal is the caller's own event."""
+    fns = [EventSpec(e.kind, e.label, _as_callable(e.fn), e.trigger_level) for e in events]
+    post = _as_callable(post_step)
+    res = _integrate_per_event(
+        _as_callable(rhs), fns, y0, t0, tolerances, t_limit, record_every,
+        post_step=post and (lambda y: post(0.0, y)),
+    )
+    if res.terminal in fns:
+        res.terminal = events[fns.index(res.terminal)]
+    return res
+
+
+WORKED_EXAMPLES = [
+    "adm_sir", "mrpi_sir", "adm_sir15", "mrpi_sir15", "mrpi_sir_imp",
+    "adm_seir", "mrpi_seir", "mrpi_seir40", "mrpi_seir_imp",
+]
+
+
+@pytest.mark.parametrize("name", [*WORKED_EXAMPLES, "adm_sir_horizon"])
+def test_generated_tracer_matches_the_per_event_reference(request, monkeypatch, name):
+    # every curve of every worked-example set, traced by the generated loop
+    # and by the hand-written per-event loop on the same sources as functions:
+    # the same segments (steps, end, terminal) and the same bits
+    if name == "adm_sir_horizon":  # a cap below the boundary layer: cut at the horizon
+        cset = assemble_set(validate_scenario(dict(SIR_PERFECT_RAW, i_max=1e-4)), SetKind.ADMISSIBLE)
+    else:
+        cset = request.getfixturevalue(name)
+    runs = []
+    for integrator in (integrate_until, _per_event_on_functions):
+        segments = []
+
+        def traced(*args, **kwargs):
+            res = integrator(*args, **kwargs)
+            segments.append((res.n_steps, res.t_end, res.terminal.label))
+            return res
+
+        monkeypatch.setattr(barrier, "integrate_until", traced)
+        curves = [
+            barrier.compute_barrier_curve(cset.scenario, cset.set_kind, c.tangent_point, cset.tolerances)
+            for c in cset.curves
+        ]
+        runs.append((segments, curves))
+    (got_segments, got), (want_segments, want) = runs
+    assert got_segments == want_segments
+    for g, w, assembled in zip(got, want, cset.curves):
+        for curve in (w, assembled):
+            assert g.tau.tobytes() == curve.tau.tobytes()
+            assert g.samples.tobytes() == curve.samples.tobytes()
+            assert g.is_switch.tobytes() == curve.is_switch.tobytes()
+            assert g.inputs == curve.inputs and g.switch_times == curve.switch_times
+            assert (g.termination.label, g.truncated) == (curve.termination.label, curve.truncated)
+    if name == "mrpi_seir_imp":
+        assert sum(bool(c.switch_times) for c in got) == 14  # 14 of 30 curves switch eta
+    if name == "adm_sir_horizon":
+        assert got[0].termination.label == "horizon" and got[0].tau[-1] == 1000.0
+
+
+@pytest.mark.parametrize("form", ["source", "callable"])
+def test_error_exits_of_the_generated_loop(form):
+    # the stall and the non-finite state raise with the per-event reference's
+    # messages, as sources inlined into the loop and as callables
+    def code(src):
+        return src if form == "source" else _as_callable(src)
+
+    flat = EventSpec(EventKind.SIGN_CHANGE, "flat", code(Source("0.0 * y[0]")))
+    stall = f"functional 'flat' stayed below {SIGMA_TOL} for {SIGMA_STALL_STEPS + 1} consecutive steps"
+    with pytest.raises(SingularArcError, match=re.escape(stall)):
+        integrate_until(code(Source(("1.0",))), [flat], (0.0,), tolerances=FINE, t_limit=1.0)
+
+    # the exit first triggers on step 51, where the stall passes 50: the stall wins
+    for level, wins in ((0.0495, "exit"), (0.0505, None)):
+        exit_ = EventSpec(EventKind.DOMAIN_EXIT, "exit", code(Source("y[0] - lvl", params={"lvl": level})))
+        for integrator in (_per_event_on_functions, integrate_until):
+            if wins is None:
+                with pytest.raises(SingularArcError, match=re.escape(stall)):
+                    integrator(code(Source(("1.0",))), [exit_, flat], (0.0,), 0.0, FINE, t_limit=1.0)
+            else:
+                res = integrator(code(Source(("1.0",))), [exit_, flat], (0.0,), 0.0, FINE, t_limit=1.0)
+                assert res.terminal is exit_ and res.n_steps == 50
+
+    # y' = 1000 y overflows on step 705, y' = 1e300 y on the first
+    for factor, at in (("1000.0", "0.7040000000000005"), ("1e300", "0.0")):
+        messages = []
+        for integrator in (_per_event_on_functions, integrate_until):
+            with pytest.raises(NonFiniteError) as err:
+                integrator(code(Source((f"y[0] * {factor}",))), [], (1.0,), 0.0, FINE, t_limit=2.0)
+            messages.append(str(err.value))
+        assert messages == [f"non-finite state after step at t={at}"] * 2
+
+
+def _scenarios(rng, count):
+    # worked-example scenarios of all four variants, every number scaled by 0.97-1.03
+    raws = [SIR_PERFECT_RAW, SIR_IMPERFECT_RAW, SEIR_PERFECT_RAW, SEIR_IMPERFECT_RAW]
+    for k in range(count):
+        raw = raws[k % 4]
+        scale = lambda v: [scale(w) for w in v] if isinstance(v, list) else v * rng.uniform(0.97, 1.03)
+        yield validate_scenario({key: v if key == "variant" else scale(v) for key, v in raw.items()})
+
+
+def test_generated_code_is_cached_once_per_structure(monkeypatch):
+    # 20 scenarios, then 20 more: one generated segment loop per variant (its
+    # width, rate form and events; A and M share one), and nothing per scenario
+    monkeypatch.setattr(integrate, "_STAGES", {})
+    sizes = []
+    for seed in (11, 12):
+        for sc in _scenarios(np.random.default_rng(seed), 20):
+            kinds = [SetKind.ADMISSIBLE, SetKind.MRPI] if sc.variant.is_perfect else [SetKind.MRPI]
+            for kind in kinds:
+                assert assemble_set(sc, kind, n_curves=2).curves
+        sizes.append(len(integrate._STAGES))
+    segments = [key for key in integrate._STAGES if isinstance(key, tuple) and key[0] == "segment"]
+    assert len(segments) == 4
+    assert sizes[0] == sizes[1]
