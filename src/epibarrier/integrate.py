@@ -156,7 +156,6 @@ def entry(_t, _y, _t0, _limit, _step, _tol, _every, _ts, _ys, @PARAMS):
         _h = _step if _step <= _rem else _rem
         @STAGES
         @FINITE
-            raise NonFiniteError(f"non-finite state after step at t={_t}")
         _tn = _t + _h
         @SCREEN
         @POST
@@ -194,7 +193,11 @@ def _inline(src: Source, inputs: list[str], targets: list[str]) -> list[str]:
 
 def _fill(template: str, n: int, field, **blocks) -> str:
     """``template`` for ``n`` components, each ``@NAME`` line replaced by ``blocks[NAME]``;
-    ``STAGES`` inlines a ``field`` given as a :class:`Source` and calls ``_rhs`` else."""
+    ``STAGES`` inlines a ``field`` given as a :class:`Source` and calls ``_rhs`` else, and
+    ``FINITE`` raises on a non-finite new state ``_z#`` of the step from ``_t``."""
+    # zero times finite factors stays zero; an infinite or NaN one makes it NaN
+    blocks["FINITE"] = [f"if 0.0 * {' * '.join(_each('_z#', n))} != 0.0:",
+                        '    raise NonFiniteError(f"non-finite state after step at t={_t}")']
     blocks["STAGES"] = stages = []
     for line in _STAGE_TEMPLATE.splitlines():
         m = re.fullmatch(r"`(.*)` = FIELD\((.*); `(.*)`\)", line)
@@ -246,8 +249,6 @@ def _segment_source(n: int, field, events: list[EventSpec], post, params: dict) 
     return _fill(
         _SEGMENT_TEMPLATE.replace("@PARAMS", ", ".join(params)), n, field,
         START=start,
-        # zero times finite factors stays zero; an infinite or NaN one makes it NaN
-        FINITE=[f"if 0.0 * {' * '.join(_each('_z#', n))} != 0.0:"],
         SCREEN=values + stalls,
         POST=accept,
         ADVANCE=[f"_F{i} = _G{i}" for i in range(len(events))],

@@ -5,10 +5,9 @@ Lie derivative of the constraint along the flow is simply the I-component of
 the vector field.  Imperfect variants run closed loop: the contact rate (and,
 for SEIR, the removal rate) is an affine feedback on I, and the only free
 input is the disturbance channel.  Every variant's rates, the feedback law
-and its slopes are written once, in :func:`rate_law`, which binds them for
-one input and returns the law as a function of I; the vector field and the
-backward system of a barrier curve, the one home of the adjoint matrix, bind
-it once per field.
+and its slopes are written once, as source text that :func:`rate_source`
+binds for one input; the vector field and the backward system of a barrier
+curve, the one home of the adjoint matrix, are source too, and inline it.
 
 Which channels are free is written once, in one table: per variant, each
 free channel with the adjoint indices of its switching functional.  One bang
@@ -34,8 +33,10 @@ __all__ = [
     "Channel",
     "BadChannelError",
     "vector_field",
+    "forward_source",
     "backward_field",
     "backward_source",
+    "rate_source",
     "rate_law",
     "state_rhs",
     "adjoint_matrix",
@@ -76,9 +77,9 @@ class InputVec:
         return value
 
 
-# Enum member lookups such as ``Variant.SIR_PERFECT`` cost about 0.2 us each
-# in CPython 3.11, more than a field build's own work, and the switching law
-# builds a field on most steps, so builds compare against module-level aliases.
+# Enum member lookups such as ``Variant.SIR_PERFECT`` cost about 0.2 us each in
+# CPython 3.11, and simulate rebinds the rates on most steps of the switching law,
+# so rate bindings compare against module-level aliases.
 _SIR_PERFECT = Variant.SIR_PERFECT
 _SEIR_PERFECT = Variant.SEIR_PERFECT
 _SIR_IMPERFECT = Variant.SIR_IMPERFECT
@@ -87,7 +88,7 @@ _SIR_IMPERFECT = Variant.SIR_IMPERFECT
 def _input_rates(scenario: Scenario, u: InputVec | None) -> tuple | None:
     """A perfect variant's rates under the input ``u``, or None where the feedback law sets them.
 
-    They do not depend on I, and each is its own slope.
+    They do not depend on I, each is its own slope, and they are :func:`rate_source`'s params.
     """
     v = scenario.variant
     if u is None or not (v is _SIR_PERFECT or v is _SEIR_PERFECT):
@@ -98,8 +99,20 @@ def _input_rates(scenario: Scenario, u: InputVec | None) -> tuple | None:
     return beta, beta, u.gamma, u.gamma, scenario.eta
 
 
-def rate_law(scenario: Scenario, u: InputVec | None):
-    """The rates ``law(i) -> (beta, alpha, gamma, delta, eta)`` at infective level ``i``.
+# The rate law's arithmetic, written once: I/I_max clamped to [0, 1] (NaN and -0.0
+# to 0.0; lane arrays, which have no truth value, take np.clip), then the affine
+# feedback of beta and, where gamma is not fixed, of gamma, each with its slope.
+_LAW = (
+    "q = I / im\ntry:\n    r = 1.0 if q > 1.0 else (q if q > 0.0 else 0.0)\n"
+    "except ValueError:\n    r = clip(q, 0.0, 1.0)\n"
+    "b = b_lo * r + b_hi * (1.0 - r)\na = b_slope * I + b_hi",
+    "\ng = g_lo * (1.0 - r) + g_hi * r\ndd = g_slope * I + g_lo",
+)
+_RATES = ("b", "a", "g", "dd", "e")
+
+
+def rate_source(scenario: Scenario, u: InputVec | None) -> Source:
+    """The rates ``b, a, g, dd, e`` (beta, alpha, gamma, delta, eta) at the level ``I``, as a Source.
 
     ``alpha = d(beta*I)/dI`` and ``delta = d(gamma*I)/dI`` are the slopes the
     adjoint needs; a rate that is an input or a constant is its own slope.
@@ -110,36 +123,30 @@ def rate_law(scenario: Scenario, u: InputVec | None):
     breaching trajectories keep integrating; the slopes are those of the
     unclamped law.  ``u=None`` closes the loop on every rate that has an
     interval, which is how :class:`AffineFeedbackPolicy` drives the perfect
-    variants' controls.  ``i`` and the fields of ``u`` may also be numpy
-    arrays, one entry per trajectory.  Everything but ``i`` is read once, by
-    this call; a slope coefficient ``2.0 * (lo - hi) / im`` is what
-    ``2.0 * (lo - hi) / im * i`` evaluates first, so it rounds the same.
+    variants' controls.  The statements read ``I``; all else is bound here, and
+    a slope coefficient ``2.0 * (lo - hi) / im`` rounds as in ``... * I``.
     """
     fixed = _input_rates(scenario, u)
     if fixed is not None:
-        return lambda i: fixed
-    im = scenario.i_max
-    b_lo, b_hi = scenario.beta_min, scenario.beta_max
-    b_slope = 2.0 * (b_lo - b_hi) / im
+        return Source(_RATES, "", dict(zip(_RATES, fixed)))
+    im, b_lo, b_hi = scenario.i_max, scenario.beta_min, scenario.beta_max
+    e = scenario.eta if u is None else u.eta
+    bound = {"clip": np.clip, "im": im, "b_lo": b_lo, "b_hi": b_hi, "e": e,
+             "b_slope": 2.0 * (b_lo - b_hi) / im}
     # gamma is fixed where SIR's scenario or disturbance sets it, else interpolated
     g = scenario.gamma if u is None else u.gamma
+    if g is not None:
+        return Source(_RATES, _LAW[0], {**bound, "g": g, "dd": g})
     g_lo, g_hi = scenario.gamma_min, scenario.gamma_max
-    g_slope = None if g is not None else 2.0 * (g_hi - g_lo) / im
-    e = scenario.eta if u is None else u.eta
+    bound.update(g_lo=g_lo, g_hi=g_hi, g_slope=2.0 * (g_hi - g_lo) / im)
+    return Source(_RATES, _LAW[0] + _LAW[1], bound)
 
-    def law(i):
-        q = i / im  # clamp to [0, 1], with NaN and -0.0 mapped to 0.0
-        try:
-            r = 1.0 if q > 1.0 else (q if q > 0.0 else 0.0)
-        except ValueError:  # an array of oracle lanes has no truth value
-            r = np.clip(q, 0.0, 1.0)
-        beta = b_lo * r + b_hi * (1.0 - r)
-        alpha = b_slope * i + b_hi
-        if g is not None:
-            return beta, alpha, g, g, None
-        return beta, alpha, g_lo * (1.0 - r) + g_hi * r, g_slope * i + g_lo, e
 
-    return law
+def rate_law(scenario: Scenario, u: InputVec | None):
+    """:func:`rate_source` as ``law(i) -> (beta, alpha, gamma, delta, eta)``, also on lane arrays."""
+    src = rate_source(scenario, u)
+    f = source_function(src._replace(body=f"I = y[0]\n{src.body}"))
+    return lambda i: f(0.0, (i,))
 
 
 def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
@@ -147,72 +154,45 @@ def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:
     return np.array(vector_field(scenario, u)(0.0, state))
 
 
-def vector_field(scenario: Scenario, u: InputVec | None):
-    """The time derivative of the reduced state under ``u``, as ``f(t, y)``.
-
-    ``f`` returns a float tuple for a float-tuple ``y``; ``y`` may also be a
-    tuple of equal-length numpy arrays, with arrays in the fields of ``u``,
-    one entry per trajectory.  A perfect variant with an input has rates
-    that do not depend on the state, read once, here; otherwise the field
-    binds :func:`rate_law` once, here, and each evaluation calls the law at
-    the state's I.
-    """
-    v = scenario.variant  # compared with the aliases: simulate builds many fields
-    fixed = _input_rates(scenario, u)
-    law = None if fixed else rate_law(scenario, u)
-    if v is _SIR_PERFECT or v is _SIR_IMPERFECT:
-
-        def f(t, y):
-            S, I = y
-            beta, _, gamma, _, _ = fixed or law(I)
-            flux = beta * S * I
-            return -flux, flux - gamma * I
-
-        return f
-
-    def f(t, y):
-        S, E, I = y
-        beta, _, gamma, _, eta = fixed or law(I)
-        flux = beta * S * I
-        lat = eta * E
-        return -flux, flux - lat, lat - gamma * I
-
-    return f
-
-
-# The backward system of a barrier curve, per dimension: the state components
-# it reads, by name, its statements and its value -f, -A lambda, |f|, on the
-# rates b, a, g, dd, e of rate_law.  A shared ``b * I`` or ``a * S`` rounds as
-# the product it replaces; ``flux = b * S * I`` keeps its grouping.
-_BACKWARD = {
-    2: (
-        "S = y[0]\nI = y[1]\nl1 = y[2]\nl2 = y[3]",
-        "flux = b * S * I\nf0, f1 = -flux, flux - g * I\nbI, aS = b * I, a * S",
-        ("-f0", "-f1", "-(bI * l1 - bI * l2)", "-(aS * l1 + (-aS + dd) * l2)",
-         "sqrt(f0 * f0 + f1 * f1)"),
-    ),
-    3: (
-        "S = y[0]\nE = y[1]\nI = y[2]\nl1 = y[3]\nl2 = y[4]\nl3 = y[5]",
-        "flux = b * S * I\nlat = e * E\nf0, f1, f2 = -flux, flux - lat, lat - g * I\n"
-        "bI, aS = b * I, a * S",
-        ("-f0", "-f1", "-f2", "-(bI * l1 - bI * l2)", "-(e * l2 - e * l3)",
-         "-(aS * l1 - aS * l2 + dd * l3)", "sqrt(f0 * f0 + f1 * f1 + f2 * f2)"),
-    ),
+# Per dimension, on the rates of rate_source: the state reads, the vector field f
+# (statements, then one value per component) and the adjoint part -A lambda of the
+# backward system.  A shared ``b * I`` or ``a * S`` rounds as the product it replaces;
+# ``flux = b * S * I`` keeps its grouping.
+_MODEL = {
+    2: ("S = y[0]\nI = y[1]", "flux = b * S * I", ("-flux", "flux - g * I"),
+        ("-(bI * l1 - bI * l2)", "-(aS * l1 + (-aS + dd) * l2)")),
+    3: ("S = y[0]\nE = y[1]\nI = y[2]", "flux = b * S * I\nlat = e * E",
+        ("-flux", "flux - lat", "lat - g * I"),
+        ("-(bI * l1 - bI * l2)", "-(e * l2 - e * l3)", "-(aS * l1 - aS * l2 + dd * l3)")),
 }
+
+
+def forward_source(scenario: Scenario, u: InputVec | None) -> Source:
+    """The time derivative of the reduced state under ``u``, as a :class:`Source` with
+    :func:`rate_source`'s params; :func:`vector_field` compiles it and ``simulate`` inlines it."""
+    reads, field, out = _MODEL[scenario.dim][:3]
+    rates = rate_source(scenario, u)
+    return Source(out, "\n".join(filter(None, (reads, rates.body, field))), rates.params)
+
+
+def vector_field(scenario: Scenario, u: InputVec | None):
+    """:func:`forward_source` as ``f(t, y)`` of a float tuple, or of a tuple of equal-length
+    numpy arrays, one entry per trajectory, with arrays in the fields of ``u``."""
+    return source_function(forward_source(scenario, u))
 
 
 def backward_source(scenario: Scenario, u: InputVec | None) -> Source:
     """The backward (state, adjoint, arc length) system in tau = -t, as a :class:`Source`.
 
-    It is the one place A, minus the transposed Jacobian of f, is written; the
-    curve tracer inlines it.  Rates that do not depend on the state are bound
-    here, else the :func:`rate_law` bound here is called at each evaluation.
+    Its value is -f, -A lambda and |f|.  It is the one place A, minus the
+    transposed Jacobian of f, is written; the curve tracer inlines it.
     """
-    reads, body, out = _BACKWARD[scenario.dim]
-    fixed = _input_rates(scenario, u)
-    if fixed:
-        return Source(out, f"{reads}\n{body}", dict(zip(("b", "a", "g", "dd", "e"), fixed)))
-    return Source(out, f"{reads}\nb, a, g, dd, e = law(I)\n{body}", {"law": rate_law(scenario, u)})
+    f, d = forward_source(scenario, u), scenario.dim
+    reads = "\n".join(f"l{k + 1} = y[{d + k}]" for k in range(d))
+    fs = [f"f{k}" for k in range(d)]
+    body = f"{f.body}\n{reads}\n{', '.join(fs)} = {', '.join(f.out)}\nbI, aS = b * I, a * S"
+    out = (*(f"-{v}" for v in fs), *_MODEL[d][3], f"sqrt({' + '.join(f'{v} * {v}' for v in fs)})")
+    return Source(out, body, f.params)
 
 
 def backward_field(scenario: Scenario, u: InputVec | None):

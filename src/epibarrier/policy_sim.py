@@ -18,18 +18,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .barrier import ComputedSet, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
-from .integrate import EventKind, EventSpec, _refine_fraction, _rk4_stages, rk4_step
+from .integrate import EventKind, EventSpec, _fill, _generated, _refine_fraction, _rk4_stages
+from .integrate import source_function
 from .models import (
     BadChannelError,
     InputVec,
+    _input_rates,
     active_channels,
     check_input,
     check_set_kind,
+    forward_source,
     input_box,
     rate_law,
     vector_field,
@@ -241,6 +245,45 @@ class OracleReport:
     counterexample: tuple[str, Trajectory] | None = None
 
 
+# Steps from step _k of _n (the last clipped to _t_end) under the input _u, recording
+# every _every-th state and the first cap crossing (_refine), until the end, a breach
+# that stops the run, the signal's next segment start, or an input from the policy _pol
+# (called at each step start after the first) whose rates _rebind cannot bind.
+_FORWARD_TEMPLATE = """\
+def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _max, _br,
+          _first, _stop, _u, _next, _pol, _rebind, _refine, {params}):
+    `_y#`, = _y
+    while True:
+        _h = _t_end - _t
+        if _step <= _h:
+            _h = _step
+        elif _h == 0.0:
+            raise ValueError("step size must be nonzero")
+        @STAGES
+        @FINITE
+        if _z{i} > _im >= _y{i} and _first is None:
+            _first = _refine(_t, (`_y#`,), _h, _u)
+        _t = _t + _h
+        `_y#` = `_z#`
+        _k += 1
+        if _y{i} > _max:
+            _max = _y{i}
+            _br = _br or _y{i} > _thr
+        if _k % _every == 0 or _k == _n:
+            _samples.append((_t, _array((`_y#`,)), _u))
+        if _k == _n or _br and _stop or _t >= _next:
+            return _t, (`_y#`,), _k, _max, _br, _first, _u
+        if _pol is not None:
+            _v = _pol(_t, (`_y#`,))
+            if _v is not _u:
+                _p = _rebind and _rebind(_v)
+                if _p is None:
+                    return _t, (`_y#`,), _k, _max, _br, _first, _v
+                {params}, = _p
+                _u = _v
+"""
+
+
 def simulate(
     scenario: Scenario,
     policy,
@@ -251,10 +294,11 @@ def simulate(
     record_every: int = 10,
     stop_on_breach: bool = False,
 ) -> Trajectory:
-    """Forward RK4 with the policy re-evaluated every step.
+    """Forward RK4 in one generated loop, on :func:`models.forward_source` bound per input.
 
-    The state is integrated as a float tuple, and policies receive it as one;
-    recorded samples are numpy arrays.  ``first_breach_time`` marks the first
+    A bang signal (``starts``/``inputs``) is called at each step start that
+    reaches a segment start; any other policy is called every step, on the
+    state as a float tuple.  ``first_breach_time`` marks the first
     time I exceeds I_max, even when the excess stays within geom_tol and
     ``breached`` is not set: 0.0 for a start above the cap, otherwise the
     crossing located by the integrator's event refiner to event_time_tol.
@@ -272,31 +316,33 @@ def simulate(
     im = scenario.i_max
     thr = im + tol.geom_tol
     cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", lambda tt, yy: yy[-1], trigger_level=im)
+
+    def refine(t, y, h, u):  # the time the step from t crosses the cap, on the compiled field
+        rhs = source_function(forward_source(scenario, u))
+        return t + _refine_fraction(rhs, cap, t, y, h, y[-1], tol.event_time_tol)[0] * h
+
     t = 0.0
-    u = policy.u(t, x)
+    u = policy.u(t, x)  # the first step's input too
     samples = [(t, np.array(x), u)]
     max_i = x[-1]
     breached = max_i > thr
     first_breach = 0.0 if max_i > im else None
 
-    u_rhs = rhs = None
-    for k in range(n_steps):
-        hk = step if step <= t_end - t else t_end - t
-        u = policy.u(t, x)
-        if u is not u_rhs:  # policies that hold an input return the same object
-            u_rhs = u
-            rhs = vector_field(scenario, u)
-        x_new = rk4_step(rhs, t, x, hk)
-        i_old, i_new = x[-1], x_new[-1]
-        if first_breach is None and i_new > im >= i_old:  # the cap event triggers
-            frac, _ = _refine_fraction(rhs, cap, t, x, hk, i_old, tol.event_time_tol)
-            first_breach = t + frac * hk
-        t, x = t + hk, x_new
-        if i_new > max_i:
-            max_i = i_new
-            breached = breached or i_new > thr
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            samples.append((t, np.array(x), u))
+    starts = getattr(policy, "starts", None)  # a signal's input holds until its next start
+    pol, nxt, k, bound = None if starts else policy.u, math.inf, 0, None
+    while k < n_steps:
+        if starts:
+            j = bisect_right(starts, t)
+            u, nxt = policy.u(t, x), (starts[j] if j < len(starts) else math.inf)
+        if u is not bound:  # policies that hold an input return the same object
+            bound, src = u, forward_source(scenario, u)
+            code = _FORWARD_TEMPLATE.format(params=", ".join(src.params), i=len(x) - 1)
+            loop = _generated(("forward", code, *src[:2]), _fill, code, len(x), src)
+            rebind = partial(_input_rates, scenario) if _input_rates(scenario, u) else None
+        t, x, k, max_i, breached, first_breach, u = loop(
+            t, x, k, n_steps, t_end, step, record_every, samples, np.array, im, thr, max_i,
+            breached, first_breach, stop_on_breach, u, nxt, pol, rebind, refine, **src.params,
+        )
         if breached and stop_on_breach:
             break
     return Trajectory(samples, breached, max_i, first_breach)

@@ -1,7 +1,8 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
 functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas,
-the feedback law's slopes and the switching law, a
+the feedback law's slopes, the rate law and the switching law, a forward
+simulation that steps in its generated loop, a
 README that names every verdict, every package name and keyword the benchmark
 reads, one step setting, ``Tolerances.step_h``, and no attribute stored on an
 object other than ``self``.
@@ -156,7 +157,7 @@ def test_barrier_writes_no_model_formula():
 
 def test_feedback_slopes_are_written_once():
     # the slope coefficients 2.0 * (lo - hi) of the affine feedback on I,
-    # for beta and for gamma, are written in models.rate_law and nowhere else
+    # for beta and for gamma, are written in models.rate_source and nowhere else
     homes = [
         f"{mod}:{fn.name}"
         for mod, tree in TREES.items()
@@ -170,7 +171,70 @@ def test_feedback_slopes_are_written_once():
         and isinstance(node.right, ast.BinOp)
         and isinstance(node.right.op, ast.Sub)
     ]
-    assert homes == ["models:rate_law"] * 2
+    assert homes == ["models:rate_source"] * 2
+
+
+def _is_interpolation(node) -> bool:
+    # lo * r + hi * (1.0 - r), or lo * (1.0 - r) + hi * r: a rate between its box ends
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    sides = (node.left, node.right)
+    factors = sorted(
+        (ast.unparse(side.right) for side in sides if isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)),
+        key=len,
+    )
+    return len(factors) == 2 and factors[1] == f"1.0 - {factors[0]}"
+
+
+def _code_and_source_text(stmt):
+    """The nodes of ``stmt`` and of every string constant in it that parses as Python."""
+    for node in ast.walk(stmt):
+        yield node
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield from ast.walk(ast.parse(node.value))
+            except SyntaxError:
+                pass
+
+
+def _rate_law_homes(trees) -> list[str]:
+    """The top-level statements that write the rate law's interpolation, as code or as source."""
+    return [
+        f"{mod}:{getattr(stmt, 'name', None) or ast.unparse(stmt.targets[0])}"
+        for mod, tree in trees.items()
+        for stmt in tree.body
+        if any(map(_is_interpolation, _code_and_source_text(stmt)))
+    ]
+
+
+def test_rate_law_is_written_once():
+    # the closed-loop rates' arithmetic is one source text, models._LAW, which
+    # every field inlines; a float law written out again anywhere, as code or
+    # as a second source text, is a second home
+    assert _rate_law_homes(TREES) == ["models:_LAW"]
+    law = "def law(r, lo, hi):\n    return lo * r + hi * (1.0 - r)\n"
+    for mod, extra in (("policy_sim", law), ("models", law), ("barrier", f"TEXT = {law!r}\n")):
+        mutated = dict(TREES, **{mod: ast.parse((PACKAGE / f"{mod}.py").read_text() + extra)})
+        assert len(_rate_law_homes(mutated)) == 2, mod
+
+
+def _simulate_steppers(tree) -> set[str]:
+    """The per-step integrators that policy_sim.simulate reads."""
+    sim = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "simulate")
+    attrs = {n.attr for n in ast.walk(sim) if isinstance(n, ast.Attribute)}
+    return (_reads(sim) | attrs) & {"rk4_step", "vector_field"}
+
+
+def test_simulate_steps_in_its_generated_loop():
+    # simulate inlines the field in one generated loop: it calls neither
+    # rk4_step nor vector_field (the cap crossing is refined on the compiled source)
+    assert _simulate_steppers(TREES["policy_sim"]) == set()
+    text = (PACKAGE / "policy_sim.py").read_text()
+    end = "    return Trajectory(samples, breached, max_i, first_breach)\n"
+    assert text.count(end) == 1
+    for call in ("rk4_step(rhs, t, x, h)", "vector_field(scenario, u)", "integrate.rk4_step(rhs, t, x, h)"):
+        mutated = ast.parse(text.replace(end, f"    x = {call}\n{end}"))
+        assert _simulate_steppers(mutated) == {call.split("(")[0].split(".")[-1]}, call
 
 
 def test_names_the_benchmark_reads_exist():

@@ -126,9 +126,9 @@ def _random_input(rng, scenario):
 
 @pytest.mark.parametrize("name", ALL_SCENARIO_FIXTURES)
 def test_backward_field_repeats_the_vector_field(request, name):
-    # backward_field writes f out again for speed: its state part must be
-    # minus vector_field bit for bit, and its arc-length rate sqrt(f . f)
-    # summed left to right
+    # backward_field extends the vector field's statements: its state part
+    # must be minus vector_field bit for bit, and its arc-length rate
+    # sqrt(f . f) summed left to right
     sc = request.getfixturevalue(name)
     rng = np.random.default_rng(29)
     d = sc.dim

@@ -89,34 +89,35 @@ def test_bang_signal_matches_per_channel_schedules(request, scenario_name, seed)
 
 
 def test_simulate_builds_one_field_per_segment(monkeypatch, sc_seir):
-    # a bang signal returns one InputVec per segment, so simulate builds its
-    # vector field once per segment, not once per step
+    # a bang signal holds one InputVec per segment, so simulate binds its
+    # field's rates once per segment, not once per step
     pol = ExtremalBangPolicy(sc_seir, 3, 100.0)
-    field = policy_sim.vector_field
+    field = policy_sim.forward_source
     calls = []
 
     def counting(scenario, u):
         calls.append(u)
         return field(scenario, u)
 
-    monkeypatch.setattr(policy_sim, "vector_field", counting)
+    monkeypatch.setattr(policy_sim, "forward_source", counting)
     simulate(sc_seir, pol, [0.7, 0.01, 0.02], 100.0, record_every=1000)
     assert 1 < len(calls) <= len(pol.starts)
 
 
 def test_switching_law_keeps_its_field_at_a_clamped_end(monkeypatch, sc_sir, adm_sir, mrpi_sir):
     # the law emits one object per clamped end of the contact-rate box, on
-    # the cap layer and off it, so simulate builds a field only when the
-    # rate changes; the dynamics benchmark's run rides the cap layer, where
-    # gamma/S changes every step
-    field = policy_sim.vector_field
+    # the cap layer and off it, so simulate binds its field's rates only when
+    # the rate changes; the dynamics benchmark's run rides the cap layer,
+    # where gamma/S changes every step.  A perfect variant's rates are bound
+    # through _input_rates: once with the field, then in the loop
+    rates = policy_sim._input_rates
     built = []
 
     def counting(scenario, u):
         built.append(u.beta)
-        return field(scenario, u)
+        return rates(scenario, u)
 
-    monkeypatch.setattr(policy_sim, "vector_field", counting)
+    monkeypatch.setattr(policy_sim, "_input_rates", counting)
     pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
     simulate(sc_sir, pol, [0.8, 0.012], 20.0)
     assert sc_sir.beta_max in built
@@ -229,15 +230,15 @@ def test_forward_runs_match_their_golden_digests(request, case):
 
 def test_monte_carlo_builds_one_rate_law_per_trial(monkeypatch, sc_sir_imp, sc_seir_imp):
     # a trial holds its disturbance, so its one field binds the rate law
-    # once, not once per evaluation
-    law = models.rate_law
+    # once, not once per step or evaluation
+    law = models.rate_source
     calls = []
 
     def counting(scenario, u):
         calls.append(u)
         return law(scenario, u)
 
-    monkeypatch.setattr(models, "rate_law", counting)
+    monkeypatch.setattr(models, "rate_source", counting)
     for sc, x0 in ((sc_sir_imp, [0.8, 0.1]), (sc_seir_imp, [0.7, 0.05, 0.08])):
         calls.clear()
         trajs = monte_carlo(sc, x0, 3, seed=7, t_end=5.0)
