@@ -12,14 +12,14 @@ small numpy arrays cost many times the arithmetic.  The RK4 stages are one
 source template, expanded into straight-line code that does per component
 the float operations numpy does on arrays, in the same order, so results are
 bit-identical to the vector form.  :func:`integrate_until` expands it into a
-whole segment loop, generated once per structure, that inlines a right-hand
-side, event function or post-step map given as a :class:`Source`.
+whole segment loop, generated once per structure, that inlines the sources of
+its right-hand side, events and post-step map; :func:`rk4_step` steps a function.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -56,7 +56,7 @@ class Source(NamedTuple):
     expression for an event, one per component for a right-hand side or
     post-step map.  The code reads component k of the state as ``y[k]``, reads
     no time and no name with a leading underscore; ``sqrt`` and the keys of
-    ``params`` (shared by the sources of one integration) are bound.
+    ``params`` are bound, in one namespace per integration: a name has one value.
     """
 
     out: str | tuple[str, ...]
@@ -68,7 +68,7 @@ class Source(NamedTuple):
 class EventSpec:
     """A termination/switch condition monitored during integration.
 
-    ``fn(t, y)`` is a scalar of the float-tuple state, or a :class:`Source`:
+    ``fn`` is a :class:`Source` of one expression, a scalar of the state:
     SIGN_CHANGE triggers on a sign flip between consecutive steps;
     DOMAIN_EXIT triggers once the value exceeds its trigger level (an outward
     tolerance for domain faces, zero for the I floor).  HORIZON needs no
@@ -77,7 +77,7 @@ class EventSpec:
 
     kind: EventKind
     label: str
-    fn: Callable[[float, tuple], float] | Source | None = None
+    fn: Source | None = None
     trigger_level: float = 0.0
 
 
@@ -216,19 +216,12 @@ def _fill(template: str, n: int, field, **blocks) -> str:
     return "\n".join(out) + "\n"
 
 
-def _segment_source(n: int, field, events: list[EventSpec], post, params: dict) -> str:
-    """:data:`_SEGMENT_TEMPLATE` for ``n`` components, these sources or callables and ``params``."""
-
-    def value(i, state, t, target):  # event i at the state `state#`, assigned to target
-        fn = events[i].fn
-        if isinstance(fn, Source):
-            return _inline(fn, _each(state, n), [target])
-        return [f"{target} = _fn{i}({t}, (`{state}`,))"]
-
+def _segment_source(n: int, field: Source, events: list[EventSpec], post, params: dict) -> str:
+    """:data:`_SEGMENT_TEMPLATE` for ``n`` components, these sources and ``params``."""
     start, values, stalls, fired = [], [], [], []
     for i, ev in enumerate(events):
-        start += value(i, "_y#", "_t", f"_F{i}")
-        values += value(i, "_z#", "_tn", f"_G{i}")
+        start += _inline(ev.fn, _each("_y#", n), [f"_F{i}"])
+        values += _inline(ev.fn, _each("_z#", n), [f"_G{i}"])
         if ev.kind is _SIGN_CHANGE:
             start.append(f"_s{i} = 0")
             stalls += [f"_s{i} = _s{i} + 1 if {-SIGMA_TOL!r} < _G{i} < {SIGMA_TOL!r} else 0",
@@ -240,12 +233,7 @@ def _segment_source(n: int, field, events: list[EventSpec], post, params: dict) 
     if fired:  # stalls raise first, even on a step that fires
         f_prev, f_new = ("".join(f"{v}{i}, " for i in range(len(events))) for v in ("_F", "_G"))
         stalls += [f"if {' or '.join(fired)}:", f"    return _t, (`_y#`,), _n, _h, ({f_prev}), ({f_new})"]
-    if isinstance(post, Source):
-        accept = _inline(post, _each("_z#", n), _each("_y#", n))
-    else:  # a callable, or no map: the new state is accepted as it is
-        accept = ["`_y#`, = _post((`_z#`,))"] if post else _each("_y# = _z#", n)
-    if not isinstance(field, Source):  # a called field reads the state tuple
-        accept.append("_y = (`_y#`,)")
+    accept = _inline(post, _each("_z#", n), _each("_y#", n)) if post else _each("_y# = _z#", n)
     return _fill(
         _SEGMENT_TEMPLATE.replace("@PARAMS", ", ".join(params)), n, field,
         START=start,
@@ -276,18 +264,19 @@ def _triggered(ev: EventSpec, f_prev: float, f_new: float) -> bool:
     return f_new > ev.trigger_level and f_prev <= ev.trigger_level
 
 
-def _refine_fraction(rhs, ev, t0, y0, h, f_prev, event_time_tol):
-    """Bisect the sub-step fraction at which ``ev`` first triggers.
+def _refine_fraction(rhs: Source, ev: EventSpec, t0, y0, h, f_prev, event_time_tol):
+    """Bisect the sub-step fraction at which ``ev`` first triggers, on the compiled sources.
 
     Each midpoint is decided by :func:`_triggered` against the step-start
     value ``f_prev``, so a threshold event whose function starts exactly at
     its trigger level is placed at the start of the step.
     """
+    rhs, fn = source_function(rhs), source_function(ev.fn)
     lo, hi, y_hi = 0.0, 1.0, None
     while (hi - lo) * h > event_time_tol:
         mid = 0.5 * (lo + hi)
         y_mid = rk4_step(rhs, t0, y0, mid * h)
-        if _triggered(ev, f_prev, ev.fn(t0 + mid * h, y_mid)):
+        if _triggered(ev, f_prev, fn(t0 + mid * h, y_mid)):
             hi, y_hi = mid, y_mid
         else:
             lo = mid
@@ -296,7 +285,7 @@ def _refine_fraction(rhs, ev, t0, y0, h, f_prev, event_time_tol):
 
 
 def integrate_until(
-    rhs,
+    rhs: Source,
     events: list[EventSpec],
     y0,
     t0: float = 0.0,
@@ -304,32 +293,33 @@ def integrate_until(
     *,
     t_limit: float | None = None,
     record_every: int = 10,
-    post_step=None,
+    post_step: Source | None = None,
 ) -> IntegrationResult:
     """Step forward at ``step_h`` until the first triggered event or ``t0 + t_limit``.
 
-    ``rhs`` and the event functions take the state as a float tuple; ``y0``
-    may be any sequence.  ``post_step`` maps the state tuple after every
-    accepted step (and after event refinement), e.g. to renormalize an
-    adjoint.  Event functions are not re-evaluated after it, so it must not
-    change the sign of any event function (a positive rescaling of
-    components that only SIGN_CHANGE events read qualifies).  A
-    :class:`Source` among them is inlined into the step loop; the refinement
-    steps with :func:`rk4_step` on its :func:`source_function`.  Records are
+    ``rhs``, each event's ``fn`` and ``post_step`` are :class:`Source` code,
+    inlined into one generated step loop, and share one parameter namespace: a
+    name bound to values that are neither one object nor equal numbers raises
+    ValueError.  ``y0`` may be any sequence.  ``post_step`` maps the state
+    after every accepted step (and after event refinement), e.g. to
+    renormalize an adjoint.  Event functions are not re-evaluated after it, so
+    it must not change the sign of any event function (a positive rescaling
+    of components that only SIGN_CHANGE events read qualifies).  Records are
     emitted at the start, every ``record_every``-th step, and at the end.
     """
     tol = tolerances or Tolerances()
     limit = t_limit if t_limit is not None else tol.t_back_max
     y = tuple(np.asarray(y0, dtype=float).tolist())
-    codes = {"_rhs": rhs, **{f"_fn{i}": ev.fn for i, ev in enumerate(events)}, "_post": post_step}
+    sources = [rhs, *(ev.fn for ev in events), post_step]
     params = {"_events": events}
-    for name, c in codes.items():  # a source binds its params, a callable its own name
-        if isinstance(c, Source):
-            params.update(c.params or {})
-        elif c is not None:
-            params[name] = c
-    shape = (c[:2] if isinstance(c, Source) else c is None for c in codes.values())
-    key = ("segment", len(y), *shape, *(ev.kind for ev in events), tuple(params))
+    for src in filter(None, sources):
+        for name, value in (src.params or {}).items():
+            bound = params.setdefault(name, value)
+            numbers = isinstance(bound, (int, float)) and isinstance(value, (int, float))
+            if bound is not value and not (numbers and bound == value):
+                raise ValueError(f"parameter '{name}' is bound to two values")
+    key = ("segment", len(y), *(src and src[:2] for src in sources), *(ev.kind for ev in events),
+           tuple(params))
     loop = _generated(key, _segment_source, len(y), rhs, events, post_step, params)
 
     ts, ys = [t0], [y]
@@ -339,19 +329,16 @@ def integrate_until(
     if h is None:
         return _result(ts, ys, _HORIZON, t, y, n_steps)
     # refine every triggered event; the earliest, then the first listed, wins
-    call = lambda code: source_function(code) if isinstance(code, Source) else code
     hit: tuple[float, EventSpec, tuple] | None = None
     for ev, a, b in zip(events, f_prev, f_new):
         if _triggered(ev, a, b):
-            frac, y_ev = _refine_fraction(
-                call(rhs), replace(ev, fn=call(ev.fn)), t, y, h, a, tol.event_time_tol
-            )
+            frac, y_ev = _refine_fraction(rhs, ev, t, y, h, a, tol.event_time_tol)
             if hit is None or frac < hit[0]:
                 hit = (frac, ev, y_ev)
     frac, ev, y_ev = hit
     t_ev = t + frac * h
     if post_step is not None:
-        y_ev = call(post_step)(t_ev, y_ev) if isinstance(post_step, Source) else post_step(y_ev)
+        y_ev = source_function(post_step)(t_ev, y_ev)
     return _result(ts, ys, ev, t_ev, y_ev, n_steps + 1)
 
 

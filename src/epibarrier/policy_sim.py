@@ -9,9 +9,9 @@ until the next start.  A point claimed inside the admissible set must have
 must survive *every* trial signal.  All (point, trial) runs of a query batch
 step together as lanes of numpy arrays while many are live; the few left are
 finished one by one as float tuples, each reading its trial's segments.  Both
-take the RK4 stages, the vector field, the step count and the clipped last step
-of :func:`simulate`.  A refuted claim carries its counterexample: the deciding
-trial, replayed through :func:`simulate`.
+take :func:`simulate`'s RK4 stages, field and step count, but step k from
+t = k*h, not from its accumulated t.  A refuted claim carries its
+counterexample: the deciding trial, replayed through :func:`simulate`.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from .barrier import ComputedSet, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
 from .integrate import EventKind, EventSpec, _fill, _generated, _refine_fraction, _rk4_stages
-from .integrate import source_function
+from .integrate import Source
 from .models import (
     BadChannelError,
     InputVec,
@@ -257,8 +257,6 @@ def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _m
         _h = _t_end - _t
         if _step <= _h:
             _h = _step
-        elif _h == 0.0:
-            raise ValueError("step size must be nonzero")
         @STAGES
         @FINITE
         if _z{i} > _im >= _y{i} and _first is None:
@@ -266,6 +264,8 @@ def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _m
         _t = _t + _h
         `_y#` = `_z#`
         _k += 1
+        if _t >= _t_end:  # the accumulated time may reach t_end before step _n
+            _k = _n
         if _y{i} > _max:
             _max = _y{i}
             _br = _br or _y{i} > _thr
@@ -315,11 +315,11 @@ def simulate(
     x = tuple(x.tolist())
     im = scenario.i_max
     thr = im + tol.geom_tol
-    cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", lambda tt, yy: yy[-1], trigger_level=im)
+    cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", Source(f"y[{len(x) - 1}]"), im)
 
-    def refine(t, y, h, u):  # the time the step from t crosses the cap, on the compiled field
-        rhs = source_function(forward_source(scenario, u))
-        return t + _refine_fraction(rhs, cap, t, y, h, y[-1], tol.event_time_tol)[0] * h
+    def refine(t, y, h, u):  # the time the step from t crosses the cap
+        src = forward_source(scenario, u)
+        return t + _refine_fraction(src, cap, t, y, h, y[-1], tol.event_time_tol)[0] * h
 
     t = 0.0
     u = policy.u(t, x)  # the first step's input too
@@ -458,13 +458,13 @@ def _breach_matrix(
 ) -> np.ndarray:
     """Cap-breach flags of every (point, trial) forward run, shape (n_points, n_trials).
 
-    Each pair is one lane, stepped by :func:`_rk4_stages` on
-    :func:`vector_field` with :func:`simulate`'s step count and a last step
-    clipped to ``t_end``; a lane reads its trial's input at the step start
-    t = k*h.  While more than ``_TAIL_LANES`` lanes are live they step
-    together as a tuple of numpy arrays; the rest are then finished one by
-    one as float tuples, which gives the same floats.  A lane retires once
-    it breaches (I > i_max + geom_tol) or once it provably never will:
+    Each pair is one lane, stepped by :func:`_rk4_stages` on :func:`vector_field`
+    with :func:`simulate`'s step count; step k starts at t = k*h (not at
+    :func:`simulate`'s accumulated t), reads the trial's input there and is
+    clipped to t_end - k*h.  While more than ``_TAIL_LANES`` lanes are live
+    they step together as a tuple of numpy arrays; the rest are then finished
+    one by one as float tuples, which gives the same floats.  A lane retires
+    once it breaches (I > i_max + geom_tol) or once it provably never will:
 
     - Its trial's rates stay within beta <= beta_hi and gamma >= gamma_lo
       (the imperfect feedback laws included: they sit at those ends at
@@ -656,7 +656,8 @@ def membership_oracle(
     On disagreement the counterexample is the deciding trial replayed through
     :func:`simulate`: the first trial that breaches when the oracle says
     outside, the first that survives when it says inside, or the switching
-    law when only it held a perfect-SIR point under the cap.
+    law when only it held a perfect-SIR point under the cap.  The replay steps
+    on :func:`simulate`'s clock, t = t + h, not on the lanes' t = k*h.
     """
     tol = tolerances or Tolerances()
     pt = np.asarray(point, dtype=float)

@@ -356,6 +356,22 @@ def test_simulate_zero_horizon(tmp_path, capsys):
     assert len(lines) == 2  # header plus the initial sample
 
 
+def test_simulate_horizon_reached_before_the_last_step(tmp_path, capsys):
+    # 1,798 accumulated steps of 0.01 reach this horizon exactly, one step
+    # before the step count's last: the run ends there
+    cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
+    out = tmp_path / "sim"
+    rc = main(
+        [
+            "simulate", "--config", cfg, "--policy", "constant:beta=0.7",
+            "--x0", "0.8,0.001", "--t-end", "17.98000000000001", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    last = (out / "trajectory.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == 17.98000000000001
+
+
 def test_simulate_input_errors(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
     base = ["simulate", "--config", cfg, "--out", str(tmp_path / "x")]

@@ -2,7 +2,8 @@
 functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas,
 the feedback law's slopes, the rate law and the switching law, a forward
-simulation that steps in its generated loop, a
+simulation that steps in its generated loop, an integrator that takes only
+``Source`` code, a
 README that names every verdict, every package name and keyword the benchmark
 reads, one step setting, ``Tolerances.step_h``, and no attribute stored on an
 object other than ``self``.
@@ -235,6 +236,38 @@ def test_simulate_steps_in_its_generated_loop():
     for call in ("rk4_step(rhs, t, x, h)", "vector_field(scenario, u)", "integrate.rk4_step(rhs, t, x, h)"):
         mutated = ast.parse(text.replace(end, f"    x = {call}\n{end}"))
         assert _simulate_steppers(mutated) == {call.split("(")[0].split(".")[-1]}, call
+
+
+def _called_code_paths(tree) -> list[str]:
+    """Where integrate's loop builder or integrate_until calls code instead of inlining a
+    Source: a ``_fn``/``_post`` name in their text, or an ``isinstance(..., Source)`` test."""
+    found = []
+    names = ("_segment_source", "integrate_until")
+    for fn in (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in names):
+        found += [f"{fn.name}: {m[0]}" for m in re.finditer(r"\b_(fn|post)\b", ast.unparse(fn))]
+        found += [
+            f"{fn.name}: {ast.unparse(node)}"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "isinstance"
+            and "Source" in _reads(node.args[1])
+        ]
+    return found
+
+
+def test_integrator_takes_sources_only():
+    # the right-hand side, events and post-step map are inlined as sources:
+    # no branch calls a plain function from the generated loop
+    assert _called_code_paths(TREES["integrate"]) == []
+    text = (PACKAGE / "integrate.py").read_text()
+    for anchor, line in (
+        ("    return _fill(\n", "    accept = ['`_y#`, = _post((`_z#`,))']\n"),
+        ("    return _fill(\n", "    start.append(f'_F{i} = _fn{i}(_t, _y)')\n"),
+        ("    tol = tolerances or Tolerances()\n", "    inline = isinstance(rhs, Source)\n"),
+    ):
+        assert text.count(anchor) == 1, anchor
+        mutated = ast.parse(text.replace(anchor, line + anchor))
+        assert len(_called_code_paths(mutated)) == 1, line
 
 
 def test_names_the_benchmark_reads_exist():

@@ -30,6 +30,8 @@ from conftest import (
 
 
 FINE = Tolerances(step_h=1e-3)
+DECAY = Source(("-y[0]",))
+ONE = Source(("1.0",))
 
 
 def _decay(t, y):
@@ -53,7 +55,7 @@ def test_rk4_nonfinite():
 
 
 def test_horizon_only():
-    res = integrate_until(_decay, [], np.array([1.0]), t_limit=2.0, tolerances=FINE)
+    res = integrate_until(DECAY, [], np.array([1.0]), t_limit=2.0, tolerances=FINE)
     assert res.terminal.kind is EventKind.HORIZON
     assert res.t_end == pytest.approx(2.0, abs=1e-9)
     assert res.y_end[0] == pytest.approx(np.exp(-2.0), abs=1e-10)
@@ -61,21 +63,15 @@ def test_horizon_only():
 
 def test_sign_change_event_refined_to_tolerance():
     # y' = 1, event function y - 1.2345: crossing time known exactly
-    ev = EventSpec(EventKind.SIGN_CHANGE, "cross", fn=lambda t, y: y[0] - 1.2345)
-    res = integrate_until(
-        lambda t, y: (1.0,), [ev], np.array([0.0]), t_limit=5.0, tolerances=FINE
-    )
+    ev = EventSpec(EventKind.SIGN_CHANGE, "cross", fn=Source("y[0] - 1.2345"))
+    res = integrate_until(ONE, [ev], np.array([0.0]), t_limit=5.0, tolerances=FINE)
     assert res.terminal is ev
     assert abs(res.t_end - 1.2345) <= 1e-10
 
 
 def test_threshold_event():
-    ev = EventSpec(
-        EventKind.DOMAIN_EXIT, "exit", fn=lambda t, y: y[0] - 2.0, trigger_level=1e-9
-    )
-    res = integrate_until(
-        lambda t, y: (1.0,), [ev], np.array([0.0]), t_limit=5.0, tolerances=FINE
-    )
+    ev = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=Source("y[0] - 2.0"), trigger_level=1e-9)
+    res = integrate_until(ONE, [ev], np.array([0.0]), t_limit=5.0, tolerances=FINE)
     assert res.terminal.label == "exit"
     assert res.y_end[0] == pytest.approx(2.0, abs=1e-6)
     assert res.y_end[0] >= 2.0  # refinement lands just past the crossing
@@ -84,29 +80,21 @@ def test_threshold_event():
 def test_threshold_event_starting_at_trigger_level():
     # the function starts exactly at its trigger level and exceeds it at once,
     # so the event lies at the start of the first step, not at its end
-    ev = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=lambda t, y: y[0], trigger_level=0.0)
-    res = integrate_until(
-        lambda t, y: (1.0,), [ev], (0.0,), t_limit=5.0, tolerances=Tolerances(step_h=0.1)
-    )
+    ev = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=Source("y[0]"), trigger_level=0.0)
+    res = integrate_until(ONE, [ev], (0.0,), t_limit=5.0, tolerances=Tolerances(step_h=0.1))
     assert res.terminal is ev
     assert res.t_end <= Tolerances().event_time_tol
 
 
 def test_earliest_event_wins():
-    ev_a = EventSpec(EventKind.SIGN_CHANGE, "a", fn=lambda t, y: y[0] - 0.5)
-    ev_b = EventSpec(EventKind.SIGN_CHANGE, "b", fn=lambda t, y: y[0] - 0.5004)
-    res = integrate_until(
-        lambda t, y: (1.0,),
-        [ev_b, ev_a],
-        np.array([0.0]),
-        t_limit=5.0,
-        tolerances=FINE,
-    )
+    ev_a = EventSpec(EventKind.SIGN_CHANGE, "a", fn=Source("y[0] - 0.5"))
+    ev_b = EventSpec(EventKind.SIGN_CHANGE, "b", fn=Source("y[0] - 0.5004"))
+    res = integrate_until(ONE, [ev_b, ev_a], np.array([0.0]), t_limit=5.0, tolerances=FINE)
     assert res.terminal.label == "a"
 
 
 def test_bit_reproducibility():
-    rhs = lambda t, y: (math.sin(y[0]) + 0.3,)
+    rhs = Source(("sin(y[0]) + 0.3",), params={"sin": math.sin})
     a = integrate_until(rhs, [], np.array([0.1]), t_limit=4.0, tolerances=FINE)
     b = integrate_until(rhs, [], np.array([0.1]), t_limit=4.0, tolerances=FINE)
     assert a.y_end.tobytes() == b.y_end.tobytes()
@@ -116,7 +104,7 @@ def test_bit_reproducibility():
 
 def test_records_cadence():
     res = integrate_until(
-        _decay, [], np.array([1.0]), t_limit=0.1, tolerances=FINE, record_every=10
+        DECAY, [], np.array([1.0]), t_limit=0.1, tolerances=FINE, record_every=10
     )
     # start, every 10th of 100 steps, terminal
     assert len(res.t) == len(res.y) == 11
@@ -126,9 +114,9 @@ def test_records_cadence():
 
 def test_singular_arc_stall():
     # event function identically zero below SIGMA_TOL
-    ev = EventSpec(EventKind.SIGN_CHANGE, "flat", fn=lambda t, y: 0.0)
+    ev = EventSpec(EventKind.SIGN_CHANGE, "flat", fn=Source("0.0"))
     with pytest.raises(SingularArcError):
-        integrate_until(_decay, [ev], np.array([1.0]), t_limit=1.0, tolerances=FINE)
+        integrate_until(DECAY, [ev], np.array([1.0]), t_limit=1.0, tolerances=FINE)
 
 
 def test_singular_arc_wins_over_event_in_the_same_step():
@@ -136,13 +124,11 @@ def test_singular_arc_wins_over_event_in_the_same_step():
     # 51, the step on which the flat functional's stall passes 50; the exit is
     # refined first (it comes first in the list), yet the stall still raises
     assert SIGMA_STALL_STEPS == 50
-    flat = EventSpec(EventKind.SIGN_CHANGE, "flat", fn=lambda t, y: 0.0)
+    flat = EventSpec(EventKind.SIGN_CHANGE, "flat", fn=Source("0.0"))
 
     def run(level):
-        exit_ = EventSpec(EventKind.DOMAIN_EXIT, "exit", fn=lambda t, y: y[0] - level)
-        return integrate_until(
-            lambda t, y: (1.0,), [exit_, flat], (0.0,), t_limit=1.0, tolerances=FINE
-        )
+        exit_ = EventSpec(EventKind.DOMAIN_EXIT, "exit", Source("y[0] - x", params={"x": level}))
+        return integrate_until(ONE, [exit_, flat], (0.0,), t_limit=1.0, tolerances=FINE)
 
     assert run(0.0495).terminal.label == "exit"  # one step earlier: no stall yet
     with pytest.raises(SingularArcError):
@@ -151,37 +137,44 @@ def test_singular_arc_wins_over_event_in_the_same_step():
 
 def test_post_step_applied():
     # renormalize a rotating unit vector every step
-    rhs = lambda t, y: (-y[1] * 3.0, y[0] * 3.0)
-
-    def renorm(y):
-        n = math.hypot(*y)
-        return tuple(v / n for v in y)
-
+    rhs = Source(("-y[1] * 3.0", "y[0] * 3.0"))
+    renorm = Source(("y[0] / n", "y[1] / n"), "n = hypot(y[0], y[1])", {"hypot": math.hypot})
     res = integrate_until(
         rhs, [], np.array([1.0, 0.0]), t_limit=5.0, tolerances=FINE, post_step=renorm
     )
     assert np.linalg.norm(res.y_end) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_one_parameter_name_has_one_value():
+    # the sources of one integration share one namespace: y' = k y with k = 1
+    # must not step as y' = 2 y because the exit event binds k = 2
+    rhs = Source(("k * y[0]",), params={"k": 1.0})
+    exit_ = EventSpec(EventKind.DOMAIN_EXIT, "exit", Source("y[0] - k", params={"k": 2.0}))
+    with pytest.raises(ValueError, match="parameter 'k'"):
+        integrate_until(rhs, [exit_], (1.0,), t_limit=2.0, tolerances=FINE)
+    # two equal arrays are two values as well
+    buf = Source(("y[0] * b[0]",), params={"b": np.ones(1)})
+    other = buf._replace(params={"b": np.ones(1)})
+    with pytest.raises(ValueError, match="parameter 'b'"):
+        integrate_until(buf, [], (1.0,), t_limit=1.0, post_step=other)
+    # one object, or equal numbers, under one name is one value
+    doubled = EventSpec(EventKind.DOMAIN_EXIT, "exit", Source("y[0] - 2.0 * k", params={"k": 1}))
+    res = integrate_until(rhs, [doubled], (1.0,), t_limit=2.0, tolerances=FINE)
+    assert res.terminal is doubled
+    assert res.t_end == pytest.approx(math.log(2.0), abs=1e-9)
+    res = integrate_until(buf, [], (1.0,), t_limit=0.01, tolerances=FINE, post_step=buf)
+    assert res.n_steps == 10
+
+
 def test_events_not_reevaluated_after_post_step():
     # one evaluation at the start and one per step; refinement adds one per
     # bisection, and the post-step rescaling adds none
     calls = []
-
-    def fn(t, y):
-        calls.append(t)
-        return y[0] - 0.0105
-
-    ev = EventSpec(EventKind.SIGN_CHANGE, "cross", fn=fn)
+    seen = Source("seen(y[0]) - 0.0105", params={"seen": _recorder(calls)})
+    ev = EventSpec(EventKind.SIGN_CHANGE, "cross", seen)
+    rhs, double = Source(("1.0", "0.0")), Source(("y[0]", "y[1] * 2.0"))
     tol = Tolerances()
-    res = integrate_until(
-        lambda t, y: (1.0, 0.0),
-        [ev],
-        (0.0, 1.0),
-        t_limit=1.0,
-        tolerances=FINE,
-        post_step=lambda y: (y[0], y[1] * 2.0),
-    )
+    res = integrate_until(rhs, [ev], (0.0, 1.0), t_limit=1.0, tolerances=FINE, post_step=double)
     assert res.terminal is ev
     bisections, width = 0, 1.0
     while width * 1e-3 > tol.event_time_tol:
@@ -190,40 +183,36 @@ def test_events_not_reevaluated_after_post_step():
     assert len(calls) == 1 + res.n_steps + bisections
 
     calls.clear()
-    res = integrate_until(
-        lambda t, y: (1.0, 0.0),
-        [ev],
-        (0.0, 1.0),
-        t_limit=0.01,
-        tolerances=FINE,
-        post_step=lambda y: (y[0], y[1] * 2.0),
-    )
+    res = integrate_until(rhs, [ev], (0.0, 1.0), t_limit=0.01, tolerances=FINE, post_step=double)
     assert res.terminal.kind is EventKind.HORIZON
     assert len(calls) == 1 + res.n_steps
 
 
-def _counting(fn, calls):
-    def counted(*args):
-        calls.append(args[0])
-        return fn(*args)
+def _recorder(calls, value=None):
+    """A function that records its argument and returns ``value``, or the argument if None."""
 
-    return counted
+    def seen(v):
+        calls.append(v)
+        return v if value is None else value
+
+    return seen
 
 
 @pytest.mark.parametrize("level", [None, 0.0103, 0.01])
 def test_generated_loop_steps_and_bisections_match_the_reference(level):
     # the same steps, the same bisection midpoints (one event evaluation
-    # each) and the same four right-hand-side calls per step and midpoint as
-    # the per-event reference below; level 0.01 lands on a step node
+    # each) and the same four right-hand-side evaluations per step and
+    # midpoint as the per-event reference below, each recording the state
+    # it reads; level 0.01 lands on a step node
     runs = []
-    for integrator in (_integrate_per_event, _integrate_generated):
+    for integrator in (_integrate_per_event, integrate_until):
         rhs_calls, fn_calls = [], []
-        rhs = _counting(lambda t, y: (1.0, -y[1]), rhs_calls)
+        rhs = Source(("rc(y[0])", "-y[1]"), params={"rc": _recorder(rhs_calls, 1.0)})
         events = []
         if level is not None:
-            fn = _counting(lambda t, y: y[0] - level, fn_calls)
+            fn = Source("fc(y[0]) - lvl", params={"fc": _recorder(fn_calls), "lvl": level})
             events = [EventSpec(EventKind.DOMAIN_EXIT, "exit", fn)]
-        res = integrator(rhs, events, (0.0, 1.0), 0.0, FINE, 0.5, 10)
+        res = integrator(rhs, events, (0.0, 1.0), tolerances=FINE, t_limit=0.5)
         runs.append((res.n_steps, rhs_calls, fn_calls, res.t_end, res.y_end.tobytes()))
     (n_steps, rhs_calls, fn_calls, _, _), generated = runs
     assert generated == runs[0]
@@ -236,22 +225,21 @@ def test_generated_loop_steps_and_bisections_match_the_reference(level):
     assert len(rhs_calls) in (4 * (n_steps + bisections), 4 * (n_steps + bisections + 1))
 
 
-def _integrate_generated(rhs, events, y0, t0, tol, t_limit, record_every, post_step=None):
-    return integrate_until(
-        rhs, events, y0, t0, tol, t_limit=t_limit, record_every=record_every, post_step=post_step
-    )
-
-
-def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every, post_step=None):
-    """The step loop without the event screen, written by hand: on every
-    step each event is decided by ``_triggered``, refined if it triggered,
-    and then its stall is counted."""
-    step, limit = tol.step_h, t_limit
-    post = post_step or (lambda yy: yy)
+def _integrate_per_event(rhs, events, y0, t0=0.0, tolerances=None, *, t_limit=None,
+                         record_every=10, post_step=None):
+    """The step loop without the event screen, written by hand on the sources
+    compiled as functions, with integrate_until's signature: on every step
+    each event is decided by ``_triggered``, refined if it triggered, and then
+    its stall is counted."""
+    tol = tolerances or Tolerances()
+    step = tol.step_h
+    limit = t_limit if t_limit is not None else tol.t_back_max
+    f, fns = source_function(rhs), [source_function(e.fn) for e in events]
+    post = source_function(post_step) if post_step else (lambda tt, yy: yy)
     y = tuple(np.asarray(y0, dtype=float).tolist())
     t = t0
     is_sign = [e.kind is EventKind.SIGN_CHANGE for e in events]
-    f_prev = [e.fn(t, y) for e in events]
+    f_prev = [fn(t, y) for fn in fns]
     stall = [0] * len(events)
     ts, ys = [t], [y]
     n_steps = 0
@@ -260,9 +248,9 @@ def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every, post_s
         if remaining <= tol.event_time_tol:
             return integrate._result(ts, ys, integrate._HORIZON, t, y, n_steps)
         h_cur = step if step <= remaining else remaining
-        y_new = rk4_step(rhs, t, y, h_cur)
+        y_new = rk4_step(f, t, y, h_cur)
         t_new = t + h_cur
-        f_new = [e.fn(t_new, y_new) for e in events]
+        f_new = [fn(t_new, y_new) for fn in fns]
         hit = None
         for i, ev in enumerate(events):
             if integrate._triggered(ev, f_prev[i], f_new[i]):
@@ -280,8 +268,9 @@ def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every, post_s
                     )
         if hit is not None:
             frac, ev, y_ev = hit
-            return integrate._result(ts, ys, ev, t + frac * h_cur, post(y_ev), n_steps + 1)
-        t, y, f_prev = t_new, post(y_new), f_new
+            t_ev = t + frac * h_cur
+            return integrate._result(ts, ys, ev, t_ev, post(t_ev, y_ev), n_steps + 1)
+        t, y, f_prev = t_new, post(t_new, y_new), f_new
         n_steps += 1
         if n_steps % record_every == 0:
             ts.append(t)
@@ -291,21 +280,18 @@ def _integrate_per_event(rhs, events, y0, t0, tol, t_limit, record_every, post_s
 # An event is (kind, shape, component, x, level) on y' = velocity from y = 0:
 # "cross" is y[k] - x, crossed x / (v*h) steps in; "flat" is the constant x
 # (0.0 and 1e-13 stall a sign event, NaN screens false); "nan_after" is y[k]
-# until |t| > x and NaN after.  A level of None puts the trigger level at the
-# event's start value.
+# until |y[0]| > x and NaN after.  A level of None puts the trigger level at
+# the event's start value.  Event i binds its values as x{i} and nan{i}.
 _KINDS = {"sign": EventKind.SIGN_CHANGE, "exit": EventKind.DOMAIN_EXIT}
 
 
 def _event(i, kind, shape, k, x, level):
-    if shape == "cross":
-        fn = lambda t, y: y[k] - x
-    elif shape == "flat":
-        fn = lambda t, y: x
-    else:
-        fn = lambda t, y: math.nan if abs(t) > x else y[k]
+    nan_after = f"nan{i} if abs(y[0]) > x{i} else y[{k}]"
+    code = {"cross": f"y[{k}] - x{i}", "flat": f"x{i}", "nan_after": nan_after}[shape]
+    src = Source(code, params={f"x{i}": x, f"nan{i}": math.nan})
     if level is None:
-        level = fn(0.0, (0.0, 0.0))
-    return EventSpec(_KINDS[kind], f"{kind}{i}", fn, trigger_level=level)
+        level = source_function(src)(0.0, (0.0, 0.0))
+    return EventSpec(_KINDS[kind], f"{kind}{i}", src, trigger_level=level)
 
 
 @st.composite
@@ -342,18 +328,19 @@ def _screen_case(draw):
 @example(((1.0, 1.0), 1e-2, 10, [("exit", "cross", 0, 0.505, 0.0), ("sign", "flat", 0, 0.0, None)]))
 def test_event_screen_matches_per_event_reference(case):
     v, h, record_every, specs = case
-    rhs = lambda t, y: v
+    rhs = Source(("v0", "v1"), params={"v0": v[0], "v1": v[1]})
     tol = Tolerances(step_h=h)
 
     def run(integrator, events):
         try:
-            return integrator(rhs, events, (0.0, 0.0), 0.0, tol, 0.8, record_every)
+            kw = {"tolerances": tol, "t_limit": 0.8, "record_every": record_every}
+            return integrator(rhs, events, (0.0, 0.0), **kw)
         except SingularArcError as err:
             return str(err)
 
     events = [_event(i, *spec) for i, spec in enumerate(specs)]
     want = run(_integrate_per_event, events)
-    got = run(_integrate_generated, events)
+    got = run(integrate_until, events)
     if isinstance(want, str):
         assert got == want
         return
@@ -362,25 +349,6 @@ def test_event_screen_matches_per_event_reference(case):
     assert got.t.tobytes() == want.t.tobytes()
     assert got.y.tobytes() == want.y.tobytes()
     assert got.y_end.tobytes() == want.y_end.tobytes()
-
-
-def _as_callable(code):
-    return source_function(code) if isinstance(code, Source) else code
-
-
-def _per_event_on_functions(rhs, events, y0, t0=0.0, tolerances=None, *, t_limit=None,
-                            record_every=10, post_step=None):
-    """integrate_until's signature on the per-event reference, with every source
-    turned into a function; the terminal is the caller's own event."""
-    fns = [EventSpec(e.kind, e.label, _as_callable(e.fn), e.trigger_level) for e in events]
-    post = _as_callable(post_step)
-    res = _integrate_per_event(
-        _as_callable(rhs), fns, y0, t0, tolerances, t_limit, record_every,
-        post_step=post and (lambda y: post(0.0, y)),
-    )
-    if res.terminal in fns:
-        res.terminal = events[fns.index(res.terminal)]
-    return res
 
 
 WORKED_EXAMPLES = [
@@ -399,7 +367,7 @@ def test_generated_tracer_matches_the_per_event_reference(request, monkeypatch, 
     else:
         cset = request.getfixturevalue(name)
     runs = []
-    for integrator in (integrate_until, _per_event_on_functions):
+    for integrator in (integrate_until, _integrate_per_event):
         segments = []
 
         def traced(*args, **kwargs):
@@ -428,35 +396,30 @@ def test_generated_tracer_matches_the_per_event_reference(request, monkeypatch, 
         assert got[0].termination.label == "horizon" and got[0].tau[-1] == 1000.0
 
 
-@pytest.mark.parametrize("form", ["source", "callable"])
-def test_error_exits_of_the_generated_loop(form):
-    # the stall and the non-finite state raise with the per-event reference's
-    # messages, as sources inlined into the loop and as callables
-    def code(src):
-        return src if form == "source" else _as_callable(src)
-
-    flat = EventSpec(EventKind.SIGN_CHANGE, "flat", code(Source("0.0 * y[0]")))
+def test_error_exits_of_the_generated_loop():
+    # the stall and the non-finite state raise with the per-event reference's messages
+    flat = EventSpec(EventKind.SIGN_CHANGE, "flat", Source("0.0 * y[0]"))
     stall = f"functional 'flat' stayed below {SIGMA_TOL} for {SIGMA_STALL_STEPS + 1} consecutive steps"
     with pytest.raises(SingularArcError, match=re.escape(stall)):
-        integrate_until(code(Source(("1.0",))), [flat], (0.0,), tolerances=FINE, t_limit=1.0)
+        integrate_until(ONE, [flat], (0.0,), tolerances=FINE, t_limit=1.0)
 
     # the exit first triggers on step 51, where the stall passes 50: the stall wins
     for level, wins in ((0.0495, "exit"), (0.0505, None)):
-        exit_ = EventSpec(EventKind.DOMAIN_EXIT, "exit", code(Source("y[0] - lvl", params={"lvl": level})))
-        for integrator in (_per_event_on_functions, integrate_until):
+        exit_ = EventSpec(EventKind.DOMAIN_EXIT, "exit", Source("y[0] - x", params={"x": level}))
+        for integrator in (_integrate_per_event, integrate_until):
             if wins is None:
                 with pytest.raises(SingularArcError, match=re.escape(stall)):
-                    integrator(code(Source(("1.0",))), [exit_, flat], (0.0,), 0.0, FINE, t_limit=1.0)
+                    integrator(ONE, [exit_, flat], (0.0,), 0.0, FINE, t_limit=1.0)
             else:
-                res = integrator(code(Source(("1.0",))), [exit_, flat], (0.0,), 0.0, FINE, t_limit=1.0)
+                res = integrator(ONE, [exit_, flat], (0.0,), 0.0, FINE, t_limit=1.0)
                 assert res.terminal is exit_ and res.n_steps == 50
 
     # y' = 1000 y overflows on step 705, y' = 1e300 y on the first
     for factor, at in (("1000.0", "0.7040000000000005"), ("1e300", "0.0")):
         messages = []
-        for integrator in (_per_event_on_functions, integrate_until):
+        for integrator in (_integrate_per_event, integrate_until):
             with pytest.raises(NonFiniteError) as err:
-                integrator(code(Source((f"y[0] * {factor}",))), [], (1.0,), 0.0, FINE, t_limit=2.0)
+                integrator(Source((f"y[0] * {factor}",)), [], (1.0,), 0.0, FINE, t_limit=2.0)
             messages.append(str(err.value))
         assert messages == [f"non-finite state after step at t={at}"] * 2
 

@@ -2,9 +2,10 @@
 
 The reference below is that loop as it was: the policy called at every step
 start, ``models.vector_field`` built whenever the policy returns a new input
-object, one ``rk4_step`` per step and the cap crossing refined on that field.
-The generated loop must reproduce its whole ``Trajectory`` bit for bit, or
-raise the same error.
+object, one ``rk4_step`` per step and the cap crossing refined on that
+field's source.  The run ends after the step count's last step, or earlier
+once the accumulated time reaches ``t_end``.  The generated loop must
+reproduce its whole ``Trajectory`` bit for bit, or raise the same error.
 """
 import struct
 
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epibarrier.core import Tolerances
-from epibarrier.integrate import EventKind, EventSpec, _refine_fraction, rk4_step
-from epibarrier.models import InputVec, input_box, vector_field
+from epibarrier.integrate import EventKind, EventSpec, Source, _refine_fraction, rk4_step
+from epibarrier.models import InputVec, forward_source, input_box, vector_field
 from epibarrier.policy_sim import (
     AffineFeedbackPolicy,
     ConstantPolicy,
@@ -31,7 +32,7 @@ def _simulate_ref(scenario, policy, x0, t_end, tol, *, record_every, stop_on_bre
     x = tuple(np.asarray(x0, dtype=float).tolist())
     im = scenario.i_max
     thr = im + tol.geom_tol
-    cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", lambda tt, yy: yy[-1], trigger_level=im)
+    cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", Source(f"y[{len(x) - 1}]"), trigger_level=im)
     t = 0.0
     u = policy.u(t, x)
     samples = [(t, np.array(x), u)]
@@ -49,15 +50,17 @@ def _simulate_ref(scenario, policy, x0, t_end, tol, *, record_every, stop_on_bre
         x_new = rk4_step(rhs, t, x, hk)
         i_old, i_new = x[-1], x_new[-1]
         if first_breach is None and i_new > im >= i_old:
-            frac, _ = _refine_fraction(rhs, cap, t, x, hk, i_old, tol.event_time_tol)
+            src = forward_source(scenario, u)
+            frac, _ = _refine_fraction(src, cap, t, x, hk, i_old, tol.event_time_tol)
             first_breach = t + frac * hk
         t, x = t + hk, x_new
+        last = k == n_steps - 1 or t >= t_end
         if i_new > max_i:
             max_i = i_new
             breached = breached or i_new > thr
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
+        if (k + 1) % record_every == 0 or last:
             samples.append((t, np.array(x), u))
-        if breached and stop_on_breach:
+        if last or breached and stop_on_breach:
             break
     return Trajectory(samples, breached, max_i, first_breach)
 
@@ -131,3 +134,17 @@ def test_generated_loop_matches_the_per_step_loop(
     want = _outcome(lambda: _simulate_ref(sc, policy(), x0, t_end, tol, **kw))
     got = _outcome(lambda: simulate(sc, policy(), x0, t_end, tol, **kw))
     assert got == want
+
+
+def test_run_ends_where_the_accumulated_time_reaches_t_end(sc_sir):
+    # 1,798 steps of 0.01 add up to this t_end, one step before the step
+    # count's last: both loops end there, with its last sample
+    t_end = 17.98000000000001
+    tol = Tolerances()
+    policy = ConstantPolicy(sc_sir, InputVec(beta=0.7))
+    kw = {"record_every": 10, "stop_on_breach": False}
+    want = _outcome(lambda: _simulate_ref(sc_sir, policy, [0.8, 0.001], t_end, tol, **kw))
+    assert _outcome(lambda: simulate(sc_sir, policy, [0.8, 0.001], t_end, tol, **kw)) == want
+    tr = simulate(sc_sir, policy, [0.8, 0.001], t_end, tol)
+    assert len(tr.samples) == 181  # the start, every 10th of 1,798 steps and the end
+    assert [t for t, _, _ in tr.samples[-2:]] == [17.9, t_end]
