@@ -16,14 +16,16 @@ simplex faces stitch into a closed boundary polygon.  Forward in time
 S' = -beta*S*I < 0 wherever I > 0, so S rises strictly along the backward
 curve and the polygon is the region under a graph, {0 <= I <= phi(S)}: phi is
 the cap I_max up to the tangent point and the barrier curve after it.
-Membership bisects the polygon's S coordinates and compares I with phi
-interpolated on that edge.  For SEIR variants a family of curves is resampled
-onto an arc-length grid and triangulated; membership is a vertical-ray parity
-test against that mesh, whose one tie rule decides a query on a mesh edge or
-vertex as it decides the same query perturbed off it.  A uniform bucket grid
-over the (S, E) projection of the mesh quads, built on a set's first query,
-hands the test only the quads near the query, and the nodes sorted by S hand
-the distance only the nodes near it; both answer as a scan of the whole mesh.
+Membership bisects the polygon's S coordinates once and compares I with phi
+interpolated on that edge; the distance from the edge under the query, widened
+past rounding, bounds the edges measured.  For SEIR variants a family of curves
+is resampled onto an arc-length grid and triangulated; membership is a
+vertical-ray parity test against that mesh, whose one tie rule decides a query
+on a mesh edge or vertex as it decides the same query perturbed off it.  A
+uniform bucket grid over the (S, E) projection of the mesh quads, built on a
+set's first query, hands the test only the quads near the query, and the nodes
+sorted by S hand the distance only the nodes near it; both answer as a scan of
+the whole mesh.
 """
 from __future__ import annotations
 
@@ -526,17 +528,21 @@ def _in_simplex(scenario: Scenario, c: list[float], tol: float) -> bool:
 
 
 def _sir_edges(cset: ComputedSet):
-    """S, I of the graph vertices; rows ax, ay, abx, aby, 1/|ab|^2 of graph edges j -> j + 1;
-    (ax, ay, bx, by, 1/|ab|^2) of the closing edges and the I = 0 axis and S = 0 edge."""
+    """S, I of the graph vertices and 1/|ab|^2 of its edges j -> j + 1, as float lists; rows
+    ax, ay, abx, aby, 1/|ab|^2 of those edges; and each edge off the graph (the closing
+    edges, the I = 0 axis and the S = 0 edge) once, as its box s_lo, s_hi, i_lo, i_hi, then
+    ax, ay, bx, by, 1/|ab|^2.  An assembled polygon's first edge is the S = 0 edge."""
     poly = cset.polyline
     a = np.vstack([poly, [[0.0, 0.0], [0.0, 0.0]]])
     b = np.vstack([poly[1:], poly[:1], [[1.0, 0.0], [0.0, cset.scenario.i_max]]])
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
     inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
-    other = np.column_stack([a, b, inv])[[0, -3, -2, -1]].tolist()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    rows = np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], a, b, inv])[[0, -3, -2, -1]]
+    other = list(dict.fromkeys(map(tuple, rows.tolist())))  # each edge once
     graph = np.vstack([a.T, ab.T, inv])[:, 1:-3].copy()
-    return poly[1:, 0].tolist(), poly[1:, 1].tolist(), graph, other
+    return poly[1:, 0].tolist(), poly[1:, 1].tolist(), graph[4].tolist(), graph, other
 
 
 def membership(cset: ComputedSet, point) -> Membership:
@@ -558,66 +564,80 @@ def membership(cset: ComputedSet, point) -> Membership:
         if dist <= tol.boundary_layer_eps:
             return Membership(_BOUNDARY, dist)
         return Membership(_INSIDE, dist)
-    dist = _sir_distance(cset, *c) if dim == 2 else _seir_distance_estimate(cset, *c)
+    if dim == 2:
+        px, py = c
+        xs, ys = cset.query_arrays[:2]
+        k = bisect_right(xs, px)
+        dist = _sir_distance(cset, px, py, k)
+    else:
+        dist = _seir_distance_estimate(cset, *c)
     if dist <= tol.boundary_layer_eps:
         return Membership(_BOUNDARY, dist)
-    if not _in_simplex(scenario, c, tol.geom_tol):
-        return Membership(_OUTSIDE, dist)
-    inside = _sir_inside(cset, *c) if dim == 2 else _seir_inside(cset, *c)
+    if dim == 3:
+        inside = _in_simplex(scenario, c, tol.geom_tol) and _seir_inside(cset, *c)
+        return Membership(_INSIDE if inside else _OUTSIDE, dist)
+    # in the simplex, and under the graph: xs[k - 1] <= px < xs[k] past xs[0] and before xs[-1]
+    g, s0, i0 = tol.geom_tol, xs[k - 1], ys[k - 1]
+    inside = (px >= -g and py >= -g and px + py <= 1.0 + g and py <= scenario.i_max + g
+              and xs[0] < px < xs[-1] and 0.0 < py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0))
     return Membership(_INSIDE if inside else _OUTSIDE, dist)
 
 
-def _sir_inside(cset: ComputedSet, px: float, py: float) -> bool:
-    # under the graph: bisect S onto the edge xs[k-1] <= S < xs[k], which has
-    # xs[k] > xs[k-1], and interpolate phi on it
-    xs, ys, _, _ = cset.query_arrays
-    if not (xs[0] < px < xs[-1] and py > 0.0):
-        return False
-    k = bisect_right(xs, px)
-    s0, i0 = xs[k - 1], ys[k - 1]
-    return py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0)
+# A wider window is measured in one numpy pass: per window (timeit, 2-core Xeon VM) 24 /
+# 32 / 36 / 40 edges took 7.0 / 9.3 / 10.7 / 11.6 us inline and 9.5-10.4 us in numpy.  On
+# the query benchmark's SIR points widths 24 to 40 ran within 2% of each other.
+_SCAN_EDGES = 32
 
 
-def _least_d2(px, py, edges, best=math.inf):
-    """Least of ``best`` and the squared distances to edges (ax, ay, bx, by, 1/|ab|^2)."""
-    for ax, ay, bx, by, inv in edges:
-        abx, aby, dx, dy = bx - ax, by - ay, px - ax, py - ay
-        t = (dx * abx + dy * aby) * inv
-        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-        ex, ey = dx - t * abx, dy - t * aby
-        best = min(best, ex * ex + ey * ey)
-    return best
+def _sir_distance(cset: ComputedSet, px: float, py: float, k: int) -> float:
+    """Distance from (px, py) to the SIR boundary, measured on the edges that can be nearest.
 
-
-_SCAN_EDGES = 24  # a wider window is measured in one numpy pass
-
-
-def _sir_distance(cset: ComputedSet, px: float, py: float) -> float:
-    """Distance from (px, py) to the SIR boundary, measured on the edges near ``px``.
-
-    Each edge is measured as the numpy form over all edges does, operation by operation,
-    so the bits are the same.  S never decreases along the graph, so an edge whose S
-    range lies ``r`` from ``px`` is no closer than ``r`` less the rounding of its ``ex``,
-    below ``u * (2|px| + 6 max|S|)``, ``u = 2**-53``; ``r`` is the distance to the edges
-    off the graph and under ``px``, widened far past that.  The edges within ``r`` are
-    measured one by one, or in one numpy pass past ``_SCAN_EDGES``.
+    ``k`` is ``bisect_right(xs, px)``.  Each edge is measured as the numpy form over all edges
+    does, operation by operation, so the bits are the same.  The graph edge under ``px``
+    gives a first distance ``d``; ``r`` is ``d`` widened by ``1e-14`` relative and by
+    ``1e-14 * (1 + |px| + |py| + |S_0| + |S_last|)`` absolute, far past the rounding of a
+    measured distance (a few ``u = 2**-53`` times the coordinates).  An edge whose box lies
+    farther than ``r`` from the query along S or along I measures no less than ``d``, so an
+    edge off the graph is measured only when its box lies within ``r`` along both.  Then
+    ``r`` is widened from the least distance so far; S never decreases along the graph, so
+    only the graph edges whose S range lies within ``r`` of ``px`` are measured, one by
+    one, or in one numpy pass past ``_SCAN_EDGES``.
     """
-    xs, ys, graph, other = cset.query_arrays
-    last = graph.shape[1] - 1
-    k = min(max(bisect_right(xs, px) - 1, 0), last)
-    best = _least_d2(px, py, other + [(xs[k], ys[k], xs[k + 1], ys[k + 1], graph.item(4, k))])
-    r = math.sqrt(best) * (1.0 + 1e-14) + 1e-14 * (1.0 + abs(px) + abs(xs[0]) + abs(xs[-1]))
+    xs, ys, inv, graph, other = cset.query_arrays
+    last = len(inv) - 1
+    k = min(max(k - 1, 0), last)
+    abx, aby, dx, dy = xs[k + 1] - xs[k], ys[k + 1] - ys[k], px - xs[k], py - ys[k]
+    t = (dx * abx + dy * aby) * inv[k]
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    ex, ey = dx - t * abx, dy - t * aby
+    best = ex * ex + ey * ey
+    pad = 1e-14 * (1.0 + abs(px) + abs(py) + abs(xs[0]) + abs(xs[-1]))
+    r = math.sqrt(best) * (1.0 + 1e-14) + pad
+    for s_lo, s_hi, i_lo, i_hi, ax, ay, bx, by, w in other:
+        if s_lo - r <= px <= s_hi + r and i_lo - r <= py <= i_hi + r:
+            abx, aby, dx, dy = bx - ax, by - ay, px - ax, py - ay
+            t = (dx * abx + dy * aby) * w
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            ex, ey = dx - t * abx, dy - t * aby
+            d2 = ex * ex + ey * ey
+            best = d2 if d2 < best else best
+    r = math.sqrt(best) * (1.0 + 1e-14) + pad
     lo = k if k == 0 or px - xs[k] >= r else max(bisect_right(xs, px - r) - 1, 0)
     hi = k + 1 if k == last or xs[k + 1] - px >= r else min(bisect_left(xs, px + r), last + 1)
     if hi - lo > _SCAN_EDGES:
-        ax, ay, abx, aby, inv = graph[:, lo:hi]
+        ax, ay, abx, aby, w = graph[:, lo:hi]
         dx, dy = px - ax, py - ay
-        t = np.minimum(np.maximum((dx * abx + dy * aby) * inv, 0.0), 1.0)
-        ex, ey = dx - t * abx, dy - t * aby
-        best = min(best, float(np.min(ex * ex + ey * ey)))
+        t = (dx * abx + dy * aby) * w
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        best = min(best, float(((dx - t * abx) ** 2 + (dy - t * aby) ** 2).min()))
     elif hi - lo > 1:
-        ends = xs[lo + 1 : hi + 1], ys[lo + 1 : hi + 1]
-        best = _least_d2(px, py, zip(xs[lo:hi], ys[lo:hi], *ends, graph[4, lo:hi].tolist()), best)
+        for j in range(lo, hi):
+            abx, aby, dx, dy = xs[j + 1] - xs[j], ys[j + 1] - ys[j], px - xs[j], py - ys[j]
+            t = (dx * abx + dy * aby) * inv[j]
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            ex, ey = dx - t * abx, dy - t * aby
+            d2 = ex * ex + ey * ey
+            best = d2 if d2 < best else best
     return math.sqrt(best)
 
 

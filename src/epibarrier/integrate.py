@@ -156,10 +156,9 @@ def entry(_t, _y, _t0, _limit, _step, _tol, _every, _ts, _ys, @PARAMS):
         _h = _step if _step <= _rem else _rem
         @STAGES
         @FINITE
-        _tn = _t + _h
         @SCREEN
         @POST
-        _t = _tn
+        _t = _t + _h
         @ADVANCE
         _n += 1
         if _n % _every == 0:

@@ -109,6 +109,7 @@ _LAW = (
     "\ng = g_lo * (1.0 - r) + g_hi * r\ndd = g_slope * I + g_lo",
 )
 _RATES = ("b", "a", "g", "dd", "e")
+_SLOPES = ("a = ", "dd = ")  # the statements of the slopes, which only the adjoint reads
 
 
 def rate_source(scenario: Scenario, u: InputVec | None) -> Source:
@@ -169,10 +170,12 @@ _MODEL = {
 
 def forward_source(scenario: Scenario, u: InputVec | None) -> Source:
     """The time derivative of the reduced state under ``u``, as a :class:`Source` with
-    :func:`rate_source`'s params; :func:`vector_field` compiles it and ``simulate`` inlines it."""
+    :func:`rate_source`'s params; :func:`vector_field` compiles it and ``simulate`` inlines it.
+    The field reads no slope, so the statements of ``a`` and ``dd`` are left out."""
     reads, field, out = _MODEL[scenario.dim][:3]
     rates = rate_source(scenario, u)
-    return Source(out, "\n".join(filter(None, (reads, rates.body, field))), rates.params)
+    law = (s for s in rates.body.split("\n") if not s.startswith(_SLOPES))
+    return Source(out, "\n".join(filter(None, (reads, *law, field))), rates.params)
 
 
 def vector_field(scenario: Scenario, u: InputVec | None):
@@ -188,9 +191,11 @@ def backward_source(scenario: Scenario, u: InputVec | None) -> Source:
     transposed Jacobian of f, is written; the curve tracer inlines it.
     """
     f, d = forward_source(scenario, u), scenario.dim
-    reads = "\n".join(f"l{k + 1} = y[{d + k}]" for k in range(d))
+    slopes = [s for s in rate_source(scenario, u).body.split("\n") if s.startswith(_SLOPES)]
+    reads = [f"l{k + 1} = y[{d + k}]" for k in range(d)]
     fs = [f"f{k}" for k in range(d)]
-    body = f"{f.body}\n{reads}\n{', '.join(fs)} = {', '.join(f.out)}\nbI, aS = b * I, a * S"
+    field = f"{', '.join(fs)} = {', '.join(f.out)}"
+    body = "\n".join([f.body, *slopes, *reads, field, "bI, aS = b * I, a * S"])
     out = (*(f"-{v}" for v in fs), *_MODEL[d][3], f"sqrt({' + '.join(f'{v} * {v}' for v in fs)})")
     return Source(out, body, f.params)
 

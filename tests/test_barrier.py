@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -376,18 +377,23 @@ def test_membership_reference_points(adm_sir, mrpi_sir):
     assert membership(adm_sir, [0.99, 0.05]).verdict is Verdict.OUTSIDE
 
 
+def _clip_form_edges(poly, i_max):
+    """Ends a, b and 1/|ab|^2 of every edge of the reference: the closed polygon, the
+    invariant I = 0 axis from S = 0 to 1 and the S = 0 edge up to the cap."""
+    a = np.vstack([poly, [[0.0, 0.0], [0.0, 0.0]]])
+    b = np.vstack([poly[1:], poly[:1], [[1.0, 0.0], [0.0, i_max]]])
+    ab = b - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    return a, b, np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
+
+
 def _sir_distance_with_clip(cset, x):
     """The SIR distance over every edge, with ``t`` clamped by ``np.clip``: the reference.
 
-    Its edges come from the polyline itself: the closed polygon, the invariant
-    I = 0 axis from S = 0 to 1 and the S = 0 edge up to the cap.
+    Its edges come from the polyline itself (:func:`_clip_form_edges`).
     """
-    poly = cset.polyline
-    a = np.vstack([poly, [[0.0, 0.0], [0.0, 0.0]]])
-    b = np.vstack([poly[1:], poly[:1], [[1.0, 0.0], [0.0, cset.scenario.i_max]]])
+    a, b, inv = _clip_form_edges(cset.polyline, cset.scenario.i_max)
     ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
     dx, dy = float(x[0]) - a[:, 0], float(x[1]) - a[:, 1]
     t = np.clip((dx * ab[:, 0] + dy * ab[:, 1]) * inv, 0.0, 1.0)
     ex, ey = dx - t * ab[:, 0], dy - t * ab[:, 1]
@@ -396,6 +402,53 @@ def _sir_distance_with_clip(cset, x):
 
 def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _nudged(v):
+    """``v`` and the floats on either side of it."""
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+def _under_edge_distance(poly, s, i):
+    """The distance to the graph edge under ``s``, which gives the first radius, in the clip
+    form's operations on plain floats."""
+    k = min(max(int(np.searchsorted(poly[1:, 0], s, side="right")) - 1, 0), len(poly) - 3)
+    (ax, ay), (bx, by) = poly[k + 1 : k + 3].tolist()
+    abx, aby, dx, dy = bx - ax, by - ay, s - ax, i - ay
+    denom = abx * abx + aby * aby
+    t = min(max((dx * abx + dy * aby) * (1.0 / denom if denom > 0.0 else 0.0), 0.0), 1.0)
+    return math.sqrt((dx - t * abx) ** 2 + (dy - t * aby) ** 2)
+
+
+def _tie(f, lo, hi):
+    """A float between ``lo`` and ``hi`` at which ``f`` changes sign, by bisection; ``lo`` if none."""
+    f_lo = f(lo)
+    if f_lo * f(hi) > 0.0:
+        return lo
+    while lo < 0.5 * (lo + hi) < hi or hi < 0.5 * (lo + hi) < lo:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        lo, hi, f_lo = (lo, mid, f_lo) if f_lo * f_mid <= 0.0 else (mid, hi, f_mid)
+    return lo
+
+
+def _at_the_prune(poly, im, s, i):
+    """Queries at and one float either side of the ends of the boxes that the SIR distance
+    prunes (S = 0, S_0, S_last, 1; I = 0, I_0, I_max), of ``s -+ r``, ``r`` the distance from
+    (s, i) to the edge under it, and of the points where a box end lies exactly ``r`` away."""
+    s_ends, i_ends = (0.0, poly[0, 0], poly[-1, 0], 1.0), (0.0, poly[1, 1], im)
+    r = _under_edge_distance(poly, s, i)
+    qs = [(v, i) for e in (*s_ends, s - r, s + r) for v in _nudged(e)]
+    qs += [(s, v) for e in i_ends for v in _nudged(e)]
+    for e in s_ends:  # the S range of a box ends r from the query
+        for far in (e - 0.5, e + 0.5):
+            tie = _tie(lambda x: _under_edge_distance(poly, x, i) - abs(x - e), e, far)
+            qs += [(v, i) for v in _nudged(tie)]
+    for e in i_ends:  # the I range of a box ends r from the query
+        for far in (e - 0.5, e + 0.5):
+            tie = _tie(lambda y: _under_edge_distance(poly, s, y) - abs(y - e), e, far)
+            qs += [(s, v) for v in _nudged(tie)]
+    return np.array(qs)
 
 
 def test_sir_membership_matches_the_clip_form(all_proper_sets):
@@ -407,12 +460,28 @@ def test_sir_membership_matches_the_clip_form(all_proper_sets):
         eps = cset.tolerances.boundary_layer_eps
         uniform = rng.uniform([-0.05, -0.1 * im], [1.05, 1.2 * im], size=(1000, 2))
         near = poly[rng.integers(0, len(poly), 1000)] + rng.normal(0.0, 2.0 * eps, (1000, 2))
-        for p in np.vstack([uniform, near, poly]):
+        bases = np.vstack([uniform[:8], near[:8], rng.uniform([0.0, 0.0], [1.0, im], (8, 2))])
+        prune = [q for s, i in bases for q in _at_the_prune(poly, im, s, i)]
+        for p in np.vstack([uniform, near, poly, prune]):
             m = membership(cset, p)
             dist = _sir_distance_with_clip(cset, p)
             assert _same_bits(m.distance_estimate, dist), (name, p)
             # past the boundary layer the verdict does not read the distance
             assert (m.verdict is Verdict.BOUNDARY) == (dist <= eps), (name, p)
+
+
+def test_sir_off_graph_edges_are_stored_once(all_proper_sets):
+    # the edges off the graph, each with its box, are those of the clip form without repeats:
+    # an assembled polygon's first edge is the S = 0 edge up to the cap
+    for name, cset in all_proper_sets.items():
+        if not cset.scenario.variant.is_sir:
+            continue
+        a, b, inv = _clip_form_edges(cset.polyline, cset.scenario.i_max)
+        want = {(*a[j], *b[j], inv[j]) for j in (0, -3, -2, -1)}
+        stored = [e[4:] for e in cset.query_arrays[4]]
+        assert len(set(stored)) == len(stored) == 3 and set(stored) == want, name
+        for s_lo, s_hi, i_lo, i_hi, ax, ay, bx, by, _ in cset.query_arrays[4]:
+            assert (s_lo, s_hi, i_lo, i_hi) == (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
 
 
 @pytest.mark.parametrize("name", ["adm_sir", "mrpi_sir_imp", "mrpi_seir", "trivial_sir40"])
@@ -452,7 +521,7 @@ def _sir_graph_case(draw):
     poly = np.array([(verts[0][0], 0.0)] + verts)
     queries = []
     for _ in range(draw(st.integers(1, 16))):
-        kind = draw(st.sampled_from(["vertex", "beside", "edge", "outside", "far", "any"]))
+        kind = draw(st.sampled_from(["vertex", "beside", "edge", "outside", "far", "prune", "any"]))
         j = draw(st.integers(1, n - 1))
         if kind == "vertex":  # at a vertex's S, on the vertex or above or below it
             q = (poly[j, 0], draw(st.just(poly[j, 1]) | st.floats(-0.05, 0.3)))
@@ -464,6 +533,9 @@ def _sir_graph_case(draw):
             q = (draw(st.floats(-1.0, -1e-300) | st.floats(1.0, 2.0)), draw(st.floats(-0.2, 0.5)))
         elif kind == "far":  # far above the cap
             q = (draw(st.floats(-0.5, 1.5)), draw(st.floats(1.0, 1e6)))
+        elif kind == "prune":  # at the end of a pruned box or window, or one float off it
+            base = (draw(st.floats(-0.1, 1.1)), draw(st.floats(-0.05, 0.3)))
+            q = draw(st.sampled_from(list(_at_the_prune(poly, im, *base))))
         else:
             q = (draw(st.floats(-0.1, 1.1)), draw(st.floats(-0.05, 0.3)))
         queries.append(np.array(q, dtype=float))
