@@ -326,6 +326,7 @@ def cmd_montecarlo(args) -> int:
             "montecarlo needs an imperfect variant (uncertain disturbance)"
         )
     _check_range(args.n, "--n", 0)
+    _check_range(args.seed, "--seed", 0)
     _check_range(args.t_end, "--t-end", 0.0, T_END_MAX)
     x0 = _parse_state(scenario, args.x0)
     trajs = monte_carlo(scenario, x0, args.n, args.seed, t_end=args.t_end, tolerances=tol)
@@ -346,6 +347,7 @@ def cmd_montecarlo(args) -> int:
 def cmd_oracle(args) -> int:
     raw, scenario, tol = _load_config(args)
     kind = _parse_set_kind(scenario, args.set)
+    _check_range(args.seed, "--seed", 0)
     if args.points is not None:
         pts = [
             _parse_state(scenario, chunk, "--points")
@@ -363,19 +365,7 @@ def cmd_oracle(args) -> int:
     else:
         raise InputError("the grid oracle is two-dimensional; use --points for SEIR")
     cset = assemble_set(scenario, kind, tolerances=tol)
-    adm = mrpi = None
-    if kind is SetKind.ADMISSIBLE and scenario.variant.is_sir:
-        adm = cset
-        mrpi = assemble_set(scenario, SetKind.MRPI, tolerances=tol)
-    oracle_inside = grid_membership_oracle(
-        scenario,
-        kind,
-        pts,
-        seed=args.seed,
-        admissible_set=adm,
-        mrpi_set=mrpi,
-        tolerances=tol,
-    )
+    oracle_inside = grid_membership_oracle(scenario, kind, pts, seed=args.seed, tolerances=tol)
     results = []
     for p, o_in in zip(pts, oracle_inside):
         verd = membership(cset, p).verdict

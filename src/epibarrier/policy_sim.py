@@ -6,7 +6,9 @@ corner constants and seeded bang signals) and watches for cap breaches.  A
 trial signal is one list of segments: ``inputs[k]`` holds from ``starts[k]``
 until the next start.  A point claimed inside the admissible set must have
 *some* cap-preserving input; a point claimed inside the robust invariant set
-must survive *every* trial signal.  All (point, trial) runs of a query batch
+must survive *every* trial signal; on the perfect SIR admissible set the
+one trial, constant beta_min, decides exactly, so no oracle reads the set it
+checks.  All (point, trial) runs of a query batch
 step together as lanes of numpy arrays while many are live; the few left are
 finished one by one as float tuples, each reading its trial's segments.  Both
 take :func:`simulate`'s RK4 stages, field and step count, but step k from
@@ -415,10 +417,18 @@ def _oracle_trials(
 ) -> list[ConstantPolicy | ExtremalBangPolicy]:
     """The oracle's trial signals, in the order their breaches are reported.
 
-    Perfect SIR admissible set: constant beta_min alone (the switching law is
-    the fallback).  Every other set: the 2^channels input-box corner
-    constants, then ``n_trials`` seeded bang signals, one per child of
-    ``SeedSequence(seed)``.
+    Perfect SIR admissible set: constant beta_min alone, which decides it
+    exactly.  With c = gamma/beta_min, V = S + I - c*ln(S) has
+    dV/dt = I*(c*beta - gamma) >= 0 under every beta >= beta_min, and beta_min
+    conserves V.  Let constant beta_min breach from x, and take any signal.  If
+    S(x) <= c, the beta_min run peaks at x, which every run shares.  Otherwise
+    it peaks at S = c with I = V(x) - c + c*ln(c) > i_max, and S falls: if it
+    reaches c, I is at least that there; if it stays above c, I -> 0, because
+    the integral of beta*S*I is at most S(x), so V(inf) = g(S(inf)) <= g(S(x))
+    < V(x) with g(S) = S - c*ln(S) increasing for S > c, and V fell.  So every
+    signal breaches from x, on an unbounded horizon (the runs stop at
+    ``t_end``).  Every other set: the 2^channels input-box corner constants,
+    then ``n_trials`` seeded bang signals, one per child of ``SeedSequence(seed)``.
     """
     if set_kind is SetKind.ADMISSIBLE and scenario.variant is Variant.SIR_PERFECT:
         return [ConstantPolicy(scenario, InputVec(beta=scenario.beta_min))]
@@ -580,8 +590,6 @@ def _oracle(
     points,
     n_trials: int,
     seed,
-    admissible_set: ComputedSet | None,
-    mrpi_set: ComputedSet | None,
     t_end: float,
     tol: Tolerances,
 ):
@@ -598,17 +606,8 @@ def _oracle(
     trials = _oracle_trials(scenario, set_kind, n_trials, seed, t_end)
     breach = _breach_matrix(scenario, pts, trials, t_end, tol)
     if set_kind is SetKind.MRPI:
-        inside = ~breach.any(axis=1)
-        return inside, trials, breach
-    inside = ~breach.all(axis=1)
-    if admissible_set is not None and mrpi_set is not None:
-        policy = SwitchingLawPolicy(scenario, admissible_set, mrpi_set)
-        for j in np.flatnonzero(~inside):
-            traj = simulate(
-                scenario, policy, pts[j], t_end, tol, record_every=10_000, stop_on_breach=True
-            )
-            inside[j] = not traj.breached
-    return inside, trials, breach
+        return ~breach.any(axis=1), trials, breach
+    return ~breach.all(axis=1), trials, breach
 
 
 def grid_membership_oracle(
@@ -628,14 +627,13 @@ def grid_membership_oracle(
     MRPI: a point is inside iff no trial signal (input-box corner constants
     plus seeded bang signals) breaches the cap.  ADMISSIBLE, perfect SEIR:
     inside iff some trial signal preserves the cap.  ADMISSIBLE, perfect
-    SIR: inside iff constant beta_min preserves the cap, or failing that the
-    set-based switching law does (when both sets are given).  Every run
-    steps at ``tolerances.step_h``.
+    SIR: inside iff constant beta_min preserves the cap, which decides it
+    exactly (see :func:`_oracle_trials`).  Every run steps at
+    ``tolerances.step_h``.  ``admissible_set`` and ``mrpi_set`` are accepted
+    and unused: the benchmark's workloads still pass them.
     """
     tol = tolerances or Tolerances()
-    return _oracle(
-        scenario, set_kind, points, n_trials, seed, admissible_set, mrpi_set, t_end, tol
-    )[0]
+    return _oracle(scenario, set_kind, points, n_trials, seed, t_end, tol)[0]
 
 
 def membership_oracle(
@@ -646,8 +644,6 @@ def membership_oracle(
     seed=0,
     *,
     computed_set: ComputedSet | None = None,
-    admissible_set: ComputedSet | None = None,
-    mrpi_set: ComputedSet | None = None,
     t_end: float = ORACLE_T_END,
     tolerances: Tolerances | None = None,
 ) -> OracleReport:
@@ -655,29 +651,19 @@ def membership_oracle(
 
     On disagreement the counterexample is the deciding trial replayed through
     :func:`simulate`: the first trial that breaches when the oracle says
-    outside, the first that survives when it says inside, or the switching
-    law when only it held a perfect-SIR point under the cap.  The replay steps
+    outside, the first that survives when it says inside.  The replay steps
     on :func:`simulate`'s clock, t = t + h, not on the lanes' t = k*h.
     """
     tol = tolerances or Tolerances()
     pt = np.asarray(point, dtype=float)
-    flags, trials, breach = _oracle(
-        scenario, set_kind, pt[None, :], n_trials, seed,
-        admissible_set, mrpi_set, t_end, tol,
-    )
+    flags, trials, breach = _oracle(scenario, set_kind, pt[None, :], n_trials, seed, t_end, tol)
     inside = bool(flags[0])
     claimed = None if computed_set is None else membership(computed_set, pt).verdict
     if claimed not in (Verdict.INSIDE, Verdict.OUTSIDE):
         return OracleReport(pt, claimed, n_trials, True)
     agree = (claimed is Verdict.INSIDE) == inside
     counter = None
-    if not agree:
-        matching = np.flatnonzero(breach[0] != inside)
-        if len(matching):
-            j = int(matching[0])
-            policy, label = trials[j], f"seed={seed} trial={j}"
-        else:
-            policy = SwitchingLawPolicy(scenario, admissible_set, mrpi_set)
-            label = f"seed={seed} switching_law"
-        counter = (label, simulate(scenario, policy, pt, t_end, tol))
+    if not agree:  # some trial decided the flag, so one matches it
+        j = int(np.flatnonzero(breach[0] != inside)[0])
+        counter = (f"seed={seed} trial={j}", simulate(scenario, trials[j], pt, t_end, tol))
     return OracleReport(pt, claimed, n_trials, agree, counter)

@@ -3,10 +3,14 @@
 Set assembly is the expensive part of the suite, so every assembled set is a
 session-scoped fixture shared across test modules.
 """
+import math
+
 import numpy as np
 import pytest
 
-from epibarrier import SetKind, assemble_set, validate_scenario
+from epibarrier import SetKind, assemble_set, policy_sim, validate_scenario
+from epibarrier.core import Tolerances
+from epibarrier.models import InputVec
 
 
 SIR_PERFECT_RAW = {
@@ -144,3 +148,51 @@ def all_proper_sets(
         "seir_mrpi_040": mrpi_seir40,
         "seir_imp_mrpi_010": mrpi_seir_imp,
     }
+
+
+def phi_sir(scenario, set_kind):
+    """The perfect SIR set's boundary ``I = phi(S)``, in closed form.
+
+    Under constant ``beta``, ``V = S + I - c*ln(S)`` with ``c = gamma/beta`` is
+    conserved, and the extremal run touches the cap at ``S = c``: so
+    ``phi(S) = V0 - S + c*ln(S)`` for ``S >= c``, with ``V0 = c + I_max - c*ln(c)``,
+    and ``I_max`` below ``c``.  ``beta`` is ``beta_min`` for the admissible set and
+    ``beta_max`` for the robust invariant set; the set is ``I < phi(S)``.
+    """
+    beta = scenario.beta_min if set_kind is SetKind.ADMISSIBLE else scenario.beta_max
+    c = scenario.gamma / beta
+    v0 = c + scenario.i_max - c * math.log(c)
+
+    def phi(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s >= c, v0 - s + c * np.log(np.maximum(s, c)), scenario.i_max)
+
+    return phi
+
+
+def seir_points(scenario, n, rng):
+    """``n`` states drawn from ``Dirichlet(1,1,1,1)[:3]`` and kept when ``I <= I_max``."""
+    pts = []
+    while len(pts) < n:
+        x = rng.dirichlet(np.ones(4))[:3]
+        if x[2] <= scenario.i_max:
+            pts.append(x)
+    return np.array(pts)
+
+
+def seir_corner_shot(scenario, set_kind, points):
+    """Whether one extremal constant keeps the cap from each perfect SEIR point.
+
+    The constant is ``beta_min, gamma_max`` for the admissible set and
+    ``beta_max, gamma_min`` for the robust invariant set, run through the
+    oracle's lanes over its horizon.
+    """
+    if set_kind is SetKind.ADMISSIBLE:
+        u = InputVec(beta=scenario.beta_min, gamma=scenario.gamma_max)
+    else:
+        u = InputVec(beta=scenario.beta_max, gamma=scenario.gamma_min)
+    trial = policy_sim.ConstantPolicy(scenario, u)
+    breach = policy_sim._breach_matrix(
+        scenario, np.asarray(points, dtype=float), [trial], policy_sim.ORACLE_T_END, Tolerances()
+    )
+    return ~breach[:, 0]

@@ -153,10 +153,7 @@ def test_criterion_10_oracle_agreement(_report, sc_sir, adm_sir, mrpi_sir):
     pts = np.array([(s, i) for s in s_axis for i in i_axis if s + i <= 1.0])
     ok = True
     for kind, cset in ((SetKind.ADMISSIBLE, adm_sir), (SetKind.MRPI, mrpi_sir)):
-        oracle = grid_membership_oracle(
-            sc_sir, kind, pts, seed=0,
-            admissible_set=adm_sir, mrpi_set=mrpi_sir,
-        )
+        oracle = grid_membership_oracle(sc_sir, kind, pts, seed=0)
         n_cmp = n_agree = 0
         band = 2.0 * cset.tolerances.boundary_layer_eps
         for p, o_in in zip(pts, oracle):

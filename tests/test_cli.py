@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from epibarrier import cli
 from epibarrier.barrier import assemble_set, membership
 from epibarrier.cli import _build_parser, _write_csv, _write_trajectory, load_set, main
 from epibarrier.core import SetKind, Tolerances
@@ -461,7 +462,9 @@ def test_montecarlo_empty_and_guards(tmp_path, capsys):
         )
         == 2
     )
-    for bad in (["--n", "-2"], ["--t-end", "inf"], ["--t-end", "nan"], ["--t-end", "-5"]):
+    for bad in (
+        ["--n", "-2"], ["--seed", "-1"], ["--t-end", "inf"], ["--t-end", "nan"], ["--t-end", "-5"]
+    ):
         assert main(argv + bad) == 2, bad
 
 
@@ -500,6 +503,35 @@ def test_oracle_seir_requires_points(tmp_path, capsys):
     for grid in ("0", "-3"):
         argv = ["oracle", "--config", cfg, "--set", "mrpi", "--grid", grid, "--out", str(out)]
         assert main(argv) == 2, grid
+
+
+@pytest.mark.parametrize("kind", ["admissible", "mrpi"])
+def test_oracle_negative_seed_is_an_input_error(kind, tmp_path, capsys):
+    # the mrpi oracle raised in numpy's SeedSequence (exit 3); the perfect SIR
+    # admissible oracle draws no seeded signal and recorded seed -1 in its manifest
+    cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
+    out = tmp_path / "os"
+    argv = ["oracle", "--config", cfg, "--set", kind, "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_admissible_assembles_only_the_checked_set(tmp_path, capsys, monkeypatch):
+    # the oracle judges the admissible set by forward runs alone, so no second
+    # set is built for it
+    built = []
+
+    def counting_assemble(*args, **kwargs):
+        built.append(args[1])
+        return assemble_set(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_set", counting_assemble)
+    cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
+    out = tmp_path / "oa"
+    assert main(["oracle", "--config", cfg, "--set", "admissible", "--out", str(out)]) == 0
+    assert built == [SetKind.ADMISSIBLE]
+    assert json.loads((out / "oracle_summary.json").read_text())["agreement_rate"] >= 0.98
 
 
 def test_oracle_points_sir(tmp_path, capsys):

@@ -3,7 +3,7 @@ functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas,
 the feedback law's slopes, the rate law and the switching law, a forward
 simulation that steps in its generated loop, an integrator that takes only
-``Source`` code, a
+``Source`` code, an oracle that reads no computed set, a
 README that names every verdict, every package name and keyword the benchmark
 reads, one step setting, ``Tolerances.step_h``, and no attribute stored on an
 object other than ``self``.
@@ -298,9 +298,22 @@ def test_names_the_benchmark_reads_exist():
     for fn, keywords in (
         (policy_sim.simulate, {"record_every"}),
         (policy_sim.monte_carlo, {"seed", "t_end", "h"}),
+        # accepted and unused: no oracle reads a set, but the workloads still pass both
         (policy_sim.grid_membership_oracle, {"seed", "admissible_set", "mrpi_set"}),
     ):
         assert keywords <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_the_oracle_reads_no_set():
+    # the oracle judges a set by forward runs alone: its path names neither the
+    # switching law nor a computed set nor a membership query, and the oracle
+    # functions that call it take no set to fall back on
+    top = {n.name: n for n in TREES["policy_sim"].body if isinstance(n, ast.FunctionDef)}
+    for name in ("_oracle", "_oracle_trials", "_breach_matrix", "_finish_lane"):
+        named = {n.id for n in ast.walk(top[name]) if isinstance(n, ast.Name)}
+        assert not named & {"SwitchingLawPolicy", "membership", "ComputedSet"}, name
+    for fn in (policy_sim._oracle, policy_sim.membership_oracle):
+        assert not {"admissible_set", "mrpi_set"} & set(inspect.signature(fn).parameters)
 
 
 def test_one_step_setting():

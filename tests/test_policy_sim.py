@@ -8,7 +8,7 @@ import pytest
 
 from epibarrier import models, policy_sim
 from epibarrier.barrier import Verdict, membership
-from epibarrier.core import SetKind, Tolerances, Variant
+from epibarrier.core import SetKind, Tolerances, Variant, validate_scenario
 from epibarrier.models import BadChannelError, Channel, InputVec, input_box
 from epibarrier.policy_sim import (
     AffineFeedbackPolicy,
@@ -21,6 +21,8 @@ from epibarrier.policy_sim import (
     simulate,
     switching_law,
 )
+
+from conftest import SIR_PERFECT_RAW, phi_sir, seir_corner_shot, seir_points
 
 
 def test_constant_policy_validates_box(sc_sir):
@@ -475,8 +477,6 @@ def test_oracle_agreement_examples(sc_sir, adm_sir, mrpi_sir, sc_sir40):
         SetKind.ADMISSIBLE,
         [0.98, 0.019],
         computed_set=adm_sir,
-        admissible_set=adm_sir,
-        mrpi_set=mrpi_sir,
     )
     assert rep.claimed is Verdict.OUTSIDE and rep.agree
     # the equilibrium axis is part of the boundary; inconclusive claims agree
@@ -503,6 +503,64 @@ def test_oracle_agreement_examples(sc_sir, adm_sir, mrpi_sir, sc_sir40):
         sc_sir40, SetKind.MRPI, [0.3, 0.2], n_trials=20, computed_set=cset40
     )
     assert rep.claimed is Verdict.INSIDE and rep.agree
+
+
+def _sir_points(scenario, kind, rng, n=200):
+    """``n`` uniform states under the cap and ``n`` within ``N(0, 2e-3)`` of the set's boundary."""
+    s, i = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, scenario.i_max, n)
+    c = scenario.gamma / (scenario.beta_min if kind is SetKind.ADMISSIBLE else scenario.beta_max)
+    s_near = rng.uniform(c, 1.0, n)
+    i_near = phi_sir(scenario, kind)(s_near) + rng.normal(0.0, 2e-3, n)
+    pts = np.column_stack([np.concatenate([s, s_near]), np.concatenate([i, i_near])])
+    return pts[(pts[:, 1] >= 0.0) & (pts[:, 1] <= scenario.i_max) & (pts.sum(axis=1) <= 1.0)]
+
+
+@pytest.mark.parametrize("i_max", [0.02, 0.15, 0.4])
+@pytest.mark.parametrize("kind", [SetKind.ADMISSIBLE, SetKind.MRPI])
+def test_sir_oracle_flags_follow_the_first_integral(i_max, kind):
+    # V = S + I - c*ln(S) never falls under beta >= beta_min with c = gamma/beta_min
+    # and never rises under beta <= beta_max with c = gamma/beta_max, and the
+    # constant at that end conserves it, so on the perfect SIR sets the oracle's
+    # flags are exactly I < phi(S); points within 1e-8 of phi are left out
+    sc = validate_scenario(dict(SIR_PERFECT_RAW, i_max=i_max))
+    pts = _sir_points(sc, kind, np.random.default_rng(31))
+    phi = phi_sir(sc, kind)(pts[:, 0])
+    clear = np.abs(pts[:, 1] - phi) > 1e-8
+    pts, phi = pts[clear], phi[clear]
+    assert len(pts) >= 150
+    flags = grid_membership_oracle(sc, kind, pts, seed=0)
+    assert flags.tolist() == (pts[:, 1] < phi).tolist()
+
+
+def test_switching_law_breaches_where_constant_beta_min_does(sc_sir, adm_sir, mrpi_sir):
+    # no contact rate saves a point that constant beta_min breaches from, so the
+    # admissible oracle needs no second try: the switching law breaches there too
+    # (at i_max 0.15 and 0.4 these points draw almost no state outside A)
+    rng = np.random.default_rng(32)
+    pts = _sir_points(sc_sir, SetKind.ADMISSIBLE, rng)
+    outside = pts[~grid_membership_oracle(sc_sir, SetKind.ADMISSIBLE, pts)]
+    assert len(outside) >= 40
+    for p in outside[rng.permutation(len(outside))[:40]]:
+        policy = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+        traj = simulate(
+            sc_sir, policy, p, policy_sim.ORACLE_T_END, record_every=10_000, stop_on_breach=True
+        )
+        assert traj.breached, p
+
+
+@pytest.mark.parametrize(
+    "scenario_name, kind",
+    [("sc_seir", SetKind.ADMISSIBLE), ("sc_seir", SetKind.MRPI), ("sc_seir40", SetKind.MRPI)],
+)
+def test_seir_corner_shot_matches_the_oracle(request, scenario_name, kind):
+    # one corner constant decides the perfect SEIR sets on these points: the
+    # lowest contact and highest removal rate for A, the reverse for M.  This
+    # is evidence, not proof: a signal that beats the corner from some point
+    # would show here as a flag the shot gets wrong
+    sc = request.getfixturevalue(scenario_name)
+    pts = seir_points(sc, 300, np.random.default_rng(12345))
+    flags = grid_membership_oracle(sc, kind, pts, n_trials=16, seed=0)
+    assert seir_corner_shot(sc, kind, pts).tolist() == flags.tolist()
 
 
 def test_r0_above_one_with_robust_cap(sc_sir_imp):
