@@ -284,9 +284,10 @@ def _build_policy(args, scenario, tol):
     if name == "switching":
         if params:
             raise InputError("the switching policy takes no parameters")
+        if not (scenario.variant.is_sir and scenario.variant.is_perfect):
+            raise InputError("the switching policy needs the SIR_PERFECT variant")
         adm = assemble_set(scenario, SetKind.ADMISSIBLE, tolerances=tol)
-        mrpi = assemble_set(scenario, SetKind.MRPI, tolerances=tol)
-        return SwitchingLawPolicy(scenario, adm, mrpi)
+        return SwitchingLawPolicy(scenario, adm)
     raise InputError(f"unknown policy {name!r}")
 
 

@@ -110,22 +110,37 @@ class AffineFeedbackPolicy:
 class SwitchingLawPolicy:
     """Set-membership-driven contact-rate law for the perfect SIR model.
 
-    Full contact (beta_max) while safely inside either set; minimal contact
-    (beta_min) on the barrier and outside; the cap-holding rate gamma/S,
-    clamped to the box, on the usable part of the cap face.
+    It reads the admissible set ``A`` alone: beta_max while safely inside
+    ``A``, beta_min on its boundary layer and outside (there beta_min is the
+    semipermeable extremal input), and the cap-holding rate gamma/S, clamped
+    to the box, on the usable part of the cap face.  The robust invariant set
+    ``M`` could never change the input, since INSIDE ``M`` implies INSIDE ``A``:
+
+    - If ``x`` reads INSIDE ``M``, the open disc of radius ``d_M(x) > eps``
+      around ``x`` meets none of ``M``'s pieces (its polygon edges, the I = 0
+      axis and the S = 0 edge) and lies in ``M``'s polygon.
+    - ``M``'s polygon lies in ``A``'s, so the disc meets none of ``A``'s
+      pieces either: ``A``'s own edges plus the same axis and edge.
+    - So ``d_A(x) >= d_M(x) > eps``, and ``x`` reads INSIDE ``A``.
+
+    The containment holds up to ``geom_tol`` (``M``'s sum-face vertex lies
+    7.1e-10 outside ``A`` at i_max = 0.3); in that sliver the law picks
+    beta_min, which is never less safe.
+    ``mrpi_set`` is accepted and unused: the benchmark's workloads pass it.
     """
 
     def __init__(
         self,
         scenario: Scenario,
         admissible_set: ComputedSet,
-        mrpi_set: ComputedSet,
+        mrpi_set: ComputedSet | None = None,
     ):
         if scenario.variant is not Variant.SIR_PERFECT:
             raise ValueError("switching law requires the perfect SIR variant")
+        if admissible_set.set_kind is not SetKind.ADMISSIBLE or admissible_set.scenario != scenario:
+            raise ValueError("switching law requires the scenario's admissible set")
         self.scenario = scenario
         self.admissible_set = admissible_set
-        self.mrpi_set = mrpi_set
         self._cache_state = (0.0, 0.0)
         self._cache_radius = 0.0  # no state lies nearer than 0 to the cached one
         self._cache_u: InputVec | None = None
@@ -173,31 +188,16 @@ class SwitchingLawPolicy:
         return self._hi if beta >= sc.beta_max else self._lo
 
     def _membership_law(self, state: np.ndarray) -> tuple[InputVec, float]:
-        """The law and its clearance off the cap layer, read from the two sets' verdicts."""
+        """The law off the cap layer, and the clearance within which it holds.
+
+        SIR distances are exact Euclidean distances, hence 1-Lipschitz: within
+        the clearance the distance stays on its side of eps and I below the cap layer.
+        """
         eps = self._eps
         cap_margin = (self.scenario.i_max - eps) - float(state[1])  # <= 0 once in the cap layer
         in_adm = membership(self.admissible_set, state)
-        if in_adm.verdict is not Verdict.BOUNDARY:
-            # inside: full contact rate, outside: minimal; stable until the boundary layer
-            clearance = min(in_adm.distance_estimate - eps, cap_margin)
-            u = self._hi if in_adm.verdict is Verdict.INSIDE else self._lo
-        else:
-            # the robust invariant set is contained in the admissible set, so its
-            # INSIDE verdict can only add beta_max when the admissible query was
-            # inconclusive (boundary layer).  SIR distance estimates are exact
-            # Euclidean distances to the boundary polylines, hence 1-Lipschitz in the
-            # state, so within the clearance below the admissible distance stays under
-            # eps (still BOUNDARY), the robust distance stays on its side of eps (a
-            # BOUNDARY verdict stays one; otherwise the disc misses the boundary and
-            # INSIDE/OUTSIDE holds), and I stays below the cap layer
-            in_mrpi = membership(self.mrpi_set, state)
-            clearance = min(
-                eps - in_adm.distance_estimate,
-                abs(in_mrpi.distance_estimate - eps),
-                cap_margin,
-            )
-            u = self._hi if in_mrpi.verdict is Verdict.INSIDE else self._lo
-        return u, max(0.0, 0.9 * clearance)
+        u = self._hi if in_adm.verdict is Verdict.INSIDE else self._lo
+        return u, max(0.0, 0.9 * min(abs(in_adm.distance_estimate - eps), cap_margin))
 
 
 class ExtremalBangPolicy:
@@ -357,14 +357,9 @@ def _step_count(t_end: float, h: float) -> int:
     return int(np.ceil(t_end / h - 1e-12))
 
 
-def switching_law(
-    state,
-    admissible_set: ComputedSet,
-    mrpi_set: ComputedSet,
-    scenario: Scenario,
-) -> InputVec:
+def switching_law(state, admissible_set: ComputedSet, scenario: Scenario) -> InputVec:
     """Contact rate at ``state`` from a fresh :class:`SwitchingLawPolicy`, the law's only home."""
-    return SwitchingLawPolicy(scenario, admissible_set, mrpi_set).u(0.0, tuple(map(float, state)))
+    return SwitchingLawPolicy(scenario, admissible_set).u(0.0, tuple(map(float, state)))
 
 
 def monte_carlo(

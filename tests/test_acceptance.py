@@ -132,8 +132,8 @@ def test_criterion_07_eta_switching(_report, mrpi_seir_imp):
     _report(7, "eta switching", ok)
 
 
-def test_criterion_08_switching_law(_report, sc_sir, adm_sir, mrpi_sir):
-    policy = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+def test_criterion_08_switching_law(_report, sc_sir, adm_sir):
+    policy = SwitchingLawPolicy(sc_sir, adm_sir)
     traj = simulate(
         sc_sir, policy, [0.8, 0.012], 500.0, record_every=10_000
     )

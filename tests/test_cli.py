@@ -402,6 +402,40 @@ def test_simulate_input_errors(tmp_path, capsys):
         assert main(base + argv) == 2, policy
 
 
+@pytest.mark.parametrize(
+    "raw, x0", [(SEIR_PERFECT_RAW, "0.7,0.01,0.02"), (SIR_IMPERFECT_RAW, "0.8,0.1")]
+)
+def test_simulate_switching_refuses_other_variants(raw, x0, tmp_path, capsys, monkeypatch):
+    # the switching law is the perfect SIR model's: another variant is an input
+    # error, refused before any set is assembled (SEIR perfect built two sets and
+    # then exited 3 with a ValueError)
+    built = []
+    monkeypatch.setattr(cli, "assemble_set", lambda *args, **kwargs: built.append(args[1]))
+    cfg = _write_config(tmp_path, raw)
+    out = tmp_path / "sw"
+    argv = ["simulate", "--config", cfg, "--policy", "switching", "--x0", x0, "--out", str(out)]
+    assert main(argv) == 2
+    assert "switching" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
+def test_simulate_switching_assembles_only_the_admissible_set(tmp_path, capsys, monkeypatch):
+    # the switching law reads the admissible set alone, so no robust set is built for it
+    built = []
+
+    def counting_assemble(*args, **kwargs):
+        built.append(args[1])
+        return assemble_set(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_set", counting_assemble)
+    cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
+    out = tmp_path / "sw"
+    argv = ["simulate", "--config", cfg, "--policy", "switching", "--x0", "0.8,0.012"]
+    assert main(argv + ["--t-end", "20", "--out", str(out)]) == 0
+    assert built == [SetKind.ADMISSIBLE]
+    assert json.loads((out / "summary.json").read_text())["breached"] is False
+
+
 def test_montecarlo_deterministic_bytes(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

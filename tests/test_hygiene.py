@@ -3,10 +3,11 @@ functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas,
 the feedback law's slopes, the rate law and the switching law, a forward
 simulation that steps in its generated loop, an integrator that takes only
-``Source`` code, an oracle that reads no computed set, a
-README that names every verdict, every package name and keyword the benchmark
-reads, one step setting, ``Tolerances.step_h``, and no attribute stored on an
-object other than ``self``.
+``Source`` code, an oracle that reads no computed set, a policy module that
+reads no robust set argument, a README that names every verdict, every
+package name, keyword and positional call the benchmark makes, one step
+setting, ``Tolerances.step_h``, and no attribute stored on an object other
+than ``self``.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -302,6 +303,8 @@ def test_names_the_benchmark_reads_exist():
         (policy_sim.grid_membership_oracle, {"seed", "admissible_set", "mrpi_set"}),
     ):
         assert keywords <= set(inspect.signature(fn).parameters), fn.__name__
+    # and the positional call it makes, SwitchingLawPolicy(sc, adm, mrpi), the last unused
+    inspect.signature(policy_sim.SwitchingLawPolicy).bind("sc", "adm", "mrpi")
 
 
 def test_the_oracle_reads_no_set():
@@ -314,6 +317,29 @@ def test_the_oracle_reads_no_set():
         assert not named & {"SwitchingLawPolicy", "membership", "ComputedSet"}, name
     for fn in (policy_sim._oracle, policy_sim.membership_oracle):
         assert not {"admissible_set", "mrpi_set"} & set(inspect.signature(fn).parameters)
+
+
+def _mrpi_set_loads(tree) -> list[str]:
+    """Every read of a name or attribute ``mrpi_set``: a parameter is not a read."""
+    return [
+        f"{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        and getattr(node, "id", getattr(node, "attr", None)) == "mrpi_set"
+    ]
+
+
+def test_policy_sim_reads_no_robust_set_argument():
+    # the switching law reads the admissible set alone and the oracle reads no
+    # set: mrpi_set stays in two signatures only because the benchmark passes it
+    assert _mrpi_set_loads(TREES["policy_sim"]) == []
+    text = (PACKAGE / "policy_sim.py").read_text()
+    anchor = "        self.admissible_set = admissible_set\n"
+    assert text.count(anchor) == 1
+    for line in ("        self.robust = mrpi_set\n", "        robust = self.mrpi_set\n"):
+        mutated = ast.parse(text.replace(anchor, anchor + line))
+        assert len(_mrpi_set_loads(mutated)) == 1, line
 
 
 def test_one_step_setting():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from epibarrier import models, policy_sim
-from epibarrier.barrier import Verdict, membership
+from epibarrier.barrier import Verdict, assemble_set, membership
 from epibarrier.core import SetKind, Tolerances, Variant, validate_scenario
 from epibarrier.models import BadChannelError, Channel, InputVec, input_box
 from epibarrier.policy_sim import (
@@ -106,7 +106,7 @@ def test_simulate_builds_one_field_per_segment(monkeypatch, sc_seir):
     assert 1 < len(calls) <= len(pol.starts)
 
 
-def test_switching_law_keeps_its_field_at_a_clamped_end(monkeypatch, sc_sir, adm_sir, mrpi_sir):
+def test_switching_law_keeps_its_field_at_a_clamped_end(monkeypatch, sc_sir, adm_sir):
     # the law emits one object per clamped end of the contact-rate box, on
     # the cap layer and off it, so simulate binds its field's rates only when
     # the rate changes; the dynamics benchmark's run rides the cap layer,
@@ -120,7 +120,7 @@ def test_switching_law_keeps_its_field_at_a_clamped_end(monkeypatch, sc_sir, adm
         return rates(scenario, u)
 
     monkeypatch.setattr(policy_sim, "_input_rates", counting)
-    pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+    pol = SwitchingLawPolicy(sc_sir, adm_sir)
     simulate(sc_sir, pol, [0.8, 0.012], 20.0)
     assert sc_sir.beta_max in built
     assert all(a != b for a, b in zip(built, built[1:]))
@@ -149,7 +149,7 @@ def _trajectories_digest(trajs):
 _GOLDEN = {
     "sir_switching_law": (
         lambda f: [simulate(
-            f.sc_sir, SwitchingLawPolicy(f.sc_sir, f.adm_sir, f.mrpi_sir), [0.8, 0.012], 20.0
+            f.sc_sir, SwitchingLawPolicy(f.sc_sir, f.adm_sir), [0.8, 0.012], 20.0
         )],
         "2a9ce5628f6215697c41b2a153401c41745e8c8b036e3bc1b17c0cab212e3261",
     ),
@@ -312,51 +312,51 @@ def test_forward_runs_reject_a_bad_step(h, sc_sir_imp):
         monte_carlo(sc_sir_imp, [0.8, 0.1], 2, seed=0, t_end=1.0, h=h)
 
 
-def test_switching_law_regions(sc_sir, adm_sir, mrpi_sir):
-    # deep inside the robust set: full contact
-    u = switching_law([0.2, 0.005], adm_sir, mrpi_sir, sc_sir)
+def test_switching_law_regions(sc_sir, adm_sir):
+    # deep inside the admissible set: full contact
+    u = switching_law([0.2, 0.005], adm_sir, sc_sir)
     assert u.beta == sc_sir.beta_max
     # outside the viable set: minimal contact
-    u = switching_law([0.98, 0.019], adm_sir, mrpi_sir, sc_sir)
+    u = switching_law([0.98, 0.019], adm_sir, sc_sir)
     assert u.beta == sc_sir.beta_min
     # on the usable part of the cap face: hold the cap with gamma/S, clamped
-    u = switching_law([0.7, sc_sir.i_max], adm_sir, mrpi_sir, sc_sir)
+    u = switching_law([0.7, sc_sir.i_max], adm_sir, sc_sir)
     assert u.beta == pytest.approx(0.5 / 0.7)
     # gamma/S = 1.0 above beta_max: clamped to the box
-    u = switching_law([0.5, sc_sir.i_max], adm_sir, mrpi_sir, sc_sir)
+    u = switching_law([0.5, sc_sir.i_max], adm_sir, sc_sir)
     assert u.beta == sc_sir.beta_max
     # on the cap but past the usable part: only minimal contact remains
-    u = switching_law([0.9, sc_sir.i_max], adm_sir, mrpi_sir, sc_sir)
+    u = switching_law([0.9, sc_sir.i_max], adm_sir, sc_sir)
     assert u.beta == sc_sir.beta_min
     # S below the divide guard: harmless default
-    u = switching_law([0.0, sc_sir.i_max], adm_sir, mrpi_sir, sc_sir)
+    u = switching_law([0.0, sc_sir.i_max], adm_sir, sc_sir)
     assert u.beta == sc_sir.beta_max
 
 
-def test_switching_law_policy_cache_consistency(sc_sir, adm_sir, mrpi_sir):
-    pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+def test_switching_law_policy_cache_consistency(sc_sir, adm_sir):
+    pol = SwitchingLawPolicy(sc_sir, adm_sir)
     rng = np.random.default_rng(2)
     for _ in range(50):
         x = np.array([rng.uniform(0.0, 0.95), rng.uniform(0.0, sc_sir.i_max)])
         if x.sum() > 1.0:
             continue
         cached = pol.u(0.0, x)
-        fresh = switching_law(x, adm_sir, mrpi_sir, sc_sir)
+        fresh = switching_law(x, adm_sir, sc_sir)
         assert cached.beta == fresh.beta
 
 
-def test_switching_law_keeps_cap_from_inside(sc_sir, adm_sir, mrpi_sir):
+def test_switching_law_keeps_cap_from_inside(sc_sir, adm_sir):
     # several viable starting points stay below the cap under the law
     starts = [[0.8, 0.012], [0.5, 0.015], [0.3, 0.01], [0.83, 0.005]]
     for x0 in starts:
         assert membership(adm_sir, x0).verdict is Verdict.INSIDE
-        pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+        pol = SwitchingLawPolicy(sc_sir, adm_sir)
         traj = simulate(sc_sir, pol, x0, 200.0, record_every=1000)
         assert not traj.breached, x0
         assert traj.max_I <= sc_sir.i_max + 1e-9
 
 
-def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_sir, mrpi_sir):
+def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_sir):
     # criterion 08's start, driven once by the cached law and once by the law
     # re-evaluated every step: every recorded step is bit-identical, and the
     # run reaches the admissible boundary layer (near the I = 0 axis after
@@ -377,14 +377,14 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
 
     class EveryStep:
         def u(self, t, state):
-            return switching_law(state, adm_sir, mrpi_sir, sc_sir)
+            return switching_law(state, adm_sir, sc_sir)
 
     run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 60.0, record_every=1)
     fresh = run(EveryStep())
     monkeypatch.setattr(SwitchingLawPolicy, "_membership_law", spy)
-    cached = run(SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir))
+    cached = run(SwitchingLawPolicy(sc_sir, adm_sir))
     # the cap-layer branch always returns 0, so a positive clearance at an
-    # admissible BOUNDARY verdict comes from the BOUNDARY branch
+    # admissible BOUNDARY verdict comes from the membership law
     assert any(c > 0.0 for c in boundary_clearances)
     assert len(cached.samples) == len(fresh.samples) == 6001
     for (t_c, x_c, u_c), (t_f, x_f, u_f) in zip(cached.samples, fresh.samples):
@@ -396,7 +396,7 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
     assert cap_layer_calls == []
 
 
-def test_switching_policy_tests_the_cap_layer_once_per_step(monkeypatch, sc_sir, adm_sir, mrpi_sir):
+def test_switching_policy_tests_the_cap_layer_once_per_step(monkeypatch, sc_sir, adm_sir):
     # criterion 08's start for 20 days: each policy.u call, clearance-cache
     # miss or not, tests the cap layer exactly once
     cap_calls, misses = [], []
@@ -411,12 +411,12 @@ def test_switching_policy_tests_the_cap_layer_once_per_step(monkeypatch, sc_sir,
             u_calls.append(1)
             return super().u(t, state)
 
-    simulate(sc_sir, Counted(sc_sir, adm_sir, mrpi_sir), [0.8, 0.012], 20.0, record_every=1000)
+    simulate(sc_sir, Counted(sc_sir, adm_sir), [0.8, 0.012], 20.0, record_every=1000)
     assert len(misses) > 100
     assert len(cap_calls) == len(u_calls) >= 2_000
 
 
-def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir, mrpi_sir):
+def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir):
     # states in the admissible set's boundary layer, offset from its polygon
     # vertices: the law takes one value on the whole disc its clearance spans
     eps = adm_sir.tolerances.boundary_layer_eps
@@ -428,13 +428,42 @@ def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir, mrpi_
         x = vertex + rng.uniform(-eps, eps, 2)
         if x.min() < 0.0 or x.sum() > 1.0 or membership(adm_sir, x).verdict is not Verdict.BOUNDARY:
             continue
-        pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+        pol = SwitchingLawPolicy(sc_sir, adm_sir)
         u = pol.u(0.0, x)
         clearance = pol._cache_radius
         n_positive += clearance > 0.0
         for y in x + clearance * ring:
-            assert switching_law(y, adm_sir, mrpi_sir, sc_sir).beta == u.beta
+            assert switching_law(y, adm_sir, sc_sir).beta == u.beta
     assert n_positive > 0
+
+
+def test_switching_law_takes_the_scenarios_admissible_set(
+    sc_sir, sc_sir15, sc_sir40, adm_sir, mrpi_sir
+):
+    # the robust invariant set in A's place ran silently as the law's set, and so
+    # did another scenario's A; a trivial A is still a set the law can read
+    for scenario, cset in ((sc_sir, mrpi_sir), (sc_sir15, adm_sir)):
+        with pytest.raises(ValueError, match="admissible set"):
+            SwitchingLawPolicy(scenario, cset)
+    trivial = assemble_set(sc_sir40, SetKind.ADMISSIBLE)
+    assert trivial.trivial
+    assert SwitchingLawPolicy(sc_sir40, trivial).u(0.0, (0.5, 0.1)).beta == sc_sir40.beta_max
+
+
+def test_switching_law_queries_only_the_admissible_set(monkeypatch, sc_sir, adm_sir, mrpi_sir):
+    # the benchmark still passes M as a third argument: the policy keeps no
+    # reference to it and asks membership about A alone
+    queried = []
+
+    def recording(cset, point):
+        queried.append(cset)
+        return membership(cset, point)
+
+    monkeypatch.setattr(policy_sim, "membership", recording)
+    pol = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+    assert all(v is not mrpi_sir for v in vars(pol).values())
+    simulate(sc_sir, pol, [0.8, 0.012], 60.0, record_every=1000)
+    assert queried and all(cset is adm_sir for cset in queried)
 
 
 def test_monte_carlo_determinism(sc_sir_imp):
@@ -532,7 +561,7 @@ def test_sir_oracle_flags_follow_the_first_integral(i_max, kind):
     assert flags.tolist() == (pts[:, 1] < phi).tolist()
 
 
-def test_switching_law_breaches_where_constant_beta_min_does(sc_sir, adm_sir, mrpi_sir):
+def test_switching_law_breaches_where_constant_beta_min_does(sc_sir, adm_sir):
     # no contact rate saves a point that constant beta_min breaches from, so the
     # admissible oracle needs no second try: the switching law breaches there too
     # (at i_max 0.15 and 0.4 these points draw almost no state outside A)
@@ -541,11 +570,56 @@ def test_switching_law_breaches_where_constant_beta_min_does(sc_sir, adm_sir, mr
     outside = pts[~grid_membership_oracle(sc_sir, SetKind.ADMISSIBLE, pts)]
     assert len(outside) >= 40
     for p in outside[rng.permutation(len(outside))[:40]]:
-        policy = SwitchingLawPolicy(sc_sir, adm_sir, mrpi_sir)
+        policy = SwitchingLawPolicy(sc_sir, adm_sir)
         traj = simulate(
             sc_sir, policy, p, policy_sim.ORACLE_T_END, record_every=10_000, stop_on_breach=True
         )
         assert traj.breached, p
+
+
+def _graph_vertices(cset):
+    """The vertices of the SIR set's upper boundary ``I = g(S)``, from ``S = 0`` to ``(1, 0)``."""
+    i_max = cset.scenario.i_max
+    if cset.trivial:  # the capped simplex
+        return np.array([[0.0, i_max], [1.0 - i_max, i_max], [1.0, 0.0]])
+    return np.vstack([cset.polyline[1:], [[1.0, 0.0]]])
+
+
+def _overhang(points, graph, above):
+    """Euclidean distance of each point to the polyline ``graph`` where the point lies
+    above it (``above``) or below it (not ``above``), and 0 where it does not."""
+    a, ab = graph[:-1], np.diff(graph, axis=0)
+    rel = points[:, None, :] - a
+    t = np.clip((rel * ab).sum(-1) / np.maximum((ab * ab).sum(-1), 1e-300), 0.0, 1.0)
+    dist = np.linalg.norm(rel - t[..., None] * ab, axis=-1).min(axis=1)
+    side = points[:, 1] - np.interp(points[:, 0], graph[:, 0], graph[:, 1])
+    return np.where(side > 0.0 if above else side < 0.0, dist, 0.0)
+
+
+@pytest.mark.parametrize("i_max", [0.02, 0.15, 0.3])
+def test_inside_the_robust_set_is_inside_the_admissible_set(request, i_max):
+    # the premise of the switching law reading A alone (see SwitchingLawPolicy):
+    # M's polygon lies in A's, up to geom_tol, so M's graph lies under A's at every
+    # vertex of both, and a state that reads INSIDE M reads INSIDE A.  At i_max 0.3
+    # A is trivial, the whole capped simplex
+    fixtures = {0.02: ("adm_sir", "mrpi_sir"), 0.15: ("adm_sir15", "mrpi_sir15")}
+    if i_max in fixtures:
+        adm, mrpi = map(request.getfixturevalue, fixtures[i_max])
+    else:
+        sc = validate_scenario(dict(SIR_PERFECT_RAW, i_max=i_max))
+        adm, mrpi = (assemble_set(sc, kind) for kind in (SetKind.ADMISSIBLE, SetKind.MRPI))
+    assert adm.trivial == (i_max == 0.3) and not mrpi.trivial
+    # (at 0.3 M's last vertex lies 1.0e-9 past the sum face in I, 7.1e-10 away from it)
+    tol = adm.tolerances.geom_tol
+    graph_a, graph_m = _graph_vertices(adm), _graph_vertices(mrpi)
+    assert _overhang(graph_m, graph_a, above=True).max() <= tol
+    assert _overhang(graph_a, graph_m, above=False).max() <= tol
+    # seeded uniform states and states near either set's boundary
+    rng = np.random.default_rng(33)
+    pts = np.vstack([_sir_points(adm.scenario, kind, rng, n=1500) for kind in SetKind])
+    in_m = [p for p in pts if membership(mrpi, p).verdict is Verdict.INSIDE]
+    assert len(in_m) >= 500
+    assert [p for p in in_m if membership(adm, p).verdict is not Verdict.INSIDE] == []
 
 
 @pytest.mark.parametrize(

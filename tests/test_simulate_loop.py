@@ -89,7 +89,7 @@ _VARIANTS = ["sc_sir", "sc_sir_imp", "sc_seir", "sc_seir_imp"]
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_generated_loop_matches_the_per_step_loop(
-    data, sc_sir, sc_sir_imp, sc_seir, sc_seir_imp, adm_sir, mrpi_sir
+    data, sc_sir, sc_sir_imp, sc_seir, sc_seir_imp, adm_sir
 ):
     scenarios = dict(zip(_VARIANTS, (sc_sir, sc_sir_imp, sc_seir, sc_seir_imp)))
     kind = data.draw(st.sampled_from(_KINDS), "policy")
@@ -109,7 +109,7 @@ def test_generated_loop_matches_the_per_step_loop(
             return ExtremalBangPolicy(sc, seed, t_sched)
         if kind == "affine":
             return AffineFeedbackPolicy(sc, None if sc.variant.is_perfect else u)
-        return SwitchingLawPolicy(sc, adm_sir, mrpi_sir)
+        return SwitchingLawPolicy(sc, adm_sir)
 
     # below the cap, just below it with many susceptibles (so that most runs
     # cross it), above it, or so large that the state overflows
