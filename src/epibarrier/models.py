@@ -78,7 +78,7 @@ class InputVec:
 
 
 # Enum member lookups such as ``Variant.SIR_PERFECT`` cost about 0.2 us each in
-# CPython 3.11, and simulate rebinds the rates on most steps of the switching law,
+# CPython 3.11, and simulate rebinds the rates on every step of a feedback policy,
 # so rate bindings compare against module-level aliases.
 _SIR_PERFECT = Variant.SIR_PERFECT
 _SEIR_PERFECT = Variant.SEIR_PERFECT

@@ -1,5 +1,8 @@
 """Forward policy simulation, the set-based switching law, and oracles.
 
+:func:`simulate` steps in one generated loop, which inlines the switching law's
+per-step rule: the law reads the admissible set only on a clearance miss.
+
 The membership oracle cross-checks computed set boundaries the hard way, in all
 four variants: it forward-simulates trial input/disturbance signals (input-box
 corner constants and seeded bang signals) and watches for cap breaches.  A
@@ -26,8 +29,8 @@ import numpy as np
 
 from .barrier import ComputedSet, Verdict, membership
 from .core import Scenario, SetKind, Tolerances, Variant
-from .integrate import EventKind, EventSpec, _fill, _generated, _refine_fraction, _rk4_stages
-from .integrate import Source
+from .integrate import EventKind, EventSpec, Source, _each, _fill, _generated, _inline
+from .integrate import _refine_fraction, _rk4_stages, source_function
 from .models import (
     BadChannelError,
     InputVec,
@@ -126,8 +129,26 @@ class SwitchingLawPolicy:
     The containment holds up to ``geom_tol`` (``M``'s sum-face vertex lies
     7.1e-10 outside ``A`` at i_max = 0.3); in that sliver the law picks
     beta_min, which is never less safe.
+    The law's per-step rule is ``law``, a :class:`Source` whose value is the
+    contact rate: :func:`simulate` inlines it into its step loop, and :meth:`u`
+    compiles it.  Off the cap layer it reuses the rate of its last membership
+    reading while the state stays within that reading's clearance, and calls
+    ``miss`` for a new reading otherwise.
     ``mrpi_set`` is accepted and unused: the benchmark's workloads pass it.
     """
+
+    # On the usable cap layer (I within eps of the cap, S at most eps past the usable
+    # part's end) gamma/S clamped to the box, beta_max below the divide guard; off it
+    # the cached rate within the cached clearance (a NaN distance misses).
+    _RULE = """\
+S = y[0]
+I = y[1]
+s_c, i_c, radius, rate = cache
+if I >= layer_i and S <= layer_s:
+    rate = gamma / S if S >= guard else beta_hi
+    rate = beta_hi if rate >= beta_hi else (rate if rate > beta_lo else beta_lo)
+elif not sqrt((S - s_c) * (S - s_c) + (I - i_c) * (I - i_c)) < radius:
+    rate = miss(S, I)"""
 
     def __init__(
         self,
@@ -141,51 +162,35 @@ class SwitchingLawPolicy:
             raise ValueError("switching law requires the scenario's admissible set")
         self.scenario = scenario
         self.admissible_set = admissible_set
-        self._cache_state = (0.0, 0.0)
-        self._cache_radius = 0.0  # no state lies nearer than 0 to the cached one
-        self._cache_u: InputVec | None = None
-        self._diff = np.empty(2)
-        self._eps = admissible_set.tolerances.boundary_layer_eps
-        # the law returns these at its clamped ends, so simulate keeps its field there
+        self._eps = eps = admissible_set.tolerances.boundary_layer_eps
+        up = admissible_set.usable
+        # the last reading's state, clearance and rate; no state lies nearer than 0
+        self._cache = [0.0, 0.0, 0.0, scenario.beta_min]
+        self.law = Source("rate", self._RULE, {
+            "layer_i": math.nan if up is None else scenario.i_max - eps,  # NaN: no layer
+            "layer_s": math.nan if up is None else up.s_hi + eps,
+            "gamma": scenario.gamma, "guard": DIVIDE_GUARD_S,
+            "beta_lo": scenario.beta_min, "beta_hi": scenario.beta_max,
+            "cache": self._cache, "miss": self._miss,
+        })
+        self._rule = source_function(self.law)
+        # the law returns these at its clamped ends, so a run records one object per end
         self._lo = InputVec(beta=scenario.beta_min)
         self._hi = InputVec(beta=scenario.beta_max)
 
     def u(self, t: float, state) -> InputVec:
-        # on the cap layer the law is a closed form of S, with no clearance
-        s, i = state
-        u = self._cap_layer_law(s, i)
-        if u is not None:
-            self._cache_radius = 0.0
-            return u
-        # verdicts cannot change while the state stays within the previously
-        # measured clearance from the boundary, so reuse the last decision;
-        # the distance is the BLAS dot of np.linalg.norm on a reused buffer
-        (s_c, i_c), diff = self._cache_state, self._diff
-        diff[0], diff[1] = s - s_c, i - i_c
-        if math.sqrt(diff.dot(diff)) < self._cache_radius:
-            return self._cache_u
-        # off the cap layer, which was tested above, the law reads the verdicts
-        x = np.asarray(state, dtype=float)
-        u, clearance = self._membership_law(x)
-        self._cache_state = tuple(x.tolist())
-        self._cache_radius = clearance
-        self._cache_u = u
-        return u
+        return self.input(self._rule(t, state))
 
-    def _cap_layer_law(self, s_val: float, i_val: float) -> InputVec | None:
-        """The law on the usable cap layer, or None off it.
+    def input(self, rate: float) -> InputVec:
+        """The input of a contact rate the law returned."""
+        hi, lo = self._hi, self._lo
+        return hi if rate == hi.beta else lo if rate == lo.beta else InputVec(beta=rate)
 
-        On the layer (I within ``eps`` of the cap, S at most ``eps`` past the
-        usable part's end) the cap-holding rate gamma/S, clamped to the box, and
-        beta_max below DIVIDE_GUARD_S; a clamped rate is one of the policy's two ends.
-        """
-        sc, eps, up = self.scenario, self._eps, self.admissible_set.usable
-        if not (up is not None and sc.i_max - eps <= i_val and s_val <= up.s_hi + eps):
-            return None
-        beta = sc.gamma / s_val if s_val >= DIVIDE_GUARD_S else sc.beta_max
-        if sc.beta_min < beta < sc.beta_max:
-            return InputVec(beta=beta)
-        return self._hi if beta >= sc.beta_max else self._lo
+    def _miss(self, s: float, i: float) -> float:
+        """A new membership reading at (s, i), cached; its rate."""
+        u, clearance = self._membership_law(np.array((s, i)))
+        self._cache[:] = s, i, clearance, u.beta
+        return u.beta
 
     def _membership_law(self, state: np.ndarray) -> tuple[InputVec, float]:
         """The law off the cap layer, and the clearance within which it holds.
@@ -247,10 +252,10 @@ class OracleReport:
     counterexample: tuple[str, Trajectory] | None = None
 
 
-# Steps from step _k of _n (the last clipped to _t_end) under the input _u, recording
+# Steps from step _k of _n (the last clipped to _t_end) under the input {u}, recording
 # every _every-th state and the first cap crossing (_refine), until the end, a breach
-# that stops the run, the signal's next segment start, or an input from the policy _pol
-# (called at each step start after the first) whose rates _rebind cannot bind.
+# that stops the run, the signal's next segment start, or an input that @POLICY, run at
+# each step start after the first, cannot bind; _forward_loop fills {u} and @POLICY.
 _FORWARD_TEMPLATE = """\
 def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _max, _br,
           _first, _stop, _u, _next, _pol, _rebind, _refine, {params}):
@@ -262,7 +267,7 @@ def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _m
         @STAGES
         @FINITE
         if _z{i} > _im >= _y{i} and _first is None:
-            _first = _refine(_t, (`_y#`,), _h, _u)
+            _first = _refine(_t, (`_y#`,), _h, {u})
         _t = _t + _h
         `_y#` = `_z#`
         _k += 1
@@ -272,18 +277,22 @@ def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _m
             _max = _y{i}
             _br = _br or _y{i} > _thr
         if _k % _every == 0 or _k == _n:
-            _samples.append((_t, _array((`_y#`,)), _u))
+            _samples.append((_t, _array((`_y#`,)), {u}))
         if _k == _n or _br and _stop or _t >= _next:
-            return _t, (`_y#`,), _k, _max, _br, _first, _u
-        if _pol is not None:
-            _v = _pol(_t, (`_y#`,))
-            if _v is not _u:
-                _p = _rebind and _rebind(_v)
-                if _p is None:
-                    return _t, (`_y#`,), _k, _max, _br, _first, _v
-                {params}, = _p
-                _u = _v
+            return _t, (`_y#`,), _k, _max, _br, _first, {u}
+        @POLICY
 """
+# @POLICY without a law Source: the policy _pol, if any, returns the next input; _rebind
+# binds its rates, and an input whose rates it cannot bind is returned from the loop.
+_CALL_POLICY = """\
+if _pol is not None:
+    _v = _pol(_t, (`_y#`,))
+    if _v is not _u:
+        _p = _rebind and _rebind(_v)
+        if _p is None:
+            return _t, (`_y#`,), _k, _max, _br, _first, _v
+        {params}, = _p
+        _u = _v"""
 
 
 def simulate(
@@ -299,8 +308,11 @@ def simulate(
     """Forward RK4 in one generated loop, on :func:`models.forward_source` bound per input.
 
     A bang signal (``starts``/``inputs``) is called at each step start that
-    reaches a segment start; any other policy is called every step, on the
-    state as a float tuple.  ``first_breach_time`` marks the first
+    reaches a segment start.  A policy with a ``law`` :class:`Source` of the
+    contact rate is inlined: the loop sets the field's rate ``b`` to the law's
+    value at each step start, and asks the policy's ``input`` for the input
+    of a step only to record or return it.  Any other policy is called every
+    step, on the state as a float tuple.  ``first_breach_time`` marks the first
     time I exceeds I_max, even when the excess stays within geom_tol and
     ``breached`` is not set: 0.0 for a start above the cap, otherwise the
     crossing located by the integrator's event refiner to event_time_tol.
@@ -331,23 +343,39 @@ def simulate(
     first_breach = 0.0 if max_i > im else None
 
     starts = getattr(policy, "starts", None)  # a signal's input holds until its next start
-    pol, nxt, k, bound = None if starts else policy.u, math.inf, 0, None
+    law = getattr(policy, "law", None)  # a Source of the contact rate, inlined in the loop
+    pol = policy.input if law else None if starts else policy.u
+    nxt, k, bound = math.inf, 0, None
     while k < n_steps:
         if starts:
             j = bisect_right(starts, t)
             u, nxt = policy.u(t, x), (starts[j] if j < len(starts) else math.inf)
         if u is not bound:  # policies that hold an input return the same object
             bound, src = u, forward_source(scenario, u)
-            code = _FORWARD_TEMPLATE.format(params=", ".join(src.params), i=len(x) - 1)
-            loop = _generated(("forward", code, *src[:2]), _fill, code, len(x), src)
+            loop, params = _forward_loop(src, law, len(x))
             rebind = partial(_input_rates, scenario) if _input_rates(scenario, u) else None
         t, x, k, max_i, breached, first_breach, u = loop(
             t, x, k, n_steps, t_end, step, record_every, samples, np.array, im, thr, max_i,
-            breached, first_breach, stop_on_breach, u, nxt, pol, rebind, refine, **src.params,
+            breached, first_breach, stop_on_breach, u, nxt, pol, rebind, refine, **params,
         )
         if breached and stop_on_breach:
             break
     return Trajectory(samples, breached, max_i, first_breach)
+
+
+def _forward_loop(field: Source, law: Source | None, n: int):
+    """:data:`_FORWARD_TEMPLATE` on ``field`` and the params it takes.  @POLICY inlines ``law``
+    into ``field``'s contact rate ``b``, and a step's input {u} is the policy's ``_pol(b)``;
+    without a law, @POLICY is :data:`_CALL_POLICY` and {u} is ``_u``."""
+    if law is None:
+        params, u = field.params, "_u"
+        block = _CALL_POLICY.format(params=", ".join(params)).splitlines()
+    else:
+        params, u = {**field.params, **law.params}, "_pol(b)"
+        block = _inline(law, _each("_y#", n), ["b"])
+    code = _FORWARD_TEMPLATE.format(params=", ".join(params), i=n - 1, u=u)
+    key = ("forward", code, *field[:2], *block)
+    return _generated(key, partial(_fill, POLICY=block), code, n, field), params
 
 
 def _step_count(t_end: float, h: float) -> int:

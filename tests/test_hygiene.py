@@ -1,13 +1,13 @@
 """Static hygiene of the package: no unused imports, no unreferenced private
 functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas,
-the feedback law's slopes, the rate law and the switching law, a forward
-simulation that steps in its generated loop, an integrator that takes only
-``Source`` code, an oracle that reads no computed set, a policy module that
-reads no robust set argument, a README that names every verdict, every
-package name, keyword and positional call the benchmark makes, one step
-setting, ``Tolerances.step_h``, and no attribute stored on an object other
-than ``self``.
+the feedback law's slopes, the rate law, the switching law and its cap-layer
+rate, a forward simulation that steps in its generated loop, an integrator
+that takes only ``Source`` code, an oracle that reads no computed set, a
+policy module that reads no robust set argument, a README that names every
+verdict, every package name, keyword and positional call the benchmark
+makes, one step setting, ``Tolerances.step_h``, and no attribute stored on
+an object other than ``self``.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -142,6 +142,44 @@ def test_switching_law_has_one_home():
     assert "lru_cache" not in _reads(tree) | attrs | set(_imported(tree))
     guard = "DIVIDE_GUARD_S"
     assert _loads(policy, guard) == sum(_loads(t, guard) for t in TREES.values()) > 0
+
+
+def _cap_layer_code(tree) -> list[str]:
+    """Python code, not Source text, that divides gamma or compares with an end of beta's box."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands, names = [node.left], {"gamma"}
+        elif isinstance(node, ast.Compare):
+            operands, names = [node.left, *node.comparators], {"beta_min", "beta_max"}
+        else:
+            continue
+        read = {getattr(n, "attr", getattr(n, "id", None)) for o in operands for n in ast.walk(o)}
+        if read & names:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_cap_layer_rate_has_one_home():
+    # the cap-holding rate gamma/S and its clamp to the box are written once,
+    # as the switching law's Source, which simulate inlines and u compiles;
+    # the forward loop's template names no policy
+    rules = [
+        mod
+        for mod, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and "gamma / S" in str(node.value)
+    ]
+    assert rules == ["policy_sim"]
+    assert "gamma / S" in policy_sim.SwitchingLawPolicy._RULE
+    assert _cap_layer_code(TREES["policy_sim"]) == []
+    assert "Switching" not in policy_sim._FORWARD_TEMPLATE + policy_sim._CALL_POLICY
+    text = (PACKAGE / "policy_sim.py").read_text()
+    anchor = "        return u.beta\n"
+    assert text.count(anchor) == 1
+    for line in ("rate = self.scenario.gamma / s", "hit = self.scenario.beta_min < rate"):
+        mutated = ast.parse(text.replace(anchor, f"        {line}\n{anchor}"))
+        assert len(_cap_layer_code(mutated)) == 1, line
 
 
 def test_readme_names_exactly_the_verdicts():

@@ -106,24 +106,22 @@ def test_simulate_builds_one_field_per_segment(monkeypatch, sc_seir):
     assert 1 < len(calls) <= len(pol.starts)
 
 
-def test_switching_law_keeps_its_field_at_a_clamped_end(monkeypatch, sc_sir, adm_sir):
-    # the law emits one object per clamped end of the contact-rate box, on
-    # the cap layer and off it, so simulate binds its field's rates only when
-    # the rate changes; the dynamics benchmark's run rides the cap layer,
-    # where gamma/S changes every step.  A perfect variant's rates are bound
-    # through _input_rates: once with the field, then in the loop
-    rates = policy_sim._input_rates
-    built = []
-
-    def counting(scenario, u):
-        built.append(u.beta)
-        return rates(scenario, u)
-
-    monkeypatch.setattr(policy_sim, "_input_rates", counting)
+def test_switching_law_binds_its_field_once(monkeypatch, sc_sir, adm_sir):
+    # the law's contact rate is inlined into simulate's loop as the field's b,
+    # so the field is built and its rates bound once for the whole run, though
+    # the dynamics benchmark's run rides the cap layer, where gamma/S changes
+    # every step; a recorded input at a clamped end is one of the law's two objects
+    field, rates = policy_sim.forward_source, policy_sim._input_rates
+    built, bound = [], []
+    monkeypatch.setattr(policy_sim, "forward_source", lambda *a: built.append(1) or field(*a))
+    monkeypatch.setattr(policy_sim, "_input_rates", lambda *a: bound.append(1) or rates(*a))
     pol = SwitchingLawPolicy(sc_sir, adm_sir)
-    simulate(sc_sir, pol, [0.8, 0.012], 20.0)
-    assert sc_sir.beta_max in built
-    assert all(a != b for a, b in zip(built, built[1:]))
+    traj = simulate(sc_sir, pol, [0.8, 0.012], 20.0, record_every=1)
+    assert len(built) == len(bound) == 1
+    inputs = [u for _, _, u in traj.samples]
+    assert any(sc_sir.beta_min < u.beta < sc_sir.beta_max for u in inputs)
+    ends = [u for u in inputs if u.beta in (sc_sir.beta_min, sc_sir.beta_max)]
+    assert ends and all(u is pol.input(u.beta) for u in ends)
 
 
 def _float_bytes(v):
@@ -396,24 +394,68 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
     assert cap_layer_calls == []
 
 
-def test_switching_policy_tests_the_cap_layer_once_per_step(monkeypatch, sc_sir, adm_sir):
-    # criterion 08's start for 20 days: each policy.u call, clearance-cache
-    # miss or not, tests the cap layer exactly once
-    cap_calls, misses = [], []
-    cap, law = SwitchingLawPolicy._cap_layer_law, SwitchingLawPolicy._membership_law
-    counted = lambda calls, fn: lambda *a: calls.append(1) or fn(*a)
-    monkeypatch.setattr(SwitchingLawPolicy, "_cap_layer_law", counted(cap_calls, cap))
-    monkeypatch.setattr(SwitchingLawPolicy, "_membership_law", counted(misses, law))
-    u_calls = []
+def test_inlined_law_matches_the_law_evaluated_every_step_for_500_days(sc_sir, adm_sir):
+    # criterion 08's whole run: after the cap arc it spends about 436 days in
+    # the boundary layer near I = 0, on clearance-cache hits; a fresh
+    # switching_law at every step gives the same bits in every sample, the
+    # same breached flag and the same max_I
+    class EveryStep:
+        def u(self, t, state):
+            return switching_law(state, adm_sir, sc_sir)
+
+    run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 500.0, record_every=10)
+    fresh, inlined = run(EveryStep()), run(SwitchingLawPolicy(sc_sir, adm_sir))
+    assert len(inlined.samples) == 5_001
+    assert _trajectories_digest([inlined]) == _trajectories_digest([fresh])
+    assert inlined.samples[-1][1][1] < adm_sir.tolerances.boundary_layer_eps
+
+
+def test_switching_law_holds_beta_max_while_beta_max_keeps_the_cap(
+    sc_sir, sc_sir15, adm_sir, adm_sir15
+):
+    # ROADMAP item 12's first half: from seeded starts inside A whose
+    # constant-beta_max run peaks at least 2*eps under the cap, the law
+    # restricts nothing until I first falls under eps after the peak.  With
+    # c = gamma/beta_max, V = S + I - c*ln(S) is conserved under beta_max, so
+    # the peak is I0 for S0 <= c, else V(x0) - c + c*ln(c)
+    for sc, adm in ((sc_sir, adm_sir), (sc_sir15, adm_sir15)):
+        eps, c = adm.tolerances.boundary_layer_eps, sc.gamma / sc.beta_max
+        rng, starts = np.random.default_rng(3), []
+        while len(starts) < 4:
+            s, i = rng.uniform(0.0, 1.0), rng.uniform(0.0, sc.i_max)
+            if s + i > 1.0 or i < 2 * eps or membership(adm, (s, i)).verdict is not Verdict.INSIDE:
+                continue
+            peak = i if s <= c else s + i - c * math.log(s) - c + c * math.log(c)
+            if peak <= sc.i_max - 2 * eps:
+                starts.append((s, i))
+        for x0 in starts:
+            traj = simulate(sc, SwitchingLawPolicy(sc, adm), x0, 100.0)
+            levels = [x[1] for _, x, _ in traj.samples]
+            top = levels.index(max(levels))
+            end = next(k for k in range(top, len(levels)) if levels[k] < eps)
+            assert all(u.beta == sc.beta_max for _, _, u in traj.samples[:end]), x0
+
+
+def test_switching_law_reads_membership_only_on_a_miss(monkeypatch, sc_sir, adm_sir):
+    # criterion 08's start for 20 days: 1,497 of the 2,000 step starts lie on
+    # the cap layer, and the loop decides them and the clearance hits itself;
+    # the membership law runs once per miss, and u only for the first step
+    eps, s_hi = adm_sir.tolerances.boundary_layer_eps, adm_sir.usable.s_hi
+    on_cap_layer = lambda x: x[1] >= sc_sir.i_max - eps and x[0] <= s_hi + eps
+    law, misses, u_calls = SwitchingLawPolicy._membership_law, [], []
+    monkeypatch.setattr(
+        SwitchingLawPolicy, "_membership_law", lambda self, x: misses.append(x) or law(self, x)
+    )
 
     class Counted(SwitchingLawPolicy):
         def u(self, t, state):
-            u_calls.append(1)
+            u_calls.append(state)
             return super().u(t, state)
 
-    simulate(sc_sir, Counted(sc_sir, adm_sir), [0.8, 0.012], 20.0, record_every=1000)
-    assert len(misses) > 100
-    assert len(cap_calls) == len(u_calls) >= 2_000
+    traj = simulate(sc_sir, Counted(sc_sir, adm_sir), [0.8, 0.012], 20.0, record_every=1)
+    assert sum(on_cap_layer(x) for _, x, _ in traj.samples[:-1]) == 1_497
+    assert len(misses) == 146 and not any(on_cap_layer(x) for x in misses)
+    assert u_calls == [(0.8, 0.012)]
 
 
 def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir):
@@ -430,7 +472,7 @@ def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir):
             continue
         pol = SwitchingLawPolicy(sc_sir, adm_sir)
         u = pol.u(0.0, x)
-        clearance = pol._cache_radius
+        clearance = pol._cache[2]
         n_positive += clearance > 0.0
         for y in x + clearance * ring:
             assert switching_law(y, adm_sir, sc_sir).beta == u.beta
