@@ -77,24 +77,15 @@ class InputVec:
         return value
 
 
-# Enum member lookups such as ``Variant.SIR_PERFECT`` cost about 0.2 us each in
-# CPython 3.11, and simulate rebinds the rates on every step of a feedback policy,
-# so rate bindings compare against module-level aliases.
-_SIR_PERFECT = Variant.SIR_PERFECT
-_SEIR_PERFECT = Variant.SEIR_PERFECT
-_SIR_IMPERFECT = Variant.SIR_IMPERFECT
-
-
 def _input_rates(scenario: Scenario, u: InputVec | None) -> tuple | None:
     """A perfect variant's rates under the input ``u``, or None where the feedback law sets them.
 
     They do not depend on I, each is its own slope, and they are :func:`rate_source`'s params.
     """
-    v = scenario.variant
-    if u is None or not (v is _SIR_PERFECT or v is _SEIR_PERFECT):
+    if u is None or not scenario.variant.is_perfect:
         return None
     beta = u.beta
-    if v is _SIR_PERFECT:
+    if scenario.variant.is_sir:
         return beta, beta, scenario.gamma, scenario.gamma, None
     return beta, beta, u.gamma, u.gamma, scenario.eta
 
@@ -123,9 +114,9 @@ def rate_source(scenario: Scenario, u: InputVec | None) -> Source:
     The rates are clamped at their endpoint values outside [0, I_max], where
     breaching trajectories keep integrating; the slopes are those of the
     unclamped law.  ``u=None`` closes the loop on every rate that has an
-    interval, which is how :class:`AffineFeedbackPolicy` drives the perfect
-    variants' controls.  The statements read ``I``; all else is bound here, and
-    a slope coefficient ``2.0 * (lo - hi) / im`` rounds as in ``... * I``.
+    interval, as :class:`AffineFeedbackPolicy`'s law, :func:`forward_source`'s
+    statements, does on the perfect variants.  The statements read ``I``; all
+    else is bound here, and a slope coefficient ``2.0 * (lo - hi) / im`` rounds as in ``... * I``.
     """
     fixed = _input_rates(scenario, u)
     if fixed is not None:

@@ -1,7 +1,7 @@
 """Forward policy simulation, the set-based switching law, and oracles.
 
-:func:`simulate` steps in one generated loop, which inlines the switching law's
-per-step rule: the law reads the admissible set only on a clearance miss.
+:func:`simulate` steps in one generated loop, which inlines a law's per-step
+rule: the switching law reads the admissible set only on a clearance miss.
 
 The membership oracle cross-checks computed set boundaries the hard way, in all
 four variants: it forward-simulates trial input/disturbance signals (input-box
@@ -34,7 +34,6 @@ from .integrate import _refine_fraction, _rk4_stages, source_function
 from .models import (
     BadChannelError,
     InputVec,
-    _input_rates,
     active_channels,
     check_input,
     check_set_kind,
@@ -65,7 +64,7 @@ T_END_MAX = 10000.0  # longest horizon simulate accepts, days
 
 
 # ---------------------------------------------------------------------------
-# policies: callables (t, state) -> InputVec over the variant's free channels
+# policies: signals (starts, inputs) and laws (a Source, and its input)
 # ---------------------------------------------------------------------------
 
 
@@ -85,29 +84,37 @@ class AffineFeedbackPolicy:
     """Interpolated-rate feedback on I, with fixed disturbance values.
 
     For imperfect variants the model dynamics already apply the feedback, so
-    only the disturbance channels are emitted, each set once and inside its
-    box.  For perfect variants, which take no disturbance, the controls are
-    set to the same affine laws: the contact rate interpolates from beta_max
-    at I=0 down to beta_min at I=I_max, the removal rate from gamma_min up to
-    gamma_max.
+    the policy is a signal of one segment, its disturbance, set once and
+    inside its box.  For perfect variants, which take no disturbance, it is a
+    law: ``law`` is :func:`models.forward_source`'s statements on the closed
+    loop, whose contact rate ``b`` interpolates from beta_max at I=0 down to
+    beta_min at I=I_max and, in SEIR, whose removal rate ``g`` goes from
+    gamma_min up to gamma_max.  :func:`simulate` inlines it and :meth:`u`
+    compiles it.  The rates are a zero-order hold: taken at the state of each
+    step's start and held over the step.
     """
 
     def __init__(self, scenario: Scenario, disturbance: InputVec | None = None):
+        disturbance = disturbance or InputVec()
         self.scenario = scenario
-        self.disturbance = disturbance or InputVec()
+        self.starts = self.inputs = self.law = None
         if not scenario.variant.is_perfect:
-            check_input(scenario, self.disturbance)
-        elif self.disturbance != InputVec():
+            check_input(scenario, disturbance)
+            self.starts, self.inputs = [0.0], [disturbance]
+            return
+        if disturbance != InputVec():
             raise BadChannelError(f"feedback on {scenario.variant.value} takes no parameters")
-        self.channels = [ch.value for ch in active_channels(scenario.variant)]
-        self._law = rate_law(scenario, None) if scenario.variant.is_perfect else None
+        closed = forward_source(scenario, None)
+        rates = ("b", "g")[: len(active_channels(scenario.variant))]
+        self.law = Source(rates, closed.body, closed.params)
+        self._rule = source_function(self.law)
 
     def u(self, t: float, state) -> InputVec:
-        if self._law is None:
-            return self.disturbance
-        beta, _, gamma, _, _ = self._law(float(state[-1]))
-        law = {"beta": beta, "gamma": gamma}
-        return InputVec(**{ch: law[ch] for ch in self.channels})
+        return self.inputs[0] if self.law is None else self.input(*self._rule(t, state))
+
+    def input(self, beta: float, gamma: float | None = None) -> InputVec:
+        """The input of the rates the law returned."""
+        return InputVec(beta=beta, gamma=gamma)
 
 
 class SwitchingLawPolicy:
@@ -254,11 +261,11 @@ class OracleReport:
 
 # Steps from step _k of _n (the last clipped to _t_end) under the input {u}, recording
 # every _every-th state and the first cap crossing (_refine), until the end, a breach
-# that stops the run, the signal's next segment start, or an input that @POLICY, run at
-# each step start after the first, cannot bind; _forward_loop fills {u} and @POLICY.
+# that stops the run, or the signal's next segment start; @LAW, run at each step start
+# after the first, sets a law's rates.  _forward_loop fills {u} and @LAW.
 _FORWARD_TEMPLATE = """\
 def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _max, _br,
-          _first, _stop, _u, _next, _pol, _rebind, _refine, {params}):
+          _first, _stop, _u, _next, _pol, _refine, {params}):
     `_y#`, = _y
     while True:
         _h = _t_end - _t
@@ -280,19 +287,8 @@ def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _m
             _samples.append((_t, _array((`_y#`,)), {u}))
         if _k == _n or _br and _stop or _t >= _next:
             return _t, (`_y#`,), _k, _max, _br, _first, {u}
-        @POLICY
+        @LAW
 """
-# @POLICY without a law Source: the policy _pol, if any, returns the next input; _rebind
-# binds its rates, and an input whose rates it cannot bind is returned from the loop.
-_CALL_POLICY = """\
-if _pol is not None:
-    _v = _pol(_t, (`_y#`,))
-    if _v is not _u:
-        _p = _rebind and _rebind(_v)
-        if _p is None:
-            return _t, (`_y#`,), _k, _max, _br, _first, _v
-        {params}, = _p
-        _u = _v"""
 
 
 def simulate(
@@ -307,17 +303,21 @@ def simulate(
 ) -> Trajectory:
     """Forward RK4 in one generated loop, on :func:`models.forward_source` bound per input.
 
-    A bang signal (``starts``/``inputs``) is called at each step start that
-    reaches a segment start.  A policy with a ``law`` :class:`Source` of the
-    contact rate is inlined: the loop sets the field's rate ``b`` to the law's
-    value at each step start, and asks the policy's ``input`` for the input
-    of a step only to record or return it.  Any other policy is called every
-    step, on the state as a float tuple.  ``first_breach_time`` marks the first
-    time I exceeds I_max, even when the excess stays within geom_tol and
-    ``breached`` is not set: 0.0 for a start above the cap, otherwise the
-    crossing located by the integrator's event refiner to event_time_tol.
-    Integration continues to t_end unless stop_on_breach is set.
+    The policy is one of two kinds; any other raises TypeError.  A signal
+    (``starts``/``inputs``) is called at each step start that reaches a
+    segment start.  A law (a ``law`` :class:`Source` of the field's rates
+    ``b``, then ``g``, and ``input``) is inlined: the loop sets those rates to
+    the law's values at each step start, and asks the policy's ``input`` for
+    the input of a step only to record or return it.  ``first_breach_time``
+    marks the first time I exceeds I_max, even when the excess stays within
+    geom_tol and ``breached`` is not set: 0.0 for a start above the cap,
+    otherwise the crossing located by the integrator's event refiner to
+    event_time_tol.  Integration continues to t_end unless stop_on_breach is set.
     """
+    starts = getattr(policy, "starts", None)  # a signal's input holds until its next start
+    law = getattr(policy, "law", None)  # a Source of the field's rates, inlined in the loop
+    if (starts is None) == (law is None):
+        raise TypeError(f"{type(policy).__name__} is neither a signal nor a law")
     tol = tolerances or Tolerances()
     step = tol.step_h
     n_steps = _step_count(t_end, step)
@@ -342,21 +342,18 @@ def simulate(
     breached = max_i > thr
     first_breach = 0.0 if max_i > im else None
 
-    starts = getattr(policy, "starts", None)  # a signal's input holds until its next start
-    law = getattr(policy, "law", None)  # a Source of the contact rate, inlined in the loop
-    pol = policy.input if law else None if starts else policy.u
+    pol = policy.input if law else None
     nxt, k, bound = math.inf, 0, None
     while k < n_steps:
         if starts:
             j = bisect_right(starts, t)
             u, nxt = policy.u(t, x), (starts[j] if j < len(starts) else math.inf)
-        if u is not bound:  # policies that hold an input return the same object
+        if u is not bound:  # a signal holds one input object per segment
             bound, src = u, forward_source(scenario, u)
             loop, params = _forward_loop(src, law, len(x))
-            rebind = partial(_input_rates, scenario) if _input_rates(scenario, u) else None
         t, x, k, max_i, breached, first_breach, u = loop(
             t, x, k, n_steps, t_end, step, record_every, samples, np.array, im, thr, max_i,
-            breached, first_breach, stop_on_breach, u, nxt, pol, rebind, refine, **params,
+            breached, first_breach, stop_on_breach, u, nxt, pol, refine, **params,
         )
         if breached and stop_on_breach:
             break
@@ -364,18 +361,18 @@ def simulate(
 
 
 def _forward_loop(field: Source, law: Source | None, n: int):
-    """:data:`_FORWARD_TEMPLATE` on ``field`` and the params it takes.  @POLICY inlines ``law``
-    into ``field``'s contact rate ``b``, and a step's input {u} is the policy's ``_pol(b)``;
-    without a law, @POLICY is :data:`_CALL_POLICY` and {u} is ``_u``."""
+    """:data:`_FORWARD_TEMPLATE` on ``field`` and the params it takes.  @LAW inlines ``law``
+    into ``field``'s rates, one per output: ``b``, then ``g``; a step's input {u} is the
+    policy's ``_pol`` of them.  Without a law, @LAW is empty and {u} is ``_u``."""
     if law is None:
-        params, u = field.params, "_u"
-        block = _CALL_POLICY.format(params=", ".join(params)).splitlines()
+        params, u, block = field.params, "_u", []
     else:
-        params, u = {**field.params, **law.params}, "_pol(b)"
-        block = _inline(law, _each("_y#", n), ["b"])
+        rates = ["b", "g"][: 1 if isinstance(law.out, str) else len(law.out)]
+        params, u = {**field.params, **law.params}, f"_pol({', '.join(rates)})"
+        block = _inline(law, _each("_y#", n), rates)
     code = _FORWARD_TEMPLATE.format(params=", ".join(params), i=n - 1, u=u)
     key = ("forward", code, *field[:2], *block)
-    return _generated(key, partial(_fill, POLICY=block), code, n, field), params
+    return _generated(key, partial(_fill, LAW=block), code, n, field), params
 
 
 def _step_count(t_end: float, h: float) -> int:

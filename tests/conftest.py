@@ -1,4 +1,4 @@
-"""Shared scenario fixtures and cached computed sets.
+"""Shared scenario fixtures, cached computed sets and reference loops.
 
 Set assembly is the expensive part of the suite, so every assembled set is a
 session-scoped fixture shared across test modules.
@@ -10,7 +10,8 @@ import pytest
 
 from epibarrier import SetKind, assemble_set, policy_sim, validate_scenario
 from epibarrier.core import Tolerances
-from epibarrier.models import InputVec
+from epibarrier.integrate import EventKind, EventSpec, Source, _refine_fraction, rk4_step
+from epibarrier.models import InputVec, forward_source, vector_field
 
 
 SIR_PERFECT_RAW = {
@@ -196,3 +197,49 @@ def seir_corner_shot(scenario, set_kind, points):
         scenario, np.asarray(points, dtype=float), [trial], policy_sim.ORACLE_T_END, Tolerances()
     )
     return ~breach[:, 0]
+
+
+def simulate_ref(scenario, policy, x0, t_end, tol, *, record_every, stop_on_breach):
+    """``simulate``'s per-step loop: ``policy.u`` called at every step start.
+
+    ``models.vector_field`` is built whenever the policy returns a new input
+    object, one ``rk4_step`` taken per step and the cap crossing refined on
+    that field's source.  The run ends after the step count's last step, or
+    earlier once the accumulated time reaches ``t_end``.
+    """
+    n_steps = int(np.ceil(t_end / tol.step_h - 1e-12))
+    step = tol.step_h
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    im = scenario.i_max
+    thr = im + tol.geom_tol
+    cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", Source(f"y[{len(x) - 1}]"), trigger_level=im)
+    t = 0.0
+    u = policy.u(t, x)
+    samples = [(t, np.array(x), u)]
+    max_i = x[-1]
+    breached = max_i > thr
+    first_breach = 0.0 if max_i > im else None
+
+    u_rhs = rhs = None
+    for k in range(n_steps):
+        hk = step if step <= t_end - t else t_end - t
+        u = policy.u(t, x)
+        if u is not u_rhs:
+            u_rhs = u
+            rhs = vector_field(scenario, u)
+        x_new = rk4_step(rhs, t, x, hk)
+        i_old, i_new = x[-1], x_new[-1]
+        if first_breach is None and i_new > im >= i_old:
+            src = forward_source(scenario, u)
+            frac, _ = _refine_fraction(src, cap, t, x, hk, i_old, tol.event_time_tol)
+            first_breach = t + frac * hk
+        t, x = t + hk, x_new
+        last = k == n_steps - 1 or t >= t_end
+        if i_new > max_i:
+            max_i = i_new
+            breached = breached or i_new > thr
+        if (k + 1) % record_every == 0 or last:
+            samples.append((t, np.array(x), u))
+        if last or breached and stop_on_breach:
+            break
+    return policy_sim.Trajectory(samples, breached, max_i, first_breach)

@@ -2,12 +2,13 @@
 functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas,
 the feedback law's slopes, the rate law, the switching law and its cap-layer
-rate, a forward simulation that steps in its generated loop, an integrator
-that takes only ``Source`` code, an oracle that reads no computed set, a
-policy module that reads no robust set argument, a README that names every
-verdict, every package name, keyword and positional call the benchmark
-makes, one step setting, ``Tolerances.step_h``, and no attribute stored on
-an object other than ``self``.
+rate, a forward simulation that steps in its generated loop and calls no
+policy per step, an integrator that takes only ``Source`` code, an oracle
+that reads no computed set, a policy module that reads no robust set
+argument, a README that names every verdict, every package name, keyword
+and positional call the benchmark makes, one step setting,
+``Tolerances.step_h``, and no attribute stored on an object other than
+``self``.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -173,7 +174,7 @@ def test_cap_layer_rate_has_one_home():
     assert rules == ["policy_sim"]
     assert "gamma / S" in policy_sim.SwitchingLawPolicy._RULE
     assert _cap_layer_code(TREES["policy_sim"]) == []
-    assert "Switching" not in policy_sim._FORWARD_TEMPLATE + policy_sim._CALL_POLICY
+    assert "Switching" not in policy_sim._FORWARD_TEMPLATE
     text = (PACKAGE / "policy_sim.py").read_text()
     anchor = "        return u.beta\n"
     assert text.count(anchor) == 1
@@ -275,6 +276,15 @@ def test_simulate_steps_in_its_generated_loop():
     for call in ("rk4_step(rhs, t, x, h)", "vector_field(scenario, u)", "integrate.rk4_step(rhs, t, x, h)"):
         mutated = ast.parse(text.replace(end, f"    x = {call}\n{end}"))
         assert _simulate_steppers(mutated) == {call.split("(")[0].split(".")[-1]}, call
+
+
+def test_simulate_calls_no_policy_per_step():
+    # simulate takes a signal, called at segment starts, or a law, inlined:
+    # its loop neither calls a policy on the state nor rebinds an input's rates
+    template = policy_sim._FORWARD_TEMPLATE
+    assert "_rebind" not in template and "_pol(_t" not in template
+    assert "_CALL_POLICY" not in vars(policy_sim)
+    assert "_input_rates" not in set(_imported(TREES["policy_sim"]))
 
 
 def _called_code_paths(tree) -> list[str]:

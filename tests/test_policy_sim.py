@@ -22,7 +22,7 @@ from epibarrier.policy_sim import (
     switching_law,
 )
 
-from conftest import SIR_PERFECT_RAW, phi_sir, seir_corner_shot, seir_points
+from conftest import SIR_PERFECT_RAW, phi_sir, seir_corner_shot, seir_points, simulate_ref
 
 
 def test_constant_policy_validates_box(sc_sir):
@@ -106,15 +106,30 @@ def test_simulate_builds_one_field_per_segment(monkeypatch, sc_seir):
     assert 1 < len(calls) <= len(pol.starts)
 
 
+def test_simulate_refuses_a_policy_that_is_neither_signal_nor_law(sc_sir):
+    # a policy with only u is no longer called per step: simulate raises
+    # before it reads the policy or takes a step
+    calls = []
+
+    class OnlyU:
+        def u(self, t, state):
+            calls.append(t)
+            return InputVec(beta=sc_sir.beta_min)
+
+    with pytest.raises(TypeError, match="OnlyU"):
+        simulate(sc_sir, OnlyU(), [0.8, 0.012], 10.0)
+    assert calls == []
+
+
 def test_switching_law_binds_its_field_once(monkeypatch, sc_sir, adm_sir):
     # the law's contact rate is inlined into simulate's loop as the field's b,
     # so the field is built and its rates bound once for the whole run, though
     # the dynamics benchmark's run rides the cap layer, where gamma/S changes
     # every step; a recorded input at a clamped end is one of the law's two objects
-    field, rates = policy_sim.forward_source, policy_sim._input_rates
+    field, rates = policy_sim.forward_source, models._input_rates
     built, bound = [], []
     monkeypatch.setattr(policy_sim, "forward_source", lambda *a: built.append(1) or field(*a))
-    monkeypatch.setattr(policy_sim, "_input_rates", lambda *a: bound.append(1) or rates(*a))
+    monkeypatch.setattr(models, "_input_rates", lambda *a: bound.append(1) or rates(*a))
     pol = SwitchingLawPolicy(sc_sir, adm_sir)
     traj = simulate(sc_sir, pol, [0.8, 0.012], 20.0, record_every=1)
     assert len(built) == len(bound) == 1
@@ -356,9 +371,10 @@ def test_switching_law_keeps_cap_from_inside(sc_sir, adm_sir):
 
 def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_sir):
     # criterion 08's start, driven once by the cached law and once by the law
-    # re-evaluated every step: every recorded step is bit-identical, and the
-    # run reaches the admissible boundary layer (near the I = 0 axis after
-    # about 55 days), where the cached law rides a positive clearance
+    # re-evaluated at every step of the per-step reference loop: every
+    # recorded step is bit-identical, and the run reaches the admissible
+    # boundary layer (near the I = 0 axis after about 55 days), where the
+    # cached law rides a positive clearance
     law = SwitchingLawPolicy._membership_law
     boundary_clearances = []
     eps, s_hi = adm_sir.tolerances.boundary_layer_eps, adm_sir.usable.s_hi
@@ -377,10 +393,10 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
         def u(self, t, state):
             return switching_law(state, adm_sir, sc_sir)
 
-    run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 60.0, record_every=1)
-    fresh = run(EveryStep())
+    kw = {"record_every": 1, "stop_on_breach": False}
+    fresh = simulate_ref(sc_sir, EveryStep(), [0.8, 0.012], 60.0, Tolerances(), **kw)
     monkeypatch.setattr(SwitchingLawPolicy, "_membership_law", spy)
-    cached = run(SwitchingLawPolicy(sc_sir, adm_sir))
+    cached = simulate(sc_sir, SwitchingLawPolicy(sc_sir, adm_sir), [0.8, 0.012], 60.0, **kw)
     # the cap-layer branch always returns 0, so a positive clearance at an
     # admissible BOUNDARY verdict comes from the membership law
     assert any(c > 0.0 for c in boundary_clearances)
@@ -397,14 +413,15 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
 def test_inlined_law_matches_the_law_evaluated_every_step_for_500_days(sc_sir, adm_sir):
     # criterion 08's whole run: after the cap arc it spends about 436 days in
     # the boundary layer near I = 0, on clearance-cache hits; a fresh
-    # switching_law at every step gives the same bits in every sample, the
-    # same breached flag and the same max_I
+    # switching_law at every step of the per-step reference loop gives the
+    # same bits in every sample, the same breached flag and the same max_I
     class EveryStep:
         def u(self, t, state):
             return switching_law(state, adm_sir, sc_sir)
 
-    run = lambda pol: simulate(sc_sir, pol, [0.8, 0.012], 500.0, record_every=10)
-    fresh, inlined = run(EveryStep()), run(SwitchingLawPolicy(sc_sir, adm_sir))
+    kw = {"record_every": 10, "stop_on_breach": False}
+    fresh = simulate_ref(sc_sir, EveryStep(), [0.8, 0.012], 500.0, Tolerances(), **kw)
+    inlined = simulate(sc_sir, SwitchingLawPolicy(sc_sir, adm_sir), [0.8, 0.012], 500.0, **kw)
     assert len(inlined.samples) == 5_001
     assert _trajectories_digest([inlined]) == _trajectories_digest([fresh])
     assert inlined.samples[-1][1][1] < adm_sir.tolerances.boundary_layer_eps

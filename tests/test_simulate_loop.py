@@ -1,68 +1,25 @@
 """``simulate``'s generated step loop against the per-step loop it replaced.
 
-The reference below is that loop as it was: the policy called at every step
-start, ``models.vector_field`` built whenever the policy returns a new input
-object, one ``rk4_step`` per step and the cap crossing refined on that
-field's source.  The run ends after the step count's last step, or earlier
-once the accumulated time reaches ``t_end``.  The generated loop must
-reproduce its whole ``Trajectory`` bit for bit, or raise the same error.
+The reference is that loop as it was, :func:`conftest.simulate_ref`.  The
+generated loop must reproduce its whole ``Trajectory`` bit for bit, or raise
+the same error.
 """
 import struct
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epibarrier.core import Tolerances
-from epibarrier.integrate import EventKind, EventSpec, Source, _refine_fraction, rk4_step
-from epibarrier.models import InputVec, forward_source, input_box, vector_field
+from epibarrier.models import InputVec, input_box
 from epibarrier.policy_sim import (
     AffineFeedbackPolicy,
     ConstantPolicy,
     ExtremalBangPolicy,
     SwitchingLawPolicy,
-    Trajectory,
     simulate,
 )
 
-
-def _simulate_ref(scenario, policy, x0, t_end, tol, *, record_every, stop_on_breach):
-    n_steps = int(np.ceil(t_end / tol.step_h - 1e-12))
-    step = tol.step_h
-    x = tuple(np.asarray(x0, dtype=float).tolist())
-    im = scenario.i_max
-    thr = im + tol.geom_tol
-    cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", Source(f"y[{len(x) - 1}]"), trigger_level=im)
-    t = 0.0
-    u = policy.u(t, x)
-    samples = [(t, np.array(x), u)]
-    max_i = x[-1]
-    breached = max_i > thr
-    first_breach = 0.0 if max_i > im else None
-
-    u_rhs = rhs = None
-    for k in range(n_steps):
-        hk = step if step <= t_end - t else t_end - t
-        u = policy.u(t, x)
-        if u is not u_rhs:
-            u_rhs = u
-            rhs = vector_field(scenario, u)
-        x_new = rk4_step(rhs, t, x, hk)
-        i_old, i_new = x[-1], x_new[-1]
-        if first_breach is None and i_new > im >= i_old:
-            src = forward_source(scenario, u)
-            frac, _ = _refine_fraction(src, cap, t, x, hk, i_old, tol.event_time_tol)
-            first_breach = t + frac * hk
-        t, x = t + hk, x_new
-        last = k == n_steps - 1 or t >= t_end
-        if i_new > max_i:
-            max_i = i_new
-            breached = breached or i_new > thr
-        if (k + 1) % record_every == 0 or last:
-            samples.append((t, np.array(x), u))
-        if last or breached and stop_on_breach:
-            break
-    return Trajectory(samples, breached, max_i, first_breach)
+from conftest import simulate_ref
 
 
 def _bits(v):
@@ -131,7 +88,7 @@ def test_generated_loop_matches_the_per_step_loop(
         "record_every": data.draw(st.sampled_from([1, 3, 7]), "record_every"),
         "stop_on_breach": data.draw(st.booleans(), "stop_on_breach"),
     }
-    want = _outcome(lambda: _simulate_ref(sc, policy(), x0, t_end, tol, **kw))
+    want = _outcome(lambda: simulate_ref(sc, policy(), x0, t_end, tol, **kw))
     got = _outcome(lambda: simulate(sc, policy(), x0, t_end, tol, **kw))
     assert got == want
 
@@ -143,8 +100,20 @@ def test_run_ends_where_the_accumulated_time_reaches_t_end(sc_sir):
     tol = Tolerances()
     policy = ConstantPolicy(sc_sir, InputVec(beta=0.7))
     kw = {"record_every": 10, "stop_on_breach": False}
-    want = _outcome(lambda: _simulate_ref(sc_sir, policy, [0.8, 0.001], t_end, tol, **kw))
+    want = _outcome(lambda: simulate_ref(sc_sir, policy, [0.8, 0.001], t_end, tol, **kw))
     assert _outcome(lambda: simulate(sc_sir, policy, [0.8, 0.001], t_end, tol, **kw)) == want
     tr = simulate(sc_sir, policy, [0.8, 0.001], t_end, tol)
     assert len(tr.samples) == 181  # the start, every 10th of 1,798 steps and the end
     assert [t for t, _, _ in tr.samples[-2:]] == [17.9, t_end]
+
+
+def test_feedback_law_matches_the_per_step_loop_for_500_days(sc_sir, sc_seir):
+    # the perfect variants' feedback is a law inlined into the loop; over 500
+    # days, long past the hypothesis runs' 30, every bit matches the policy
+    # called at every step start
+    kw = {"record_every": 10, "stop_on_breach": False}
+    for sc, x0 in ((sc_sir, [0.8, 0.012]), (sc_seir, [0.6, 0.1, 0.25])):
+        pol = AffineFeedbackPolicy(sc)
+        want = _outcome(lambda: simulate_ref(sc, pol, x0, 500.0, Tolerances(), **kw))
+        assert _outcome(lambda: simulate(sc, pol, x0, 500.0, **kw)) == want
+        assert len(want[0]) == 5_001
