@@ -512,11 +512,6 @@ def check_set_geometry(cset: ComputedSet) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_boundary_distance(scenario: Scenario, c: list[float]) -> float:
-    """Distance to the boundary of the constrained simplex."""
-    return min(*c, (1.0 - sum(c)) / math.sqrt(len(c)), scenario.i_max - c[-1])
-
-
 def _in_simplex(scenario: Scenario, c: list[float], tol: float) -> bool:
     # plain floats, summed left to right as np.sum does for so few components
     total = 0.0
@@ -550,7 +545,8 @@ def membership(cset: ComputedSet, point) -> Membership:
 
     The distance counts the SIR polygon's edges, the whole I = 0 axis and the S = 0 edge
     up to the cap, so the sum face only where a polygon edge lies on it; the SEIR mesh
-    nodes, the usable cap face and the S axis; every face of a trivial set's capped simplex.
+    nodes, the usable cap face and the S axis; a trivial set's cap face alone (its other,
+    invariant faces separate nothing), or the face a state outside lies farthest beyond.
     """
     x = np.asarray(point, dtype=float)
     scenario, tol, dim = cset.scenario, cset.tolerances, cset.dim
@@ -558,9 +554,9 @@ def membership(cset: ComputedSet, point) -> Membership:
     if x.shape != (dim,) or not all(map(math.isfinite, c)):
         raise ValueError(f"query point {c} is not a finite state of shape ({dim},)")
     if cset.trivial:
-        dist = _simplex_boundary_distance(scenario, c)
+        dist = scenario.i_max - c[-1]
         if not _in_simplex(scenario, c, tol.geom_tol):
-            return Membership(_OUTSIDE, abs(dist))
+            return Membership(_OUTSIDE, abs(min(*c, (1.0 - sum(c)) / math.sqrt(dim), dist)))
         if dist <= tol.boundary_layer_eps:
             return Membership(_BOUNDARY, dist)
         return Membership(_INSIDE, dist)

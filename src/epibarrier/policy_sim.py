@@ -9,13 +9,13 @@ corner constants and seeded bang signals) and watches for cap breaches.  A
 trial signal is one list of segments: ``inputs[k]`` holds from ``starts[k]``
 until the next start.  A point claimed inside the admissible set must have
 *some* cap-preserving input; a point claimed inside the robust invariant set
-must survive *every* trial signal; on the perfect SIR admissible set the
-one trial, constant beta_min, decides exactly, so no oracle reads the set it
-checks.  All (point, trial) runs of a query batch
-step together as lanes of numpy arrays while many are live; the few left are
-finished one by one as float tuples, each reading its trial's segments.  Both
-take :func:`simulate`'s RK4 stages, field and step count, but step k from
-t = k*h, not from its accumulated t.  A refuted claim carries its
+must survive *every* trial signal; on each perfect SIR set one constant
+(beta_min for the admissible set, beta_max for the robust one) decides
+exactly, so no oracle reads the set it checks.  All (point, trial) runs of a
+query batch step together as lanes of numpy arrays while many are live; the
+few left are finished one by one as float tuples, each reading its trial's
+segments.  Both take :func:`simulate`'s RK4 stages, field and step count, but
+step k from t = k*h, not from its accumulated t.  A refuted claim carries its
 counterexample: the deciding trial, replayed through :func:`simulate`.
 """
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "grid_membership_oracle",
 ]
 
-DIVIDE_GUARD_S = 1e-9
 ORACLE_T_END = 500.0
 _BANG_SEGMENTS = 8  # segments of one channel of a seeded bang signal
 T_END_MAX = 10000.0  # longest horizon simulate accepts, days
@@ -96,7 +95,6 @@ class AffineFeedbackPolicy:
 
     def __init__(self, scenario: Scenario, disturbance: InputVec | None = None):
         disturbance = disturbance or InputVec()
-        self.scenario = scenario
         self.starts = self.inputs = self.law = None
         if not scenario.variant.is_perfect:
             check_input(scenario, disturbance)
@@ -120,17 +118,19 @@ class AffineFeedbackPolicy:
 class SwitchingLawPolicy:
     """Set-membership-driven contact-rate law for the perfect SIR model.
 
-    It reads the admissible set ``A`` alone: beta_max while safely inside
-    ``A``, beta_min on its boundary layer and outside (there beta_min is the
-    semipermeable extremal input), and the cap-holding rate gamma/S, clamped
-    to the box, on the usable part of the cap face.  The robust invariant set
+    It is beta_max in the free region beta_max*S <= gamma, where I never rises
+    again: dI/dt = (beta*S - gamma)*I <= 0 under every beta, and S never rises.
+    Elsewhere it reads the admissible set ``A`` alone: beta_max while safely
+    inside ``A``, beta_min on its boundary layer and outside (there beta_min is
+    the semipermeable extremal input), and the cap-holding rate gamma/S,
+    clamped to the box, on the usable part of the cap face.  The robust set
     ``M`` could never change the input, since INSIDE ``M`` implies INSIDE ``A``:
 
     - If ``x`` reads INSIDE ``M``, the open disc of radius ``d_M(x) > eps``
       around ``x`` meets none of ``M``'s pieces (its polygon edges, the I = 0
       axis and the S = 0 edge) and lies in ``M``'s polygon.
-    - ``M``'s polygon lies in ``A``'s, so the disc meets none of ``A``'s
-      pieces either: ``A``'s own edges plus the same axis and edge.
+    - ``M``'s polygon lies in ``A``'s, so the disc meets none of ``A``'s pieces either:
+      ``A``'s own edges plus the same axis and edge, or a trivial ``A``'s cap face.
     - So ``d_A(x) >= d_M(x) > eps``, and ``x`` reads INSIDE ``A``.
 
     The containment holds up to ``geom_tol`` (``M``'s sum-face vertex lies
@@ -144,15 +144,17 @@ class SwitchingLawPolicy:
     ``mrpi_set`` is accepted and unused: the benchmark's workloads pass it.
     """
 
-    # On the usable cap layer (I within eps of the cap, S at most eps past the usable
-    # part's end) gamma/S clamped to the box, beta_max below the divide guard; off it
+    # beta_max in the free region beta_max*S <= gamma; on the usable cap layer (I within eps
+    # of the cap, S at most eps past the usable part's end) gamma/S clamped to the box; else
     # the cached rate within the cached clearance (a NaN distance misses).
     _RULE = """\
 S = y[0]
 I = y[1]
 s_c, i_c, radius, rate = cache
-if I >= layer_i and S <= layer_s:
-    rate = gamma / S if S >= guard else beta_hi
+if S * beta_hi <= gamma:
+    rate = beta_hi
+elif I >= layer_i and S <= layer_s:
+    rate = gamma / S
     rate = beta_hi if rate >= beta_hi else (rate if rate > beta_lo else beta_lo)
 elif not sqrt((S - s_c) * (S - s_c) + (I - i_c) * (I - i_c)) < radius:
     rate = miss(S, I)"""
@@ -176,7 +178,7 @@ elif not sqrt((S - s_c) * (S - s_c) + (I - i_c) * (I - i_c)) < radius:
         self.law = Source("rate", self._RULE, {
             "layer_i": math.nan if up is None else scenario.i_max - eps,  # NaN: no layer
             "layer_s": math.nan if up is None else up.s_hi + eps,
-            "gamma": scenario.gamma, "guard": DIVIDE_GUARD_S,
+            "gamma": scenario.gamma,
             "beta_lo": scenario.beta_min, "beta_hi": scenario.beta_max,
             "cache": self._cache, "miss": self._miss,
         })
@@ -221,7 +223,6 @@ class ExtremalBangPolicy:
 
     def __init__(self, scenario: Scenario, seed, t_end: float):
         rng = np.random.default_rng(seed)
-        self.scenario = scenario
         box = input_box(scenario).items()
         scheds = {ch.value: _bang_schedule(rng, lo, hi, t_end) for ch, (lo, hi) in box}
         self.starts = sorted({t for times, _ in scheds.values() for t in times.tolist()})
@@ -437,21 +438,24 @@ def _oracle_trials(
 ) -> list[ConstantPolicy | ExtremalBangPolicy]:
     """The oracle's trial signals, in the order their breaches are reported.
 
-    Perfect SIR admissible set: constant beta_min alone, which decides it
-    exactly.  With c = gamma/beta_min, V = S + I - c*ln(S) has
-    dV/dt = I*(c*beta - gamma) >= 0 under every beta >= beta_min, and beta_min
+    Perfect SIR: one constant decides each set exactly, beta_min the admissible
+    set and beta_max the robust one.  With c = gamma/beta_min, V = S + I - c*ln(S)
+    has dV/dt = I*(c*beta - gamma) >= 0 under every beta >= beta_min, and beta_min
     conserves V.  Let constant beta_min breach from x, and take any signal.  If
-    S(x) <= c, the beta_min run peaks at x, which every run shares.  Otherwise
-    it peaks at S = c with I = V(x) - c + c*ln(c) > i_max, and S falls: if it
-    reaches c, I is at least that there; if it stays above c, I -> 0, because
-    the integral of beta*S*I is at most S(x), so V(inf) = g(S(inf)) <= g(S(x))
-    < V(x) with g(S) = S - c*ln(S) increasing for S > c, and V fell.  So every
-    signal breaches from x, on an unbounded horizon (the runs stop at
-    ``t_end``).  Every other set: the 2^channels input-box corner constants,
+    S(x) <= c, the beta_min run peaks at x, which every run shares.  Otherwise it
+    peaks at S = c with I = V(x) - c + c*ln(c) > i_max, and S falls: if it reaches
+    c, I is at least that there; if it stays above c, I -> 0, because the integral
+    of beta*S*I is at most S(x), so V(inf) = g(S(inf)) <= g(S(x)) < V(x) with
+    g(S) = S - c*ln(S) increasing for S > c, and V fell.  So every signal breaches
+    from x, on an unbounded horizon (the runs stop at ``t_end``).  With
+    c = gamma/beta_max, V never rises under beta <= beta_max and beta_max conserves
+    it, so no signal peaks above constant beta_max's own peak, one of the signals.
+    Every other set: the 2^channels input-box corner constants,
     then ``n_trials`` seeded bang signals, one per child of ``SeedSequence(seed)``.
     """
-    if set_kind is SetKind.ADMISSIBLE and scenario.variant is Variant.SIR_PERFECT:
-        return [ConstantPolicy(scenario, InputVec(beta=scenario.beta_min))]
+    if scenario.variant is Variant.SIR_PERFECT:
+        beta = scenario.beta_min if set_kind is SetKind.ADMISSIBLE else scenario.beta_max
+        return [ConstantPolicy(scenario, InputVec(beta=beta))]
     box = [(ch.value, lo, hi) for ch, (lo, hi) in input_box(scenario).items()]
     trials: list[ConstantPolicy | ExtremalBangPolicy] = [
         ConstantPolicy(
@@ -646,11 +650,11 @@ def grid_membership_oracle(
 
     MRPI: a point is inside iff no trial signal (input-box corner constants
     plus seeded bang signals) breaches the cap.  ADMISSIBLE, perfect SEIR:
-    inside iff some trial signal preserves the cap.  ADMISSIBLE, perfect
-    SIR: inside iff constant beta_min preserves the cap, which decides it
-    exactly (see :func:`_oracle_trials`).  Every run steps at
-    ``tolerances.step_h``.  ``admissible_set`` and ``mrpi_set`` are accepted
-    and unused: the benchmark's workloads still pass them.
+    inside iff some trial signal preserves the cap.  Perfect SIR: inside iff
+    the one constant that decides the set exactly keeps the cap, beta_min for
+    ADMISSIBLE and beta_max for MRPI (see :func:`_oracle_trials`).  Every run
+    steps at ``tolerances.step_h``.  ``admissible_set`` and ``mrpi_set`` are
+    accepted and unused: the benchmark's workloads still pass them.
     """
     tol = tolerances or Tolerances()
     return _oracle(scenario, set_kind, points, n_trials, seed, t_end, tol)[0]

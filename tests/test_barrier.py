@@ -20,9 +20,11 @@ from epibarrier.barrier import (
     select_extremal_input,
 )
 from epibarrier.core import SetKind, Tolerances, validate_scenario
+from epibarrier.integrate import EventKind, IntegrationResult, SingularArcError
+from epibarrier.policy_sim import grid_membership_oracle
 from epibarrier.models import Channel, InputVec, lie_derivative_g, state_rhs
 
-from conftest import SEIR_PERFECT_RAW, SIR_PERFECT_15_RAW
+from conftest import SEIR_PERFECT_40_RAW, SEIR_PERFECT_RAW, SIR_PERFECT_15_RAW, SIR_PERFECT_RAW
 
 HAM_TOL = 1e-6  # largest |lambda^T f| accepted along a traced curve
 
@@ -585,6 +587,55 @@ def test_trivial_set_membership(sc_sir40):
 
 
 @pytest.mark.parametrize(
+    "raw, kind",
+    [
+        (dict(SIR_PERFECT_RAW, i_max=0.3), SetKind.ADMISSIBLE),
+        (dict(SIR_PERFECT_RAW, i_max=0.4), SetKind.ADMISSIBLE),
+        (dict(SIR_PERFECT_RAW, i_max=0.4), SetKind.MRPI),
+        (SEIR_PERFECT_40_RAW, SetKind.ADMISSIBLE),
+    ],
+)
+def test_trivial_set_reads_only_its_cap_face(raw, kind):
+    # the simplex faces are invariant under every input and separate no state
+    # from another, so a trivial set's distance is i_max - I: BOUNDARY within
+    # eps of the cap face only, and states within 1e-3 of each other face
+    # read INSIDE, as the oracle finds them
+    sc = validate_scenario(raw)
+    cset = ComputedSet(sc, kind)
+    assert cset.trivial
+    eps, d, rng = cset.tolerances.boundary_layer_eps, sc.dim, np.random.default_rng(38)
+    pts = rng.dirichlet(np.ones(d + 1), 600)[:, :d]
+    pts = pts[pts[:, -1] <= sc.i_max]
+    for p in pts:
+        m = membership(cset, p)
+        assert m.distance_estimate == sc.i_max - p[-1]
+        assert (m.verdict is Verdict.BOUNDARY) == (sc.i_max - p[-1] <= eps), p
+    near = []
+    for face in range(d + 1):  # each axis face, then the sum face
+        x = rng.dirichlet(np.ones(d + 1), 80)[:, :d]
+        if face < d:
+            x[:, face] = rng.uniform(0.0, 1e-3, len(x))
+        else:
+            x *= (1.0 - rng.uniform(0.0, 1e-3, (len(x), 1))) / x.sum(axis=1, keepdims=True)
+        near.extend(x[x[:, -1] < sc.i_max - 2 * eps])
+    assert len(near) >= 100
+    assert all(membership(cset, p).verdict is Verdict.INSIDE for p in near)
+    assert grid_membership_oracle(sc, kind, near, n_trials=2).all()
+    # a state beyond the sum face, the S = 0 face or the cap reads OUTSIDE at
+    # every state nearer than its distance, the clearance the law caches
+    x = rng.dirichlet(np.ones(d + 1), 30)[:, :d]
+    beyond = [x / x.sum(axis=1, keepdims=True) * rng.uniform(1.02, 1.2, (30, 1)), x.copy(), x]
+    beyond[1][:, 0] = -rng.uniform(0.01, 0.1, 30)
+    beyond[2][:, -1] = rng.uniform(sc.i_max + 0.01, 1.0, 30)
+    for p in np.vstack(beyond):
+        m = membership(cset, p)
+        assert m.verdict is Verdict.OUTSIDE, p
+        for v in rng.normal(size=(8, d)):
+            q = p + 0.999 * m.distance_estimate * v / np.linalg.norm(v)
+            assert membership(cset, q).verdict is Verdict.OUTSIDE, (p, q)
+
+
+@pytest.mark.parametrize(
     "name, point",
     [
         ("adm_sir", [0.8, 0.012, 0.015]),
@@ -1025,3 +1076,64 @@ def test_compute_barrier_curve_records_arclength(sc_sir):
     # arc length is at least the straight-line distance covered
     chord = np.linalg.norm(curve.states[-1] - curve.states[0])
     assert curve.arc_length >= chord - 1e-12
+
+
+def test_containment_check_refuses_a_sample_outside_the_capped_simplex(adm_sir):
+    sc, tol, curve = adm_sir.scenario, adm_sir.tolerances, adm_sir.curves[0]
+    barrier._check_containment(sc, curve, tol)
+    for k, value in ((1, sc.i_max + 1e-6), (0, -1e-6), (0, math.nan)):
+        samples = curve.samples.copy()
+        samples[3, k] = value
+        bad = dataclasses.replace(curve, samples=samples)
+        with pytest.raises(barrier.InvariantBreachError, match="left the capped simplex"):
+            barrier._check_containment(sc, bad, tol)
+
+
+@pytest.mark.parametrize(
+    "name, kind, state, adjoint",
+    [
+        # sigma_beta = lam_I - lam_S and its derivative vanish with the adjoint
+        ("sc_sir", SetKind.ADMISSIBLE, [0.5, 0.01], [0.0, 0.0]),
+        # sigma_gamma = lam_I, and its derivative beta*S*(lam_S - lam_I) at S = 0
+        ("sc_sir_imp", SetKind.MRPI, [0.0, 0.01], [1.0, 0.0]),
+    ],
+)
+def test_extremal_input_refuses_a_singular_arc(request, name, kind, state, adjoint):
+    sc = request.getfixturevalue(name)
+    with pytest.raises(SingularArcError, match="its derivative both vanish"):
+        select_extremal_input(sc, kind, state, adjoint)
+
+
+def test_barrier_curve_truncates_at_chattering_switches(monkeypatch, sc_sir):
+    # two switch events 1e-10 d apart, closer than SWITCH_GAP_MIN_FACTOR *
+    # event_time_tol: the curve keeps the first switch, ends at the second and
+    # flags itself truncated
+    def two_close_switches(source, events, y, *, t0, **kwargs):
+        sigma = next(ev for ev in events if ev.kind is EventKind.SIGN_CHANGE)
+        t = t0 + 1e-10
+        return IntegrationResult(np.array([t0, t]), np.array([y, y]), sigma, t, y, 1)
+
+    monkeypatch.setattr(barrier, "integrate_until", two_close_switches)
+    x0 = [0.8, sc_sir.i_max]
+    curve = compute_barrier_curve(sc_sir, SetKind.ADMISSIBLE, x0)
+    assert curve.truncated and curve.termination.label == "sigma_beta"
+    assert [t for t, _ in curve.switch_times] == [1e-10]
+    assert curve.is_switch.tolist() == [False, True, False, False]
+    assert curve.tau.tolist() == [0.0, 1e-10, 1e-10, 2e-10]
+
+
+def test_zero_length_diagonal_covers_no_query():
+    # a quad whose diagonal a -> c has zero length: both its triangles are
+    # segments, so they cover no query and the ray crosses nothing there
+    nodes = np.array([
+        [[1 / 16, 5 / 16, 1 / 4], [1 / 16, 5 / 16 + H, 1 / 4]],
+        [[1 / 16 + H, 5 / 16, 1 / 4], [1 / 16, 5 / 16, 1 / 4]],
+    ])
+    cset = _synthetic_set(nodes)
+    scan = _full_scan(cset)
+    for s_q, e_q in ((1 / 16 + H / 4, 5 / 16 + H / 4), (1 / 16 + H / 2, 5 / 16)):
+        for i_q in (1 / 8, 3 / 8):
+            x = np.array([s_q, e_q, i_q])
+            assert not np.any(scan(x)[0])
+            assert barrier._seir_inside(cset, *x.tolist()) is False
+            assert membership(cset, x).verdict is Verdict.OUTSIDE

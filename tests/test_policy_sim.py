@@ -335,15 +335,17 @@ def test_switching_law_regions(sc_sir, adm_sir):
     # on the usable part of the cap face: hold the cap with gamma/S, clamped
     u = switching_law([0.7, sc_sir.i_max], adm_sir, sc_sir)
     assert u.beta == pytest.approx(0.5 / 0.7)
-    # gamma/S = 1.0 above beta_max: clamped to the box
-    u = switching_law([0.5, sc_sir.i_max], adm_sir, sc_sir)
-    assert u.beta == sc_sir.beta_max
     # on the cap but past the usable part: only minimal contact remains
     u = switching_law([0.9, sc_sir.i_max], adm_sir, sc_sir)
     assert u.beta == sc_sir.beta_min
-    # S below the divide guard: harmless default
-    u = switching_law([0.0, sc_sir.i_max], adm_sir, sc_sir)
-    assert u.beta == sc_sir.beta_max
+    # the free region beta_max*S <= gamma (S <= 0.625), where I never rises
+    # again, takes full contact before the cap layer (gamma/S = 1.0 at S = 0.5,
+    # and S = 0 divides nothing) and before A's boundary layer near I = 0
+    for x in ([0.5, sc_sir.i_max], [0.0, sc_sir.i_max], [0.6, 5e-4]):
+        assert switching_law(x, adm_sir, sc_sir).beta == sc_sir.beta_max, x
+    assert membership(adm_sir, [0.6, 5e-4]).verdict is Verdict.BOUNDARY
+    # just past it, that layer still reads minimal contact
+    assert switching_law([0.7, 5e-4], adm_sir, sc_sir).beta == sc_sir.beta_min
 
 
 def test_switching_law_policy_cache_consistency(sc_sir, adm_sir):
@@ -370,20 +372,22 @@ def test_switching_law_keeps_cap_from_inside(sc_sir, adm_sir):
 
 
 def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_sir):
-    # criterion 08's start, driven once by the cached law and once by the law
-    # re-evaluated at every step of the per-step reference loop: every
-    # recorded step is bit-identical, and the run reaches the admissible
-    # boundary layer (near the I = 0 axis after about 55 days), where the
-    # cached law rides a positive clearance
+    # a start about 3*eps under A's barrier arc, driven once by the cached law and
+    # once by the law re-evaluated at every step of the per-step reference
+    # loop: every recorded step is bit-identical, and the run slides along the
+    # admissible boundary layer near the barrier arc, where beta_max*S > gamma
+    # and the cached law rides a positive clearance, to the cap layer
     law = SwitchingLawPolicy._membership_law
     boundary_clearances = []
     eps, s_hi = adm_sir.tolerances.boundary_layer_eps, adm_sir.usable.s_hi
     on_cap_layer = lambda x: x[1] >= sc_sir.i_max - eps and x[0] <= s_hi + eps
     cap_layer_calls = []
+    x0 = [0.873, 0.0161]
 
     def spy(self, state):
         u, clearance = law(self, state)
         if membership(adm_sir, state).verdict is Verdict.BOUNDARY:
+            assert state[0] * sc_sir.beta_max > sc_sir.gamma and state[1] > 0.01
             boundary_clearances.append(clearance)
         if on_cap_layer(state):
             cap_layer_calls.append(state)
@@ -394,11 +398,12 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
             return switching_law(state, adm_sir, sc_sir)
 
     kw = {"record_every": 1, "stop_on_breach": False}
-    fresh = simulate_ref(sc_sir, EveryStep(), [0.8, 0.012], 60.0, Tolerances(), **kw)
+    fresh = simulate_ref(sc_sir, EveryStep(), x0, 60.0, Tolerances(), **kw)
     monkeypatch.setattr(SwitchingLawPolicy, "_membership_law", spy)
-    cached = simulate(sc_sir, SwitchingLawPolicy(sc_sir, adm_sir), [0.8, 0.012], 60.0, **kw)
+    cached = simulate(sc_sir, SwitchingLawPolicy(sc_sir, adm_sir), x0, 60.0, **kw)
     # the cap-layer branch always returns 0, so a positive clearance at an
     # admissible BOUNDARY verdict comes from the membership law
+    assert membership(adm_sir, x0).verdict is Verdict.INSIDE
     assert any(c > 0.0 for c in boundary_clearances)
     assert len(cached.samples) == len(fresh.samples) == 6001
     for (t_c, x_c, u_c), (t_f, x_f, u_f) in zip(cached.samples, fresh.samples):
@@ -411,10 +416,10 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
 
 
 def test_inlined_law_matches_the_law_evaluated_every_step_for_500_days(sc_sir, adm_sir):
-    # criterion 08's whole run: after the cap arc it spends about 436 days in
-    # the boundary layer near I = 0, on clearance-cache hits; a fresh
-    # switching_law at every step of the per-step reference loop gives the
-    # same bits in every sample, the same breached flag and the same max_I
+    # criterion 08's whole run: after about 18 days it stays in the free
+    # region beta_max*S <= gamma, which the rule decides without reading A; a
+    # fresh switching_law at every step of the per-step reference loop gives
+    # the same bits in every sample, the same breached flag and the same max_I
     class EveryStep:
         def u(self, t, state):
             return switching_law(state, adm_sir, sc_sir)
@@ -455,8 +460,12 @@ def test_switching_law_holds_beta_max_while_beta_max_keeps_the_cap(
 
 def test_switching_law_reads_membership_only_on_a_miss(monkeypatch, sc_sir, adm_sir):
     # criterion 08's start for 20 days: 1,497 of the 2,000 step starts lie on
-    # the cap layer, and the loop decides them and the clearance hits itself;
-    # the membership law runs once per miss, and u only for the first step
+    # the cap layer, and from about day 18 the run lies in the free region
+    # beta_max*S <= gamma; the loop decides those steps and the clearance hits
+    # itself, so the membership law runs once per miss, 26 times, all on the
+    # way up to the cap layer at beta_max*S > gamma, and u only for the first
+    # step; the free region reads no set, so no reading is left to its thin
+    # clearances just under the cap layer
     eps, s_hi = adm_sir.tolerances.boundary_layer_eps, adm_sir.usable.s_hi
     on_cap_layer = lambda x: x[1] >= sc_sir.i_max - eps and x[0] <= s_hi + eps
     law, misses, u_calls = SwitchingLawPolicy._membership_law, [], []
@@ -471,8 +480,56 @@ def test_switching_law_reads_membership_only_on_a_miss(monkeypatch, sc_sir, adm_
 
     traj = simulate(sc_sir, Counted(sc_sir, adm_sir), [0.8, 0.012], 20.0, record_every=1)
     assert sum(on_cap_layer(x) for _, x, _ in traj.samples[:-1]) == 1_497
-    assert len(misses) == 146 and not any(on_cap_layer(x) for x in misses)
+    assert len(misses) == 26 and not any(on_cap_layer(x) for x in misses)
+    assert all(x[0] * sc_sir.beta_max > sc_sir.gamma for x in misses)
     assert u_calls == [(0.8, 0.012)]
+
+
+def test_switching_law_takes_beta_max_once_the_epidemic_has_passed(monkeypatch, sc_sir, adm_sir):
+    # criterion 08's start for 500 days: once I first falls under eps after
+    # its peak, the run lies in the free region beta_max*S <= gamma, and every
+    # later sample is at beta_max, although A reads BOUNDARY along I = 0
+    law, misses = SwitchingLawPolicy._membership_law, []
+    monkeypatch.setattr(
+        SwitchingLawPolicy, "_membership_law", lambda self, x: misses.append(x) or law(self, x)
+    )
+    eps = adm_sir.tolerances.boundary_layer_eps
+    traj = simulate(sc_sir, SwitchingLawPolicy(sc_sir, adm_sir), [0.8, 0.012], 500.0)
+    levels = [x[1] for _, x, _ in traj.samples]
+    top = levels.index(max(levels))
+    end = next(k for k in range(top, len(levels)) if levels[k] < eps)
+    assert traj.samples[end][1][0] * sc_sir.beta_max <= sc_sir.gamma
+    assert all(u.beta == sc_sir.beta_max for _, _, u in traj.samples[end:])
+    assert membership(adm_sir, traj.samples[-1][1]).verdict is Verdict.BOUNDARY
+    assert not traj.breached and len(misses) <= 30
+
+
+@pytest.mark.parametrize("i_max", [0.3, 0.4])
+def test_switching_law_on_a_trivial_set_never_restricts_below_the_cap(i_max):
+    # A is trivial here: it reads BOUNDARY only within eps of the cap face,
+    # so from seeded starts whose constant-beta_max peak stays 2*eps under the
+    # cap, two in the free region beta_max*S <= gamma and two outside it, the
+    # law holds beta_max for all of 500 days
+    sc = validate_scenario(dict(SIR_PERFECT_RAW, i_max=i_max))
+    adm = assemble_set(sc, SetKind.ADMISSIBLE)
+    assert adm.trivial
+    eps, c = adm.tolerances.boundary_layer_eps, sc.gamma / sc.beta_max
+    rng, starts = np.random.default_rng(35), []
+    for s_lo, s_hi in ((0.0, c), (c, 1.0), (0.0, c), (c, 1.0)):
+        while True:
+            s, i = rng.uniform(s_lo, s_hi), rng.uniform(0.0, sc.i_max)
+            peak = i if s <= c else s + i - c * math.log(s) - c + c * math.log(c)
+            if s + i <= 1.0 and peak <= sc.i_max - 2 * eps:
+                break
+        starts.append((s, i))
+    for x0 in starts:
+        traj = simulate(sc, SwitchingLawPolicy(sc, adm), x0, 500.0, record_every=100)
+        assert all(u.beta == sc.beta_max for _, _, u in traj.samples), x0
+
+
+def test_switching_law_refuses_a_variant_it_has_no_rule_for(sc_sir_imp, mrpi_sir_imp):
+    with pytest.raises(ValueError, match="perfect SIR"):
+        SwitchingLawPolicy(sc_sir_imp, mrpi_sir_imp)
 
 
 def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir):
@@ -601,6 +658,49 @@ def _sir_points(scenario, kind, rng, n=200):
     i_near = phi_sir(scenario, kind)(s_near) + rng.normal(0.0, 2e-3, n)
     pts = np.column_stack([np.concatenate([s, s_near]), np.concatenate([i, i_near])])
     return pts[(pts[:, 1] >= 0.0) & (pts[:, 1] <= scenario.i_max) & (pts.sum(axis=1) <= 1.0)]
+
+
+def test_perfect_sir_oracle_runs_one_constant_per_set(sc_sir):
+    for kind, beta in ((SetKind.ADMISSIBLE, sc_sir.beta_min), (SetKind.MRPI, sc_sir.beta_max)):
+        (trial,) = policy_sim._oracle_trials(sc_sir, kind, 8, 0, policy_sim.ORACLE_T_END)
+        assert trial.starts == [0.0] and trial.inputs == [InputVec(beta=beta)]
+
+
+@pytest.mark.parametrize("i_max", [0.02, 0.15, 0.3])
+def test_robust_sir_oracle_agrees_with_the_corners_and_bangs(i_max):
+    # with c = gamma/beta_max, V = S + I - c*ln(S) never rises under beta <=
+    # beta_max and beta_max conserves it, so no signal peaks above constant
+    # beta_max's peak: the one-trial flags equal those of the corner constants
+    # and eight seeded bang signals, on 500 uniform states under the cap and
+    # 500 within N(0, 2e-3) of phi_M
+    sc = validate_scenario(dict(SIR_PERFECT_RAW, i_max=i_max))
+    phi, c = phi_sir(sc, SetKind.MRPI), sc.gamma / sc.beta_max
+    rng, uniform, near = np.random.default_rng(36), [], []
+    while len(uniform) < 500 or len(near) < 500:
+        s = rng.uniform(0.0, 1.0)
+        s_near = rng.uniform(c, 1.0)
+        for pts, x in ((uniform, (s, rng.uniform(0.0, sc.i_max))),
+                       (near, (s_near, float(phi(s_near)) + rng.normal(0.0, 2e-3)))):
+            if len(pts) < 500 and 0.0 <= x[1] <= sc.i_max and sum(x) <= 1.0:
+                pts.append(x)
+    pts, t_end = np.array(uniform + near), policy_sim.ORACLE_T_END
+    flags = grid_membership_oracle(sc, SetKind.MRPI, pts)
+    trials = _corners_and_bangs(sc, 8, 0, t_end)
+    full = ~policy_sim._breach_matrix(sc, pts, trials, t_end, Tolerances()).any(axis=1)
+    assert flags.tolist() == full.tolist()
+    assert 0 < flags.sum() < len(pts)
+
+
+@pytest.mark.parametrize("i_max", [0.02, 0.15, 0.4])
+def test_free_region_lies_in_the_robust_set(i_max):
+    # where beta_max*S <= gamma, I never rises again under any contact rate:
+    # every such state under the cap is inside M by the corners and bangs
+    sc = validate_scenario(dict(SIR_PERFECT_RAW, i_max=i_max))
+    rng, c, t_end = np.random.default_rng(37), sc.gamma / sc.beta_max, policy_sim.ORACLE_T_END
+    pts = np.column_stack([rng.uniform(0.0, c, 300), rng.uniform(0.0, sc.i_max, 300)])
+    pts = np.vstack([pts[pts.sum(axis=1) <= 1.0], [[c, sc.i_max], [0.0, sc.i_max]]])
+    trials = _corners_and_bangs(sc, 8, 0, t_end)
+    assert not policy_sim._breach_matrix(sc, pts, trials, t_end, Tolerances()).any()
 
 
 @pytest.mark.parametrize("i_max", [0.02, 0.15, 0.4])
@@ -869,7 +969,6 @@ def test_oracle_reads_the_input_at_the_step_start(sc_sir):
     # late decides the flag
     class Switch(ExtremalBangPolicy):
         def __init__(self, ts):
-            self.scenario = sc_sir
             self.starts, self.inputs = [0.0, ts], [InputVec(beta=0.8), InputVec(beta=0.6)]
 
     p, t_end, tol = np.array([[0.7, 0.01989]]), 1.0, Tolerances()
@@ -907,6 +1006,12 @@ def test_oracle_rejects_a_point_that_is_not_finite(point, sc_sir):
         grid_membership_oracle(sc_sir, SetKind.MRPI, [point], t_end=1.0)
     with pytest.raises(ValueError, match="finite"):
         membership_oracle(sc_sir, SetKind.MRPI, point, t_end=1.0)
+
+
+@pytest.mark.parametrize("points", [[0.5, 0.01], [[0.5, 0.01, 0.0]], [[[0.5, 0.01]]]])
+def test_oracle_refuses_points_of_the_wrong_shape(points, sc_sir):
+    with pytest.raises(ValueError, match="shape"):
+        grid_membership_oracle(sc_sir, SetKind.MRPI, points, t_end=1.0)
 
 
 _BAD_COUNTS = {
@@ -958,7 +1063,6 @@ class _StepStartSwitch(ExtremalBangPolicy):
     """Every free channel from the upper to the lower end of its box at t = k*h."""
 
     def __init__(self, scenario, k, h):
-        self.scenario = scenario
         box = input_box(scenario).items()
         self.starts = [0.0, k * h]
         self.inputs = [
@@ -1027,11 +1131,43 @@ def _assert_flags_do_not_depend_on_the_hand_off_width(monkeypatch, sc, pts, tria
     assert flags[0] == flags[1]
 
 
+def _corners_and_bangs(sc, n_trials, seed, t_end):
+    """The input-box corner constants, then ``n_trials`` seeded bang signals.
+
+    The oracle's trials on every set but the perfect SIR ones, which one
+    constant decides.
+    """
+    box = [(ch.value, lo, hi) for ch, (lo, hi) in input_box(sc).items()]
+    corners = [
+        InputVec(**{ch: hi if m >> k & 1 else lo for k, (ch, lo, hi) in enumerate(box)})
+        for m in range(1 << len(box))
+    ]
+    children = np.random.SeedSequence(seed).spawn(n_trials)
+    return [ConstantPolicy(sc, u) for u in corners] + [
+        ExtremalBangPolicy(sc, child, t_end) for child in children
+    ]
+
+
+@pytest.mark.parametrize(
+    "scenario_name, kind",
+    [("sc_sir_imp", SetKind.MRPI), ("sc_seir", SetKind.ADMISSIBLE), ("sc_seir_imp", SetKind.MRPI)],
+)
+def test_corners_and_bangs_are_the_oracles_other_trials(request, scenario_name, kind):
+    sc = request.getfixturevalue(scenario_name)
+    ours = _corners_and_bangs(sc, 3, 5, 40.0)
+    theirs = policy_sim._oracle_trials(sc, kind, 3, 5, 40.0)
+    assert [(t.starts, t.inputs) for t in ours] == [(t.starts, t.inputs) for t in theirs]
+
+
 def test_oracle_tail_lanes_step_as_float_tuples(monkeypatch, sc_sir):
     # the lane arrays narrow from 60 lanes; once no more than _TAIL_LANES
-    # are live, the stages see float tuples only
+    # are live, the stages see float tuples only.  The perfect SIR oracle
+    # runs one trial per set, so the batch takes the corners and bangs the
+    # other sets run, plus the step-start switch
     t_end = 40.0
-    pts, trials = _oracle_batch(sc_sir, SetKind.MRPI, t_end)
+    pts, _ = _oracle_batch(sc_sir, SetKind.MRPI, t_end)
+    trials = _corners_and_bangs(sc_sir, 3, 5, t_end)
+    trials.append(_StepStartSwitch(sc_sir, 37, Tolerances().step_h))
     stages = policy_sim._rk4_stages
     widths = []
 
