@@ -190,13 +190,13 @@ def _inline(src: Source, inputs: list[str], targets: list[str]) -> list[str]:
     return re.sub(r"\by\[(\d+)\]", lambda m: grouped[int(m[1])], code).splitlines()
 
 
-def _fill(template: str, n: int, field, **blocks) -> str:
+def _fill(template: str, n: int, field, t: str = "_t", **blocks) -> str:
     """``template`` for ``n`` components, each ``@NAME`` line replaced by ``blocks[NAME]``;
     ``STAGES`` inlines a ``field`` given as a :class:`Source` and calls ``_rhs`` else, and
-    ``FINITE`` raises on a non-finite new state ``_z#`` of the step from ``_t``."""
+    ``FINITE`` raises on a non-finite new state ``_z#`` of the step from time ``t``."""
     # zero times finite factors stays zero; an infinite or NaN one makes it NaN
     blocks["FINITE"] = [f"if 0.0 * {' * '.join(_each('_z#', n))} != 0.0:",
-                        '    raise NonFiniteError(f"non-finite state after step at t={_t}")']
+                        f'    raise NonFiniteError(f"non-finite state after step at t={{{t}}}")']
     blocks["STAGES"] = stages = []
     for line in _STAGE_TEMPLATE.splitlines():
         m = re.fullmatch(r"`(.*)` = FIELD\((.*); `(.*)`\)", line)

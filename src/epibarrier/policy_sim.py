@@ -14,14 +14,14 @@ must survive *every* trial signal; on each perfect SIR set one constant
 exactly, so no oracle reads the set it checks.  All (point, trial) runs of a
 query batch step together as lanes of numpy arrays while many are live; the
 few left are finished one by one as float tuples, each reading its trial's
-segments.  Both take :func:`simulate`'s RK4 stages, field and step count, but
-step k from t = k*h, not from its accumulated t.  A refuted claim carries its
-counterexample: the deciding trial, replayed through :func:`simulate`.
+segments.  Both take :func:`simulate`'s RK4 stages, field, step count and
+clock: step k starts at t = k*h, and the last ends at t_end.  A refuted claim
+carries its counterexample: the deciding trial, replayed through :func:`simulate`.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -123,7 +123,7 @@ class SwitchingLawPolicy:
     Elsewhere it reads the admissible set ``A`` alone: beta_max while safely
     inside ``A``, beta_min on its boundary layer and outside (there beta_min is
     the semipermeable extremal input), and the cap-holding rate gamma/S,
-    clamped to the box, on the usable part of the cap face.  The robust set
+    at least beta_min, on the usable part of the cap face.  The robust set
     ``M`` could never change the input, since INSIDE ``M`` implies INSIDE ``A``:
 
     - If ``x`` reads INSIDE ``M``, the open disc of radius ``d_M(x) > eps``
@@ -144,9 +144,9 @@ class SwitchingLawPolicy:
     ``mrpi_set`` is accepted and unused: the benchmark's workloads pass it.
     """
 
-    # beta_max in the free region beta_max*S <= gamma; on the usable cap layer (I within eps
-    # of the cap, S at most eps past the usable part's end) gamma/S clamped to the box; else
-    # the cached rate within the cached clearance (a NaN distance misses).
+    # beta_max in the free region beta_max*S <= gamma; on the usable cap layer (I within eps of
+    # the cap, S at most eps past the usable part's end) gamma/S, at least beta_min (and past
+    # the free region at most beta_max); else the cached rate in the cached clearance (NaN misses).
     _RULE = """\
 S = y[0]
 I = y[1]
@@ -155,7 +155,7 @@ if S * beta_hi <= gamma:
     rate = beta_hi
 elif I >= layer_i and S <= layer_s:
     rate = gamma / S
-    rate = beta_hi if rate >= beta_hi else (rate if rate > beta_lo else beta_lo)
+    rate = rate if rate > beta_lo else beta_lo
 elif not sqrt((S - s_c) * (S - s_c) + (I - i_c) * (I - i_c)) < radius:
     rate = miss(S, I)"""
 
@@ -183,7 +183,7 @@ elif not sqrt((S - s_c) * (S - s_c) + (I - i_c) * (I - i_c)) < radius:
             "cache": self._cache, "miss": self._miss,
         })
         self._rule = source_function(self.law)
-        # the law returns these at its clamped ends, so a run records one object per end
+        # the law returns these at the box's ends, so a run records one object per end
         self._lo = InputVec(beta=scenario.beta_min)
         self._hi = InputVec(beta=scenario.beta_max)
 
@@ -260,35 +260,30 @@ class OracleReport:
     counterexample: tuple[str, Trajectory] | None = None
 
 
-# Steps from step _k of _n (the last clipped to _t_end) under the input {u}, recording
-# every _every-th state and the first cap crossing (_refine), until the end, a breach
-# that stops the run, or the signal's next segment start; @LAW, run at each step start
-# after the first, sets a law's rates.  _forward_loop fills {u} and @LAW.
+# Steps _k up to _until of _n under the input {u}, each _h long from _k*_step (step _n ends at
+# _t_end if earlier), recording every _every-th state and the first cap crossing (_refine), until
+# _until or a breach stops the run; @LAW sets a law's rates at each step start after the first.
 _FORWARD_TEMPLATE = """\
-def entry(_t, _y, _k, _n, _t_end, _step, _every, _samples, _array, _im, _thr, _max, _br,
-          _first, _stop, _u, _next, _pol, _refine, {params}):
+def entry(_y, _k, _until, _n, _t_end, _step, _h, _every, _samples, _array, _im, _thr, _max, _br,
+          _first, _stop, _u, _pol, _refine, {params}):
     `_y#`, = _y
     while True:
-        _h = _t_end - _t
-        if _step <= _h:
-            _h = _step
         @STAGES
         @FINITE
         if _z{i} > _im >= _y{i} and _first is None:
-            _first = _refine(_t, (`_y#`,), _h, {u})
-        _t = _t + _h
+            _first = _refine(_k * _step, (`_y#`,), _h, {u})
         `_y#` = `_z#`
         _k += 1
-        if _t >= _t_end:  # the accumulated time may reach t_end before step _n
-            _k = _n
         if _y{i} > _max:
             _max = _y{i}
             _br = _br or _y{i} > _thr
         if _k % _every == 0 or _k == _n:
-            _samples.append((_t, _array((`_y#`,)), {u}))
-        if _k == _n or _br and _stop or _t >= _next:
-            return _t, (`_y#`,), _k, _max, _br, _first, {u}
+            _samples.append((min(_k * _step, _t_end), _array((`_y#`,)), {u}))
+        if _k == _n or _br and _stop:
+            return (`_y#`,), _k, _max, _br, _first, {u}
         @LAW
+        if _k == _until:  # {u} is the next step's input
+            return (`_y#`,), _k, _max, _br, _first, {u}
 """
 
 
@@ -304,16 +299,18 @@ def simulate(
 ) -> Trajectory:
     """Forward RK4 in one generated loop, on :func:`models.forward_source` bound per input.
 
-    The policy is one of two kinds; any other raises TypeError.  A signal
-    (``starts``/``inputs``) is called at each step start that reaches a
-    segment start.  A law (a ``law`` :class:`Source` of the field's rates
-    ``b``, then ``g``, and ``input``) is inlined: the loop sets those rates to
-    the law's values at each step start, and asks the policy's ``input`` for
-    the input of a step only to record or return it.  ``first_breach_time``
-    marks the first time I exceeds I_max, even when the excess stays within
-    geom_tol and ``breached`` is not set: 0.0 for a start above the cap,
-    otherwise the crossing located by the integrator's event refiner to
-    event_time_tol.  Integration continues to t_end unless stop_on_breach is set.
+    Step k starts at t = k*h, as in the oracle's lanes; the last ends at t_end,
+    or at n*h where the step count's 1e-12 puts that first.  The policy is one
+    of two kinds; any other raises TypeError.  A signal (``starts``/``inputs``)
+    is called at the first step start at or past each segment start.  A law (a
+    ``law`` :class:`Source` of the field's rates ``b``, then ``g``, and
+    ``input``) is inlined: the loop sets those rates to the law's values at
+    each step start, and asks the policy's ``input`` for the input of a step
+    only to record or return it.  ``first_breach_time`` marks the first time I
+    exceeds I_max, even when the excess stays within geom_tol and ``breached``
+    is not set: 0.0 for a start above the cap, otherwise the crossing located
+    by the integrator's event refiner to event_time_tol.  Integration
+    continues to t_end unless stop_on_breach is set.
     """
     starts = getattr(policy, "starts", None)  # a signal's input holds until its next start
     law = getattr(policy, "law", None)  # a Source of the field's rates, inlined in the loop
@@ -336,25 +333,27 @@ def simulate(
         src = forward_source(scenario, u)
         return t + _refine_fraction(src, cap, t, y, h, y[-1], tol.event_time_tol)[0] * h
 
-    t = 0.0
-    u = policy.u(t, x)  # the first step's input too
-    samples = [(t, np.array(x), u)]
+    u = policy.u(0.0, x)  # the first step's input too
+    samples = [(0.0, np.array(x), u)]
     max_i = x[-1]
     breached = max_i > thr
     first_breach = 0.0 if max_i > im else None
 
     pol = policy.input if law else None
-    nxt, k, bound = math.inf, 0, None
+    k, bound = 0, None
     while k < n_steps:
-        if starts:
-            j = bisect_right(starts, t)
-            u, nxt = policy.u(t, x), (starts[j] if j < len(starts) else math.inf)
+        t, until = k * step, max(n_steps - 1, k + 1)  # the last step runs alone, clipped
+        if starts:  # step 0's input is taken; a law's loop returns the next step's
+            u, j = (policy.u(t, x) if k else u), bisect_right(starts, t)
+            if j < len(starts):  # up to the next segment's first step, where the lanes switch
+                until = bisect_left(range(until), starts[j], k + 1, key=step.__rmul__)
         if u is not bound:  # a signal holds one input object per segment
             bound, src = u, forward_source(scenario, u)
             loop, params = _forward_loop(src, law, len(x))
-        t, x, k, max_i, breached, first_breach, u = loop(
-            t, x, k, n_steps, t_end, step, record_every, samples, np.array, im, thr, max_i,
-            breached, first_breach, stop_on_breach, u, nxt, pol, refine, **params,
+        x, k, max_i, breached, first_breach, u = loop(
+            x, k, until, n_steps, t_end, step, step if until < n_steps else min(step, t_end - t),
+            record_every, samples, np.array, im, thr, max_i, breached, first_breach, stop_on_breach,
+            u, pol, refine, **params,
         )
         if breached and stop_on_breach:
             break
@@ -373,7 +372,7 @@ def _forward_loop(field: Source, law: Source | None, n: int):
         block = _inline(law, _each("_y#", n), rates)
     code = _FORWARD_TEMPLATE.format(params=", ".join(params), i=n - 1, u=u)
     key = ("forward", code, *field[:2], *block)
-    return _generated(key, partial(_fill, LAW=block), code, n, field), params
+    return _generated(key, partial(_fill, t="_k * _step", LAW=block), code, n, field), params
 
 
 def _step_count(t_end: float, h: float) -> int:
@@ -493,12 +492,12 @@ def _breach_matrix(
     """Cap-breach flags of every (point, trial) forward run, shape (n_points, n_trials).
 
     Each pair is one lane, stepped by :func:`_rk4_stages` on :func:`vector_field`
-    with :func:`simulate`'s step count; step k starts at t = k*h (not at
-    :func:`simulate`'s accumulated t), reads the trial's input there and is
-    clipped to t_end - k*h.  While more than ``_TAIL_LANES`` lanes are live
-    they step together as a tuple of numpy arrays; the rest are then finished
-    one by one as float tuples, which gives the same floats.  A lane retires
-    once it breaches (I > i_max + geom_tol) or once it provably never will:
+    with :func:`simulate`'s step count and clock: step k starts at t = k*h,
+    reads the trial's input there and is clipped to t_end - k*h.  While more
+    than ``_TAIL_LANES`` lanes are live they step together as a tuple of numpy
+    arrays; the rest are then finished one by one as float tuples, which gives
+    the same floats.  A lane retires once it breaches (I > i_max + geom_tol) or
+    once it provably never will:
 
     - Its trial's rates stay within beta <= beta_hi and gamma >= gamma_lo
       (the imperfect feedback laws included: they sit at those ends at
@@ -674,9 +673,9 @@ def membership_oracle(
     """Single-point oracle check against a claimed membership verdict.
 
     On disagreement the counterexample is the deciding trial replayed through
-    :func:`simulate`: the first trial that breaches when the oracle says
-    outside, the first that survives when it says inside.  The replay steps
-    on :func:`simulate`'s clock, t = t + h, not on the lanes' t = k*h.
+    :func:`simulate`, on the lanes' clock: the first trial that breaches when
+    the oracle says outside, the first that survives when it says inside.  Its
+    label names a seed only for a seeded bang trial; ``n_trials`` counts the trials run.
     """
     tol = tolerances or Tolerances()
     pt = np.asarray(point, dtype=float)
@@ -684,10 +683,11 @@ def membership_oracle(
     inside = bool(flags[0])
     claimed = None if computed_set is None else membership(computed_set, pt).verdict
     if claimed not in (Verdict.INSIDE, Verdict.OUTSIDE):
-        return OracleReport(pt, claimed, n_trials, True)
+        return OracleReport(pt, claimed, len(trials), True)
     agree = (claimed is Verdict.INSIDE) == inside
     counter = None
     if not agree:  # some trial decided the flag, so one matches it
         j = int(np.flatnonzero(breach[0] != inside)[0])
-        counter = (f"seed={seed} trial={j}", simulate(scenario, trials[j], pt, t_end, tol))
-    return OracleReport(pt, claimed, n_trials, agree, counter)
+        seeded = f"seed={seed} " if isinstance(trials[j], ExtremalBangPolicy) else ""
+        counter = (f"{seeded}trial={j}", simulate(scenario, trials[j], pt, t_end, tol))
+    return OracleReport(pt, claimed, len(trials), agree, counter)

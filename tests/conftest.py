@@ -202,10 +202,11 @@ def seir_corner_shot(scenario, set_kind, points):
 def simulate_ref(scenario, policy, x0, t_end, tol, *, record_every, stop_on_breach):
     """``simulate``'s per-step loop: ``policy.u`` called at every step start.
 
-    ``models.vector_field`` is built whenever the policy returns a new input
-    object, one ``rk4_step`` taken per step and the cap crossing refined on
-    that field's source.  The run ends after the step count's last step, or
-    earlier once the accumulated time reaches ``t_end``.
+    Step ``k`` starts at ``t = k*h`` and is clipped to ``t_end - t``, as the
+    oracle's lanes step.  ``models.vector_field`` is built whenever the policy
+    returns a new input object, one ``rk4_step`` taken per step and the cap
+    crossing refined on that field's source.  The time after the last step is
+    ``min(n*h, t_end)``.
     """
     n_steps = int(np.ceil(t_end / tol.step_h - 1e-12))
     step = tol.step_h
@@ -213,16 +214,16 @@ def simulate_ref(scenario, policy, x0, t_end, tol, *, record_every, stop_on_brea
     im = scenario.i_max
     thr = im + tol.geom_tol
     cap = EventSpec(EventKind.DOMAIN_EXIT, "cap_face", Source(f"y[{len(x) - 1}]"), trigger_level=im)
-    t = 0.0
-    u = policy.u(t, x)
-    samples = [(t, np.array(x), u)]
+    u = policy.u(0.0, x)
+    samples = [(0.0, np.array(x), u)]
     max_i = x[-1]
     breached = max_i > thr
     first_breach = 0.0 if max_i > im else None
 
     u_rhs = rhs = None
     for k in range(n_steps):
-        hk = step if step <= t_end - t else t_end - t
+        t = k * step
+        hk = min(step, t_end - t)
         u = policy.u(t, x)
         if u is not u_rhs:
             u_rhs = u
@@ -233,13 +234,13 @@ def simulate_ref(scenario, policy, x0, t_end, tol, *, record_every, stop_on_brea
             src = forward_source(scenario, u)
             frac, _ = _refine_fraction(src, cap, t, x, hk, i_old, tol.event_time_tol)
             first_breach = t + frac * hk
-        t, x = t + hk, x_new
-        last = k == n_steps - 1 or t >= t_end
+        x = x_new
+        last = k == n_steps - 1
         if i_new > max_i:
             max_i = i_new
             breached = breached or i_new > thr
         if (k + 1) % record_every == 0 or last:
-            samples.append((t, np.array(x), u))
+            samples.append((min((k + 1) * step, t_end), np.array(x), u))
         if last or breached and stop_on_breach:
             break
     return policy_sim.Trajectory(samples, breached, max_i, first_breach)

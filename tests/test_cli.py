@@ -357,9 +357,9 @@ def test_simulate_zero_horizon(tmp_path, capsys):
     assert len(lines) == 2  # header plus the initial sample
 
 
-def test_simulate_horizon_reached_before_the_last_step(tmp_path, capsys):
-    # 1,798 accumulated steps of 0.01 reach this horizon exactly, one step
-    # before the step count's last: the run ends there
+def test_simulate_ends_at_a_horizon_just_past_a_step(tmp_path, capsys):
+    # this horizon lies about 1.1e-14 d past step 1,798's end: the count is
+    # 1,799 steps, and the last, clipped, ends at the horizon
     cfg = _write_config(tmp_path, SIR_PERFECT_RAW)
     out = tmp_path / "sim"
     rc = main(

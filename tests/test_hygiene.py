@@ -2,10 +2,10 @@
 functions, no unread tolerance fields, one home for the rule that an
 imperfect variant has no admissible set, one home for the model's formulas,
 the feedback law's slopes, the rate law, the switching law and its cap-layer
-rate, a forward simulation that steps in its generated loop and calls no
-policy per step, an integrator that takes only ``Source`` code, an oracle
-that reads no computed set, a policy module that reads no robust set
-argument, a README that names every verdict, every package name, keyword
+rate, a forward simulation that steps in its generated loop, calls no
+policy per step and keeps time as the step index, an integrator that takes
+only ``Source`` code, an oracle that reads no computed set, a policy module
+that reads no robust set argument, a README that names every verdict, every package name, keyword
 and positional call the benchmark makes, one step setting,
 ``Tolerances.step_h``, and no attribute stored on an object other than
 ``self``.
@@ -122,7 +122,7 @@ def test_admissible_set_rule_has_one_home():
 
 def test_switching_law_has_one_home():
     # SwitchingLawPolicy holds the law: switching_law is a single return of a
-    # call into it, the policy binds its clamped ends itself (no process-wide
+    # call into it, the policy binds the box's ends itself (no process-wide
     # cache), and no module keeps a divide guard, since the free region
     # beta_max*S <= gamma holds every S that gamma/S could not be taken at
     tree = TREES["policy_sim"]
@@ -156,7 +156,7 @@ def _cap_layer_code(tree) -> list[str]:
 
 
 def test_cap_layer_rate_has_one_home():
-    # the cap-holding rate gamma/S and its clamp to the box are written once,
+    # the cap-holding rate gamma/S and its clamp to beta_min are written once,
     # as the switching law's Source, which simulate inlines and u compiles;
     # the forward loop's template names no policy
     rules = [
@@ -279,6 +279,61 @@ def test_simulate_calls_no_policy_per_step():
     assert "_rebind" not in template and "_pol(_t" not in template
     assert "_CALL_POLICY" not in vars(policy_sim)
     assert "_input_rates" not in set(_imported(TREES["policy_sim"]))
+
+
+def _running_times(template: str) -> list[str]:
+    """Statements of the forward loop generated from ``template`` that add a step length
+    (``_h`` or ``_step``) to a running time."""
+    code = integrate._fill(template.format(params="b", i=1, u="_u"), 2, None, LAW=[])
+    found = []
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            value = node.value
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.Add)
+            and ast.unparse(node.targets[0]) in map(ast.unparse, (node.value.left, node.value.right))
+        ):
+            value = node.value
+        else:
+            continue
+        if _reads(value) & {"_h", "_step"}:
+            found.append(ast.unparse(node))
+    return found
+
+
+def _step_counts(tree) -> list[str]:
+    """Divisions of a horizon by a step length outside ``_step_count``, as code or source text."""
+    found = []
+    for stmt in (s for s in tree.body if getattr(s, "name", None) != "_step_count"):
+        for node in _code_and_source_text(stmt):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
+                left, right = ({getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(x)}
+                               for x in (node.left, node.right))
+                if left & {"t_end", "_t_end"} and right & {"h", "step", "step_h", "_h", "_step"}:
+                    found.append(ast.unparse(node))
+    return found
+
+
+def test_simulate_keeps_one_clock():
+    # step k of a forward run starts at k*h, as the oracle's lanes step:
+    # simulate's loop keeps no running time, and only _step_count turns a
+    # horizon into a number of steps
+    template = policy_sim._FORWARD_TEMPLATE
+    assert _running_times(template) == []
+    anchor = "        _k += 1\n"
+    assert template.count(anchor) == 1
+    for line in ("_t = _t + _h", "_t += _h", "_t = _step + _t"):
+        mutated = template.replace(anchor, f"        {line}\n{anchor}")
+        assert len(_running_times(mutated)) == 1, line
+    assert _step_counts(TREES["policy_sim"]) == []
+    text = (PACKAGE / "policy_sim.py").read_text()
+    end = "    return Trajectory(samples, breached, max_i, first_breach)\n"
+    assert text.count(end) == 1
+    for line in ("n = int(t_end / step)", "n = round(t_end / tol.step_h)", "n = t_end // h"):
+        mutated = ast.parse(text.replace(end, f"    {line}\n{end}"))
+        assert len(_step_counts(mutated)) == 1, line
 
 
 def _called_code_paths(tree) -> list[str]:

@@ -158,76 +158,77 @@ def _trajectories_digest(trajs):
 # a run cut at its breach, last steps clipped to t_end (12.345, 30.005, 60.5
 # at step 1e-2), record_every of 3, 7, 25 and 50, the closed-loop laws above
 # the cap, and the dynamics benchmark's switching-law run.  The digests were
-# recorded before the rate law was bound once per field; they pin every bit.
+# recorded once simulate kept time as the step index (step k starts at k*h, the
+# last ends at t_end); they pin every bit.
 _GOLDEN = {
     "sir_switching_law": (
         lambda f: [simulate(
             f.sc_sir, SwitchingLawPolicy(f.sc_sir, f.adm_sir), [0.8, 0.012], 20.0
         )],
-        "2a9ce5628f6215697c41b2a153401c41745e8c8b036e3bc1b17c0cab212e3261",
+        "4de2d28ab0d817e065c4316aec5ca90cc7f79f754a1b08235ad751a6fde6cb88",
     ),
     "sir_breach_stop": (
         lambda f: [simulate(
             f.sc_sir, ConstantPolicy(f.sc_sir, InputVec(beta=0.8)), [0.8, 0.012], 50.0,
             record_every=7, stop_on_breach=True,
         )],
-        "b71176cbf5d85f67e507ae8e33c054e98a2975af082237105817fe6489fb2960",
+        "e75064596381a0662bcf59ae5dc569c26f6aacaf697d6a12ed8be55426640c62",
     ),
     "sir_breach_clipped": (
         lambda f: [simulate(
             f.sc_sir, ConstantPolicy(f.sc_sir, InputVec(beta=0.8)), [0.8, 0.012], 12.345,
             record_every=3,
         )],
-        "85807ba6e796fcc24bbe8a297d2121e6b6c5327b0edd7649344f8c899fcf8ad0",
+        "7acfc739cb6651d8960b3dcf176f9b85de326f320d97ebe5862771aacbdc8098",
     ),
     "sir_affine": (
         lambda f: [simulate(
             f.sc_sir, AffineFeedbackPolicy(f.sc_sir), [0.8, 0.012], 30.005, record_every=25
         )],
-        "efbda8f1adc5cf03ebb53b5ced10a109d3647bed0e4542c0ffef9ae843db2fa8",
+        "04a3596c659eaf477ee6ae3883c062335518cb94736eb3599930c7b7933d4b27",
     ),
     "sir_imp_monte_carlo": (
         lambda f: monte_carlo(f.sc_sir_imp, [0.8, 0.1], 3, seed=7, t_end=50.0),
-        "11f57f85ba0afdeb57ad318b71142c67c684f47402295d7c108b0d959be73b53",
+        "bfae5b8337d62c2a582121b65e2f8a11f52e94982b2b29b6b20b545c6c4647a6",
     ),
     "sir_imp_affine_breach": (
         lambda f: [simulate(
             f.sc_sir_imp, AffineFeedbackPolicy(f.sc_sir_imp, InputVec(gamma=0.3)),
             [0.8, 0.19], 40.0,
         )],
-        "da545ce13ab943811dcb1237b924d957e13ea05a243bee8723a3f7b4c1cea4a2",
+        "4ede9a3164619f0ed877aa1f42c29a663742f06d343df7cdad2b8e92b8ea3be2",
     ),
     "seir_bang": (
         lambda f: [simulate(
             f.sc_seir, ExtremalBangPolicy(f.sc_seir, 3, 100.0), [0.7, 0.01, 0.02], 100.0,
             record_every=50,
         )],
-        "d8a2edaf0ce559c58a616f4424b8bd7e9e8271d152aacc75468a78326c0a358a",
+        "ead35378d75c112084cd1b618fc65620a5c9fdd9a06f5caee4f7160f0697989d",
     ),
     "seir_affine": (
         lambda f: [simulate(f.sc_seir, AffineFeedbackPolicy(f.sc_seir), [0.6, 0.1, 0.25], 60.5)],
-        "ff4f9fbdbfb8807c9ddcfd44936dd4831b6c59255306a3d6a18972c8be53f079",
+        "120e4295f7377cab7620bf21c986e66e7b9a2c59c3379c71babc51fb1023ff45",
     ),
     "seir_corner_breach": (
         lambda f: [simulate(
             f.sc_seir, ConstantPolicy(f.sc_seir, InputVec(beta=1.0, gamma=0.2)),
             [0.45, 0.3, 0.25], 30.0,
         )],
-        "5909b467578de976bee5564a32be0c01e0356b15678ab519ff2e710559db71fb",
+        "8f764132918b64c63f0084b6d371055e8716d6570e9a629efb22423a4cb595d5",
     ),
     "seir_imp_monte_carlo": (
         lambda f: monte_carlo(
             f.sc_seir_imp, [0.7, 0.05, 0.08], 3, seed=11, t_end=80.0,
             tolerances=Tolerances(step_h=0.02),
         ),
-        "fd11cc28fb1aee3831d97a744433ec8b5c96fcbcdfa2d797249cee3560de9b4d",
+        "b45e385df470f2b83192cd4e5f530bc3442f262dde92af2615256d550a1d911e",
     ),
     "seir_imp_breach_stop": (
         lambda f: [simulate(
             f.sc_seir_imp, ExtremalBangPolicy(f.sc_seir_imp, 6, 200.0), [0.85, 0.1, 0.05],
             200.0, stop_on_breach=True,
         )],
-        "fe2405a6fcb4f5ea74c1daf3168ac7e48d146a366668eaff96ef10da7c57f645",
+        "e3526308baf6267039b4bc212c55150f6a23fbdd18796e6935921a11f5c2e067",
     ),
 }
 
@@ -241,6 +242,57 @@ def test_forward_runs_match_their_golden_digests(request, case):
             return request.getfixturevalue(name)
 
     assert _trajectories_digest(run(Fixtures())) == want
+
+
+def test_simulate_and_the_lanes_switch_on_the_same_step(sc_sir):
+    # beta_max until t = 3.0, a step start, then beta_min: simulate and the
+    # oracle's lanes both take beta_min from step 300 on, so they agree on the
+    # breach from starts within 1e-4 of the lanes' threshold; the step from
+    # t = 3.0 records beta_min, and simulate breached from all 41 starts when
+    # it kept a running time that fell short of 3.0 there
+    tol = Tolerances()
+    switch = _StepStartSwitch(sc_sir, 300, tol.step_h)
+    assert switch.starts[1] == 3.0
+    pts = np.array([(0.95, 0.0071557511 * (1.0 + r)) for r in np.linspace(-1e-4, 1e-4, 41)])
+    lanes = policy_sim._breach_matrix(sc_sir, pts, [switch], 30.0, tol)[:, 0]
+    assert 0 < lanes.sum() < len(pts)
+    assert [simulate(sc_sir, switch, p, 30.0).breached for p in pts] == lanes.tolist()
+    samples = simulate(sc_sir, switch, pts[0], 3.02, record_every=1).samples
+    assert [(t, u.beta) for t, _, u in samples[300:]] == [
+        (3.0, sc_sir.beta_max), (301 * tol.step_h, sc_sir.beta_min), (3.02, sc_sir.beta_min),
+    ]
+
+
+def test_recorded_times_are_step_starts_or_t_end(sc_sir):
+    # 500 days at step 1e-2: every sample lies at k*h, and the last at t_end
+    h = Tolerances().step_h
+    tr = simulate(sc_sir, ConstantPolicy(sc_sir, InputVec(beta=0.7)), [0.8, 0.012], 500.0,
+                  record_every=7)
+    assert [t for t, _, _ in tr.samples] == [k * h for k in range(0, 50_000, 7)] + [500.0]
+
+
+def test_the_cap_layer_rate_stays_in_the_box():
+    # past the free region fl(S*beta_max) > gamma, so S*beta_max > gamma
+    # exactly and a correctly rounded gamma/S is at most beta_max: the law
+    # clamps it only from below; searched at the first ulps of S above
+    # gamma/beta_max for 10,000 seeded (beta_max, gamma) pairs
+    rng = np.random.default_rng(36)
+    beta_max = rng.uniform(0.05, 5.0, 10_000)
+    gamma = beta_max * rng.uniform(0.01, 1.0, 10_000)
+    s = gamma / beta_max
+    taken = 0
+    for _ in range(8):
+        past = s * beta_max > gamma
+        assert np.all(gamma[past] / s[past] <= beta_max[past])
+        taken += past.sum()
+        s = np.nextafter(s, np.inf)
+    assert taken > 50_000
+
+
+def test_oracle_report_counts_the_trials_that_ran(sc_sir):
+    # one constant decides a perfect SIR set: one trial runs, and the seed draws none
+    rep = membership_oracle(sc_sir, SetKind.MRPI, [0.95, 0.0185], n_trials=8, seed=3)
+    assert rep.n_trials == 1
 
 
 def test_monte_carlo_builds_one_rate_law_per_trial(monkeypatch, sc_sir_imp, sc_seir_imp):
@@ -1187,13 +1239,18 @@ def test_oracle_tail_lanes_step_as_float_tuples(monkeypatch, sc_sir):
 def test_counterexample_replays_a_breaching_trial(sc_seir_imp, mrpi_seir_imp):
     # two states the SEIR-imperfect robust-set mesh claims INSIDE although a
     # trial signal drives them over the cap: the stored counterexample is
-    # that trial, replayed, so it breaches
+    # that trial, replayed, so it breaches, as its lane did
     for p in ([0.684, 0.147, 0.044], [0.874, 0.009, 0.082]):
         rep = membership_oracle(sc_seir_imp, SetKind.MRPI, p, computed_set=mrpi_seir_imp)
         assert rep.claimed is Verdict.INSIDE and not rep.agree
         label, traj = rep.counterexample
         assert traj.breached
-        assert label.startswith("seed=0 trial=")
+        # the second of 2 corner constants decides, not a seeded trial: no seed is named
+        assert label == "trial=1" and rep.n_trials == 2 + 8
+        t_end = policy_sim.ORACLE_T_END
+        trial = policy_sim._oracle_trials(sc_seir_imp, SetKind.MRPI, 8, 0, t_end)[1]
+        lane = policy_sim._breach_matrix(sc_seir_imp, np.array([p]), [trial], t_end, Tolerances())
+        assert traj.breached == lane[0, 0]
 
 
 def test_counterexample_replays_at_the_tolerance_step(sc_seir_imp, mrpi_seir_imp):
@@ -1207,4 +1264,4 @@ def test_counterexample_replays_at_the_tolerance_step(sc_seir_imp, mrpi_seir_imp
     assert rep.claimed is Verdict.INSIDE and not rep.agree
     _, traj = rep.counterexample
     assert traj.breached
-    assert traj.samples[1][0] == pytest.approx(10 * tol.step_h, abs=1e-12)
+    assert traj.samples[1][0] == 10 * tol.step_h

@@ -16,6 +16,7 @@ from epibarrier.policy_sim import (
     ConstantPolicy,
     ExtremalBangPolicy,
     SwitchingLawPolicy,
+    _step_count,
     simulate,
 )
 
@@ -39,7 +40,15 @@ def _outcome(run):
     return samples, tr.breached, _bits(tr.max_I), _bits(tr.first_breach_time)
 
 
-_KINDS = ["constant", "bang", "affine", "switching"]
+class _OnSteps(ExtremalBangPolicy):
+    """A seeded bang signal whose segment starts are moved onto step starts ``k*h``."""
+
+    def __init__(self, scenario, seed, t_end, h):
+        super().__init__(scenario, seed, t_end)
+        self.starts = [round(t / h) * h for t in self.starts]
+
+
+_KINDS = ["constant", "bang", "on_steps", "affine", "switching"]
 _VARIANTS = ["sc_sir", "sc_sir_imp", "sc_seir", "sc_seir_imp"]
 
 
@@ -64,6 +73,8 @@ def test_generated_loop_matches_the_per_step_loop(
             return ConstantPolicy(sc, u)
         if kind == "bang":
             return ExtremalBangPolicy(sc, seed, t_sched)
+        if kind == "on_steps":  # each new segment takes effect on the step from its start
+            return _OnSteps(sc, seed, t_sched, tol.step_h)
         if kind == "affine":
             return AffineFeedbackPolicy(sc, None if sc.variant.is_perfect else u)
         return SwitchingLawPolicy(sc, adm_sir)
@@ -93,18 +104,20 @@ def test_generated_loop_matches_the_per_step_loop(
     assert got == want
 
 
-def test_run_ends_where_the_accumulated_time_reaches_t_end(sc_sir):
-    # 1,798 steps of 0.01 add up to this t_end, one step before the step
-    # count's last: both loops end there, with its last sample
+def test_a_horizon_just_past_a_step_clips_the_last_step(sc_sir):
+    # this t_end lies about 1.1e-14 d past step 1,798's end, so the count is
+    # 1,799 steps: the last, from 1798*h, is clipped to end at t_end
     t_end = 17.98000000000001
     tol = Tolerances()
+    assert _step_count(t_end, tol.step_h) == 1_799
+    assert 0.0 < t_end - 1_798 * tol.step_h < 2e-14
     policy = ConstantPolicy(sc_sir, InputVec(beta=0.7))
     kw = {"record_every": 10, "stop_on_breach": False}
     want = _outcome(lambda: simulate_ref(sc_sir, policy, [0.8, 0.001], t_end, tol, **kw))
     assert _outcome(lambda: simulate(sc_sir, policy, [0.8, 0.001], t_end, tol, **kw)) == want
     tr = simulate(sc_sir, policy, [0.8, 0.001], t_end, tol)
-    assert len(tr.samples) == 181  # the start, every 10th of 1,798 steps and the end
-    assert [t for t, _, _ in tr.samples[-2:]] == [17.9, t_end]
+    assert len(tr.samples) == 181  # the start, every 10th of 1,799 steps and the end
+    assert [t for t, _, _ in tr.samples[-2:]] == [1_790 * tol.step_h, t_end]
 
 
 def test_feedback_law_matches_the_per_step_loop_for_500_days(sc_sir, sc_seir):
