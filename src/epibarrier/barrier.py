@@ -294,14 +294,19 @@ def compute_barrier_curve(
     return curve
 
 
-def _outside_capped_simplex(scenario: Scenario, tol: Tolerances, pts) -> np.ndarray:
-    """Mask of the states in ``pts`` (last axis) outside the capped simplex.
+def _slack(tol: Tolerances) -> float:
+    """How far past a face of the capped simplex a state still lies in it.
 
     Face events trigger at depth ``geom_tol``, so a refined terminal sample
-    may sit up to that deep plus refinement slack; a state counts as outside
-    once it is more than twice that beyond a face, or is not finite.
+    may sit up to that deep plus refinement slack: twice ``geom_tol``.
     """
-    slack = 2.0 * tol.geom_tol
+    return 2.0 * tol.geom_tol
+
+
+def _outside_capped_simplex(scenario: Scenario, tol: Tolerances, pts) -> np.ndarray:
+    """Mask of the states in ``pts`` (last axis) more than :func:`_slack` beyond a face of
+    the capped simplex, or not finite."""
+    slack = _slack(tol)
     # negated, so that NaN and infinite components count as outside
     return ~(
         (np.min(pts, axis=-1) >= -slack)
@@ -512,39 +517,33 @@ def check_set_geometry(cset: ComputedSet) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _in_simplex(scenario: Scenario, c: list[float], tol: float) -> bool:
+def _in_simplex(scenario: Scenario, c: list[float], tol: Tolerances) -> bool:
     # plain floats, summed left to right as np.sum does for so few components
-    total = 0.0
+    g, total = _slack(tol), 0.0
     for v in c:
-        if not v >= -tol:
+        if not v >= -g:
             return False
         total += v
-    return total <= 1.0 + tol and c[-1] <= scenario.i_max + tol
+    return total <= 1.0 + g and c[-1] <= scenario.i_max + g
 
 
 def _sir_edges(cset: ComputedSet):
-    """S, I of the graph vertices and 1/|ab|^2 of its edges j -> j + 1, as float lists; rows
-    ax, ay, abx, aby, 1/|ab|^2 of those edges; and each edge off the graph (the closing
-    edges, the I = 0 axis and the S = 0 edge) once, as its box s_lo, s_hi, i_lo, i_hi, then
-    ax, ay, bx, by, 1/|ab|^2.  An assembled polygon's first edge is the S = 0 edge."""
-    poly = cset.polyline
-    a = np.vstack([poly, [[0.0, 0.0], [0.0, 0.0]]])
-    b = np.vstack([poly[1:], poly[:1], [[1.0, 0.0], [0.0, cset.scenario.i_max]]])
-    ab = b - a
+    """The chain ``poly[0] -> ... -> poly[-1]``: S, I of its vertices and 1/|ab|^2 of its edges
+    as float lists, and rows ax, ay, abx, aby, 1/|ab|^2 of the edges; then I_max and 1/I_max^2
+    (0 where it underflows) of the S = 0 edge.  The closing edge lies on the I = 0 axis."""
+    poly, im = cset.polyline, cset.scenario.i_max
+    ab = poly[1:] - poly[:-1]
     denom = np.einsum("ij,ij->i", ab, ab)
     inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    rows = np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], a, b, inv])[[0, -3, -2, -1]]
-    other = list(dict.fromkeys(map(tuple, rows.tolist())))  # each edge once
-    graph = np.vstack([a.T, ab.T, inv])[:, 1:-3].copy()
-    return poly[1:, 0].tolist(), poly[1:, 1].tolist(), graph[4].tolist(), graph, other
+    w = 1.0 / max(im * im, 1e-300) if im * im > 0.0 else 0.0
+    return *poly.T.tolist(), inv.tolist(), np.vstack([poly[:-1].T, ab.T, inv]), im, w
 
 
 def membership(cset: ComputedSet, point) -> Membership:
     """Verdict and boundary distance of a finite query state; ValueError otherwise.
 
-    The distance counts the SIR polygon's edges, the whole I = 0 axis and the S = 0 edge
-    up to the cap, so the sum face only where a polygon edge lies on it; the SEIR mesh
+    The distance counts the SIR chain's edges, the whole I = 0 axis and the S = 0 edge up
+    to the cap, so the sum face only where a chain edge lies on it; the SEIR mesh
     nodes, the usable cap face and the S axis; a trivial set's cap face alone (its other,
     invariant faces separate nothing), or the face a state outside lies farthest beyond.
     """
@@ -555,7 +554,7 @@ def membership(cset: ComputedSet, point) -> Membership:
         raise ValueError(f"query point {c} is not a finite state of shape ({dim},)")
     if cset.trivial:
         dist = scenario.i_max - c[-1]
-        if not _in_simplex(scenario, c, tol.geom_tol):
+        if not _in_simplex(scenario, c, tol):
             return Membership(_OUTSIDE, abs(min(*c, (1.0 - sum(c)) / math.sqrt(dim), dist)))
         if dist <= tol.boundary_layer_eps:
             return Membership(_BOUNDARY, dist)
@@ -570,10 +569,10 @@ def membership(cset: ComputedSet, point) -> Membership:
     if dist <= tol.boundary_layer_eps:
         return Membership(_BOUNDARY, dist)
     if dim == 3:
-        inside = _in_simplex(scenario, c, tol.geom_tol) and _seir_inside(cset, *c)
+        inside = _in_simplex(scenario, c, tol) and _seir_inside(cset, *c)
         return Membership(_INSIDE if inside else _OUTSIDE, dist)
     # in the simplex, and under the graph: xs[k - 1] <= px < xs[k] past xs[0] and before xs[-1]
-    g, s0, i0 = tol.geom_tol, xs[k - 1], ys[k - 1]
+    g, s0, i0 = _slack(tol), xs[k - 1], ys[k - 1]
     inside = (px >= -g and py >= -g and px + py <= 1.0 + g and py <= scenario.i_max + g
               and xs[0] < px < xs[-1] and 0.0 < py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0))
     return Membership(_INSIDE if inside else _OUTSIDE, dist)
@@ -586,20 +585,18 @@ _SCAN_EDGES = 32
 
 
 def _sir_distance(cset: ComputedSet, px: float, py: float, k: int) -> float:
-    """Distance from (px, py) to the SIR boundary, measured on the edges that can be nearest.
+    """Distance from (px, py) to the chain, the I = 0 axis and the S = 0 edge.
 
     ``k`` is ``bisect_right(xs, px)``.  Each edge is measured as the numpy form over all edges
-    does, operation by operation, so the bits are the same.  The graph edge under ``px``
-    gives a first distance ``d``; ``r`` is ``d`` widened by ``1e-14`` relative and by
-    ``1e-14 * (1 + |px| + |py| + |S_0| + |S_last|)`` absolute, far past the rounding of a
-    measured distance (a few ``u = 2**-53`` times the coordinates).  An edge whose box lies
-    farther than ``r`` from the query along S or along I measures no less than ``d``, so an
-    edge off the graph is measured only when its box lies within ``r`` along both.  Then
-    ``r`` is widened from the least distance so far; S never decreases along the graph, so
-    only the graph edges whose S range lies within ``r`` of ``px`` are measured, one by
+    does, operation by operation, so the bits are the same; the two faces are that form with
+    its zero products left out.  With the chain edge under ``px`` they give a first distance
+    ``d``; ``r`` is ``d`` widened by ``1e-14`` relative and by ``1e-14 * (1 + |px| + |py| +
+    |S_0| + |S_last|)`` absolute, far past the rounding of a measured distance (a few
+    ``u = 2**-53`` times the coordinates).  S never decreases along the chain, so only the
+    edges whose S range lies within ``r`` of ``px`` can be nearer: they are measured one by
     one, or in one numpy pass past ``_SCAN_EDGES``.
     """
-    xs, ys, inv, graph, other = cset.query_arrays
+    xs, ys, inv, graph, im, w = cset.query_arrays
     last = len(inv) - 1
     k = min(max(k - 1, 0), last)
     abx, aby, dx, dy = xs[k + 1] - xs[k], ys[k + 1] - ys[k], px - xs[k], py - ys[k]
@@ -607,17 +604,11 @@ def _sir_distance(cset: ComputedSet, px: float, py: float, k: int) -> float:
     t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     ex, ey = dx - t * abx, dy - t * aby
     best = ex * ex + ey * ey
-    pad = 1e-14 * (1.0 + abs(px) + abs(py) + abs(xs[0]) + abs(xs[-1]))
-    r = math.sqrt(best) * (1.0 + 1e-14) + pad
-    for s_lo, s_hi, i_lo, i_hi, ax, ay, bx, by, w in other:
-        if s_lo - r <= px <= s_hi + r and i_lo - r <= py <= i_hi + r:
-            abx, aby, dx, dy = bx - ax, by - ay, px - ax, py - ay
-            t = (dx * abx + dy * aby) * w
-            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-            ex, ey = dx - t * abx, dy - t * aby
-            d2 = ex * ex + ey * ey
-            best = d2 if d2 < best else best
-    r = math.sqrt(best) * (1.0 + 1e-14) + pad
+    ex = px - (0.0 if px < 0.0 else 1.0 if px > 1.0 else px)  # the I = 0 axis
+    t = py * im * w
+    ey = py - (0.0 if t < 0.0 else 1.0 if t > 1.0 else t) * im  # the S = 0 edge
+    best = min(best, ex * ex + py * py, px * px + ey * ey)
+    r = math.sqrt(best) * (1.0 + 1e-14) + 1e-14 * (1.0 + abs(px) + abs(py) + abs(xs[0]) + abs(xs[-1]))
     lo = k if k == 0 or px - xs[k] >= r else max(bisect_right(xs, px - r) - 1, 0)
     hi = k + 1 if k == last or xs[k + 1] - px >= r else min(bisect_left(xs, px + r), last + 1)
     if hi - lo > _SCAN_EDGES:

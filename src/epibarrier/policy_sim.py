@@ -675,8 +675,11 @@ def membership_oracle(
     On disagreement the counterexample is the deciding trial replayed through
     :func:`simulate`, on the lanes' clock: the first trial that breaches when
     the oracle says outside, the first that survives when it says inside.  Its
-    label names a seed only for a seeded bang trial; ``n_trials`` counts the trials run.
+    label names a seed only for a seeded bang trial; ``n_trials`` counts the trials run.  A
+    ``computed_set`` of another kind or scenario is refused with ValueError.
     """
+    if computed_set is not None and (computed_set.set_kind, computed_set.scenario) != (set_kind, scenario):
+        raise ValueError(f"membership_oracle requires the scenario's {set_kind.value} set")
     tol = tolerances or Tolerances()
     pt = np.asarray(point, dtype=float)
     flags, trials, breach = _oracle(scenario, set_kind, pt[None, :], n_trials, seed, t_end, tol)

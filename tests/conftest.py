@@ -21,6 +21,7 @@ SIR_PERFECT_RAW = {
     "i_max": 0.02,
 }
 SIR_PERFECT_15_RAW = dict(SIR_PERFECT_RAW, i_max=0.15)
+SIR_PERFECT_30_RAW = dict(SIR_PERFECT_RAW, i_max=0.3)
 SIR_PERFECT_40_RAW = dict(SIR_PERFECT_RAW, i_max=0.4)
 SIR_IMPERFECT_RAW = {
     "variant": "SIR_IMPERFECT",
@@ -98,6 +99,11 @@ def adm_sir15(sc_sir15):
 @pytest.fixture(scope="session")
 def mrpi_sir15(sc_sir15):
     return assemble_set(sc_sir15, SetKind.MRPI)
+
+
+@pytest.fixture(scope="session")
+def mrpi_sir30():
+    return assemble_set(validate_scenario(SIR_PERFECT_30_RAW), SetKind.MRPI)
 
 
 @pytest.fixture(scope="session")

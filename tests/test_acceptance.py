@@ -27,6 +27,8 @@ from epibarrier.policy_sim import (
     simulate,
 )
 
+from conftest import phi_sir
+
 
 @pytest.fixture
 def _report(capsys):
@@ -217,3 +219,31 @@ def test_criterion_13_seir_step_convergence(_report, sc_seir, sc_seir_imp):
             ok &= [lab for lab, _ in run] == [lab for lab, _ in ref]
             ok &= max(abs(t - t_ref) for (_, t), (_, t_ref) in zip(run, ref)) <= 1e-6
     _report(13, "SEIR step-size convergence", ok)
+
+
+def test_criterion_14_closed_form_sir_verdicts(
+    _report, adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30
+):
+    # a SIR-perfect set is exactly 0 < I < phi(S), phi in closed form (conftest.phi_sir):
+    # no INSIDE or OUTSIDE verdict may differ from it, on 1,000 seeded states under the cap
+    # and 1,000 within N(0, 2e-3) of phi per set (A at i_max 0.3 is trivial)
+    rng = np.random.default_rng(14)
+    ok = True
+    for cset in (adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30):
+        sc, kind = cset.scenario, cset.set_kind
+        phi = phi_sir(sc, kind)
+        c = sc.gamma / (sc.beta_min if kind is SetKind.ADMISSIBLE else sc.beta_max)
+        uniform = rng.uniform([0.0, 0.0], [1.0, sc.i_max], (2000, 2))
+        s_near = rng.uniform(c, 1.0, 20000)
+        near = np.column_stack([s_near, phi(s_near) + rng.normal(0.0, 2e-3, 20000)])
+        pts = []
+        for batch in (uniform, near):
+            keep = (batch[:, 1] >= 0.0) & (batch[:, 1] <= sc.i_max) & (batch.sum(axis=1) <= 1.0)
+            pts.append(batch[keep][:1000])
+        pts = np.vstack(pts)
+        ok &= len(pts) == 2000
+        exact = (pts[:, 1] > 0.0) & (pts[:, 1] < phi(pts[:, 0]))
+        for p, inside in zip(pts, exact):
+            verdict = membership(cset, p).verdict
+            ok &= verdict is Verdict.BOUNDARY or (verdict is Verdict.INSIDE) == inside
+    _report(14, "closed-form SIR verdicts", ok)

@@ -362,6 +362,23 @@ def test_each_set_builds_its_query_arrays_once(all_proper_sets, mrpi_seir, tmp_p
     assert calls == ["_seir_arrays"]
 
 
+def test_sum_face_ends_lie_in_the_capped_simplex(adm_sir15, mrpi_sir15, mrpi_sir30):
+    # a curve that ends on the sum face stops up to its face event's depth past S + I = 1,
+    # here more than geom_tol; the set's geometry check and membership's simplex test read
+    # one slack, so that end vertex lies in the capped simplex for both, and a state 3e-9
+    # past the face lies in it for neither
+    for cset in (adm_sir15, mrpi_sir15, mrpi_sir30):
+        sc, tol = cset.scenario, cset.tolerances
+        assert cset.curves[0].termination.label == "sum_face"
+        end = cset.polyline[-2]
+        assert end.sum() > 1.0 + tol.geom_tol
+        assert barrier._in_simplex(sc, end.tolist(), tol)
+        assert not barrier._outside_capped_simplex(sc, tol, end)
+        past = [end[0], 1.0 + 3e-9 - end[0]]
+        assert not barrier._in_simplex(sc, past, tol)
+        assert barrier._outside_capped_simplex(sc, tol, np.array(past))
+
+
 def test_membership_reference_points(adm_sir, mrpi_sir):
     # a state inside the viable region but outside the robust one
     p = np.array([0.8, 0.012])
@@ -380,10 +397,11 @@ def test_membership_reference_points(adm_sir, mrpi_sir):
 
 
 def _clip_form_edges(poly, i_max):
-    """Ends a, b and 1/|ab|^2 of every edge of the reference: the closed polygon, the
-    invariant I = 0 axis from S = 0 to 1 and the S = 0 edge up to the cap."""
-    a = np.vstack([poly, [[0.0, 0.0], [0.0, 0.0]]])
-    b = np.vstack([poly[1:], poly[:1], [[1.0, 0.0], [0.0, i_max]]])
+    """Ends a, b and 1/|ab|^2 of every edge of the reference: the polygon's chain
+    ``poly[0] -> ... -> poly[-1]``, the invariant I = 0 axis from S = 0 to 1 and the S = 0
+    edge up to the cap.  The closing edge ``poly[-1] -> poly[0]`` lies on the axis."""
+    a = np.vstack([poly[:-1], [[0.0, 0.0], [0.0, 0.0]]])
+    b = np.vstack([poly[1:], [[1.0, 0.0], [0.0, i_max]]])
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
     return a, b, np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
@@ -411,21 +429,24 @@ def _nudged(v):
     return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
 
 
-def _under_edge_distance(poly, s, i):
-    """The distance to the graph edge under ``s``, which gives the first radius, in the clip
-    form's operations on plain floats."""
-    k = min(max(int(np.searchsorted(poly[1:, 0], s, side="right")) - 1, 0), len(poly) - 3)
-    (ax, ay), (bx, by) = poly[k + 1 : k + 3].tolist()
+def _first_distance(poly, im, s, i):
+    """The distance that the SIR distance widens into its window, up to rounding: to the
+    chain edge under ``s`` (in the clip form's operations on plain floats), the I = 0 axis and
+    the S = 0 edge."""
+    k = min(max(int(np.searchsorted(poly[:, 0], s, side="right")) - 1, 0), len(poly) - 2)
+    (ax, ay), (bx, by) = poly[k : k + 2].tolist()
     abx, aby, dx, dy = bx - ax, by - ay, s - ax, i - ay
     denom = abx * abx + aby * aby
     t = min(max((dx * abx + dy * aby) * (1.0 / denom if denom > 0.0 else 0.0), 0.0), 1.0)
-    return math.sqrt((dx - t * abx) ** 2 + (dy - t * aby) ** 2)
+    faces = min((s - min(max(s, 0.0), 1.0)) ** 2 + i * i, s * s + (i - min(max(i, 0.0), im)) ** 2)
+    return math.sqrt(min((dx - t * abx) ** 2 + (dy - t * aby) ** 2, faces))
 
 
 def _tie(f, lo, hi):
-    """A float between ``lo`` and ``hi`` at which ``f`` changes sign, by bisection; ``lo`` if none."""
+    """A float between ``lo`` and ``hi`` at which ``f`` changes sign, by bisection; ``lo`` if none
+    or if ``f(lo)`` is zero."""
     f_lo = f(lo)
-    if f_lo * f(hi) > 0.0:
+    if not f_lo or f_lo * f(hi) > 0.0:
         return lo
     while lo < 0.5 * (lo + hi) < hi or hi < 0.5 * (lo + hi) < lo:
         mid = 0.5 * (lo + hi)
@@ -435,20 +456,20 @@ def _tie(f, lo, hi):
 
 
 def _at_the_prune(poly, im, s, i):
-    """Queries at and one float either side of the ends of the boxes that the SIR distance
-    prunes (S = 0, S_0, S_last, 1; I = 0, I_0, I_max), of ``s -+ r``, ``r`` the distance from
-    (s, i) to the edge under it, and of the points where a box end lies exactly ``r`` away."""
+    """Queries at and one float either side of the ends of the faces and the chain (S = 0,
+    S_0, S_last, 1; I = 0, I_0, I_max), of the window ``s -+ r``, ``r`` the first distance from
+    (s, i), and of the points where such an end lies exactly ``r`` away."""
     s_ends, i_ends = (0.0, poly[0, 0], poly[-1, 0], 1.0), (0.0, poly[1, 1], im)
-    r = _under_edge_distance(poly, s, i)
+    r = _first_distance(poly, im, s, i)
     qs = [(v, i) for e in (*s_ends, s - r, s + r) for v in _nudged(e)]
     qs += [(s, v) for e in i_ends for v in _nudged(e)]
-    for e in s_ends:  # the S range of a box ends r from the query
+    for e in s_ends:  # an end along S lies r from the query
         for far in (e - 0.5, e + 0.5):
-            tie = _tie(lambda x: _under_edge_distance(poly, x, i) - abs(x - e), e, far)
+            tie = _tie(lambda x: _first_distance(poly, im, x, i) - abs(x - e), e, far)
             qs += [(v, i) for v in _nudged(tie)]
-    for e in i_ends:  # the I range of a box ends r from the query
+    for e in i_ends:  # an end along I lies r from the query
         for far in (e - 0.5, e + 0.5):
-            tie = _tie(lambda y: _under_edge_distance(poly, s, y) - abs(y - e), e, far)
+            tie = _tie(lambda y: _first_distance(poly, im, s, y) - abs(y - e), e, far)
             qs += [(s, v) for v in _nudged(tie)]
     return np.array(qs)
 
@@ -472,18 +493,43 @@ def test_sir_membership_matches_the_clip_form(all_proper_sets):
             assert (m.verdict is Verdict.BOUNDARY) == (dist <= eps), (name, p)
 
 
-def test_sir_off_graph_edges_are_stored_once(all_proper_sets):
-    # the edges off the graph, each with its box, are those of the clip form without repeats:
-    # an assembled polygon's first edge is the S = 0 edge up to the cap
+def test_sir_query_arrays_hold_the_chain_alone(all_proper_sets):
+    # one row per chain edge, poly[j] -> poly[j + 1], and nothing off the graph
     for name, cset in all_proper_sets.items():
         if not cset.scenario.variant.is_sir:
             continue
-        a, b, inv = _clip_form_edges(cset.polyline, cset.scenario.i_max)
-        want = {(*a[j], *b[j], inv[j]) for j in (0, -3, -2, -1)}
-        stored = [e[4:] for e in cset.query_arrays[4]]
-        assert len(set(stored)) == len(stored) == 3 and set(stored) == want, name
-        for s_lo, s_hi, i_lo, i_hi, ax, ay, bx, by, _ in cset.query_arrays[4]:
-            assert (s_lo, s_hi, i_lo, i_hi) == (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+        poly = cset.polyline
+        xs, ys, inv, graph, im, w = cset.query_arrays
+        a, b, want = _clip_form_edges(poly, im)
+        assert graph.shape == (5, len(poly) - 1) and len(inv) == len(poly) - 1, name
+        assert xs == poly[:, 0].tolist() and ys == poly[:, 1].tolist(), name
+        assert _same_bits(graph[:2].T, a[:-2]) and _same_bits(graph[2:4].T, (b - a)[:-2]), name
+        assert _same_bits(graph[4], want[:-2]) and inv == want[:-2].tolist(), name
+        assert im == cset.scenario.i_max and _same_bits(w, want[-1]), name
+
+
+@pytest.mark.parametrize("i_max", [0.15, 1e-200])
+def test_sir_faces_in_closed_form_match_the_edge_form(i_max):
+    # the distance measures the I = 0 axis and the S = 0 edge in closed form; where either
+    # is the nearest piece the distance has the bits of the generic edge form, at S < 0,
+    # S > 1, I < 0 and I > I_max, and at an I_max whose square underflows
+    sc = validate_scenario(dict(SIR_PERFECT_15_RAW, i_max=i_max))
+    poly = np.array([[0.4, 0.0], [0.4, 0.5 * i_max], [0.6, 0.0]])
+    cset = ComputedSet(sc, SetKind.ADMISSIBLE, polyline=poly)
+    a, b, inv = _clip_form_edges(poly, i_max)
+    far = 1e3 * i_max
+    ss = (-2.0, -0.3, -1e-300, 0.0, 1e-300, 0.1, 0.9, 1.0, 1.3, 5.0)
+    ii = (-far, -i_max, -1e-300, 0.0, 0.5 * i_max, i_max, 1.5 * i_max, far)
+    nearest = set()
+    for s, i in [(s, i) for s in ss for i in ii]:
+        d2 = []
+        for (ax, ay), (bx, by), w in zip(a.tolist(), b.tolist(), inv.tolist()):
+            abx, aby, dx, dy = bx - ax, by - ay, s - ax, i - ay
+            t = min(max((dx * abx + dy * aby) * w, 0.0), 1.0)
+            d2.append((dx - t * abx) ** 2 + (dy - t * aby) ** 2)
+        assert _same_bits(membership(cset, (s, i)).distance_estimate, math.sqrt(min(d2))), (s, i)
+        nearest |= {j - len(d2) for j, v in enumerate(d2) if v == min(d2)}
+    assert {-2, -1} <= nearest  # each face is a nearest piece somewhere
 
 
 @pytest.mark.parametrize("name", ["adm_sir", "mrpi_sir_imp", "mrpi_seir", "trivial_sir40"])

@@ -667,6 +667,15 @@ def test_mrpi_robustness_sample(sc_sir, mrpi_sir):
     assert np.all(inside)
 
 
+def test_oracle_refuses_a_set_of_another_kind_or_scenario(sc_sir, sc_sir15, adm_sir):
+    # a verdict is a claim about the scenario's set of the kind asked: the admissible set
+    # reads INSIDE at this point, which lies outside M, and was judged as M's claim
+    with pytest.raises(ValueError, match="scenario's mrpi set"):
+        membership_oracle(sc_sir, SetKind.MRPI, [0.9, 0.008733767140053472], computed_set=adm_sir)
+    with pytest.raises(ValueError, match="scenario's admissible set"):
+        membership_oracle(sc_sir15, SetKind.ADMISSIBLE, [0.5, 0.01], computed_set=adm_sir)
+
+
 def test_oracle_agreement_examples(sc_sir, adm_sir, mrpi_sir, sc_sir40):
     # a far corner no policy can save
     rep = membership_oracle(
