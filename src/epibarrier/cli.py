@@ -8,10 +8,12 @@ a run manifest so reruns with identical inputs are bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import binascii
 import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -182,10 +184,37 @@ def _set_document(cset: ComputedSet, raw_config: dict, curve_files, manifest) ->
         for fname, c in zip(curve_files, cset.curves)
     ]
     if cset.polyline is not None:
-        doc["polyline"] = cset.polyline.tolist()
+        doc["polyline"] = _pack(cset.polyline)
     if cset.mesh_nodes is not None:
-        doc["mesh_nodes"] = cset.mesh_nodes.tolist()
+        doc["mesh_nodes"] = _pack(cset.mesh_nodes)
     return doc
+
+
+def _pack(a: np.ndarray) -> dict:
+    """An array as its shape and the base64 of its little-endian float64 bytes, C order."""
+    raw = np.asarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f8": binascii.b2a_base64(raw, newline=False).decode()}
+
+
+def _unpack(value) -> np.ndarray:
+    """A writable float array from :func:`_pack`'s form, or from a nested list.
+
+    The packed form is decoded strictly: the shape must be a list of
+    non-negative ints, and the base64 text must be the canonical encoding of
+    exactly ``8 * prod(shape)`` bytes; the length is checked before the text is decoded.
+    """
+    if isinstance(value, list):  # written before geometry was packed
+        return np.array(value, dtype=float)
+    shape, text = value["shape"], value["f8"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative ints")
+    n_bytes = 8 * math.prod(shape)
+    if not isinstance(text, str) or len(text) != 4 * -(-n_bytes // 3):
+        raise ValueError(f"f8 does not hold the {n_bytes} bytes of shape {shape}")
+    raw = binascii.a2b_base64(text)
+    if len(raw) != n_bytes or binascii.b2a_base64(raw, newline=False) != text.encode():
+        raise ValueError("f8 is not the canonical base64 of its bytes")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
 def load_set(path: str) -> ComputedSet:
@@ -199,7 +228,7 @@ def load_set(path: str) -> ComputedSet:
         if doc["trivial"] != is_trivial(scenario, kind):
             raise ValueError(f"{path}: 'trivial' disagrees with the classification")
         key = "polyline" if scenario.variant.is_sir else "mesh_nodes"
-        geometry = {} if doc["trivial"] else {key: np.array(doc[key], dtype=float)}
+        geometry = {} if doc["trivial"] else {key: _unpack(doc[key])}
         return ComputedSet(scenario, kind, tolerances=tol, **geometry)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path} is not a set document: {type(exc).__name__}: {exc}") from exc
@@ -258,6 +287,7 @@ def cmd_barrier(args) -> int:
         "trivial": cset.trivial,
         "n_curves": len(cset.curves),
         "truncated": sum(c.truncated for c in cset.curves),
+        "horizon": sum(c.termination.label == "horizon" for c in cset.curves),
     }
     print(json.dumps(report))
     return EXIT_OK

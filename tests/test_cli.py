@@ -16,6 +16,7 @@ from conftest import (
     SIR_IMPERFECT_RAW,
     SIR_PERFECT_40_RAW,
     SIR_PERFECT_RAW,
+    seir_points,
 )
 
 
@@ -88,8 +89,17 @@ def test_barrier_reports_truncations(tmp_path, capsys, sc_seir_imp):
         "trivial": False,
         "n_curves": 8,
         "truncated": sum(c.truncated for c in cset.curves),
+        "horizon": sum(c.termination.label == "horizon" for c in cset.curves),
     }
-    assert report["truncated"] == 0
+    assert report["truncated"] == report["horizon"] == 0
+    # a backward horizon of one day ends the SIR-imperfect curve before any face
+    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW, "i.json")
+    argv = ["barrier", "--config", cfg, "--set", "mrpi", "--tol", "t_back_max=1"]
+    assert main(argv + ["--out", str(tmp_path / "i")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"trivial": False, "n_curves": 1, "truncated": 0, "horizon": 1}
+    doc = json.loads((tmp_path / "i" / "set.json").read_text())
+    assert [c["termination"] for c in doc["curves"]] == ["horizon"]
     # one curve returns to the cap face at tau 0.0118, within a step of 0.02
     # of its tangency point; it ends there like any other cap-face return
     cfg = _write_config(tmp_path, SEIR_PERFECT_RAW, "p.json")
@@ -123,7 +133,7 @@ def test_barrier_artifacts_and_round_trip(tmp_path, capsys, mrpi_sir):
         a = membership(cset, p)
         b = membership(mrpi_sir, p)
         assert a.verdict is b.verdict, p
-        assert a.distance_estimate == pytest.approx(b.distance_estimate, abs=1e-12)
+        assert a.distance_estimate == b.distance_estimate
         checked += 1
     assert checked == 100
 
@@ -135,23 +145,26 @@ def test_load_set_rejects_a_polyline_that_is_not_a_graph(tmp_path, capsys):
     capsys.readouterr()
     path = out / "set.json"
     doc = json.loads(path.read_text())
-    poly = doc["polyline"]
+    poly = cli._unpack(doc["polyline"])
+
+    def write(vertices):
+        path.write_text(json.dumps(dict(doc, polyline=cli._pack(vertices))))
+
     # two arc vertices swapped: S decreases along the arc
-    swapped = dict(doc, polyline=poly[:5] + [poly[6], poly[5]] + poly[7:])
-    path.write_text(json.dumps(swapped))
+    write(poly[[*range(5), 6, 5, *range(7, len(poly))]])
     with pytest.raises(ValueError):
         load_set(str(path))
     # with I scaled by 0.9 the polyline is still a graph in the simplex, so it loads
-    lowered = [[s, 0.9 * i] for s, i in poly]
-    path.write_text(json.dumps(dict(doc, polyline=lowered)))
-    assert load_set(str(path)).polyline.tolist() == lowered
+    lowered = poly * [1.0, 0.9]
+    write(lowered)
+    assert load_set(str(path)).polyline.tobytes() == lowered.tobytes()
     # shifted by +0.05 in S it is still a graph, but it leaves the simplex
-    shifted = [[s + 0.05, i] for s, i in poly]
-    path.write_text(json.dumps(dict(doc, polyline=shifted)))
+    write(poly + [0.05, 0.0])
     with pytest.raises(ValueError):
         load_set(str(path))
-    nan_vertex = poly[:3] + [[poly[3][0], float("nan")]] + poly[4:]
-    path.write_text(json.dumps(dict(doc, polyline=nan_vertex)))
+    nan_vertex = poly.copy()
+    nan_vertex[3, 1] = np.nan
+    write(nan_vertex)
     with pytest.raises(ValueError):
         load_set(str(path))
 
@@ -166,7 +179,7 @@ def test_load_set_rejects_a_corrupted_seir_mesh(tmp_path, capsys):
     capsys.readouterr()
     path = out / "set.json"
     doc = json.loads(path.read_text())
-    mesh = np.array(doc["mesh_nodes"])
+    mesh = cli._unpack(doc["mesh_nodes"])
     assert mesh.shape == (3, 200, 3)
     i_max = doc["config"]["i_max"]
     nan_node = mesh.copy()
@@ -174,12 +187,11 @@ def test_load_set_rejects_a_corrupted_seir_mesh(tmp_path, capsys):
     above_cap = mesh.copy()
     above_cap[2, 5, 2] = i_max + 1e-6
     for bad in (nan_node, above_cap, mesh[:1], mesh[:, :, :2], mesh[0]):
-        # json writes NaN as a bare token, which json.loads reads back
-        path.write_text(json.dumps(dict(doc, mesh_nodes=bad.tolist())))
+        path.write_text(json.dumps(dict(doc, mesh_nodes=cli._pack(bad))))
         with pytest.raises(ValueError):
             load_set(str(path))
     path.write_text(json.dumps(doc))
-    assert np.array_equal(load_set(str(path)).mesh_nodes, mesh)
+    assert load_set(str(path)).mesh_nodes.tobytes() == mesh.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +277,125 @@ def test_load_set_ignores_stored_special_segments(set_documents, tmp_path):
             assert a.verdict is b.verdict and a.distance_estimate == b.distance_estimate, x
 
 
+def _repack(doc, key, **changes):
+    return dict(doc, **{key: dict(doc[key], **changes)})
+
+
+def _drop_packed(doc, key, field):
+    return dict(doc, **{key: _drop(doc[key], field)})
+
+
+def _f8_of(doc, key, values):
+    return _repack(doc, key, f8=cli._pack(np.asarray(values, dtype=float))["f8"])
+
+
+def _swap_char(text, k, c):
+    return text[:k] + c + text[k + 1 :]
+
+
+def _dirty_padding(text):
+    """The same bytes with nonzero unused bits before the padding."""
+    assert text.endswith("="), "without padding no bit is unused"
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    k = len(text.rstrip("=")) - 1
+    return _swap_char(text, k, alphabet[alphabet.index(text[k]) | 1])
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("sir", lambda d: _repack(d, "polyline", f8=_swap_char(d["polyline"]["f8"], 9, "!"))),
+        ("sir", lambda d: _repack(d, "polyline", f8=_swap_char(d["polyline"]["f8"], 9, " "))),
+        ("seir", lambda d: _repack(d, "mesh_nodes", f8=d["mesh_nodes"]["f8"] + "\n")),
+        ("sir", lambda d: _repack(d, "polyline", f8=d["polyline"]["f8"].rstrip("="))),
+        ("sir", lambda d: _repack(d, "polyline", f8=_dirty_padding(d["polyline"]["f8"]))),
+        ("sir", lambda d: _f8_of(d, "polyline", cli._unpack(d["polyline"])[:-1])),
+        ("seir", lambda d: _f8_of(d, "mesh_nodes", cli._unpack(d["mesh_nodes"]).ravel()[:-1])),
+        ("seir", lambda d: _f8_of(d, "mesh_nodes", [*cli._unpack(d["mesh_nodes"]).ravel(), 0])),
+        ("sir", lambda d: _repack(d, "polyline", f8=None)),
+        ("sir", lambda d: _repack(d, "polyline", shape=[-n for n in d["polyline"]["shape"]])),
+        ("seir", lambda d: _repack(d, "mesh_nodes", shape=[2.0, 200, 3])),
+        ("seir", lambda d: _repack(d, "mesh_nodes", shape=[2, 200, True, 3])),
+        ("sir", lambda d: _repack(d, "polyline", shape=",".join(map(str, d["polyline"]["shape"])))),
+        ("sir", lambda d: _repack(d, "polyline", shape=None)),
+        ("sir", lambda d: _drop_packed(d, "polyline", "f8")),
+        ("seir", lambda d: _drop_packed(d, "mesh_nodes", "shape")),
+        ("sir", lambda d: dict(d, polyline=d["polyline"]["f8"])),
+    ],
+    ids=[
+        "non-alphabet-char",
+        "space-in-base64",
+        "trailing-newline",
+        "no-padding",
+        "nonzero-padding-bits",
+        "one-vertex-short",
+        "one-float-short",
+        "one-float-long",
+        "f8-not-a-string",
+        "negative-shape",
+        "float-in-shape",
+        "bool-in-shape",
+        "shape-a-string",
+        "shape-null",
+        "no-f8",
+        "no-shape",
+        "bare-base64",
+    ],
+)
+def test_load_set_rejects_malformed_packed_geometry(set_documents, name, corrupt, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(corrupt(set_documents[name])))
+    with pytest.raises(ValueError):
+        load_set(str(path))
+
+
+def test_load_set_refuses_a_huge_shape_before_decoding(set_documents, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decoded a document whose byte count disagrees with its shape")
+
+    monkeypatch.setattr(cli.binascii, "a2b_base64", refuse)
+    path = tmp_path / "set.json"
+    for shape in ([10**9, 10**9, 3], [2**62, 2**62, 3]):
+        path.write_text(json.dumps(_repack(set_documents["seir"], "mesh_nodes", shape=shape)))
+        with pytest.raises(ValueError, match="does not hold"):
+            load_set(str(path))
+
+
+def test_load_set_reads_list_geometry_of_older_files(set_documents, tmp_path):
+    path = tmp_path / "set.json"
+    for name, key in (("sir", "polyline"), ("seir", "mesh_nodes")):
+        doc = set_documents[name]
+        path.write_text(json.dumps(doc))
+        packed = getattr(load_set(str(path)), key)
+        # nested lists of floats, the form written before geometry was packed
+        path.write_text(json.dumps(dict(doc, **{key: packed.tolist()})))
+        listed = getattr(load_set(str(path)), key)
+        assert (listed.shape, listed.tobytes()) == (packed.shape, packed.tobytes()), name
+        assert listed.flags.writeable and packed.flags.writeable, name
+
+
+def test_reloaded_mesh_lowered_in_i_changes_verdicts(set_documents, tmp_path):
+    # the benchmark checks that a reloaded set answers seeded probes as the
+    # fresh one does; a mesh whose I is scaled by 0.9 through the codec still
+    # loads, and that check must see it
+    doc = set_documents["seir"]
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    written = load_set(str(path))
+    lowered = cli._unpack(doc["mesh_nodes"]) * [1.0, 1.0, 0.9]
+    path.write_text(json.dumps(dict(doc, mesh_nodes=cli._pack(lowered))))
+    reloaded = load_set(str(path))
+    assert reloaded.mesh_nodes.tobytes() == lowered.tobytes()
+    # as the benchmark's probes: half uniform, half near the written mesh
+    rng = np.random.default_rng(38)
+    nodes = written.mesh_nodes.reshape(-1, 3)
+    near = nodes[rng.integers(0, len(nodes), 200)]
+    near += rng.normal(scale=written.tolerances.boundary_layer_eps, size=near.shape)
+    pts = np.concatenate([seir_points(written.scenario, 200, rng), near])
+    differ = sum(membership(written, x).verdict is not membership(reloaded, x).verdict for x in pts)
+    assert differ > 0
+
+
 def test_reused_parser_keeps_no_tolerance_between_calls(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
     argv = ["barrier", "--config", cfg, "--set", "mrpi", "--curves", "2", "--out"]
@@ -300,13 +431,17 @@ def test_set_json_is_one_compact_line(raw, fixture, tmp_path, capsys, request):
 
 
 def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
-    cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    argv = ["barrier", "--config", cfg, "--set", "mrpi", "--out"]
-    assert main(argv + [str(out_a)]) == 0
-    assert main(argv + [str(out_b)]) == 0
-    capsys.readouterr()
-    assert (out_a / "set.json").read_bytes() == (out_b / "set.json").read_bytes()
+    for name, raw, argv in (
+        ("sir", SIR_IMPERFECT_RAW, ["--set", "mrpi"]),
+        ("seir", SEIR_PERFECT_RAW, ["--set", "admissible", "--curves", "2"]),
+    ):
+        cfg = _write_config(tmp_path, raw, f"{name}.json")
+        out_a, out_b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
+        argv = ["barrier", "--config", cfg, *argv, "--out"]
+        assert main(argv + [str(out_a)]) == 0
+        assert main(argv + [str(out_b)]) == 0
+        capsys.readouterr()
+        assert (out_a / "set.json").read_bytes() == (out_b / "set.json").read_bytes(), name
 
 def test_simulate_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)
