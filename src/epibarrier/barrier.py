@@ -138,8 +138,8 @@ class BarrierCurve:
 
     def hamiltonian(self, scenario: Scenario) -> np.ndarray:
         """lambda^T f at every sample (zero along an exact extremal curve)."""
-        f = _state_derivatives(scenario, self.states, self.inputs)
-        return np.array([float(lam @ fx) for lam, fx in zip(self.adjoints, f)])
+        p = self.adjoints * _state_derivatives(scenario, self.states, self.inputs)
+        return sum(p.T[1:], p[:, 0])  # row sums, left to right with no BLAS kernel
 
 
 def _state_derivatives(scenario: Scenario, states: np.ndarray, inputs) -> np.ndarray:
@@ -206,16 +206,14 @@ def _segment_events(scenario: Scenario, set_kind: SetKind, tol: Tolerances):
 
 
 def _unit_adjoint(d: int) -> Source:
-    """Post-step map scaling the adjoint part of the state to unit norm, as ``np.linalg.norm``.
+    """Post-step map scaling the adjoint part of the state to unit norm.
 
-    That is ``sqrt`` of a BLAS dot product on a reused buffer: a plain-float
-    ``sqrt(a*a + b*b)`` can differ in the last bit where BLAS fuses multiply and add.
+    The norm is ``sqrt(a*a + b*b [+ c*c])``, summed left to right in plain
+    floats: no BLAS kernel, so the result does not depend on the CPU's.
     """
     lam = [f"y[{k}]" for k in range(d, 2 * d)]
-    buf = np.empty(d)
-    body = f"{', '.join(f'buf[{i}]' for i in range(d))} = {', '.join(lam)}\nn = sqrt(dot(buf))"
     out = [f"y[{k}]" for k in range(d)] + [f"{c} / n" for c in lam] + [f"y[{2 * d}]"]
-    return Source(tuple(out), body, params={"buf": buf, "dot": buf.dot})
+    return Source(tuple(out), f"n = sqrt({' + '.join(f'{c} * {c}' for c in lam)})")
 
 
 _SIGMA_CHANNEL = {f"sigma_{ch.value}": ch for ch in Channel}
@@ -351,7 +349,7 @@ def resample_by_arclength(
     integrator's full order. One ``searchsorted`` on a curve's never-decreasing
     arc lengths brackets its nodes; one 60-step bisection on arrays places the
     nodes of all curves, rounding as a per-node scalar loop would; the speeds
-    |f| stay BLAS dots ``f @ f`` (which may fuse multiply and add).
+    |f| are ``sqrt`` of each row's squares summed left to right, with no BLAS kernel.
     """
     out = np.empty((len(curves), n_nodes, scenario.dim))
     arcs, n_used = [], 0
@@ -363,7 +361,8 @@ def resample_by_arclength(
         a = np.clip(np.searchsorted(s_vals, targets) - 1, 0, len(s_vals) - 2)
         b = a + 1
         f = _state_derivatives(scenario, states, curve.inputs)
-        ds = np.sqrt([fj @ fj for fj in f])
+        sq = f * f
+        ds = np.sqrt(sum(sq.T[1:], sq[:, 0]))
         dt = curve.tau[b] - curve.tau[a]
         dup = (dt <= 0.0) | (s_vals[b] <= s_vals[a])  # duplicated switch node
         out[i, 1:-1][dup] = states[b[dup]]

@@ -242,7 +242,8 @@ def _resample_one_node_at_a_time(curve, scenario, n_nodes):
             continue
         fa = state_rhs(scenario, x[a], u[a])
         fb = state_rhs(scenario, x[b], u[b])
-        dsa, dsb = np.sqrt(fa @ fa), np.sqrt(fb @ fb)
+        # speeds: squares summed left to right in plain floats, not a BLAS dot
+        dsa, dsb = (math.sqrt(sum(c * c for c in v.tolist())) for v in (fa, fb))
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)

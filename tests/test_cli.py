@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -442,6 +444,65 @@ def test_barrier_set_json_deterministic_bytes(tmp_path, capsys):
         assert main(argv + [str(out_b)]) == 0
         capsys.readouterr()
         assert (out_a / "set.json").read_bytes() == (out_b / "set.json").read_bytes(), name
+
+
+# Runs `epibarrier barrier` once per argv list in argv[1] (JSON), then prints, as
+# a control, a digest of BLAS dot products on fixed 3-vectors: a BLAS that picks
+# its kernel at run time gives a different digest per kernel.
+_BARRIER_THEN_BLAS_DIGEST = """\
+import hashlib, json, sys
+import numpy as np
+from epibarrier.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+v = np.random.default_rng(0).uniform(-1.0, 1.0, (256, 2, 3))
+dots = [a.dot(b) for a, b in v] + [a.dot(a) for a, _ in v]
+print(hashlib.sha256(np.array(dots).tobytes()).hexdigest())
+"""
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return {w for line in fh if line.startswith("flags") for w in line.split()}
+    except OSError:
+        return set()
+
+
+def test_barrier_files_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its dot kernel at run time (OPENBLAS_CORETYPE overrides the
+    # pick); the tracer and the resampler take no BLAS product, so every file is
+    # the same under each kernel
+    kernels = [None, "Prescott"] + (["Haswell"] if {"avx2", "fma"} <= _cpu_flags() else [])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = []
+    for k, kernel in enumerate(kernels):
+        env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS="1")
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        argvs = []
+        for name, raw, extra in (("seir", SEIR_IMPERFECT_RAW, ["--curves", "4"]),
+                                 ("sir", SIR_IMPERFECT_RAW, [])):
+            cfg = _write_config(tmp_path, raw, f"{name}.json")
+            argvs.append(["barrier", "--config", cfg, "--set", "mrpi", *extra,
+                          "--out", str(tmp_path / f"{name}_{k}")])
+        cmd = [sys.executable, "-c", _BARRIER_THEN_BLAS_DIGEST, json.dumps(argvs)]
+        runs.append(subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True))
+    controls = []
+    for proc in runs:
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        controls.append(out.split()[-1])
+    for name in ("seir", "sir"):
+        files = [{f.name: f.read_bytes() for f in (tmp_path / f"{name}_{k}").iterdir()}
+                 for k in range(len(kernels))]
+        assert "set.json" in files[0] and any(f.endswith(".csv") for f in files[0]), name
+        assert all(f == files[0] for f in files[1:]), name
+    if len(set(controls)) == 1:
+        pytest.skip(f"BLAS dot gives one digest under OPENBLAS_CORETYPE {kernels}: no kernel pick")
+
 
 def test_simulate_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path, SIR_IMPERFECT_RAW)

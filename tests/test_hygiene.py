@@ -190,6 +190,37 @@ def test_barrier_writes_no_model_formula():
     assert _reads(TREES["barrier"]) & {"rate_law", "state_rhs", "adjoint_rhs"} == set()
 
 
+_BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "linalg"}
+
+
+def _blas_products(tree) -> list[str]:
+    """``function:line`` of each BLAS-backed product in ``tree``: ``@``, ``.dot(``,
+    ``np.dot``, ``np.inner``, ``np.vdot``, ``np.matmul`` or ``np.linalg``."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            names = {getattr(node, "attr", None)}  # x.dot, np.linalg, ...
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names |= {*node.module.split("."), *(a.name for a in node.names)}
+            if isinstance(getattr(node, "op", None), ast.MatMult) or names & _BLAS_NAMES:
+                found.append(f"{getattr(top, 'name', '<module>')}:{node.lineno}")
+    return found
+
+
+def test_no_blas_products():
+    # a BLAS kernel is picked per CPU at run time and may fuse multiply and add,
+    # so its products can differ in the last bit between machines; the package
+    # takes none, but models.adjoint_rhs, the matrix form of the adjoint field
+    found = [f"{mod}.{where}" for mod, tree in TREES.items() for where in _blas_products(tree)]
+    assert len(found) == 1 and found[0].startswith("models.adjoint_rhs:"), found
+    text = (PACKAGE / "barrier.py").read_text()
+    anchor = "        sq = f * f\n"
+    assert text.count(anchor) == 1
+    for line in ("sq = f @ f.T", "sq = np.dot(f, f)", "sq = f.dot(f)", "sq = np.linalg.norm(f)",
+                 "from numpy import inner"):
+        assert len(_blas_products(ast.parse(text.replace(anchor, f"        {line}\n")))) == 1, line
+
+
 def test_feedback_slopes_are_written_once():
     # the slope coefficients 2.0 * (lo - hi) of the affine feedback on I,
     # for beta and for gamma, are written in models.rate_source and nowhere else
