@@ -186,7 +186,7 @@ def select_extremal_input(scenario: Scenario, set_kind: SetKind, state, adjoint)
 
 
 def _segment_events(scenario: Scenario, set_kind: SetKind, tol: Tolerances):
-    """Switch and face events on the (state, adjoint, arc length) tuple, as sources."""
+    """Switch and face events on the (state, adjoint, arc length) tuple; S never falls, so no S = 0."""
     d, geom = scenario.dim, tol.geom_tol
     bound = {"im": scenario.i_max, "i_floor": tol.i_floor}
     events = []
@@ -195,7 +195,7 @@ def _segment_events(scenario: Scenario, set_kind: SetKind, tol: Tolerances):
         sigma = f"y[{d + plus}]" + ("" if minus is None else f" - y[{d + minus}]")
         events.append(EventSpec(EventKind.SIGN_CHANGE, f"sigma_{ch.value}", Source(sigma)))
     # left-to-right sums, the order np.sum uses on so few components
-    faces = [("sum_face", " + ".join(f"y[{k}]" for k in range(d)) + " - 1.0"), ("s_floor", "-y[0]")]
+    faces = [("sum_face", " + ".join(f"y[{k}]" for k in range(d)) + " - 1.0")]
     if d == 3:
         faces.append(("e_floor", "-y[1]"))
     faces.append(("cap_face", f"y[{d - 1}] - im"))
@@ -527,22 +527,21 @@ def _in_simplex(scenario: Scenario, c: list[float], tol: Tolerances) -> bool:
 
 
 def _sir_edges(cset: ComputedSet):
-    """The chain ``poly[0] -> ... -> poly[-1]``: S, I of its vertices and 1/|ab|^2 of its edges
-    as float lists, and rows ax, ay, abx, aby, 1/|ab|^2 of the edges; then I_max and 1/I_max^2
-    (0 where it underflows) of the S = 0 edge.  The closing edge lies on the I = 0 axis."""
-    poly, im = cset.polyline, cset.scenario.i_max
+    """The chain ``poly[0] -> ... -> poly[-1]``, its first edge the S = 0 edge up to the cap:
+    S, I of its vertices and 1/|ab|^2 of its edges as float lists, and rows ax, ay, abx, aby,
+    1/|ab|^2 of the edges.  The closing edge lies on the I = 0 axis."""
+    poly = cset.polyline
     ab = poly[1:] - poly[:-1]
     denom = np.einsum("ij,ij->i", ab, ab)
     inv = np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
-    w = 1.0 / max(im * im, 1e-300) if im * im > 0.0 else 0.0
-    return *poly.T.tolist(), inv.tolist(), np.vstack([poly[:-1].T, ab.T, inv]), im, w
+    return *poly.T.tolist(), inv.tolist(), np.vstack([poly[:-1].T, ab.T, inv])
 
 
 def membership(cset: ComputedSet, point) -> Membership:
     """Verdict and boundary distance of a finite query state; ValueError otherwise.
 
-    The distance counts the SIR chain's edges, the whole I = 0 axis and the S = 0 edge up
-    to the cap, so the sum face only where a chain edge lies on it; the SEIR mesh
+    The distance counts the SIR chain's edges, the S = 0 edge up to the cap among them, and
+    the whole I = 0 axis, so the sum face only where a chain edge lies on it; the SEIR mesh
     nodes, the usable cap face and the S axis; a trivial set's cap face alone (its other,
     invariant faces separate nothing), or the face a state outside lies farthest beyond.
     """
@@ -570,9 +569,9 @@ def membership(cset: ComputedSet, point) -> Membership:
     if dim == 3:
         inside = _in_simplex(scenario, c, tol) and _seir_inside(cset, *c)
         return Membership(_INSIDE if inside else _OUTSIDE, dist)
-    # in the simplex, and under the graph: xs[k - 1] <= px < xs[k] past xs[0] and before xs[-1]
+    # in the simplex (px > xs[0] >= -slack, py > 0) and under the graph: xs[k - 1] <= px < xs[k]
     g, s0, i0 = _slack(tol), xs[k - 1], ys[k - 1]
-    inside = (px >= -g and py >= -g and px + py <= 1.0 + g and py <= scenario.i_max + g
+    inside = (px + py <= 1.0 + g and py <= scenario.i_max + g
               and xs[0] < px < xs[-1] and 0.0 < py < i0 + (px - s0) * (ys[k] - i0) / (xs[k] - s0))
     return Membership(_INSIDE if inside else _OUTSIDE, dist)
 
@@ -584,18 +583,18 @@ _SCAN_EDGES = 32
 
 
 def _sir_distance(cset: ComputedSet, px: float, py: float, k: int) -> float:
-    """Distance from (px, py) to the chain, the I = 0 axis and the S = 0 edge.
+    """Distance from (px, py) to the chain and the I = 0 axis.
 
     ``k`` is ``bisect_right(xs, px)``.  Each edge is measured as the numpy form over all edges
-    does, operation by operation, so the bits are the same; the two faces are that form with
-    its zero products left out.  With the chain edge under ``px`` they give a first distance
+    does, operation by operation, so the bits are the same; the axis is that form with its
+    zero products left out.  With the chain edge under ``px`` it gives a first distance
     ``d``; ``r`` is ``d`` widened by ``1e-14`` relative and by ``1e-14 * (1 + |px| + |py| +
     |S_0| + |S_last|)`` absolute, far past the rounding of a measured distance (a few
     ``u = 2**-53`` times the coordinates).  S never decreases along the chain, so only the
     edges whose S range lies within ``r`` of ``px`` can be nearer: they are measured one by
-    one, or in one numpy pass past ``_SCAN_EDGES``.
+    one, or in one numpy pass past ``_SCAN_EDGES``; so is the chain's S = 0 edge where nearest.
     """
-    xs, ys, inv, graph, im, w = cset.query_arrays
+    xs, ys, inv, graph = cset.query_arrays
     last = len(inv) - 1
     k = min(max(k - 1, 0), last)
     abx, aby, dx, dy = xs[k + 1] - xs[k], ys[k + 1] - ys[k], px - xs[k], py - ys[k]
@@ -604,9 +603,7 @@ def _sir_distance(cset: ComputedSet, px: float, py: float, k: int) -> float:
     ex, ey = dx - t * abx, dy - t * aby
     best = ex * ex + ey * ey
     ex = px - (0.0 if px < 0.0 else 1.0 if px > 1.0 else px)  # the I = 0 axis
-    t = py * im * w
-    ey = py - (0.0 if t < 0.0 else 1.0 if t > 1.0 else t) * im  # the S = 0 edge
-    best = min(best, ex * ex + py * py, px * px + ey * ey)
+    best = min(best, ex * ex + py * py)
     r = math.sqrt(best) * (1.0 + 1e-14) + 1e-14 * (1.0 + abs(px) + abs(py) + abs(xs[0]) + abs(xs[-1]))
     lo = k if k == 0 or px - xs[k] >= r else max(bisect_right(xs, px - r) - 1, 0)
     hi = k + 1 if k == last or xs[k + 1] - px >= r else min(bisect_left(xs, px + r), last + 1)

@@ -127,10 +127,10 @@ class SwitchingLawPolicy:
     ``M`` could never change the input, since INSIDE ``M`` implies INSIDE ``A``:
 
     - If ``x`` reads INSIDE ``M``, the open disc of radius ``d_M(x) > eps``
-      around ``x`` meets none of ``M``'s pieces (its polygon edges, the I = 0
-      axis and the S = 0 edge) and lies in ``M``'s polygon.
+      around ``x`` meets none of ``M``'s pieces (its polygon edges, the S = 0
+      edge among them, and the I = 0 axis) and lies in ``M``'s polygon.
     - ``M``'s polygon lies in ``A``'s, so the disc meets none of ``A``'s pieces either:
-      ``A``'s own edges plus the same axis and edge, or a trivial ``A``'s cap face.
+      ``A``'s own edges plus the same axis, or a trivial ``A``'s cap face.
     - So ``d_A(x) >= d_M(x) > eps``, and ``x`` reads INSIDE ``A``.
 
     The containment holds up to ``geom_tol`` (``M``'s sum-face vertex lies

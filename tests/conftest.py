@@ -177,6 +177,57 @@ def phi_sir(scenario, set_kind):
     return phi
 
 
+def _segment_distance(pts, a, b):
+    """Distance from each row of ``pts`` to the segment ``a -> b``."""
+    a, ab = np.asarray(a, dtype=float), np.subtract(b, a, dtype=float)
+    t = np.clip((pts - a) @ ab / (ab @ ab), 0.0, 1.0)
+    return np.hypot(*(pts - a - t[:, None] * ab).T)
+
+
+def phi_sir_distance(cset, points):
+    """Distance from each of ``points`` (rows S, I) to the pieces the SIR distance of the
+    perfect set ``cset`` measures, with the graph of :func:`phi_sir` in place of its polyline.
+
+    The pieces: the S = 0 edge up to the cap, the cap from S = 0 to the tangent point
+    ``S = c``, the graph ``I = phi(S)`` from ``c`` to the curve's end, the end's edge (along
+    the sum face to ``(1, 0)``, or down to the axis from the ``i_floor`` end) and the whole
+    I = 0 axis.  The graph's end is exact: ``S = exp((1 - V0)/c)`` on the sum face, and
+    ``phi(S) = i_floor`` solved by bisection.  The nearest of 1,000 graph nodes is refined
+    by golden-section search between its neighbours.
+    """
+    sc, tol = cset.scenario, cset.tolerances
+    phi, im = phi_sir(sc, cset.set_kind), sc.i_max
+    c = sc.gamma / (sc.beta_min if cset.set_kind is SetKind.ADMISSIBLE else sc.beta_max)
+    v0 = c + im - c * math.log(c)
+    pts = np.asarray(points, dtype=float)
+    if cset.curves[0].termination.label == "sum_face":
+        s_end = math.exp((1.0 - v0) / c)
+        end = ((s_end, 1.0 - s_end), (1.0, 0.0))
+    else:
+        lo, hi = c, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if phi(mid) > tol.i_floor else (lo, mid)
+        s_end = lo
+        end = ((s_end, float(phi(s_end))), (s_end, 0.0))
+    grid = np.linspace(c, s_end, 1000)
+    d2 = (pts[:, :1] - grid) ** 2 + (pts[:, 1:] - phi(grid)) ** 2
+    j = np.argmin(d2, axis=1)
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, len(grid) - 1)]
+
+    def f(s):
+        return (pts[:, 0] - s) ** 2 + (pts[:, 1] - phi(s)) ** 2
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        left = f(x1) < f(x2)
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+    graph = np.sqrt(np.minimum(d2[np.arange(len(pts)), j], f(0.5 * (lo + hi))))
+    pieces = [((0.0, 0.0), (0.0, im)), ((0.0, im), (c, im)), end, ((0.0, 0.0), (1.0, 0.0))]
+    return np.min([graph, *(_segment_distance(pts, a, b) for a, b in pieces)], axis=0)
+
+
 def seir_points(scenario, n, rng):
     """``n`` states drawn from ``Dirichlet(1,1,1,1)[:3]`` and kept when ``I <= I_max``."""
     pts = []

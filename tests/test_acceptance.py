@@ -19,7 +19,7 @@ from epibarrier.barrier import (
     select_extremal_input,
 )
 from epibarrier.core import SetKind, Tolerances
-from epibarrier.models import Channel, lie_derivative_g
+from epibarrier.models import Channel, vector_field
 from epibarrier.policy_sim import (
     SwitchingLawPolicy,
     grid_membership_oracle,
@@ -27,7 +27,7 @@ from epibarrier.policy_sim import (
     simulate,
 )
 
-from conftest import phi_sir
+from conftest import phi_sir, phi_sir_distance
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ def test_criterion_04_tangency_residual(_report, all_proper_sets):
         lam0[-1] = 1.0
         for curve in cset.curves:
             u0 = select_extremal_input(sc, cset.set_kind, curve.tangent_point, lam0)
-            worst = max(worst, abs(lie_derivative_g(sc, curve.tangent_point, u0)))
+            worst = max(worst, abs(vector_field(sc, u0)(0.0, curve.tangent_point)[-1]))
     _report(4, "tangency residual", worst <= 1e-8)
 
 
@@ -221,15 +221,12 @@ def test_criterion_13_seir_step_convergence(_report, sc_seir, sc_seir_imp):
     _report(13, "SEIR step-size convergence", ok)
 
 
-def test_criterion_14_closed_form_sir_verdicts(
-    _report, adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30
-):
-    # a SIR-perfect set is exactly 0 < I < phi(S), phi in closed form (conftest.phi_sir):
-    # no INSIDE or OUTSIDE verdict may differ from it, on 1,000 seeded states under the cap
-    # and 1,000 within N(0, 2e-3) of phi per set (A at i_max 0.3 is trivial)
+def _closed_form_points(csets):
+    """Criterion 14's points: per SIR-perfect set, in order, 1,000 seeded states under the cap
+    and 1,000 within N(0, 2e-3) of phi (conftest.phi_sir), all in the capped simplex."""
     rng = np.random.default_rng(14)
-    ok = True
-    for cset in (adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30):
+    out = []
+    for cset in csets:
         sc, kind = cset.scenario, cset.set_kind
         phi = phi_sir(sc, kind)
         c = sc.gamma / (sc.beta_min if kind is SetKind.ADMISSIBLE else sc.beta_max)
@@ -240,10 +237,33 @@ def test_criterion_14_closed_form_sir_verdicts(
         for batch in (uniform, near):
             keep = (batch[:, 1] >= 0.0) & (batch[:, 1] <= sc.i_max) & (batch.sum(axis=1) <= 1.0)
             pts.append(batch[keep][:1000])
-        pts = np.vstack(pts)
+        out.append(np.vstack(pts))
+    return out
+
+
+def test_criterion_14_closed_form_sir_verdicts(
+    _report, adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30
+):
+    # a SIR-perfect set is exactly 0 < I < phi(S), phi in closed form (conftest.phi_sir):
+    # no INSIDE or OUTSIDE verdict may differ from it, on 1,000 seeded states under the cap
+    # and 1,000 within N(0, 2e-3) of phi per set (A at i_max 0.3 is trivial)
+    csets = (adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30)
+    ok = True
+    for cset, pts in zip(csets, _closed_form_points(csets)):
         ok &= len(pts) == 2000
+        phi = phi_sir(cset.scenario, cset.set_kind)
         exact = (pts[:, 1] > 0.0) & (pts[:, 1] < phi(pts[:, 0]))
         for p, inside in zip(pts, exact):
             verdict = membership(cset, p).verdict
             ok &= verdict is Verdict.BOUNDARY or (verdict is Verdict.INSIDE) == inside
     _report(14, "closed-form SIR verdicts", ok)
+
+
+def test_sir_distance_matches_the_closed_form(adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30):
+    # the distance of each SIR-perfect set, on criterion 14's points, lies within 2e-7 of the
+    # distance to the same pieces with the closed-form phi in place of its 400-node polyline
+    csets = (adm_sir, mrpi_sir, adm_sir15, mrpi_sir15, mrpi_sir30)
+    for cset, pts in zip(csets, _closed_form_points(csets)):
+        got = np.array([membership(cset, p).distance_estimate for p in pts])
+        worst = float(np.max(np.abs(got - phi_sir_distance(cset, pts))))
+        assert worst <= 2e-7, (cset.scenario.i_max, cset.set_kind, worst)

@@ -22,9 +22,16 @@ from epibarrier.barrier import (
 from epibarrier.core import SetKind, Tolerances, validate_scenario
 from epibarrier.integrate import EventKind, IntegrationResult, SingularArcError
 from epibarrier.policy_sim import grid_membership_oracle
-from epibarrier.models import Channel, InputVec, lie_derivative_g, state_rhs
+from epibarrier.models import Channel, InputVec, vector_field
 
-from conftest import SEIR_PERFECT_40_RAW, SEIR_PERFECT_RAW, SIR_PERFECT_15_RAW, SIR_PERFECT_RAW
+from conftest import (
+    SEIR_PERFECT_40_RAW,
+    SEIR_PERFECT_RAW,
+    SIR_IMPERFECT_RAW,
+    SIR_PERFECT_15_RAW,
+    SIR_PERFECT_30_RAW,
+    SIR_PERFECT_RAW,
+)
 
 HAM_TOL = 1e-6  # largest |lambda^T f| accepted along a traced curve
 
@@ -49,7 +56,7 @@ def test_tangency_residual(all_proper_sets):
             lam0 = np.zeros(sc.dim)
             lam0[-1] = 1.0
             u0 = select_extremal_input(sc, cset.set_kind, x0, lam0)
-            assert abs(lie_derivative_g(sc, x0, u0)) <= 1e-8, name
+            assert abs(vector_field(sc, u0)(0.0, x0)[-1]) <= 1e-8, name
 
 
 def test_curve_containment(all_proper_sets):
@@ -143,6 +150,39 @@ def test_sir_polygon_closed_and_simple(adm_sir, mrpi_sir, mrpi_sir_imp):
         assert poly[0, 0] == poly[1, 0] and poly[0, 1] == 0.0
         assert np.all(np.diff(poly[1:, 0]) >= 0.0)
         assert poly[-1, 1] == 0.0
+
+
+SIR_SET_RAWS = {
+    "adm_sir": SIR_PERFECT_RAW,
+    "mrpi_sir": SIR_PERFECT_RAW,
+    "adm_sir15": SIR_PERFECT_15_RAW,
+    "mrpi_sir15": SIR_PERFECT_15_RAW,
+    "mrpi_sir30": SIR_PERFECT_30_RAW,
+    "mrpi_sir_imp": SIR_IMPERFECT_RAW,
+}
+
+
+@pytest.mark.parametrize("name", SIR_SET_RAWS)
+def test_sir_polyline_starts_with_the_s0_edge(name, request, tmp_path):
+    # the SIR distance measures the S = 0 edge only as the chain's first edge: every
+    # polyline, assembled or reloaded from set.json, starts (0, 0) -> (0, I_max)
+    cset = request.getfixturevalue(name)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(cli._set_document(cset, SIR_SET_RAWS[name], [], {})))
+    for poly in (cset.polyline, cli.load_set(str(path)).polyline):
+        assert poly[:2].tolist() == [[0.0, 0.0], [0.0, cset.scenario.i_max]], name
+
+
+@pytest.mark.parametrize("step_h", [1e-2, 1e-1])
+def test_s_never_decreases_along_a_backward_curve(all_proper_sets, step_h):
+    # backward, dS/dtau = beta*S*I >= 0 while I >= i_floor, so S never falls below its
+    # tangent value and the tracer watches no S = 0 face; every step is recorded here
+    for name, cset in all_proper_sets.items():
+        tol = dataclasses.replace(cset.tolerances, step_h=step_h)
+        for curve in cset.curves:
+            x0 = curve.tangent_point
+            s = compute_barrier_curve(cset.scenario, cset.set_kind, x0, tol, record_every=1).states[:, 0]
+            assert s[0] > 0.0 and np.all(np.diff(s) >= 0.0), (name, x0.tolist())
 
 
 def _crossing_number_inside(poly, p):
@@ -240,8 +280,8 @@ def _resample_one_node_at_a_time(curve, scenario, n_nodes):
         if dt <= 0.0 or s_vals[b] <= s_vals[a]:
             out[j] = x[b]
             continue
-        fa = state_rhs(scenario, x[a], u[a])
-        fb = state_rhs(scenario, x[b], u[b])
+        fa = np.array(vector_field(scenario, u[a])(0.0, x[a]))
+        fb = np.array(vector_field(scenario, u[b])(0.0, x[b]))
         # speeds: squares summed left to right in plain floats, not a BLAS dot
         dsa, dsb = (math.sqrt(sum(c * c for c in v.tolist())) for v in (fa, fb))
         lo, hi = 0.0, 1.0
@@ -397,12 +437,12 @@ def test_membership_reference_points(adm_sir, mrpi_sir):
     assert membership(adm_sir, [0.99, 0.05]).verdict is Verdict.OUTSIDE
 
 
-def _clip_form_edges(poly, i_max):
+def _clip_form_edges(poly):
     """Ends a, b and 1/|ab|^2 of every edge of the reference: the polygon's chain
-    ``poly[0] -> ... -> poly[-1]``, the invariant I = 0 axis from S = 0 to 1 and the S = 0
-    edge up to the cap.  The closing edge ``poly[-1] -> poly[0]`` lies on the axis."""
-    a = np.vstack([poly[:-1], [[0.0, 0.0], [0.0, 0.0]]])
-    b = np.vstack([poly[1:], [[1.0, 0.0], [0.0, i_max]]])
+    ``poly[0] -> ... -> poly[-1]`` and the invariant I = 0 axis from S = 0 to 1.  The closing
+    edge ``poly[-1] -> poly[0]`` lies on the axis."""
+    a = np.vstack([poly[:-1], [[0.0, 0.0]]])
+    b = np.vstack([poly[1:], [[1.0, 0.0]]])
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
     return a, b, np.where(denom > 0.0, 1.0 / np.maximum(denom, 1e-300), 0.0)
@@ -413,7 +453,7 @@ def _sir_distance_with_clip(cset, x):
 
     Its edges come from the polyline itself (:func:`_clip_form_edges`).
     """
-    a, b, inv = _clip_form_edges(cset.polyline, cset.scenario.i_max)
+    a, b, inv = _clip_form_edges(cset.polyline)
     ab = b - a
     dx, dy = float(x[0]) - a[:, 0], float(x[1]) - a[:, 1]
     t = np.clip((dx * ab[:, 0] + dy * ab[:, 1]) * inv, 0.0, 1.0)
@@ -430,17 +470,16 @@ def _nudged(v):
     return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
 
 
-def _first_distance(poly, im, s, i):
+def _first_distance(poly, s, i):
     """The distance that the SIR distance widens into its window, up to rounding: to the
-    chain edge under ``s`` (in the clip form's operations on plain floats), the I = 0 axis and
-    the S = 0 edge."""
+    chain edge under ``s`` (in the clip form's operations on plain floats) and the I = 0 axis."""
     k = min(max(int(np.searchsorted(poly[:, 0], s, side="right")) - 1, 0), len(poly) - 2)
     (ax, ay), (bx, by) = poly[k : k + 2].tolist()
     abx, aby, dx, dy = bx - ax, by - ay, s - ax, i - ay
     denom = abx * abx + aby * aby
     t = min(max((dx * abx + dy * aby) * (1.0 / denom if denom > 0.0 else 0.0), 0.0), 1.0)
-    faces = min((s - min(max(s, 0.0), 1.0)) ** 2 + i * i, s * s + (i - min(max(i, 0.0), im)) ** 2)
-    return math.sqrt(min((dx - t * abx) ** 2 + (dy - t * aby) ** 2, faces))
+    axis = (s - min(max(s, 0.0), 1.0)) ** 2 + i * i
+    return math.sqrt(min((dx - t * abx) ** 2 + (dy - t * aby) ** 2, axis))
 
 
 def _tie(f, lo, hi):
@@ -461,16 +500,16 @@ def _at_the_prune(poly, im, s, i):
     S_0, S_last, 1; I = 0, I_0, I_max), of the window ``s -+ r``, ``r`` the first distance from
     (s, i), and of the points where such an end lies exactly ``r`` away."""
     s_ends, i_ends = (0.0, poly[0, 0], poly[-1, 0], 1.0), (0.0, poly[1, 1], im)
-    r = _first_distance(poly, im, s, i)
+    r = _first_distance(poly, s, i)
     qs = [(v, i) for e in (*s_ends, s - r, s + r) for v in _nudged(e)]
     qs += [(s, v) for e in i_ends for v in _nudged(e)]
     for e in s_ends:  # an end along S lies r from the query
         for far in (e - 0.5, e + 0.5):
-            tie = _tie(lambda x: _first_distance(poly, im, x, i) - abs(x - e), e, far)
+            tie = _tie(lambda x: _first_distance(poly, x, i) - abs(x - e), e, far)
             qs += [(v, i) for v in _nudged(tie)]
     for e in i_ends:  # an end along I lies r from the query
         for far in (e - 0.5, e + 0.5):
-            tie = _tie(lambda y: _first_distance(poly, im, s, y) - abs(y - e), e, far)
+            tie = _tie(lambda y: _first_distance(poly, s, y) - abs(y - e), e, far)
             qs += [(s, v) for v in _nudged(tie)]
     return np.array(qs)
 
@@ -500,24 +539,23 @@ def test_sir_query_arrays_hold_the_chain_alone(all_proper_sets):
         if not cset.scenario.variant.is_sir:
             continue
         poly = cset.polyline
-        xs, ys, inv, graph, im, w = cset.query_arrays
-        a, b, want = _clip_form_edges(poly, im)
+        xs, ys, inv, graph = cset.query_arrays
+        a, b, want = _clip_form_edges(poly)
         assert graph.shape == (5, len(poly) - 1) and len(inv) == len(poly) - 1, name
         assert xs == poly[:, 0].tolist() and ys == poly[:, 1].tolist(), name
-        assert _same_bits(graph[:2].T, a[:-2]) and _same_bits(graph[2:4].T, (b - a)[:-2]), name
-        assert _same_bits(graph[4], want[:-2]) and inv == want[:-2].tolist(), name
-        assert im == cset.scenario.i_max and _same_bits(w, want[-1]), name
+        assert _same_bits(graph[:2].T, a[:-1]) and _same_bits(graph[2:4].T, (b - a)[:-1]), name
+        assert _same_bits(graph[4], want[:-1]) and inv == want[:-1].tolist(), name
 
 
 @pytest.mark.parametrize("i_max", [0.15, 1e-200])
 def test_sir_faces_in_closed_form_match_the_edge_form(i_max):
-    # the distance measures the I = 0 axis and the S = 0 edge in closed form; where either
-    # is the nearest piece the distance has the bits of the generic edge form, at S < 0,
-    # S > 1, I < 0 and I > I_max, and at an I_max whose square underflows
+    # the distance measures the I = 0 axis in closed form; where it is the nearest piece the
+    # distance has the bits of the generic edge form, at S < 0, S > 1, I < 0 and I > I_max,
+    # and at an I_max whose square underflows; a polyline that starts at S > 0 has no S = 0 edge
     sc = validate_scenario(dict(SIR_PERFECT_15_RAW, i_max=i_max))
     poly = np.array([[0.4, 0.0], [0.4, 0.5 * i_max], [0.6, 0.0]])
     cset = ComputedSet(sc, SetKind.ADMISSIBLE, polyline=poly)
-    a, b, inv = _clip_form_edges(poly, i_max)
+    a, b, inv = _clip_form_edges(poly)
     far = 1e3 * i_max
     ss = (-2.0, -0.3, -1e-300, 0.0, 1e-300, 0.1, 0.9, 1.0, 1.3, 5.0)
     ii = (-far, -i_max, -1e-300, 0.0, 0.5 * i_max, i_max, 1.5 * i_max, far)
@@ -530,7 +568,7 @@ def test_sir_faces_in_closed_form_match_the_edge_form(i_max):
             d2.append((dx - t * abx) ** 2 + (dy - t * aby) ** 2)
         assert _same_bits(membership(cset, (s, i)).distance_estimate, math.sqrt(min(d2))), (s, i)
         nearest |= {j - len(d2) for j, v in enumerate(d2) if v == min(d2)}
-    assert {-2, -1} <= nearest  # each face is a nearest piece somewhere
+    assert -1 in nearest  # the axis is a nearest piece somewhere
 
 
 @pytest.mark.parametrize("name", ["adm_sir", "mrpi_sir_imp", "mrpi_seir", "trivial_sir40"])

@@ -63,10 +63,10 @@ def test_simplex_mass_balance(sc_sir, sc_sir_imp, sc_seir, sc_seir_imp):
         u = _mid_input(sc)
         for _ in range(5):
             x = _random_state(rng, sc.dim, sc.i_max)
-            f = state_rhs(sc, x, u)
+            f = vector_field(sc, u)(0.0, x)
             assert float(np.sum(f)) <= 0.0
     # and the I=0 axis is invariant: f = 0 there for SIR
-    assert np.allclose(state_rhs(sc_sir, [0.7, 0.0], InputVec(beta=0.7)), 0.0)
+    assert np.allclose(vector_field(sc_sir, InputVec(beta=0.7))(0.0, [0.7, 0.0]), 0.0)
 
 
 def _state_field_ref(scenario, state, u):
@@ -228,15 +228,16 @@ def test_adjoint_matrix_is_minus_jacobian_transposed(
         u = _mid_input(sc)
         for _ in range(10):
             x = _random_state(rng, sc.dim, sc.i_max)
+            f, rhs = vector_field(sc, u), backward_field(sc, u)
             jac = np.empty((sc.dim, sc.dim))
             for j in range(sc.dim):
                 dx = np.zeros(sc.dim)
                 dx[j] = eps
-                jac[:, j] = (
-                    state_rhs(sc, x + dx, u) - state_rhs(sc, x - dx, u)
-                ) / (2 * eps)
-            A = adjoint_matrix(sc, x, u)
-            assert np.max(np.abs(A + jac.T)) <= 1e-5
+                jac[:, j] = (np.array(f(0.0, x + dx)) - np.array(f(0.0, x - dx))) / (2 * eps)
+            # backward, the adjoint moves as -A lambda: at the unit e_k, column k of
+            # -A, which is row k of the Jacobian where A = -J^T
+            minus_a = np.array([rhs(0.0, (*x, *e, 0.0))[sc.dim : -1] for e in np.eye(sc.dim).tolist()]).T
+            assert np.max(np.abs(jac.T - minus_a)) <= 1e-5
 
 
 def test_adjoint_rhs_linearity(sc_seir):

@@ -19,7 +19,6 @@ from epibarrier.policy_sim import (
     membership_oracle,
     monte_carlo,
     simulate,
-    switching_law,
 )
 
 from conftest import SIR_PERFECT_RAW, phi_sir, seir_corner_shot, seir_points, simulate_ref
@@ -379,25 +378,25 @@ def test_forward_runs_reject_a_bad_step(h, sc_sir_imp):
 
 def test_switching_law_regions(sc_sir, adm_sir):
     # deep inside the admissible set: full contact
-    u = switching_law([0.2, 0.005], adm_sir, sc_sir)
+    u = SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, [0.2, 0.005])
     assert u.beta == sc_sir.beta_max
     # outside the viable set: minimal contact
-    u = switching_law([0.98, 0.019], adm_sir, sc_sir)
+    u = SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, [0.98, 0.019])
     assert u.beta == sc_sir.beta_min
     # on the usable part of the cap face: hold the cap with gamma/S, clamped
-    u = switching_law([0.7, sc_sir.i_max], adm_sir, sc_sir)
+    u = SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, [0.7, sc_sir.i_max])
     assert u.beta == pytest.approx(0.5 / 0.7)
     # on the cap but past the usable part: only minimal contact remains
-    u = switching_law([0.9, sc_sir.i_max], adm_sir, sc_sir)
+    u = SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, [0.9, sc_sir.i_max])
     assert u.beta == sc_sir.beta_min
     # the free region beta_max*S <= gamma (S <= 0.625), where I never rises
     # again, takes full contact before the cap layer (gamma/S = 1.0 at S = 0.5,
     # and S = 0 divides nothing) and before A's boundary layer near I = 0
     for x in ([0.5, sc_sir.i_max], [0.0, sc_sir.i_max], [0.6, 5e-4]):
-        assert switching_law(x, adm_sir, sc_sir).beta == sc_sir.beta_max, x
+        assert SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, x).beta == sc_sir.beta_max, x
     assert membership(adm_sir, [0.6, 5e-4]).verdict is Verdict.BOUNDARY
     # just past it, that layer still reads minimal contact
-    assert switching_law([0.7, 5e-4], adm_sir, sc_sir).beta == sc_sir.beta_min
+    assert SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, [0.7, 5e-4]).beta == sc_sir.beta_min
 
 
 def test_switching_law_policy_cache_consistency(sc_sir, adm_sir):
@@ -408,7 +407,7 @@ def test_switching_law_policy_cache_consistency(sc_sir, adm_sir):
         if x.sum() > 1.0:
             continue
         cached = pol.u(0.0, x)
-        fresh = switching_law(x, adm_sir, sc_sir)
+        fresh = SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, x)
         assert cached.beta == fresh.beta
 
 
@@ -447,7 +446,7 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
 
     class EveryStep:
         def u(self, t, state):
-            return switching_law(state, adm_sir, sc_sir)
+            return SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, state)
 
     kw = {"record_every": 1, "stop_on_breach": False}
     fresh = simulate_ref(sc_sir, EveryStep(), x0, 60.0, Tolerances(), **kw)
@@ -470,11 +469,11 @@ def test_switching_law_clearance_keeps_the_trajectory(monkeypatch, sc_sir, adm_s
 def test_inlined_law_matches_the_law_evaluated_every_step_for_500_days(sc_sir, adm_sir):
     # criterion 08's whole run: after about 18 days it stays in the free
     # region beta_max*S <= gamma, which the rule decides without reading A; a
-    # fresh switching_law at every step of the per-step reference loop gives
+    # fresh SwitchingLawPolicy at every step of the per-step reference loop gives
     # the same bits in every sample, the same breached flag and the same max_I
     class EveryStep:
         def u(self, t, state):
-            return switching_law(state, adm_sir, sc_sir)
+            return SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, state)
 
     kw = {"record_every": 10, "stop_on_breach": False}
     fresh = simulate_ref(sc_sir, EveryStep(), [0.8, 0.012], 500.0, Tolerances(), **kw)
@@ -601,7 +600,7 @@ def test_switching_law_constant_within_boundary_clearance(sc_sir, adm_sir):
         clearance = pol._cache[2]
         n_positive += clearance > 0.0
         for y in x + clearance * ring:
-            assert switching_law(y, adm_sir, sc_sir).beta == u.beta
+            assert SwitchingLawPolicy(sc_sir, adm_sir).u(0.0, y).beta == u.beta
     assert n_positive > 0
 
 
