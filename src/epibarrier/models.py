@@ -38,6 +38,9 @@ __all__ = [
     "backward_source",
     "rate_source",
     "rate_law",
+    "first_integral",
+    "breach_bound",
+    "breach_params",
     "state_rhs",
     "adjoint_matrix",
     "adjoint_rhs",
@@ -101,6 +104,7 @@ _LAW = (
 )
 _RATES = ("b", "a", "g", "dd", "e")
 _SLOPES = ("a = ", "dd = ")  # the statements of the slopes, which only the adjoint reads
+_TINY = np.finfo(float).tiny  # the least S that breach_bound reads
 
 
 def rate_source(scenario: Scenario, u: InputVec | None) -> Source:
@@ -139,6 +143,38 @@ def rate_law(scenario: Scenario, u: InputVec | None):
     src = rate_source(scenario, u)
     f = source_function(src._replace(body=f"I = y[0]\n{src.body}"))
     return lambda i: f(0.0, (i,))
+
+
+def first_integral(y, c):
+    """``V = S + E + I - c*ln(S)`` of ``y``, (S, I) or (S, E, I), on floats or lane arrays.
+    Under rates ``beta <= beta_hi``, ``gamma >= gamma_lo`` and ``c = gamma_lo/beta_hi``,
+    ``dV/dt = I*(c*beta - gamma) <= 0``, and those ends conserve V (Hethcote, SIAM Rev. 2000)."""
+    return sum(y) - c * np.log(y[0])
+
+
+def breach_bound(y, c, s_lo, e_star):
+    """``E + I + max(S - m - c*ln(S/m), 0) - e*`` with ``m = clip(c, s_lo, S)``: no breach of
+    the cap ever starts from a state ``y`` with ``I >= 0`` where it is at most I_max.
+
+    :func:`first_integral` V is a barrier certificate (Prajna & Jadbabaie, HSCC 2004): V
+    and S never rise, and a breach starts at I = I_max with dI/dt >= 0, so at S >= s_lo =
+    gamma*/beta* in SIR, or at E >= e* = gamma*·I_max/eta* in SEIR (the least gamma,
+    largest beta and eta at the cap), where V >= m - c*ln(m) + e* + I_max.  The oracle
+    reads :func:`breach_params` per trial to retire lanes, the tests' certificate gate per
+    set to prove INSIDE.  S <= 0 reads as tiny, where the slack is 0.
+    """
+    s = np.fmax(y[0], _TINY)
+    m = np.clip(c, s_lo, s)
+    return sum(y[1:]) + np.maximum(s - m - c * np.log(s / m), 0.0) - e_star
+
+
+def breach_params(scenario: Scenario, inputs) -> tuple:
+    """:func:`breach_bound`'s ``(c, s_lo, e*)`` for signals of the InputVecs ``inputs``."""
+    chs, im = [ch.value for ch in _CHANNELS[scenario.variant]], scenario.i_max
+    lo, hi = (rate_law(scenario, InputVec(**{ch: f(getattr(u, ch) for u in inputs) for ch in chs}))
+              for f in (min, max))
+    c, g, (b, *_, e) = lo(0.0)[2] / hi(0.0)[0], lo(im)[2], hi(im)
+    return (c, g / b, 0.0) if e is None else (c, 0.0, g * im / e)  # SIR, SEIR
 
 
 def state_rhs(scenario: Scenario, state, u: InputVec) -> np.ndarray:

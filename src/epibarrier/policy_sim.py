@@ -35,11 +35,12 @@ from .models import (
     BadChannelError,
     InputVec,
     active_channels,
+    breach_bound,
+    breach_params,
     check_input,
     check_set_kind,
     forward_source,
     input_box,
-    rate_law,
     vector_field,
 )
 
@@ -438,17 +439,11 @@ def _oracle_trials(
     """The oracle's trial signals, in the order their breaches are reported.
 
     Perfect SIR: one constant decides each set exactly, beta_min the admissible
-    set and beta_max the robust one.  With c = gamma/beta_min, V = S + I - c*ln(S)
-    has dV/dt = I*(c*beta - gamma) >= 0 under every beta >= beta_min, and beta_min
-    conserves V.  Let constant beta_min breach from x, and take any signal.  If
-    S(x) <= c, the beta_min run peaks at x, which every run shares.  Otherwise it
-    peaks at S = c with I = V(x) - c + c*ln(c) > i_max, and S falls: if it reaches
-    c, I is at least that there; if it stays above c, I -> 0, because the integral
-    of beta*S*I is at most S(x), so V(inf) = g(S(inf)) <= g(S(x)) < V(x) with
-    g(S) = S - c*ln(S) increasing for S > c, and V fell.  So every signal breaches
-    from x, on an unbounded horizon (the runs stop at ``t_end``).  With
-    c = gamma/beta_max, V never rises under beta <= beta_max and beta_max conserves
-    it, so no signal peaks above constant beta_max's own peak, one of the signals.
+    set and beta_max the robust one.  Each conserves :func:`models.first_integral`
+    with c = gamma/beta.  With beta_max's c, V never rises, so no signal peaks above
+    the constant's :func:`models.breach_bound`; with beta_min's, V never falls, so
+    every signal breaches where the constant does (its S falls to c, or else I -> 0
+    and V would fall), on an unbounded horizon; the runs stop at ``t_end``.
     Every other set: the 2^channels input-box corner constants,
     then ``n_trials`` seeded bang signals, one per child of ``SeedSequence(seed)``.
     """
@@ -479,7 +474,7 @@ def _oracle_trials(
 # 0.41 / 0.28 / 0.24 / 0.28 / 0.44 / 0.98 s (medians of 5).
 _TAIL_LANES = 16
 
-_BOUND_EVERY = 16  # lane arrays test the bound this seldom: its logs cost more than a step
+_BOUND_EVERY = 16  # lanes test the breach bound this seldom: it costs more than a step
 
 
 def _breach_matrix(
@@ -499,23 +494,11 @@ def _breach_matrix(
     the same floats.  A lane retires once it breaches (I > i_max + geom_tol) or
     once it provably never will:
 
-    - Its trial's rates stay within beta <= beta_hi and gamma >= gamma_lo
-      (the imperfect feedback laws included: they sit at those ends at
-      I = 0), so with c = gamma_lo/beta_hi, V = S + E + I - c*ln(S) has
-      dV/dt = I*(c*beta - gamma) <= 0 in all four variants (E = 0 in SIR;
-      eta cancels in E + I).  S never increases, and S' - c*ln(S') over
-      S' <= S is least at S' = min(S, c), so E + I stays at most its value
-      now plus slack(S) = S - c - c*ln(S/c) for S > c, 0 otherwise.  The
-      lane retires once E + I + slack(S) <= i_max + geom_tol (tested every
-      ``_BOUND_EVERY`` array steps; a lane retired later steps on under the
-      same bound, so no flag changes).  Under a
-      corner constant with beta = beta_hi and gamma = gamma_lo, V is
-      conserved and the bound is the exact peak of E + I.  RK4 does not
-      conserve V exactly: at step_h = 1e-2 over 500 d, under the SIR and
-      SEIR corner constants that conserve it (three starts each), V rose at
-      most 5.7e-14 above its start, so a retired lane whose RK4 run would
-      still have breached peaks within that of the threshold, inside the
-      geom_tol = 1e-9 band the threshold already grants the cap.
+    - Its :func:`models.breach_bound`, on its trial's least and largest inputs,
+      is at most i_max + geom_tol, tested every ``_BOUND_EVERY`` steps (a lane
+      retired later steps on under the same bound, so no flag changes).  Over
+      500 d at step_h = 1e-2, RK4 kept V within 5.7e-14 of its start under
+      the SIR and SEIR corners that conserve it, inside geom_tol = 1e-9.
     - A lane that starts on the invariant axis, I == 0 in SIR and E == 0
       and I == 0 in SEIR, stays on it: in all four variants every
       right-hand-side term of E and I is a product with E or I (beta*S*I,
@@ -530,12 +513,8 @@ def _breach_matrix(
     lanes = np.arange(n_tr * n_pts)  # trial-major: lane = trial * n_pts + point
     y = tuple(np.tile(points[:, d], n_tr) for d in range(points.shape[1]))
     channels = [ch.value for ch in input_box(scenario)]
-    hi, lo = [], []
-    for tr in trials:
-        vals = [[getattr(u, ch) for u in tr.inputs] for ch in channels]
-        hi.append(rate_law(scenario, InputVec(**dict(zip(channels, map(max, vals)))))(0.0)[0])
-        lo.append(rate_law(scenario, InputVec(**dict(zip(channels, map(min, vals)))))(0.0)[2])
-    c = np.repeat(np.divide(lo, hi), n_pts)  # gamma_lo / beta_hi per lane
+    params = zip(*(breach_params(scenario, tr.inputs) for tr in trials))
+    bound = [np.repeat(p, n_pts) for p in params]  # (c, s_lo, e*) per lane
     # every later segment start of every trial, in time order, behind one pointer
     segs = ((t, j, u) for j, tr in enumerate(trials) for t, u in zip(tr.starts[1:], tr.inputs[1:]))
     starts = sorted(segs, key=lambda start: start[0])
@@ -548,16 +527,14 @@ def _breach_matrix(
     while True:
         done = hit = y[-1] > thr
         if k % _BOUND_EVERY == 0:
-            e_plus_i = y[-1] if len(y) == 2 else y[1] + y[2]
-            slack = np.maximum(y[0] - c - c * np.log(np.maximum(y[0] / c, 1.0)), 0.0)
-            done = hit | (e_plus_i + slack <= thr)
+            done = hit | (breach_bound(y, *bound) <= thr)
         if k == 0:  # on the invariant axis: y[1] is E in SEIR, I itself in SIR
             done = done | ((y[1] == 0.0) & (y[-1] == 0.0))
         if done.any():
             breached[lanes[hit]] = True
             keep = ~done
             lanes = lanes[keep]
-            c = c[keep]
+            bound = [a[keep] for a in bound]
             y = tuple(a[keep] for a in y)
             lane_u = {ch: a[keep] for ch, a in lane_u.items()}
             f = None
@@ -577,12 +554,12 @@ def _breach_matrix(
     for i, lane in enumerate(lanes.tolist()):
         breached[lane] = _finish_lane(
             scenario, tuple(a[i].item() for a in y), trials[lane // n_pts],
-            k, n_steps, t_end, h, thr, c[i].item(),
+            k, n_steps, t_end, h, thr, [a[i].item() for a in bound],
         )
     return breached.reshape(n_tr, n_pts).T
 
 
-def _finish_lane(scenario, y, trial, k, n_steps, t_end, h, thr, c):
+def _finish_lane(scenario, y, trial, k, n_steps, t_end, h, thr, bound):
     """Step one oracle lane as a float tuple from step ``k`` until it retires.
 
     Retires and steps as :func:`_breach_matrix` does.  The input at t = k*h is
@@ -591,13 +568,9 @@ def _finish_lane(scenario, y, trial, k, n_steps, t_end, h, thr, c):
     """
     ends, end = trial.starts[1:] + [math.inf], -math.inf
     while True:
-        i = y[-1]
-        if i > thr:
+        if y[-1] > thr:
             return True
-        e_plus_i = i if len(y) == 2 else y[1] + i
-        s = y[0]
-        slack = max(s - c - c * math.log(s / c), 0.0) if s > c else 0.0
-        if k == n_steps or e_plus_i + slack <= thr:
+        if k == n_steps or k % _BOUND_EVERY == 0 and breach_bound(y, *bound) <= thr:
             return False
         t = k * h
         if t >= end:

@@ -11,7 +11,16 @@ import pytest
 from epibarrier import SetKind, assemble_set, policy_sim, validate_scenario
 from epibarrier.core import Tolerances
 from epibarrier.integrate import EventKind, EventSpec, Source, _refine_fraction, rk4_step
-from epibarrier.models import InputVec, forward_source, vector_field
+from epibarrier.models import (
+    Channel,
+    InputVec,
+    breach_bound,
+    breach_params,
+    first_integral,
+    forward_source,
+    input_box,
+    vector_field,
+)
 
 
 SIR_PERFECT_RAW = {
@@ -157,22 +166,28 @@ def all_proper_sets(
     }
 
 
-def phi_sir(scenario, set_kind):
-    """The perfect SIR set's boundary ``I = phi(S)``, in closed form.
+def set_certificate(scenario, set_kind):
+    """The ``(c, s_lo, e*)`` of ``models.breach_bound`` for a set: those of its
+    corner for a perfect admissible set (beta_min, and gamma_max in SEIR), which must keep
+    the cap, and those of the whole input box for a robust invariant set."""
+    box = input_box(scenario)
+    if set_kind is SetKind.ADMISSIBLE:
+        corner = {ch.value: hi if ch is Channel.GAMMA else lo for ch, (lo, hi) in box.items()}
+        return breach_params(scenario, [InputVec(**corner)])
+    lo, hi = ({ch.value: ends[k] for ch, ends in box.items()} for k in (0, 1))
+    return breach_params(scenario, [InputVec(**lo), InputVec(**hi)])
 
-    Under constant ``beta``, ``V = S + I - c*ln(S)`` with ``c = gamma/beta`` is
-    conserved, and the extremal run touches the cap at ``S = c``: so
-    ``phi(S) = V0 - S + c*ln(S)`` for ``S >= c``, with ``V0 = c + I_max - c*ln(c)``,
-    and ``I_max`` below ``c``.  ``beta`` is ``beta_min`` for the admissible set and
-    ``beta_max`` for the robust invariant set; the set is ``I < phi(S)``.
+
+def phi_sir(scenario, set_kind):
+    """The perfect SIR set's boundary ``I = phi(S)``, in closed form: ``I_max`` less the
+    ``models.breach_bound`` of ``(S, 0)``.  The constant that decides the set (beta_min for
+    the admissible set, beta_max for the robust one) conserves ``models.first_integral``,
+    so the bound is its run's exact peak; the set is ``I < phi(S)``.
     """
-    beta = scenario.beta_min if set_kind is SetKind.ADMISSIBLE else scenario.beta_max
-    c = scenario.gamma / beta
-    v0 = c + scenario.i_max - c * math.log(c)
+    cert = set_certificate(scenario, set_kind)
 
     def phi(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s >= c, v0 - s + c * np.log(np.maximum(s, c)), scenario.i_max)
+        return scenario.i_max - breach_bound((np.asarray(s, dtype=float), 0.0), *cert)
 
     return phi
 
@@ -197,8 +212,8 @@ def phi_sir_distance(cset, points):
     """
     sc, tol = cset.scenario, cset.tolerances
     phi, im = phi_sir(sc, cset.set_kind), sc.i_max
-    c = sc.gamma / (sc.beta_min if cset.set_kind is SetKind.ADMISSIBLE else sc.beta_max)
-    v0 = c + im - c * math.log(c)
+    c = set_certificate(sc, cset.set_kind)[0]
+    v0 = first_integral((c, im), c)  # at the tangent point
     pts = np.asarray(points, dtype=float)
     if cset.curves[0].termination.label == "sum_face":
         s_end = math.exp((1.0 - v0) / c)
@@ -236,6 +251,38 @@ def seir_points(scenario, n, rng):
         if x[2] <= scenario.i_max:
             pts.append(x)
     return np.array(pts)
+
+
+def seir_boundary_points(scenario, set_kind, n, rng):
+    """``n`` states of the open simplex under the cap, near the set's boundary, in order:
+    half within ``N(0, 2e-3)`` per coordinate of its traced curves (a uniform point of a
+    uniform curve segment; the curves lie on the boundary, the mesh only between them), a
+    quarter within ``|N(0, 2e-3)|`` under the cap face and a quarter under the sum face.
+    """
+    sigma = 2e-3
+    states = [c.states for c in assemble_set(scenario, set_kind).curves]
+    a, b = np.vstack([x[:-1] for x in states]), np.vstack([x[1:] for x in states])
+    im = scenario.i_max
+
+    def near_curves(m):
+        j, t = rng.integers(0, len(a), m), rng.uniform(0.0, 1.0, (m, 1))
+        return a[j] + t * (b[j] - a[j]) + rng.normal(0.0, sigma, (m, 3))
+
+    def near_cap(m):
+        i = im - np.abs(rng.normal(0.0, sigma, m))
+        return np.column_stack([rng.dirichlet(np.ones(3), m)[:, :2] * (1.0 - i)[:, None], i])
+
+    def near_sum(m):
+        return rng.dirichlet(np.ones(3), m) * (1.0 - np.abs(rng.normal(0.0, sigma, (m, 1))))
+
+    out = []
+    for draw, m in ((near_curves, n - 2 * (n // 4)), (near_cap, n // 4), (near_sum, n // 4)):
+        got = np.empty((0, 3))
+        while len(got) < m:
+            x = draw(m)
+            got = np.vstack([got, x[(x > 0.0).all(axis=1) & (x.sum(axis=1) < 1.0) & (x[:, 2] < im)]])
+        out.append(got[:m])
+    return np.vstack(out)
 
 
 def seir_corner_shot(scenario, set_kind, points):

@@ -22,7 +22,7 @@ from epibarrier.barrier import (
 from epibarrier.core import SetKind, Tolerances, validate_scenario
 from epibarrier.integrate import EventKind, IntegrationResult, SingularArcError
 from epibarrier.policy_sim import grid_membership_oracle
-from epibarrier.models import Channel, InputVec, vector_field
+from epibarrier.models import Channel, InputVec, breach_params, first_integral, vector_field
 
 from conftest import (
     SEIR_PERFECT_40_RAW,
@@ -87,17 +87,15 @@ FIRST_INTEGRAL_DRIFT_MAX = 1e-12
     "name", ["adm_sir", "mrpi_sir", "adm_sir15", "mrpi_sir15", "adm_seir", "mrpi_seir", "mrpi_seir40"]
 )
 def test_first_integral_drift_on_constant_input_segments(request, name):
-    # under constant rates a perfect variant conserves V = S + E + I - (gamma/beta) ln S
-    # (SIR: S + I - (gamma/beta) ln S), along the backward curve too
+    # under constant rates a perfect variant conserves models.first_integral with
+    # c = gamma/beta, along the backward curve too
     cset = request.getfixturevalue(name)
     sc, worst, segments = cset.scenario, 0.0, 0
     for curve in cset.curves:
         x = curve.states
         starts = [0, *(np.flatnonzero(curve.is_switch) + 1).tolist()]
         for a, b in zip(starts, [*starts[1:], len(x)]):
-            u = curve.inputs[a]
-            c = (sc.gamma if sc.dim == 2 else u.gamma) / u.beta
-            v = x[a:b].sum(axis=1) - c * np.log(x[a:b, 0])
+            v = first_integral(tuple(x[a:b].T), breach_params(sc, [curve.inputs[a]])[0])
             worst, segments = max(worst, float(np.abs(v - v[0]).max())), segments + 1
     assert segments >= len(cset.curves)
     assert worst <= FIRST_INTEGRAL_DRIFT_MAX

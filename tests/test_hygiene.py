@@ -7,8 +7,10 @@ policy per step and keeps time as the step index, an integrator that takes
 only ``Source`` code, an oracle that reads no computed set, a policy module
 that reads no robust set argument, a README that names every verdict, every package name, keyword
 and positional call the benchmark makes, one step setting,
-``Tolerances.step_h``, and no attribute stored on an object other than
-``self``.
+``Tolerances.step_h``, no BLAS product outside the adjoint's matrix form,
+one home for the first integral (no logarithm outside
+``models.first_integral`` and ``models.breach_bound``), and no attribute
+stored on an object other than ``self``.
 
 The modules are parsed with ``ast``, so no linter is needed.  An imported
 name is used when its own module reads it or lists it in ``__all__``; a
@@ -219,6 +221,42 @@ def test_no_blas_products():
     for line in ("sq = f @ f.T", "sq = np.dot(f, f)", "sq = f.dot(f)", "sq = np.linalg.norm(f)",
                  "from numpy import inner"):
         assert len(_blas_products(ast.parse(text.replace(anchor, f"        {line}\n")))) == 1, line
+
+
+_LOG_NAMES = {"log", "log1p", "log2", "log10"}
+
+
+def _log_calls(trees) -> list[str]:
+    """``module:statement`` of each logarithm in ``trees``, as code or as source text: a call
+    of ``log`` (``np.log``, ``math.log``, ...) or an import of one under any name."""
+    found = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            for node in _code_and_source_text(stmt):
+                call = getattr(node, "func", None)
+                names = {getattr(call, "attr", None), getattr(call, "id", None)}
+                if isinstance(node, ast.ImportFrom):
+                    names |= {a.name for a in node.names}
+                if names & _LOG_NAMES:
+                    found.append(f"{mod}:{getattr(stmt, 'name', '<module>')}")
+    return found
+
+
+def test_first_integral_has_one_home():
+    # the first integral and its breach bound are the package's only logarithms:
+    # models.first_integral and models.breach_bound; the oracle and every other
+    # reader call them
+    homes = ["models:first_integral", "models:breach_bound"]
+    assert _log_calls(TREES) == homes
+    text = (PACKAGE / "policy_sim.py").read_text()
+    anchor = "            done = hit | (breach_bound(y, *bound) <= thr)\n"
+    assert text.count(anchor) == 1
+    for line in ("s = y[0]\n            done = hit | (y[1] + s - c - c * np.log(s / c) <= thr)",
+                 "done = hit | (y[-1] - math.log1p(y[0]) <= thr)",
+                 "from numpy import log as ln",
+                 "law = Source('v', 'v = S - c * log(S)')"):
+        mutated = dict(TREES, policy_sim=ast.parse(text.replace(anchor, f"            {line}\n")))
+        assert _log_calls(mutated) == [*homes, "policy_sim:_breach_matrix"], line
 
 
 def test_feedback_slopes_are_written_once():

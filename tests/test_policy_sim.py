@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import struct
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from epibarrier import models, policy_sim
 from epibarrier.barrier import Verdict, assemble_set, membership
 from epibarrier.core import SetKind, Tolerances, Variant, validate_scenario
-from epibarrier.models import BadChannelError, Channel, InputVec, input_box
+from epibarrier.models import BadChannelError, Channel, InputVec, breach_bound, input_box
 from epibarrier.policy_sim import (
     AffineFeedbackPolicy,
     ConstantPolicy,
@@ -21,7 +20,14 @@ from epibarrier.policy_sim import (
     simulate,
 )
 
-from conftest import SIR_PERFECT_RAW, phi_sir, seir_corner_shot, seir_points, simulate_ref
+from conftest import (
+    SIR_PERFECT_RAW,
+    phi_sir,
+    seir_corner_shot,
+    seir_points,
+    set_certificate,
+    simulate_ref,
+)
 
 
 def test_constant_policy_validates_box(sc_sir):
@@ -488,17 +494,16 @@ def test_switching_law_holds_beta_max_while_beta_max_keeps_the_cap(
 ):
     # ROADMAP item 12's first half: from seeded starts inside A whose
     # constant-beta_max run peaks at least 2*eps under the cap, the law
-    # restricts nothing until I first falls under eps after the peak.  With
-    # c = gamma/beta_max, V = S + I - c*ln(S) is conserved under beta_max, so
-    # the peak is I0 for S0 <= c, else V(x0) - c + c*ln(c)
+    # restricts nothing until I first falls under eps after the peak.  Constant
+    # beta_max conserves models.first_integral, so its peak is the breach bound
     for sc, adm in ((sc_sir, adm_sir), (sc_sir15, adm_sir15)):
-        eps, c = adm.tolerances.boundary_layer_eps, sc.gamma / sc.beta_max
+        eps, cert = adm.tolerances.boundary_layer_eps, set_certificate(sc, SetKind.MRPI)
         rng, starts = np.random.default_rng(3), []
         while len(starts) < 4:
             s, i = rng.uniform(0.0, 1.0), rng.uniform(0.0, sc.i_max)
             if s + i > 1.0 or i < 2 * eps or membership(adm, (s, i)).verdict is not Verdict.INSIDE:
                 continue
-            peak = i if s <= c else s + i - c * math.log(s) - c + c * math.log(c)
+            peak = breach_bound((s, i), *cert)
             if peak <= sc.i_max - 2 * eps:
                 starts.append((s, i))
         for x0 in starts:
@@ -564,12 +569,12 @@ def test_switching_law_on_a_trivial_set_never_restricts_below_the_cap(i_max):
     sc = validate_scenario(dict(SIR_PERFECT_RAW, i_max=i_max))
     adm = assemble_set(sc, SetKind.ADMISSIBLE)
     assert adm.trivial
-    eps, c = adm.tolerances.boundary_layer_eps, sc.gamma / sc.beta_max
-    rng, starts = np.random.default_rng(35), []
+    eps, cert = adm.tolerances.boundary_layer_eps, set_certificate(sc, SetKind.MRPI)
+    c, rng, starts = cert[0], np.random.default_rng(35), []
     for s_lo, s_hi in ((0.0, c), (c, 1.0), (0.0, c), (c, 1.0)):
         while True:
             s, i = rng.uniform(s_lo, s_hi), rng.uniform(0.0, sc.i_max)
-            peak = i if s <= c else s + i - c * math.log(s) - c + c * math.log(c)
+            peak = breach_bound((s, i), *cert)
             if s + i <= 1.0 and peak <= sc.i_max - 2 * eps:
                 break
         starts.append((s, i))
@@ -966,31 +971,36 @@ def _simulated_flags(sc, pts, trials, t_end):
 # Per scenario: the set kind, states the bound retires at the start, and
 # states it retires partway through some trials.  All have S above
 # c = gamma_lo/beta_hi of the input box and I > 0, so beta_hi*S < gamma_lo
-# fails on the corner (beta_max, gamma_min) trial.  E + I + slack(S) lies
-# under the cap for every trial at the first states, over it at the later
-# ones until their inputs have made V fall or S has passed c.
+# fails on the corner (beta_max, gamma_min) trial.  models.breach_bound lies
+# under the cap for every trial at the first states, and over it for some
+# trial at the later ones, until the run has made it fall.  In SEIR, only the
+# bound's e* (the least E from which I can rise at the cap) retires the first
+# states after the first two: E + I + slack(S) lies over the cap for some
+# trial, and at the last state E + I alone does.
 _BOUND_RETIRED = {
     "sc_sir": (SetKind.MRPI, [[0.7, 0.005], [0.66, 0.01]], [[0.8, 0.005], [0.76, 0.01]]),
     "sc_sir_imp": (SetKind.MRPI, [[0.5, 0.05], [0.6, 0.1]], [[0.8, 0.1], [0.9, 0.05]]),
     "sc_seir": (
         SetKind.ADMISSIBLE,
-        [[0.3, 0.01, 0.02], [0.5, 0.05, 0.05]],
-        [[0.7, 0.05, 0.05], [0.6, 0.1, 0.1]],
+        [[0.3, 0.01, 0.02], [0.5, 0.05, 0.05],
+         [0.7, 0.05, 0.05], [0.6, 0.1, 0.1], [0.25, 0.3, 0.05]],
+        [[0.26, 0.4, 0.2], [0.4, 0.32, 0.24]],
     ),
     "sc_seir_imp": (
         SetKind.MRPI,
-        [[0.3, 0.02, 0.03], [0.25, 0.02, 0.03]],
-        [[0.4, 0.02, 0.03], [0.45, 0.03, 0.02]],
+        [[0.3, 0.02, 0.03], [0.25, 0.02, 0.03],
+         [0.4, 0.02, 0.03], [0.45, 0.03, 0.02], [0.21, 0.15, 0.02]],
+        [[0.48, 0.23, 0.02], [0.56, 0.14, 0.07]],
     ),
 }
 
 
 @pytest.mark.parametrize("scenario_name", list(_BOUND_RETIRED))
 def test_oracle_bound_retired_lanes_take_no_steps(monkeypatch, request, scenario_name):
-    # V = S + E + I - c*ln(S) never rises along a trial, so E + I never
-    # exceeds its value plus slack(S) = S - c - c*ln(S/c): these lanes retire
-    # before the first RK4 step, with the flags of one simulate per trial over
-    # the whole horizon
+    # models.first_integral never rises along a trial, so no breach starts
+    # while models.breach_bound is under the cap: these lanes retire before
+    # the first RK4 step, with the flags of one simulate per trial over the
+    # whole horizon
     sc = request.getfixturevalue(scenario_name)
     kind, points, _ = _BOUND_RETIRED[scenario_name]
     pts, t_end = np.array(points), 100.0
@@ -1005,13 +1015,13 @@ def test_oracle_bound_retired_lanes_take_no_steps(monkeypatch, request, scenario
 
 @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
 def test_oracle_bound_is_the_peak_under_a_conserving_corner(monkeypatch, sc_sir, offset):
-    # under constant beta_max, V = S + I - c*ln(S) with c = gamma/beta_max is
-    # conserved, so I peaks at I0 + slack(S0) as S passes c: a start whose
-    # peak lies 1e-6 under the cap retires before the first step, one whose
-    # peak lies 1e-6 over it steps until it breaches, as simulate flags them
-    c, s0, t_end = sc_sir.gamma / sc_sir.beta_max, 0.75, 100.0
+    # constant beta_max conserves models.first_integral, so I peaks at the breach
+    # bound as S passes c: a start whose peak lies 1e-6 under the cap retires
+    # before the first step, one whose peak lies 1e-6 over it steps until it
+    # breaches, as simulate flags them
+    s0, t_end = 0.75, 100.0
     peak = sc_sir.i_max + offset
-    pts = np.array([[s0, peak - (s0 - c - c * math.log(s0 / c))]])
+    pts = np.array([[s0, peak - breach_bound((s0, 0.0), *set_certificate(sc_sir, SetKind.MRPI))]])
     trials = [ConstantPolicy(sc_sir, InputVec(beta=sc_sir.beta_max))]
     calls = _stage_calls(monkeypatch)
     flags = policy_sim._breach_matrix(sc_sir, pts, trials, t_end, Tolerances())

@@ -127,7 +127,7 @@ def _seir_points(scenario):
             small,
             large,
             marks=[] if count == 0 else pytest.mark.xfail(
-                strict=True, reason=f"off-mesh SEIR verdicts (ROADMAP item 2): {count} of 2,000 points"
+                reason=f"off-mesh SEIR verdicts (ROADMAP item 2): {count} of 2,000 points"
             ),
         )
         for name, small, large, count in SEIR_RELATIONS
